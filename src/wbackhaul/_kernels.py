@@ -1,30 +1,69 @@
 """Hot numeric kernels for relay-tree construction.
 
-Both kernels exist in a numba @njit variant and a pure-numpy variant
-that compute bit-identical results (same IEEE operations, same
-tie-breaks).  The active backend is chosen at import time: numba when
-importable, unless the environment variable WBACKHAUL_NUMBA is set to
-"0", in which case the numpy path is used.  benchmarks/bench_topology.py
-compares the two.
+parent_ranks answers, for every node, "nearest node closer to the
+gateway" with an exact fixed-radius cell search (Bentley, Stanat and
+Williams, "The complexity of finding fixed-radius near neighbors", IPL
+1977) over a sparse square grid: a node's best candidate in the 3x3
+block of cells around it is accepted only when it lies nearer than one
+cell width, since every node outside the block is at least that far
+away.  Rows that find no such candidate retry on a grid of twice the
+cell size, up to a grid whose every block holds all nodes.  Distances
+use the same IEEE operations and tie-break as the brute-force rule, so
+the parents are bit-identical to it.
 """
 from __future__ import annotations
 
-import os
+from math import isqrt
 
 import numpy as np
 
-_env = os.environ.get("WBACKHAUL_NUMBA", "1")
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    _HAVE_NUMBA = False
+# Rows queried and candidate pairs gathered at once; they bound the
+# kernel's scratch memory whatever the number of nodes.
+_CHUNK_ROWS = 1 << 11
+_CHUNK_PAIRS = 1 << 15
+# A best candidate is accepted only when d2 < h^2 * _MARGIN.  With at most
+# _MAX_CELLS cells per side the cell index of a point is off by less than
+# 1e-10 of a cell, so no node outside the 3x3 block can come nearer.
+_MARGIN = 1.0 - 1e-9
+_MAX_CELLS = 1 << 16
+# The margin argument needs h^2 well inside the normal float range.
+_H2_RANGE = (1e-290, 1e290)
+# Refine the finest grid while sum(occupancy^2) > _OCCUPANCY * n.
+_OCCUPANCY = 4
 
-_USE_NUMBA = _HAVE_NUMBA and _env != "0"
+
+def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
+    """Cell key of every node on the grid of cell size h anchored at lo.
+
+    Cell coordinates start at 1, so the 3x3 block of any occupied cell
+    has keys in [0, side^2).  Returns (keys, side, complete), where
+    complete means every 3x3 block covers every node.
+    """
+    if h == np.inf:
+        c = np.ones(pos.shape, dtype=np.int64)
+    else:
+        c = np.floor((pos - lo) / h).astype(np.int64) + 1
+    top = int(c.max())
+    side = top + 2
+    return c[:, 0] * side + c[:, 1], side, top <= 2
 
 
-def parent_ranks_numpy(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
+def _finest_cell(pos: np.ndarray, lo: np.ndarray, span: float) -> float:
+    """Finest cell size: about two nodes per cell, halved while clustered
+    nodes crowd into a few cells."""
+    n = pos.shape[0]
+    h = span / max(1, isqrt(n // 2))
+    # below the h^2 range no grid level can accept a candidate
+    while h * h > 4 * _H2_RANGE[0]:
+        keys, side, _ = _cell_keys(pos, lo, h)
+        occupancy = np.unique(keys, return_counts=True)[1]
+        if 2 * side > _MAX_CELLS or int(occupancy @ occupancy) <= _OCCUPANCY * n:
+            break
+        h /= 2
+    return h if h > 0 else span
+
+
+def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     """Parent rank for each rank: nearest strictly-lower-ranked node.
 
     pos is (n, 2) float64 in rank order (gateway at rank 0, gateway
@@ -33,88 +72,114 @@ def parent_ranks_numpy(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     parent -1.
     """
     n = pos.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    out[0] = -1
-    for k in range(1, n):
-        diff = pos[:k] - pos[k]
-        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
-        best = d2.min()
-        ties = np.nonzero(d2 == best)[0]
-        out[k] = ties[np.argmin(node_idx[ties])]
+    out = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return out
+    x = np.ascontiguousarray(pos[:, 0])
+    y = np.ascontiguousarray(pos[:, 1])
+    lo = pos.min(axis=0)
+    span = float((pos.max(axis=0) - lo).max())
+    h = _finest_cell(pos, lo, span) if 0.0 < span < np.inf else np.inf
+    rows = np.arange(1, n, dtype=np.int64)
+    while rows.size:
+        keys, side, complete = _cell_keys(pos, lo, h)
+        # cells in key order, ranks ascending within each cell, so a row's
+        # lower-ranked candidates in a cell are a prefix of that cell
+        packed = np.sort(keys * n + np.arange(n, dtype=np.int64))
+        pending = np.zeros(n, dtype=bool)
+        pending[rows] = True
+        # rows in the same order, so that each of the 9 query runs of a
+        # batch is ascending, which searchsorted answers much faster
+        rows_packed = packed[pending[packed % n]]
+        block = (np.arange(-1, 2, dtype=np.int64)[:, None] * side
+                 + np.arange(-1, 2, dtype=np.int64)[None, :]).reshape(9, 1) * n
+        if complete:
+            threshold = None
+        elif _H2_RANGE[0] < h * h < _H2_RANGE[1]:
+            threshold = h * h * _MARGIN
+        else:
+            threshold = -np.inf
+        rows = np.concatenate([
+            _resolve(x, y, node_idx, packed, rows_packed[s:s + _CHUNK_ROWS], block,
+                     threshold, out)
+            for s in range(0, rows_packed.size, _CHUNK_ROWS)])
+        h *= 2
     return out
 
 
-def _parent_ranks_scalar(pos, node_idx):
-    n = pos.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    out[0] = -1
-    for k in range(1, n):
-        xk = pos[k, 0]
-        yk = pos[k, 1]
-        dx = pos[0, 0] - xk
-        dy = pos[0, 1] - yk
-        best_d2 = dx * dx + dy * dy
-        best = 0
-        for j in range(1, k):
-            dx = pos[j, 0] - xk
-            dy = pos[j, 1] - yk
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2 or (d2 == best_d2 and node_idx[j] < node_idx[best]):
-                best_d2 = d2
-                best = j
-        out[k] = best
-    return out
+def _resolve(x, y, node_idx, packed, rows_packed, block, threshold, out):
+    """Write the parent of every row whose best candidate is accepted;
+    return the rows left for the next, coarser grid.
+
+    packed holds key * n + rank of every node, sorted; rows_packed the
+    same for the rows to resolve, and block the offsets of a 3x3 block
+    of cells in that packing.  threshold None accepts every row that has
+    a candidate.
+    """
+    n = x.shape[0]
+    rows = rows_packed % n
+    cells = rows_packed - rows + block
+    first = np.searchsorted(packed, cells)
+    count = (np.searchsorted(packed, cells + rows) - first).T
+    first = first.T
+    per_row = count.sum(axis=1)
+    has = per_row > 0
+    rest = [rows[~has]]
+    rows, first, count, per_row = rows[has], first[has], count[has], per_row[has]
+    bounds = np.cumsum(per_row)
+    a = 0
+    while a < rows.size:
+        done = int(bounds[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(bounds, done + _CHUNK_PAIRS, side="right")))
+        c = count[a:b].ravel()
+        seg_start = np.cumsum(c) - c
+        cand = packed[np.arange(int(c.sum()), dtype=np.int64)
+                      + np.repeat(first[a:b].ravel() - seg_start, c)] % n
+        m = per_row[a:b]
+        r = np.repeat(rows[a:b], m)
+        dx = x[cand] - x[r]
+        dy = y[cand] - y[r]
+        d2 = dx * dx + dy * dy
+        row_start = np.cumsum(m) - m
+        best = np.minimum.reduceat(d2, row_start)
+        nid = np.where(d2 == np.repeat(best, m), node_idx[cand],
+                       np.iinfo(np.int64).max)
+        least = np.minimum.reduceat(nid, row_start)
+        pick = np.minimum.reduceat(np.where(nid == np.repeat(least, m), cand, n),
+                                   row_start)
+        ok = np.full(b - a, True) if threshold is None else best < threshold
+        out[rows[a:b][ok]] = pick[ok]
+        rest.append(rows[a:b][~ok])
+        a = b
+    return np.concatenate(rest)
 
 
-def _subtree_sizes_scalar(parent):
+def subtree_sizes(parent: np.ndarray) -> np.ndarray:
     """Subtree node counts (incl. self) from parent pointers (-1 = root).
 
     Leaf peeling: accumulate a node into its parent once all of its own
     children are done, so one O(n) pass suffices for any acyclic parent
     array.
     """
-    n = parent.shape[0]
-    sizes = np.ones(n, dtype=np.int64)
-    pending = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        if parent[i] != -1:
-            pending[parent[i]] += 1
-    stack = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        if pending[i] == 0:
-            stack[top] = i
-            top += 1
-    while top > 0:
-        top -= 1
-        i = stack[top]
-        p = parent[i]
+    par = parent.tolist()
+    n = len(par)
+    sizes = [1] * n
+    pending = [0] * n
+    for p in par:
+        if p != -1:
+            pending[p] += 1
+    stack = [i for i in range(n) if pending[i] == 0]
+    while stack:
+        i = stack.pop()
+        p = par[i]
         if p != -1:
             sizes[p] += sizes[i]
             pending[p] -= 1
             if pending[p] == 0:
-                stack[top] = p
-                top += 1
-    return sizes
-
-
-subtree_sizes_numpy = _subtree_sizes_scalar
-
-if _HAVE_NUMBA:
-    parent_ranks_numba = njit(cache=True)(_parent_ranks_scalar)
-    subtree_sizes_numba = njit(cache=True)(_subtree_sizes_scalar)
-else:
-    parent_ranks_numba = None
-    subtree_sizes_numba = None
-
-if _USE_NUMBA:
-    parent_ranks = parent_ranks_numba
-    subtree_sizes = subtree_sizes_numba
-else:
-    parent_ranks = parent_ranks_numpy
-    subtree_sizes = subtree_sizes_numpy
+                stack.append(p)
+    return np.array(sizes, dtype=np.int64)
 
 
 def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the kernel implementation: always 'numpy'."""
+    return "numpy"

@@ -13,6 +13,7 @@ inputs reproduce positions bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,8 +68,10 @@ def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
     if n < 0:
         raise ValidationError("n: must be >= 0")
-    if not macro_radius_m > 0:
-        raise ValidationError("macro_radius_m: must be > 0")
+    if not (macro_radius_m > 0 and math.isfinite(macro_radius_m)):
+        raise ValidationError("macro_radius_m: must be a finite number > 0")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError("seed: must be an integer >= 0")
     rng = np.random.default_rng(seed)
     # Uniform over the disk: radius is R*sqrt(u), angle uniform.
     r = macro_radius_m * np.sqrt(rng.random(n))
@@ -96,6 +99,8 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     """
     if placement.n == 0:
         raise ValidationError("placement: must contain at least one node")
+    if not np.isfinite(placement.positions).all():
+        raise ValidationError("positions: must be finite")
     g = _gateway_index(placement, gateway)
     pts = placement.positions
     d_gw = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
@@ -132,10 +137,10 @@ def gateway_ingress_bps(tree: RelayTree) -> float:
 def export_topology(placement: Placement, tree: RelayTree) -> dict:
     """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
     return {
-        "positions": [[float(x), float(y)] for x, y in placement.positions],
+        "positions": placement.positions.astype(np.float64, copy=False).tolist(),
         "gateway_index": int(tree.gateway_index),
-        "parent": [None if p == -1 else int(p) for p in tree.parent],
-        "link_load_bps": [float(v) for v in tree.link_load_bps],
+        "parent": [None if p == -1 else p for p in tree.parent.tolist()],
+        "link_load_bps": tree.link_load_bps.astype(np.float64, copy=False).tolist(),
         "seed": int(placement.seed),
         "rng": RNG_ALGORITHM,
     }

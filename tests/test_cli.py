@@ -144,6 +144,15 @@ def test_topology_stdout_and_gateway_index(capsys):
     assert doc["gateway_index"] == 2
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--radius", "inf", "macro_radius_m"),
+    ("--seed", "-1", "seed"),
+])
+def test_topology_bad_input_names_field(flag, value, field, capsys):
+    assert main(["topology", "--n", "20", flag, value, "--stdout"]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_console_script_matches_library(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(CENTRAL_100)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -159,38 +161,125 @@ def test_export_schema():
     assert doc["parent"][doc["gateway_index"]] is None
     assert doc["seed"] == 17
     assert isinstance(doc["rng"], str)
-    import json
     json.dumps(doc)  # JSON-serializable as exported
 
 
-def test_kernel_backends_agree():
-    if _kernels.parent_ranks_numba is None:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(23)
-    for n in (1, 2, 3, 17, 200):
-        pts = rng.uniform(-100, 100, size=(n, 2))
-        idx = np.arange(n, dtype=np.int64)
-        a = _kernels.parent_ranks_numba(pts, idx)
-        b = _kernels.parent_ranks_numpy(pts, idx)
-        assert np.array_equal(a, b)
-        assert np.array_equal(_kernels.subtree_sizes_numba(a),
-                              _kernels.subtree_sizes_numpy(b))
-    # degenerate duplicates take the index tie-break on both paths
-    pts = np.zeros((6, 2))
-    idx = np.arange(6, dtype=np.int64)
-    assert np.array_equal(_kernels.parent_ranks_numba(pts, idx),
-                          _kernels.parent_ranks_numpy(pts, idx))
+def _brute_parent_ranks(pos, node_idx):
+    """O(N^2) reference: nearest lower-ranked node, ties to the smaller index."""
+    n = pos.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    out[:1] = -1
+    for k in range(1, n):
+        diff = pos[:k] - pos[k]
+        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+        ties = np.nonzero(d2 == d2.min())[0]
+        out[k] = ties[np.argmin(node_idx[ties])]
+    return out
 
 
-def test_numpy_fallback_builds_same_tree(monkeypatch):
-    # force the numpy kernel path through the public API
-    import wbackhaul.topology as topo
-    pl = place_uniform(150, 500.0, seed=29)
-    with_numba = link_loads(build_relay_tree(pl), 1e9)
-    monkeypatch.setattr(topo._kernels, "parent_ranks",
-                        _kernels.parent_ranks_numpy)
-    monkeypatch.setattr(topo._kernels, "subtree_sizes",
-                        _kernels.subtree_sizes_numpy)
-    with_numpy = link_loads(build_relay_tree(pl), 1e9)
-    assert np.array_equal(with_numba.parent, with_numpy.parent)
-    assert np.array_equal(with_numba.link_load_bps, with_numpy.link_load_bps)
+def _hotspots_with_duplicates(rng, n):
+    centers = rng.uniform(-400, 400, size=(5, 2))
+    sigma = rng.uniform(2, 40, size=5)
+    k = rng.integers(0, 5, size=n - n // 4)
+    pts = centers[k] + rng.normal(size=(k.size, 2)) * sigma[k, None]
+    dups = pts[rng.integers(0, pts.shape[0], size=n // 4)]  # exact copies
+    return rng.permutation(np.concatenate([pts, dups]))
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    for seed in range(3):
+        for n in (1, 2, 3, 17, 200, 5000):
+            yield f"uniform-{n}-{seed}", place_uniform(n, 500.0, seed=seed).positions
+    yield "all-duplicates", np.full((300, 2), 7.25)
+    yield "collinear-row", np.column_stack((np.linspace(-450, 450, 700), np.full(700, 3.0)))
+    for seed in range(3):
+        yield f"hotspots-{seed}", _hotspots_with_duplicates(rng, 3000)
+    # d2 underflows to 0 or a few subnormal steps: the index tie-break decides
+    yield "tiny-1e-160", 1e-160 * rng.integers(0, 30, size=(400, 2)).astype(float)
+    yield "tiny-1e-162", 1e-162 * rng.uniform(0, 30, size=(400, 2))
+    # a span of three subnormal steps: the finest cell size underflows to 0
+    yield "subnormal", 5e-324 * rng.integers(0, 4, size=(300, 2)).astype(float)
+    # d2 overflows to inf for far pairs
+    yield "huge", 1e154 * rng.uniform(-1, 1, size=(300, 2))
+
+
+@pytest.mark.parametrize("name,points", list(_oracle_cases()),
+                         ids=[name for name, _ in _oracle_cases()])
+def test_parent_ranks_match_brute_force_oracle(name, points):
+    rng = np.random.default_rng(len(points))
+    for node_idx in (np.arange(len(points), dtype=np.int64),
+                     rng.permutation(len(points)).astype(np.int64)):
+        with np.errstate(over="ignore"):
+            expected = _brute_parent_ranks(points, node_idx)
+            assert np.array_equal(_kernels.parent_ranks(points, node_idx), expected)
+
+
+@pytest.mark.parametrize("gateway", ["nearest-to-center", 0, 1234])
+def test_relay_tree_matches_brute_force_rule(gateway):
+    pts = _hotspots_with_duplicates(np.random.default_rng(5), 2000)
+    pl = _placement(pts)
+    tree = build_relay_tree(pl, gateway)
+    g = tree.gateway_index
+    d = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
+    d[g] = -1.0
+    order = np.lexsort((np.arange(pl.n), d))
+    expected = np.full(pl.n, -1, dtype=np.int64)
+    expected[order[1:]] = order[_brute_parent_ranks(pts[order], order)[1:]]
+    assert np.array_equal(tree.parent, expected)
+
+
+def test_subtree_sizes_deep_chain_and_star():
+    n = 5000
+    chain = np.arange(-1, n - 1, dtype=np.int64)
+    assert _kernels.subtree_sizes(chain).tolist() == list(range(n, 0, -1))
+    star = np.zeros(n, dtype=np.int64)
+    star[0] = -1
+    assert _kernels.subtree_sizes(star).tolist() == [n] + [1] * (n - 1)
+    row = _placement(np.column_stack((np.arange(n, dtype=float), np.zeros(n))))
+    tree = build_relay_tree(row, gateway=0)
+    assert tree.parent.tolist() == chain.tolist()
+    sizes = _kernels.subtree_sizes(tree.parent)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == list(range(n, 0, -1))
+
+
+def _export_per_element(placement, tree):
+    return {
+        "positions": [[float(x), float(y)] for x, y in placement.positions],
+        "gateway_index": int(tree.gateway_index),
+        "parent": [None if p == -1 else int(p) for p in tree.parent],
+        "link_load_bps": [float(v) for v in tree.link_load_bps],
+        "seed": int(placement.seed),
+        "rng": "numpy-default_rng-PCG64",
+    }
+
+
+@pytest.mark.parametrize("placement", [
+    place_uniform(3000, 750.0, seed=4),
+    _placement(_hotspots_with_duplicates(np.random.default_rng(8), 1000)),
+    _placement(np.array([[0, 0], [3, 4], [-2, 7]])),  # integer positions
+], ids=["uniform", "hotspots", "integer"])
+def test_export_bytes_match_per_element_construction(placement):
+    tree = link_loads(build_relay_tree(placement), 5.9e8)
+    assert (json.dumps(export_topology(placement, tree), indent=2)
+            == json.dumps(_export_per_element(placement, tree), indent=2))
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan"), -1.0, 0.0])
+def test_place_rejects_bad_radius(radius):
+    with pytest.raises(ValidationError, match="macro_radius_m"):
+        place_uniform(10, radius, seed=0)
+
+
+def test_place_rejects_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        place_uniform(10, 500.0, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_tree_rejects_non_finite_positions(bad):
+    pts = place_uniform(50, 500.0, seed=2).positions.copy()
+    pts[17, 1] = bad
+    with pytest.raises(ValidationError, match="positions"):
+        build_relay_tree(_placement(pts))
