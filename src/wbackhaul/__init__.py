@@ -7,17 +7,13 @@ cooperative cluster of small cells relays toward a gateway cell.
 
 __version__ = "0.1.0"
 
-from .link_model import EdgeLinkModel, calibrate, resolve_se, shannon_se
+from .link_model import resolve_se
 from .power_energy import (
     EfficiencyResult,
-    cell_energies,
     efficiency,
     embodied_energy,
-    operating_energy,
     operating_power,
     scenario_energy,
-    system_energy_central,
-    system_energy_distribution,
     tx_power,
 )
 from .scenario import (
@@ -65,14 +61,4 @@ from .topology import (
     link_loads,
     place_uniform,
 )
-from .traffic import (
-    ClusterSpec,
-    comp_se,
-    macro_down_central,
-    macro_up_central,
-    scenario_throughput,
-    small_down_central,
-    small_up_central,
-    total_central,
-    total_distribution,
-)
+from .traffic import cell_backhaul, scenario_throughput

@@ -11,9 +11,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-from . import __version__, power_energy, sweep_report, topology, traffic
-from .scenario import Central, ConfigError, ValidationError, load_scenario
+from . import __version__, power_energy, sweep_report, topology
+from .scenario import Central, ConfigError, ParseError, ValidationError, load_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +41,10 @@ def _eng(value: float, unit: str) -> str:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def _write_text(path: str, text: str) -> None:
@@ -50,26 +54,13 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_eval(args) -> int:
     cfg = load_scenario(_read_text(args.config))
-    th = traffic.scenario_throughput(cfg)
-    en = power_energy.scenario_energy(cfg)
     res = power_energy.efficiency(cfg)
     machine = {
         "throughput_bps": res.throughput_bps,
         "system_energy_j": res.system_energy_j,
         "efficiency_bps_per_j": res.efficiency,
-        "throughput": {
-            "small_up_bps": th.small_up_bps, "small_down_bps": th.small_down_bps,
-            "macro_up_bps": th.macro_up_bps, "macro_down_bps": th.macro_down_bps,
-            "total_up_bps": th.total_up_bps, "total_down_bps": th.total_down_bps,
-            "total_bps": th.total_bps,
-        },
-        "energy": {
-            "per_macro_operating_j": en.per_macro_operating_j,
-            "per_macro_embodied_j": en.per_macro_embodied_j,
-            "per_small_operating_j": en.per_small_operating_j,
-            "per_small_embodied_j": en.per_small_embodied_j,
-            "system_total_j": en.system_total_j,
-        },
+        "throughput": asdict(res.throughput),
+        "energy": asdict(res.energy),
     }
     if args.out:
         _write_text(args.out, json.dumps(machine, indent=2) + "\n")
@@ -117,7 +108,7 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
         values = []
         v = start
         i = 0
-        # tolerate float accumulation up to half a step beyond stop
+        # tolerate float accumulation up to 1e-9 of a step beyond stop
         while v <= stop + step * 1e-9:
             values.append(v)
             i += 1

@@ -3,7 +3,7 @@
 The model maps (cell radius, path loss exponent) to an achievable
 spectrum efficiency by scaling a calibrated edge SNR with distance:
 
-    SE(r, alpha) = log2(1 + snr0 * (ref_radius / r)**alpha)
+    SE(r, alpha) = log2(1 + (2**calibration_se - 1) * (ref_radius / r)**alpha)
 
 At r == ref_radius the exponent term is exactly 1 for every alpha, so
 the calibration value is recovered alpha-invariantly.  Below the
@@ -14,44 +14,27 @@ reference radius is therefore the crossover between the two regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scenario import FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError
 
 
-@dataclass(frozen=True)
-class EdgeLinkModel:
-    snr0: float               # linear edge SNR at the reference radius
-    ref_radius_m: float = 50.0
-
-    def __post_init__(self):
-        if not self.snr0 > 0:
-            raise ValidationError("snr0: must be > 0")
-        if not self.ref_radius_m > 0:
-            raise ValidationError("ref_radius_m: must be > 0")
-
-
-def calibrate(calibration_se: float, ref_radius_m: float = 50.0) -> EdgeLinkModel:
-    """Pin the edge SNR so shannon_se(ref_radius, any alpha) == calibration_se."""
-    if not calibration_se > 0:
-        raise ValidationError("calibration_se: must be > 0")
-    return EdgeLinkModel(snr0=2.0 ** calibration_se - 1.0, ref_radius_m=ref_radius_m)
-
-
-def shannon_se(model: EdgeLinkModel, radius_m: float, alpha: float) -> float:
-    """Spectrum efficiency (bit/s/Hz) of a cell-edge link at the given radius."""
+def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
+    """Numeric spectrum efficiency (bit/s/Hz) for a cell, whatever its configured source."""
+    if isinstance(source, FixedSE):
+        return source.bit_per_s_per_hz
+    if not isinstance(source, ShannonEdgeSE):
+        raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
     if not radius_m > 0:
         raise ValidationError("radius_m: must be > 0")
     if not alpha > 0:
         raise ValidationError("alpha: must be > 0")
-    return math.log2(1.0 + model.snr0 * (model.ref_radius_m / radius_m) ** alpha)
-
-
-def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
-    """Numeric spectrum efficiency for a cell, whatever its configured source."""
-    if isinstance(source, FixedSE):
-        return source.bit_per_s_per_hz
-    if isinstance(source, ShannonEdgeSE):
-        model = calibrate(source.calibration_se, source.ref_radius_m)
-        return shannon_se(model, radius_m, alpha)
-    raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
+    try:
+        se = math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
+                       * (source.ref_radius_m / radius_m) ** alpha)
+    except OverflowError:
+        se = math.inf
+    if not math.isfinite(se):
+        raise ValidationError(
+            f"spectrum_eff: edge SNR overflows a float at radius_m={radius_m!r}, "
+            f"alpha={alpha!r}, calibration_se={source.calibration_se!r}")
+    return se

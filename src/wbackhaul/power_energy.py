@@ -6,6 +6,7 @@ curve a * P_tx + b; energies are lifetime integrals plus embodied terms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import traffic
@@ -19,18 +20,29 @@ from .scenario import (
     FrequencyBand,
     PowerCurve,
     ScenarioConfig,
+    ThroughputBreakdown,
     TxAnchor,
     ValidationError,
+    _finite_total,
 )
 
 
 @dataclass(frozen=True)
 class EfficiencyResult:
-    """Backhaul throughput per Joule of lifetime system energy."""
+    """Backhaul throughput per Joule of lifetime system energy, with the
+    throughput and energy breakdowns it was computed from."""
 
-    throughput_bps: float
-    system_energy_j: float
+    throughput: ThroughputBreakdown
+    energy: EnergyBreakdown
     efficiency: float       # bit/s per Joule, throughput_bps / system_energy_j
+
+    @property
+    def throughput_bps(self) -> float:
+        return self.throughput.total_bps
+
+    @property
+    def system_energy_j(self) -> float:
+        return self.energy.system_total_j
 
 
 def tx_power(radius_m: float, band: FrequencyBand, alpha: float,
@@ -45,9 +57,17 @@ def tx_power(radius_m: float, band: FrequencyBand, alpha: float,
         raise ValidationError("radius_m: must be > 0")
     if not alpha > 0:
         raise ValidationError("alpha: must be > 0")
-    return (anchor.power_w
-            * (radius_m / anchor.radius_m) ** alpha
-            * (band.carrier_hz / anchor.carrier_hz) ** anchor.freq_exponent)
+    try:
+        p_tx = (anchor.power_w
+                * (radius_m / anchor.radius_m) ** alpha
+                * (band.carrier_hz / anchor.carrier_hz) ** anchor.freq_exponent)
+    except OverflowError:
+        p_tx = math.inf
+    if not math.isfinite(p_tx):
+        raise ValidationError(
+            f"radius_m: transmit power overflows a float at radius_m={radius_m!r}, "
+            f"alpha={alpha!r}, carrier_hz={band.carrier_hz!r}")
+    return p_tx
 
 
 def operating_power(curve: PowerCurve, tx_w: float) -> float:
@@ -55,15 +75,6 @@ def operating_power(curve: PowerCurve, tx_w: float) -> float:
     if tx_w < 0:
         raise ValidationError("tx_w: must be >= 0")
     return curve.slope_a * tx_w + curve.offset_b_w
-
-
-def operating_energy(p_op_w: float, lifetime_s: float) -> float:
-    """Energy (J) drawn over the station's lifetime at constant power."""
-    if not p_op_w > 0:
-        raise ValidationError("p_op_w: must be > 0")
-    if not lifetime_s > 0:
-        raise ValidationError("lifetime_s: must be > 0")
-    return p_op_w * lifetime_s
 
 
 def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
@@ -81,48 +92,31 @@ def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     raise ValidationError(f"embodied: unsupported rule {type(rule).__name__}")
 
 
-def cell_energies(cell: CellParams, band: FrequencyBand, alpha: float,
-                  anchor: TxAnchor) -> tuple[float, float]:
-    """(operating_j, embodied_j) for one base station of this class."""
-    p_tx = tx_power(cell.radius_m, band, alpha, anchor)
-    p_op = operating_power(cell.power_curve, p_tx)
-    e_op = operating_energy(p_op, cell.lifetime_s)
+def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float]:
+    """(operating_j, embodied_j) of one base station of this class."""
+    p_tx = tx_power(cell.radius_m, cfg.band, cfg.path_loss_alpha, cfg.tx_anchor)
+    e_op = operating_power(cell.power_curve, p_tx) * cell.lifetime_s
     return e_op, embodied_energy(cell.embodied, e_op)
 
 
-def system_energy_central(n_small: int, small: CellParams, macro: CellParams,
-                          band: FrequencyBand, alpha: float,
-                          anchor: TxAnchor) -> EnergyBreakdown:
-    """Lifetime energy of one macro station plus n_small small stations."""
-    if n_small < 0:
-        raise ValidationError("n_small: must be >= 0")
-    mac_op, mac_em = cell_energies(macro, band, alpha, anchor)
-    sc_op, sc_em = cell_energies(small, band, alpha, anchor)
-    total = mac_em + mac_op + n_small * (sc_em + sc_op)
+def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
+    """Lifetime energy of a full scenario.
+
+    Central: one macro station plus n_small small stations.
+    Distribution: a cooperative cluster of k_cluster identical small stations.
+    """
+    arch = cfg.architecture
+    if isinstance(arch, Central):
+        count = arch.n_small
+        mac_op, mac_em = _station_energy(cfg.macro, cfg)
+    else:
+        count = arch.k_cluster
+        mac_op = mac_em = 0.0
+    sc_op, sc_em = _station_energy(cfg.small, cfg)
+    total = mac_em + mac_op + count * (sc_em + sc_op)
     return EnergyBreakdown(per_macro_operating_j=mac_op, per_macro_embodied_j=mac_em,
                            per_small_operating_j=sc_op, per_small_embodied_j=sc_em,
-                           system_total_j=total)
-
-
-def system_energy_distribution(k_cluster: int, small: CellParams,
-                               band: FrequencyBand, alpha: float,
-                               anchor: TxAnchor) -> EnergyBreakdown:
-    """Lifetime energy of a cooperative cluster of k identical small stations."""
-    if k_cluster < 1:
-        raise ValidationError("k_cluster: must be >= 1")
-    sc_op, sc_em = cell_energies(small, band, alpha, anchor)
-    return EnergyBreakdown(per_macro_operating_j=0.0, per_macro_embodied_j=0.0,
-                           per_small_operating_j=sc_op, per_small_embodied_j=sc_em,
-                           system_total_j=k_cluster * (sc_em + sc_op))
-
-
-def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
-    """Energy breakdown of a full scenario."""
-    if isinstance(cfg.architecture, Central):
-        return system_energy_central(cfg.architecture.n_small, cfg.small, cfg.macro,
-                                     cfg.band, cfg.path_loss_alpha, cfg.tx_anchor)
-    return system_energy_distribution(cfg.architecture.k_cluster, cfg.small,
-                                      cfg.band, cfg.path_loss_alpha, cfg.tx_anchor)
+                           system_total_j=_finite_total(total, arch, "system energy"))
 
 
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
@@ -133,6 +127,5 @@ def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     """
     th = traffic.scenario_throughput(cfg)
     en = scenario_energy(cfg)
-    return EfficiencyResult(throughput_bps=th.total_bps,
-                            system_energy_j=en.system_total_j,
+    return EfficiencyResult(throughput=th, energy=en,
                             efficiency=th.total_bps / en.system_total_j)

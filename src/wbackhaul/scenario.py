@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
 
-DEFAULT_BANDS_HZ = (5.8e9, 28e9, 60e9)
+_FLOAT_MAX = sys.float_info.max
 
 # S1 feeder protocol overhead and X2 handover overhead, as fractions of
 # the user-plane cell throughput.
@@ -41,6 +42,14 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _require_count(value, field_name: str, low: int) -> None:
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        raise ValidationError(f"{field_name}: must be an integer >= {low}")
+    # a count is multiplied into float totals, so it must convert to a float
+    if value > _FLOAT_MAX:
+        raise ValidationError(f"{field_name}: does not fit a float")
 
 
 @dataclass(frozen=True)
@@ -191,9 +200,7 @@ class Central:
     n_small: int
 
     def __post_init__(self):
-        _require(isinstance(self.n_small, int) and not isinstance(self.n_small, bool)
-                 and self.n_small >= 0,
-                 "architecture.n_small", "must be an integer >= 0")
+        _require_count(self.n_small, "architecture.n_small", 0)
 
 
 @dataclass(frozen=True)
@@ -203,20 +210,29 @@ class Distribution:
     k_cluster: int
 
     def __post_init__(self):
-        _require(isinstance(self.k_cluster, int) and not isinstance(self.k_cluster, bool)
-                 and self.k_cluster >= 1,
-                 "architecture.k_cluster", "must be an integer >= 1")
+        _require_count(self.k_cluster, "architecture.k_cluster", 1)
 
 
 Architecture = Union[Central, Distribution]
 
 
-def default_table1(band: FrequencyBand, cell_class: str) -> CellParams:
+def _finite_total(total: float, arch: Architecture, what: str) -> float:
+    """A scenario total, or a ValidationError naming the station count if it overflowed.
+
+    Every per-station term is non-negative, so any overflow on the way
+    shows up as an inf or nan total.
+    """
+    if math.isfinite(total):
+        return total
+    name = "n_small" if isinstance(arch, Central) else "k_cluster"
+    raise ValidationError(f"architecture.{name}: {what} overflows a float")
+
+
+def default_table1(cell_class: str) -> CellParams:
     """Default per-class parameters from the published calibration table.
 
     The table's constants are band-independent; the band only enters via
-    transmit-power scaling (see TxAnchor), so it is accepted here for
-    interface symmetry and future per-band defaults.
+    transmit-power scaling (see TxAnchor).
     """
     if cell_class == "macro":
         return CellParams(
@@ -247,7 +263,7 @@ class ScenarioConfig:
     band: FrequencyBand = field(default_factory=lambda: FrequencyBand(5.8e9))
     macro: CellParams | None = None        # required iff architecture is Central
     small: CellParams = field(
-        default_factory=lambda: default_table1(FrequencyBand(5.8e9), "small"))
+        default_factory=lambda: default_table1("small"))
     path_loss_alpha: float = DEFAULT_ALPHA
     tx_anchor: TxAnchor = DEFAULT_TX_ANCHOR
     overhead_s1: float = DEFAULT_OVERHEAD_S1
@@ -263,7 +279,7 @@ class ScenarioConfig:
             _require(_is_num(v) and 0 <= v < 1, name, "must be a number in [0, 1)")
         if isinstance(self.architecture, Central):
             if self.macro is None:
-                object.__setattr__(self, "macro", default_table1(self.band, "macro"))
+                object.__setattr__(self, "macro", default_table1("macro"))
         elif self.macro is not None:
             raise ValidationError(
                 "macro: not allowed for the distribution architecture")
@@ -327,10 +343,37 @@ class EnergyBreakdown:
 #                    | {"type": "fraction_of_total", "fraction": 0.2}}
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
+# Tagged unions: the "type" value of a JSON object -> its record class.
+_ARCHITECTURES = {"central": Central, "distribution": Distribution}
+_SPECTRUM_EFFS = {"fixed": FixedSE, "shannon_edge": ShannonEdgeSE}
+_EMBODIED = {"absolute": EmbodiedAbsolute, "fraction_of_total": EmbodiedFraction}
+_TAGS = {cls: tag for union in (_ARCHITECTURES, _SPECTRUM_EFFS, _EMBODIED)
+         for tag, cls in union.items()}
+
+# Record fields whose JSON value is itself a record or a tagged union.
+_NESTED = {"spectrum_eff": _SPECTRUM_EFFS, "power_curve": PowerCurve,
+           "embodied": _EMBODIED}
+
+
+def _layout(cls) -> tuple:
+    """(allowed keys, ((key, kind, default), ...), nested keys) of a JSON record.
+
+    A record's JSON keys are its dataclass fields, in declaration order,
+    plus "type" for a tagged union member; kind is int, float or the
+    field's _NESTED entry, and default is the dataclass default or MISSING.
+    """
+    table = tuple((f.name, _NESTED.get(f.name, int if f.type == "int" else float), f.default)
+                  for f in fields(cls))
+    keys = {name for name, _, _ in table} | ({"type"} if cls in _TAGS else set())
+    return frozenset(keys), table, tuple(name for name in _NESTED if name in keys)
+
+
+_RECORDS = {cls: _layout(cls) for cls in (PowerCurve, TxAnchor, CellParams, *_TAGS)}
+
+
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    if not obj.keys() <= allowed:
+        raise ValidationError(f"{where}: unknown key(s) {sorted(obj.keys() - allowed)}")
 
 
 def _as_dict(obj, where: str) -> dict:
@@ -339,86 +382,58 @@ def _as_dict(obj, where: str) -> dict:
     return obj
 
 
-def _num(obj: dict, key: str, where: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"{where}.{key}: missing")
-        return default
-    v = obj[key]
+def _num(obj: dict, key: str, where: str, default):
+    v = obj.get(key, default)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"{where}.{key}: must be a number")
     return v
 
 
-def _parse_architecture(obj) -> Architecture:
-    d = _as_dict(obj, "architecture")
-    _check_keys(d, {"type", "n_small", "k_cluster"}, "architecture")
-    kind = d.get("type")
-    if kind == "central":
-        _check_keys(d, {"type", "n_small"}, "architecture")
-        n = d.get("n_small")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError("architecture.n_small: must be an integer")
-        return Central(n_small=n)
-    if kind == "distribution":
-        _check_keys(d, {"type", "k_cluster"}, "architecture")
-        k = d.get("k_cluster")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError("architecture.k_cluster: must be an integer")
-        return Distribution(k_cluster=k)
-    raise ValidationError(
-        "architecture.type: must be 'central' or 'distribution'")
+def _read(kind, obj, where: str, defaults=None):
+    """Build a record (kind is its class) or a tagged union member (kind is a
+    {type: class} map) from a JSON object.
 
-
-def _parse_spectrum_eff(obj, where: str) -> SpectrumEffSource:
+    Keys the object omits come from defaults, else from the dataclass
+    defaults; a key with neither is an error.
+    """
     d = _as_dict(obj, where)
-    kind = d.get("type")
-    if kind == "fixed":
-        _check_keys(d, {"type", "bit_per_s_per_hz"}, where)
-        return FixedSE(_num(d, "bit_per_s_per_hz", where))
-    if kind == "shannon_edge":
-        _check_keys(d, {"type", "calibration_se", "ref_radius_m"}, where)
-        return ShannonEdgeSE(_num(d, "calibration_se", where),
-                             _num(d, "ref_radius_m", where, default=50.0))
-    raise ValidationError(f"{where}.type: must be 'fixed' or 'shannon_edge'")
+    cls = kind
+    if isinstance(kind, dict):
+        tag = d.get("type")
+        cls = kind.get(tag) if isinstance(tag, str) else None
+        if cls is None:
+            raise ValidationError(
+                f"{where}.type: must be {' or '.join(repr(t) for t in kind)}")
+    allowed, table, _ = _RECORDS[cls]
+    _check_keys(d, allowed, where)
+    values = []
+    for key, sub, default in table:
+        v = d.get(key, MISSING)
+        if sub is int:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"{where}.{key}: must be an integer")
+        elif v is MISSING:
+            v = default if defaults is None else getattr(defaults, key)
+            if v is MISSING:
+                raise ValidationError(f"{where}.{key}: missing")
+        elif sub is float:
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValidationError(f"{where}.{key}: must be a number")
+        else:
+            v = _read(sub, v, f"{where}.{key}")
+        values.append(v)
+    return cls(*values)
 
 
-def _parse_embodied(obj, where: str) -> EmbodiedRule:
-    d = _as_dict(obj, where)
-    kind = d.get("type")
-    if kind == "absolute":
-        _check_keys(d, {"type", "init_j", "maint_j"}, where)
-        return EmbodiedAbsolute(_num(d, "init_j", where), _num(d, "maint_j", where))
-    if kind == "fraction_of_total":
-        _check_keys(d, {"type", "fraction"}, where)
-        return EmbodiedFraction(_num(d, "fraction", where))
-    raise ValidationError(f"{where}.type: must be 'absolute' or 'fraction_of_total'")
-
-
-def _parse_cell(obj, where: str, defaults: CellParams) -> CellParams:
-    d = _as_dict(obj, where)
-    _check_keys(d, {"bandwidth_hz", "spectrum_eff", "radius_m", "power_curve",
-                    "lifetime_s", "embodied"}, where)
-    se = defaults.spectrum_eff
-    if "spectrum_eff" in d:
-        se = _parse_spectrum_eff(d["spectrum_eff"], f"{where}.spectrum_eff")
-    curve = defaults.power_curve
-    if "power_curve" in d:
-        c = _as_dict(d["power_curve"], f"{where}.power_curve")
-        _check_keys(c, {"slope_a", "offset_b_w"}, f"{where}.power_curve")
-        curve = PowerCurve(_num(c, "slope_a", f"{where}.power_curve"),
-                           _num(c, "offset_b_w", f"{where}.power_curve"))
-    embodied = defaults.embodied
-    if "embodied" in d:
-        embodied = _parse_embodied(d["embodied"], f"{where}.embodied")
-    return CellParams(
-        bandwidth_hz=_num(d, "bandwidth_hz", where, defaults.bandwidth_hz),
-        spectrum_eff=se,
-        radius_m=_num(d, "radius_m", where, defaults.radius_m),
-        power_curve=curve,
-        lifetime_s=_num(d, "lifetime_s", where, defaults.lifetime_s),
-        embodied=embodied,
-    )
+def _write(record) -> dict:
+    """JSON object of a record: its "type" tag if it has one, then its fields."""
+    cls = type(record)
+    tag = _TAGS.get(cls)
+    # a dataclass instance's __dict__ holds its fields in declaration order
+    doc = vars(record).copy() if tag is None else {"type": tag, **vars(record)}
+    for key in _RECORDS[cls][2]:
+        doc[key] = _write(doc[key])
+    return doc
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -428,33 +443,22 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                     "tx_anchor", "overheads"}, "config")
     if "architecture" not in d:
         raise ValidationError("architecture: missing")
-    arch = _parse_architecture(d["architecture"])
+    arch = _read(_ARCHITECTURES, d["architecture"], "architecture")
     band = FrequencyBand(_num(d, "band_hz", "config", 5.8e9))
 
+    # ScenarioConfig fills the default macro cell, or rejects one for the
+    # distribution architecture
     macro = None
-    if isinstance(arch, Central):
-        macro = default_table1(band, "macro")
-        if "macro" in d:
-            macro = _parse_cell(d["macro"], "macro", macro)
-    elif "macro" in d:
-        raise ValidationError("macro: not allowed for the distribution architecture")
+    if "macro" in d:
+        macro = _read(CellParams, d["macro"], "macro", default_table1("macro"))
 
-    small = default_table1(band, "small")
+    small = default_table1("small")
     if "small" in d:
-        small = _parse_cell(d["small"], "small", small)
+        small = _read(CellParams, d["small"], "small", small)
 
     anchor = DEFAULT_TX_ANCHOR
     if "tx_anchor" in d:
-        a = _as_dict(d["tx_anchor"], "tx_anchor")
-        _check_keys(a, {"power_w", "radius_m", "carrier_hz", "freq_exponent"},
-                    "tx_anchor")
-        anchor = TxAnchor(
-            power_w=_num(a, "power_w", "tx_anchor", DEFAULT_TX_ANCHOR.power_w),
-            radius_m=_num(a, "radius_m", "tx_anchor", DEFAULT_TX_ANCHOR.radius_m),
-            carrier_hz=_num(a, "carrier_hz", "tx_anchor", DEFAULT_TX_ANCHOR.carrier_hz),
-            freq_exponent=_num(a, "freq_exponent", "tx_anchor",
-                               DEFAULT_TX_ANCHOR.freq_exponent),
-        )
+        anchor = _read(TxAnchor, d["tx_anchor"], "tx_anchor")
 
     s1, x2 = DEFAULT_OVERHEAD_S1, DEFAULT_OVERHEAD_X2
     if "overheads" in d:
@@ -482,47 +486,17 @@ def load_scenario(source: str) -> ScenarioConfig:
     return scenario_from_dict(doc)
 
 
-def _cell_to_dict(cell: CellParams) -> dict:
-    if isinstance(cell.spectrum_eff, FixedSE):
-        se = {"type": "fixed", "bit_per_s_per_hz": cell.spectrum_eff.bit_per_s_per_hz}
-    else:
-        se = {"type": "shannon_edge",
-              "calibration_se": cell.spectrum_eff.calibration_se,
-              "ref_radius_m": cell.spectrum_eff.ref_radius_m}
-    if isinstance(cell.embodied, EmbodiedAbsolute):
-        em = {"type": "absolute", "init_j": cell.embodied.init_j,
-              "maint_j": cell.embodied.maint_j}
-    else:
-        em = {"type": "fraction_of_total", "fraction": cell.embodied.fraction}
-    return {
-        "bandwidth_hz": cell.bandwidth_hz,
-        "spectrum_eff": se,
-        "radius_m": cell.radius_m,
-        "power_curve": {"slope_a": cell.power_curve.slope_a,
-                        "offset_b_w": cell.power_curve.offset_b_w},
-        "lifetime_s": cell.lifetime_s,
-        "embodied": em,
-    }
-
-
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    if isinstance(cfg.architecture, Central):
-        arch = {"type": "central", "n_small": cfg.architecture.n_small}
-    else:
-        arch = {"type": "distribution", "k_cluster": cfg.architecture.k_cluster}
     doc = {
-        "architecture": arch,
+        "architecture": _write(cfg.architecture),
         "band_hz": cfg.band.carrier_hz,
-        "small": _cell_to_dict(cfg.small),
+        "small": _write(cfg.small),
         "alpha": cfg.path_loss_alpha,
-        "tx_anchor": {"power_w": cfg.tx_anchor.power_w,
-                      "radius_m": cfg.tx_anchor.radius_m,
-                      "carrier_hz": cfg.tx_anchor.carrier_hz,
-                      "freq_exponent": cfg.tx_anchor.freq_exponent},
+        "tx_anchor": _write(cfg.tx_anchor),
         "overheads": {"s1": cfg.overhead_s1, "x2": cfg.overhead_x2},
     }
     if cfg.macro is not None:
-        doc["macro"] = _cell_to_dict(cfg.macro)
+        doc["macro"] = _write(cfg.macro)
     return doc
 
 

@@ -32,9 +32,12 @@ AXES = ("n_small", "k_cluster", "alpha", "small_se", "band", "small_radius")
 
 FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b")
 
+# The carrier bands of the published calibration table; also the curve
+# families of the fig4 datasets.
+BANDS_HZ = (5.8e9, 28e9, 60e9)
+
 # Curve-family presets for the figure datasets.
 FIG3_SE_VALUES = (1.0, 2.5, 5.0, 7.5, 10.0)
-FIG4_BANDS_HZ = (5.8e9, 28e9, 60e9)
 FIG5_RADII_M = (20.0, 30.0, 40.0, 50.0, 75.0, 100.0)
 FIG5_ALPHA_RANGE = (2.5, 4.0)
 
@@ -97,9 +100,9 @@ def apply_axis(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
     """Base scenario with one named parameter replaced by value."""
     try:
         if name == "n_small":
-            return replace(cfg, architecture=Central(int(value)))
+            return replace(cfg, architecture=Central(value))
         if name == "k_cluster":
-            return replace(cfg, architecture=Distribution(int(value)))
+            return replace(cfg, architecture=Distribution(value))
         if name == "alpha":
             return replace(cfg, path_loss_alpha=value)
         if name == "small_se":
@@ -165,10 +168,10 @@ def figure_grid(which: str) -> SweepGrid:
                          "small_se", FIG3_SE_VALUES)
     if which == "fig4a":
         return SweepGrid("n_small", tuple(range(0, 1001, 25)), _central_base(),
-                         "band", FIG4_BANDS_HZ)
+                         "band", BANDS_HZ)
     if which == "fig4b":
         return SweepGrid("k_cluster", tuple(range(1, 101)), _distribution_base(),
-                         "band", FIG4_BANDS_HZ)
+                         "band", BANDS_HZ)
     if which == "fig5a":
         base = _central_base()
         base = replace(base, small=_shannon_small(base.small))
@@ -233,7 +236,6 @@ def rows_to_json(grid: SweepGrid, rows: list[SweepRow]) -> str:
 # Published calibration cells this model must reproduce: transmit power
 # (checked to +/-0.5%) and operating power (the published integers are
 # floored values computed from the published rounded transmit powers).
-_TABLE_BANDS_HZ = (5.8e9, 28e9, 60e9)
 _TABLE_TX_W = {
     "macro": {5.8e9: 10.0, 28e9: 233.0, 60e9: 1070.0},
     "small": {5.8e9: 6.3e-3, 28e9: 0.147, 60e9: 0.675},
@@ -242,7 +244,6 @@ _TABLE_OP_W = {
     "macro": {5.8e9: 568, 28e9: 5352, 60e9: 23305},
     "small": {5.8e9: 71, 28e9: 72, 60e9: 76},
 }
-_TABLE_RADIUS_M = {"macro": 500.0, "small": 50.0}
 
 TX_REL_TOL = 0.005
 
@@ -280,12 +281,11 @@ def table1_report(alpha: float = 3.2,
     """
     checks = []
     for cell_class in ("macro", "small"):
-        params = default_table1(FrequencyBand(5.8e9), cell_class)
-        radius = _TABLE_RADIUS_M[cell_class]
-        for band_hz in _TABLE_BANDS_HZ:
+        params = default_table1(cell_class)
+        for band_hz in BANDS_HZ:
             band = FrequencyBand(band_hz)
             ghz = band_hz / 1e9
-            tx = power_energy.tx_power(radius, band, alpha, anchor)
+            tx = power_energy.tx_power(params.radius_m, band, alpha, anchor)
             tx_expected = _TABLE_TX_W[cell_class][band_hz]
             checks.append(CellCheck(
                 label=f"{cell_class} P_TX @ {ghz:g} GHz",

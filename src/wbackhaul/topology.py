@@ -66,8 +66,8 @@ class RelayTree:
 
 def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
-    if n < 0:
-        raise ValidationError("n: must be >= 0")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise ValidationError("n: must be an integer >= 0")
     if not (macro_radius_m > 0 and math.isfinite(macro_radius_m)):
         raise ValidationError("macro_radius_m: must be a finite number > 0")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -120,8 +120,8 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     routed through it, so the gateway's incident edges together carry
     (n - 1) * per_cell_bps.
     """
-    if per_cell_bps < 0:
-        raise ValidationError("per_cell_bps: must be >= 0")
+    if not (per_cell_bps >= 0 and math.isfinite(per_cell_bps)):
+        raise ValidationError("per_cell_bps: must be a finite number >= 0")
     sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent))
     loads = per_cell_bps * sizes.astype(np.float64)
     loads[tree.gateway_index] = 0.0

@@ -8,136 +8,55 @@ baseline user uplink term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import link_model
 from .scenario import (
-    DEFAULT_OVERHEAD_S1,
-    DEFAULT_OVERHEAD_X2,
-    CellParams,
     Central,
-    FixedSE,
     ScenarioConfig,
     ThroughputBreakdown,
-    ValidationError,
+    _finite_total,
 )
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """One cooperative cluster of the distribution architecture."""
+def cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
+                  overhead_x2: float) -> tuple[float, float]:
+    """(up, down) backhaul bit/s of one cell carrying bandwidth_hz * se of user traffic.
 
-    k_cluster: int            # cluster size, incl. the gateway small cell
-    per_cell_se: float        # bit/s/Hz of each member cell
-    bandwidth_hz: float
-
-    def __post_init__(self):
-        if not (isinstance(self.k_cluster, int) and not isinstance(self.k_cluster, bool)
-                and self.k_cluster >= 1):
-            raise ValidationError("k_cluster: must be an integer >= 1")
-        if not self.per_cell_se >= 0:
-            raise ValidationError("per_cell_se: must be >= 0")
-        if not self.bandwidth_hz >= 0:
-            raise ValidationError("bandwidth_hz: must be >= 0")
-
-
-def small_up_central(bandwidth_hz, se, overhead_x2=DEFAULT_OVERHEAD_X2):
-    """Uplink backhaul of one small cell: the X2 handover fraction only."""
-    return overhead_x2 * bandwidth_hz * se
-
-
-def small_down_central(bandwidth_hz, se, overhead_s1=DEFAULT_OVERHEAD_S1,
-                       overhead_x2=DEFAULT_OVERHEAD_X2):
-    """Downlink backhaul of one small cell: user data plus S1 and X2 overheads."""
-    return (1.0 + overhead_s1 + overhead_x2) * bandwidth_hz * se
-
-
-def macro_up_central(bandwidth_hz, se, overhead_x2=DEFAULT_OVERHEAD_X2):
-    """Uplink backhaul of the macro cell's own access traffic."""
-    return overhead_x2 * bandwidth_hz * se
-
-
-def macro_down_central(bandwidth_hz, se, overhead_s1=DEFAULT_OVERHEAD_S1,
-                       overhead_x2=DEFAULT_OVERHEAD_X2):
-    """Downlink backhaul of the macro cell's own access traffic."""
-    return (1.0 + overhead_s1 + overhead_x2) * bandwidth_hz * se
-
-
-def _fixed_se(cell: CellParams, override, who: str) -> float:
-    if override is not None:
-        return override
-    if isinstance(cell.spectrum_eff, FixedSE):
-        return cell.spectrum_eff.bit_per_s_per_hz
-    raise ValidationError(
-        f"{who}: spectrum efficiency source needs resolving first; pass "
-        f"{who}_se= (see power_energy.efficiency, which does this)")
-
-
-def total_central(n_small: int, small: CellParams, macro: CellParams,
-                  overhead_s1=DEFAULT_OVERHEAD_S1, overhead_x2=DEFAULT_OVERHEAD_X2,
-                  small_se=None, macro_se=None) -> ThroughputBreakdown:
-    """Aggregate backhaul of n_small small cells plus the macro cell.
-
-    small_se / macro_se override the cells' configured spectrum-efficiency
-    sources with already-resolved numeric values.
+    The uplink carries the X2 handover fraction only; the downlink carries
+    the user data plus the S1 and X2 overheads.
     """
-    if n_small < 0:
-        raise ValidationError("n_small: must be >= 0")
-    s_se = _fixed_se(small, small_se, "small")
-    m_se = _fixed_se(macro, macro_se, "macro")
-    s_up = small_up_central(small.bandwidth_hz, s_se, overhead_x2)
-    s_down = small_down_central(small.bandwidth_hz, s_se, overhead_s1, overhead_x2)
-    m_up = macro_up_central(macro.bandwidth_hz, m_se, overhead_x2)
-    m_down = macro_down_central(macro.bandwidth_hz, m_se, overhead_s1, overhead_x2)
-    total_up = n_small * s_up + m_up
-    total_down = n_small * s_down + m_down
-    return ThroughputBreakdown(
-        small_up_bps=s_up, small_down_bps=s_down,
-        macro_up_bps=m_up, macro_down_bps=m_down,
-        total_up_bps=total_up, total_down_bps=total_down,
-        total_bps=total_up + total_down)
-
-
-def comp_se(k_cluster: int, per_cell_se: float) -> float:
-    """Cooperative spectrum efficiency contributed by the K-1 neighbor cells."""
-    if k_cluster < 1:
-        raise ValidationError("k_cluster: must be >= 1")
-    return (k_cluster - 1) * per_cell_se
-
-
-def total_distribution(cluster: ClusterSpec,
-                       overhead_s1=DEFAULT_OVERHEAD_S1,
-                       overhead_x2=DEFAULT_OVERHEAD_X2) -> ThroughputBreakdown:
-    """Aggregate backhaul of one cooperative cluster of K small cells.
-
-    Each member's downlink carries its own traffic plus the shared
-    cooperative traffic of its K-1 neighbors, so the cluster total grows
-    as K*(K+1), superlinear in the cluster size.
-    """
-    factor = 1.0 + overhead_s1 + overhead_x2
-    up = factor * cluster.bandwidth_hz * cluster.per_cell_se
-    down = factor * cluster.bandwidth_hz * (
-        cluster.per_cell_se + comp_se(cluster.k_cluster, cluster.per_cell_se))
-    total_up = cluster.k_cluster * up
-    total_down = cluster.k_cluster * down
-    return ThroughputBreakdown(
-        small_up_bps=up, small_down_bps=down,
-        macro_up_bps=0.0, macro_down_bps=0.0,
-        total_up_bps=total_up, total_down_bps=total_down,
-        total_bps=total_up + total_down)
+    return (overhead_x2 * bandwidth_hz * se,
+            (1.0 + overhead_s1 + overhead_x2) * bandwidth_hz * se)
 
 
 def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
-    """Throughput breakdown of a full scenario, resolving SE sources."""
-    small_se = link_model.resolve_se(cfg.small.spectrum_eff, cfg.small.radius_m,
-                                     cfg.path_loss_alpha)
-    if isinstance(cfg.architecture, Central):
-        macro_se = link_model.resolve_se(cfg.macro.spectrum_eff, cfg.macro.radius_m,
+    """Throughput breakdown of a full scenario, resolving SE sources.
+
+    Central: n_small small cells plus the macro cell each backhaul their
+    own traffic.  Distribution: each of the K cluster members relays its
+    traffic at the full downlink factor in both directions, and its
+    downlink also carries the cooperative traffic of its K-1 neighbours,
+    so the cluster total grows as K*(K+1), superlinear in the cluster size.
+    """
+    arch, small = cfg.architecture, cfg.small
+    s1, x2 = cfg.overhead_s1, cfg.overhead_x2
+    small_se = link_model.resolve_se(small.spectrum_eff, small.radius_m, cfg.path_loss_alpha)
+    if isinstance(arch, Central):
+        count = arch.n_small
+        macro = cfg.macro
+        macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m,
                                          cfg.path_loss_alpha)
-        return total_central(cfg.architecture.n_small, cfg.small, cfg.macro,
-                             cfg.overhead_s1, cfg.overhead_x2,
-                             small_se=small_se, macro_se=macro_se)
-    cluster = ClusterSpec(k_cluster=cfg.architecture.k_cluster,
-                          per_cell_se=small_se,
-                          bandwidth_hz=cfg.small.bandwidth_hz)
-    return total_distribution(cluster, cfg.overhead_s1, cfg.overhead_x2)
+        small_up, small_down = cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
+        macro_up, macro_down = cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
+    else:
+        count = arch.k_cluster
+        coop_se = small_se + (count - 1) * small_se
+        small_up = cell_backhaul(small.bandwidth_hz, small_se, s1, x2)[1]
+        small_down = cell_backhaul(small.bandwidth_hz, coop_se, s1, x2)[1]
+        macro_up = macro_down = 0.0
+    total_up = count * small_up + macro_up
+    total_down = count * small_down + macro_down
+    return ThroughputBreakdown(
+        small_up_bps=small_up, small_down_bps=small_down,
+        macro_up_bps=macro_up, macro_down_bps=macro_down,
+        total_up_bps=total_up, total_down_bps=total_down,
+        total_bps=_finite_total(total_up + total_down, arch, "backhaul throughput"))

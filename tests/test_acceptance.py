@@ -52,8 +52,9 @@ def test_criterion_2_central_throughput_linear_in_n():
 
 def test_criterion_3_distribution_closed_form_and_superlinearity():
     ks = np.arange(1, 10_001)
-    th = np.array([wb.total_distribution(wb.ClusterSpec(int(k), 5.0, 1e8)).total_bps
-                   for k in ks])
+    # the default small cell: B = 1e8 Hz, S = 5 bit/s/Hz
+    th = np.array([wb.scenario_throughput(
+        replace(DIST, architecture=wb.Distribution(int(k)))).total_bps for k in ks])
     closed = 1.14 * 1e8 * 5.0 * ks * (ks + 1.0)
     rel = np.abs(th - closed) / closed
     superlinear = all(th[2 * k - 1] / th[k - 1] > 2.0 for k in range(1, 5001))
@@ -123,7 +124,7 @@ def test_criterion_8_radius_crossover_under_shannon_se():
                 for a in alphas}
         ok = ok and len(th50) == 1
     # the 50 m calibration point is exactly the configured 5 bit/s/Hz
-    ok = ok and all(wb.shannon_se(wb.calibrate(5.0), 50.0, a) == 5.0 for a in alphas)
+    ok = ok and all(wb.resolve_se(shannon, 50.0, a) == 5.0 for a in alphas)
     _report(8, "efficiency rises with alpha for r in {20,30,40} m, falls for "
                "{75,100} m; throughput at 50 m is alpha-invariant (SE=5 exactly)", ok)
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wbackhaul
 from wbackhaul import power_energy
 from wbackhaul.cli import main
 from wbackhaul.scenario import Central, ScenarioConfig
@@ -48,6 +51,18 @@ def test_eval_invalid_config_exits_1(tmp_path, capsys):
     p.write_text('{"architecture": {"type": "central", "n_small": -3}}')
     assert main(["eval", "--config", str(p)]) == 1
     assert "n_small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "{cfg}"],
+    ["sweep", "--config", "{cfg}", "--axis", "n_small=0:2:1", "--stdout"],
+])
+def test_non_utf8_config_exits_1(tmp_path, capsys, argv):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"architecture": {"type": "central", "n_small": 1}, "caf\xe9": 1}'
+                  .encode("latin-1"))
+    assert main([a.format(cfg=p) for a in argv]) == 1
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(central_cfg, capsys):
@@ -147,6 +162,8 @@ def test_topology_stdout_and_gateway_index(capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--radius", "inf", "macro_radius_m"),
     ("--seed", "-1", "seed"),
+    ("--per-cell-bps", "nan", "per_cell_bps"),
+    ("--per-cell-bps", "inf", "per_cell_bps"),
 ])
 def test_topology_bad_input_names_field(flag, value, field, capsys):
     assert main(["topology", "--n", "20", flag, value, "--stdout"]) == 1
@@ -156,10 +173,14 @@ def test_topology_bad_input_names_field(flag, value, field, capsys):
 def test_console_script_matches_library(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(CENTRAL_100)
+    # the child imports the same wbackhaul as this process, installed or not
+    src = str(Path(wbackhaul.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "wbackhaul.cli", "eval", "--config", str(cfg),
          "--stdout"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     res = power_energy.efficiency(ScenarioConfig(architecture=Central(100)))

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,30 +7,34 @@ import pytest
 from wbackhaul.power_energy import (
     efficiency,
     embodied_energy,
-    operating_energy,
     operating_power,
     scenario_energy,
-    system_energy_central,
-    system_energy_distribution,
     tx_power,
 )
 from wbackhaul.scenario import (
     ANCHOR_40W_1KM,
     DEFAULT_TX_ANCHOR,
-    SECONDS_PER_YEAR,
     Central,
     Distribution,
     EmbodiedAbsolute,
     EmbodiedFraction,
     FixedSE,
     FrequencyBand,
+    PowerCurve,
     ScenarioConfig,
+    ValidationError,
     default_table1,
+    load_scenario,
 )
+from wbackhaul.traffic import scenario_throughput
 
 B58, B28, B60 = (FrequencyBand(f) for f in (5.8e9, 28e9, 60e9))
-MACRO = default_table1(B58, "macro")
-SMALL = default_table1(B58, "small")
+MACRO = default_table1("macro")
+SMALL = default_table1("small")
+
+
+def _energy(arch, band=B58):
+    return scenario_energy(ScenarioConfig(architecture=arch, band=band))
 
 
 @pytest.mark.parametrize("radius,band,expected_w", [
@@ -68,12 +73,14 @@ def test_operating_power():
 
 
 def test_operating_energy():
-    # 568.94 W for 10 years of 3.1536e7 s
-    assert operating_energy(568.94, 10 * SECONDS_PER_YEAR) == pytest.approx(
-        1.7942e11, rel=1e-4)
-    assert operating_energy(71.549, 5 * SECONDS_PER_YEAR) == pytest.approx(
-        1.1282e10, rel=1e-4)
-    assert operating_energy(1.0, 1.0) == 1.0
+    # 568.94 W for 10 years of 3.1536e7 s, and 71.549 W for 5 years
+    br = _energy(Central(1))
+    assert br.per_macro_operating_j == pytest.approx(1.7942e11, rel=1e-4)
+    assert br.per_small_operating_j == pytest.approx(1.1282e10, rel=1e-4)
+    # 1 W (the offset; the slope term is negligible) for 1 s
+    one = replace(SMALL, power_curve=PowerCurve(1e-300, 1.0), lifetime_s=1.0)
+    cfg = ScenarioConfig(architecture=Distribution(1), small=one)
+    assert scenario_energy(cfg).per_small_operating_j == 1.0
 
 
 def test_embodied_energy():
@@ -85,7 +92,7 @@ def test_embodied_energy():
 
 
 def test_system_energy_central_defaults():
-    br = system_energy_central(100, SMALL, MACRO, B58, 3.2, DEFAULT_TX_ANCHOR)
+    br = _energy(Central(100))
     # macro 2.6442e11 + 100 * small 1.4102e10
     assert br.system_total_j == pytest.approx(1.6746e12, rel=1e-3)
     assert br.per_macro_operating_j + br.per_macro_embodied_j == pytest.approx(
@@ -95,32 +102,38 @@ def test_system_energy_central_defaults():
 
 
 def test_system_energy_central_n0_and_linearity():
-    br0 = system_energy_central(0, SMALL, MACRO, B58, 3.2, DEFAULT_TX_ANCHOR)
+    br0 = _energy(Central(0))
     assert br0.system_total_j == pytest.approx(2.6442e11, rel=1e-3)
-    br1 = system_energy_central(1, SMALL, MACRO, B58, 3.2, DEFAULT_TX_ANCHOR)
-    br2 = system_energy_central(2, SMALL, MACRO, B58, 3.2, DEFAULT_TX_ANCHOR)
+    br1 = _energy(Central(1))
+    br2 = _energy(Central(2))
     one_small = br1.per_small_operating_j + br1.per_small_embodied_j
     assert br2.system_total_j - br1.system_total_j == pytest.approx(
         one_small, rel=1e-12)
 
 
 def test_system_energy_distribution():
-    br = system_energy_distribution(10, SMALL, B58, 3.2, DEFAULT_TX_ANCHOR)
+    br = _energy(Distribution(10))
     assert br.system_total_j == pytest.approx(1.4102e11, rel=1e-3)
-    br1 = system_energy_distribution(1, SMALL, B58, 3.2, DEFAULT_TX_ANCHOR)
+    br1 = _energy(Distribution(1))
     assert br1.system_total_j == pytest.approx(1.4102e10, rel=1e-3)
     assert br.per_macro_operating_j == 0.0
     # transmit power grows with the carrier, so energy does too
-    br60 = system_energy_distribution(10, SMALL, B60, 3.2, DEFAULT_TX_ANCHOR)
+    br60 = _energy(Distribution(10), B60)
     assert br60.system_total_j > br.system_total_j
 
 
 def test_efficiency_spot_values():
-    res = efficiency(ScenarioConfig(architecture=Central(100)))
+    cfg = ScenarioConfig(architecture=Central(100))
+    res = efficiency(cfg)
     assert res.efficiency == pytest.approx(0.03559, rel=5e-3)
     resd = efficiency(ScenarioConfig(architecture=Distribution(10)))
     assert resd.efficiency == pytest.approx(0.4446, rel=5e-3)
     assert res.efficiency == res.throughput_bps / res.system_energy_j
+    # the breakdowns it returns are the ones it divided
+    assert res.throughput == scenario_throughput(cfg)
+    assert res.energy == scenario_energy(cfg)
+    assert res.throughput_bps == res.throughput.total_bps
+    assert res.system_energy_j == res.energy.system_total_j
 
 
 def test_efficiency_zero_spectrum_efficiency():
@@ -155,7 +168,6 @@ def test_doubling_lifetime_halves_distribution_efficiency():
 def test_central_efficiency_saturates_at_small_cell_ratio():
     cfg1 = ScenarioConfig(architecture=Central(1))
     en = scenario_energy(cfg1)
-    from wbackhaul.traffic import scenario_throughput
     th = scenario_throughput(cfg1)
     eta_inf = ((th.small_up_bps + th.small_down_bps)
                / (en.per_small_operating_j + en.per_small_embodied_j))
@@ -170,3 +182,39 @@ def test_power_curve_offset_keeps_energy_positive():
         macro=replace(MACRO, spectrum_eff=FixedSE(0.0)),
         small=replace(SMALL, spectrum_eff=FixedSE(0.0)))
     assert scenario_energy(cfg).system_total_j > 0
+
+
+def _doc(arch, **fields):
+    return json.dumps({"architecture": arch, **fields})
+
+
+CENTRAL = {"type": "central", "n_small": 10}
+
+
+@pytest.mark.parametrize("text,field", [
+    # (1e6 / 500) ** 100 overflows the transmit power
+    (_doc(CENTRAL, alpha=100, small={"radius_m": 1e6}), "radius_m"),
+    # (50 / 1e-6) ** 60 overflows the Shannon edge SNR
+    (_doc({"type": "distribution", "k_cluster": 3}, alpha=60,
+          small={"radius_m": 1e-6,
+                 "spectrum_eff": {"type": "shannon_edge", "calibration_se": 5}}),
+     "radius_m"),
+    # a count no float can hold
+    (_doc({"type": "central", "n_small": 10 ** 400}), "n_small"),
+    # a count whose totals overflow to inf
+    (_doc({"type": "central", "n_small": 10 ** 300}), "n_small"),
+    (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "k_cluster"),
+])
+def test_overflow_is_a_validation_error_naming_the_field(text, field):
+    with pytest.raises(ValidationError, match=field):
+        efficiency(load_scenario(text))
+
+
+@pytest.mark.parametrize("arch,field", [(Central(10 ** 300), "n_small"),
+                                        (Distribution(10 ** 300), "k_cluster")])
+def test_overflowing_totals_never_come_back_as_inf(arch, field):
+    cfg = ScenarioConfig(architecture=arch)
+    with pytest.raises(ValidationError, match=f"architecture.{field}"):
+        scenario_throughput(cfg)
+    with pytest.raises(ValidationError, match=f"architecture.{field}"):
+        scenario_energy(cfg)

@@ -28,7 +28,8 @@ BANDS = [5.8e9, 28e9, 60e9]
 
 @pytest.mark.parametrize("band_hz", BANDS)
 def test_default_table1_macro(band_hz):
-    cell = default_table1(FrequencyBand(band_hz), "macro")
+    cell = ScenarioConfig(architecture=Central(1), band=FrequencyBand(band_hz)).macro
+    assert cell == default_table1("macro")
     assert cell.power_curve == PowerCurve(21.45, 354.44)
     assert cell.lifetime_s == 10 * SECONDS_PER_YEAR
     assert cell.embodied == EmbodiedAbsolute(75e9, 10e9)
@@ -39,7 +40,8 @@ def test_default_table1_macro(band_hz):
 
 @pytest.mark.parametrize("band_hz", BANDS)
 def test_default_table1_small(band_hz):
-    cell = default_table1(FrequencyBand(band_hz), "small")
+    cell = ScenarioConfig(architecture=Distribution(1), band=FrequencyBand(band_hz)).small
+    assert cell == default_table1("small")
     assert cell.power_curve == PowerCurve(7.84, 71.50)
     assert cell.lifetime_s == 5 * SECONDS_PER_YEAR
     assert cell.embodied == EmbodiedFraction(0.20)
@@ -48,7 +50,9 @@ def test_default_table1_small(band_hz):
 
 def test_defaults_band_independent():
     # constants identical across bands; only tx scaling sees the carrier
-    cells = [default_table1(FrequencyBand(b), "macro") for b in BANDS]
+    docs = [{"architecture": {"type": "central", "n_small": 1}, "band_hz": b}
+            for b in BANDS]
+    cells = [scenario_from_dict(doc).macro for doc in docs]
     assert cells[0] == cells[1] == cells[2]
 
 
@@ -160,13 +164,13 @@ def test_roundtrip_distribution():
 
 def test_programmatic_central_fills_macro():
     cfg = ScenarioConfig(architecture=Central(3))
-    assert cfg.macro == default_table1(cfg.band, "macro")
+    assert cfg.macro == default_table1("macro")
 
 
 def test_programmatic_distribution_rejects_macro():
     with pytest.raises(ValidationError, match="macro"):
         ScenarioConfig(architecture=Distribution(3),
-                       macro=default_table1(FrequencyBand(5.8e9), "macro"))
+                       macro=default_table1("macro"))
 
 
 def test_alternative_anchor_preset():
@@ -190,3 +194,51 @@ def test_alternative_anchor_preset():
 def test_type_invariants_enforced(bad):
     with pytest.raises(ValidationError):
         bad()
+
+
+_C = {"type": "central", "n_small": 1}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"architecture": {"type": "central"}}, "architecture.n_small: must be an integer"),
+    ({"architecture": {"type": "central", "k_cluster": 1}},
+     "architecture: unknown key(s) ['k_cluster']"),
+    ({"architecture": {"type": ["central"], "n_small": 1}},
+     "architecture.type: must be 'central' or 'distribution'"),
+    ({"architecture": _C, "macro": {"radius_m": True}}, "macro.radius_m: must be a number"),
+    ({"architecture": _C, "small": {"spectrum_eff": {"type": "fixed"}}},
+     "small.spectrum_eff.bit_per_s_per_hz: missing"),
+    ({"architecture": _C, "small": {"spectrum_eff": {"bit_per_s_per_hz": 5}}},
+     "small.spectrum_eff.type: must be 'fixed' or 'shannon_edge'"),
+    ({"architecture": _C, "small": {"spectrum_eff": {"type": "fixed", "bit_per_s_per_hz": 5,
+                                                     "ref_radius_m": 50}}},
+     "small.spectrum_eff: unknown key(s) ['ref_radius_m']"),
+    ({"architecture": _C, "small": {"power_curve": {"slope_a": 7}}},
+     "small.power_curve.offset_b_w: missing"),
+    ({"architecture": _C, "small": {"power_curve": []}},
+     "small.power_curve: must be an object"),
+    ({"architecture": _C, "small": {"embodied": {"type": "fraction"}}},
+     "small.embodied.type: must be 'absolute' or 'fraction_of_total'"),
+    ({"architecture": _C, "tx_anchor": {"power_w": "10"}}, "tx_anchor.power_w: must be a number"),
+    ({"architecture": _C, "tx_anchor": {"watts": 10}}, "tx_anchor: unknown key(s) ['watts']"),
+    ({"architecture": _C, "overheads": {"s3": 0.1}}, "overheads: unknown key(s) ['s3']"),
+], ids=lambda v: v if isinstance(v, str) else "doc")
+def test_error_messages_are_exact(doc, message):
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_roundtrip_every_record_kind():
+    doc = {
+        "architecture": {"type": "central", "n_small": 3},
+        "macro": {"spectrum_eff": {"type": "shannon_edge", "calibration_se": 6.0},
+                  "embodied": {"type": "fraction_of_total", "fraction": 0.1}},
+        "small": {"embodied": {"type": "absolute", "init_j": 1e9, "maint_j": 2e8},
+                  "power_curve": {"slope_a": 5.0, "offset_b_w": 40.0}},
+        "tx_anchor": {"power_w": 40.0, "radius_m": 1000.0},
+    }
+    cfg = scenario_from_dict(doc)
+    assert cfg.macro.spectrum_eff == ShannonEdgeSE(6.0, 50.0)
+    assert cfg.tx_anchor == TxAnchor(40.0, 1000.0, 5.8e9, 2.0)
+    assert load_scenario(serialize_scenario(cfg)) == cfg

@@ -71,6 +71,15 @@ def test_grid_point_errors_are_tagged():
         run_sweep(grid)
 
 
+@pytest.mark.parametrize("axis,values,base", [
+    ("n_small", (0.5, 1.5), CENTRAL),
+    ("k_cluster", (1, 2.5), DIST),
+])
+def test_non_integer_counts_are_rejected_not_truncated(axis, values, base):
+    with pytest.raises(ValidationError, match=rf"grid point {axis}=.*must be an integer"):
+        run_sweep(SweepGrid(axis, values, base))
+
+
 def test_cross_product_ordering():
     grid = SweepGrid("n_small", (1, 2), CENTRAL, "band", (5.8e9, 28e9))
     rows = run_sweep(grid)

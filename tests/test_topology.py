@@ -277,6 +277,19 @@ def test_place_rejects_negative_seed():
         place_uniform(10, 500.0, seed=-1)
 
 
+@pytest.mark.parametrize("n", [2.5, -1, True, "3"])
+def test_place_rejects_non_integer_count(n):
+    with pytest.raises(ValidationError, match="n: must be an integer"):
+        place_uniform(n, 500.0, seed=0)
+
+
+@pytest.mark.parametrize("bps", [float("nan"), float("inf"), -1.0])
+def test_link_loads_require_finite_per_cell_bps(bps):
+    tree = build_relay_tree(place_uniform(5, 500.0, seed=0))
+    with pytest.raises(ValidationError, match="per_cell_bps"):
+        link_loads(tree, bps)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_tree_rejects_non_finite_positions(bad):
     pts = place_uniform(50, 500.0, seed=2).positions.copy()

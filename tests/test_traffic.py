@@ -1,49 +1,62 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wbackhaul.scenario import FrequencyBand, ShannonEdgeSE, ValidationError, default_table1
-from wbackhaul.traffic import (
-    ClusterSpec,
-    comp_se,
-    macro_down_central,
-    macro_up_central,
-    small_down_central,
-    small_up_central,
-    total_central,
-    total_distribution,
+from wbackhaul.scenario import (
+    Central,
+    Distribution,
+    FixedSE,
+    ScenarioConfig,
+    ShannonEdgeSE,
+    default_table1,
 )
+from wbackhaul.traffic import cell_backhaul, scenario_throughput
 
-SMALL = default_table1(FrequencyBand(5.8e9), "small")
-MACRO = default_table1(FrequencyBand(5.8e9), "macro")
+SMALL = default_table1("small")
+MACRO = default_table1("macro")
+
+
+def _central(n, small=SMALL, macro=MACRO):
+    return scenario_throughput(ScenarioConfig(architecture=Central(n), small=small,
+                                              macro=macro))
+
+
+def _distribution(k, se=5.0, bandwidth_hz=1e8):
+    small = replace(SMALL, bandwidth_hz=bandwidth_hz, spectrum_eff=FixedSE(se))
+    return scenario_throughput(ScenarioConfig(architecture=Distribution(k), small=small))
 
 
 def test_small_up_central():
-    assert small_up_central(1e8, 5) == pytest.approx(2.0e7, rel=1e-12)  # 0.04*1e8*5
-    assert small_up_central(1e8, 0) == 0
-    assert small_up_central(0, 5) == 0
+    assert cell_backhaul(1e8, 5, 0.10, 0.04)[0] == pytest.approx(2.0e7, rel=1e-12)  # 0.04*1e8*5
+    assert cell_backhaul(1e8, 0, 0.10, 0.04)[0] == 0
+    assert cell_backhaul(0, 5, 0.10, 0.04)[0] == 0
 
 
 def test_small_down_central():
-    assert small_down_central(1e8, 5) == pytest.approx(5.7e8, rel=1e-12)  # 1.14*1e8*5
-    assert small_down_central(1e8, 10) == pytest.approx(1.14e9, rel=1e-12)
-    assert small_down_central(1e8, 0) == 0
+    # 1.14*1e8*5
+    assert cell_backhaul(1e8, 5, 0.10, 0.04)[1] == pytest.approx(5.7e8, rel=1e-12)
+    assert cell_backhaul(1e8, 10, 0.10, 0.04)[1] == pytest.approx(1.14e9, rel=1e-12)
+    assert cell_backhaul(1e8, 0, 0.10, 0.04)[1] == 0
 
 
 def test_macro_factors_match_small_factors():
-    assert macro_down_central(1e8, 5) == pytest.approx(5.7e8, rel=1e-12)
-    assert macro_up_central(1e8, 5) == pytest.approx(2.0e7, rel=1e-12)
-    assert macro_up_central(1e8, 0) == 0
+    th = _central(1)
+    assert th.macro_down_bps == pytest.approx(5.7e8, rel=1e-12)
+    assert th.macro_up_bps == pytest.approx(2.0e7, rel=1e-12)
+    assert (th.macro_up_bps, th.macro_down_bps) == (th.small_up_bps, th.small_down_bps)
+    assert _central(1, macro=replace(MACRO, spectrum_eff=FixedSE(0.0))).macro_up_bps == 0
 
 
 def test_total_central_macro_only():
-    th = total_central(0, SMALL, MACRO)
+    th = _central(0)
     assert th.total_bps == pytest.approx(5.9e8, rel=1e-12)  # (0.04+1.14)*1e8*5
     assert th.total_up_bps == th.macro_up_bps
     assert th.total_down_bps == th.macro_down_bps
 
 
 def test_total_central_100():
-    th = total_central(100, SMALL, MACRO)
+    th = _central(100)
     # 101 cells * 1.18 * 1e8 * 5
     assert th.total_bps == pytest.approx(5.959e10, rel=1e-12)
     assert th.total_bps == th.total_up_bps + th.total_down_bps
@@ -51,37 +64,38 @@ def test_total_central_100():
 
 def test_total_central_one_small_equals_twice_macro():
     # small params identical to macro params -> N=1 doubles the macro-only total
-    th1 = total_central(1, MACRO, MACRO)
-    th0 = total_central(0, MACRO, MACRO)
+    th1 = _central(1, small=MACRO)
+    th0 = _central(0, small=MACRO)
     assert th1.total_bps == pytest.approx(2 * th0.total_bps, rel=1e-12)
 
 
-def test_total_central_rejects_unresolved_shannon_se():
-    from dataclasses import replace
+def test_scenario_throughput_resolves_shannon_se():
+    # at its reference radius the Shannon edge source is exactly its calibration SE
     cell = replace(SMALL, spectrum_eff=ShannonEdgeSE(5.0))
-    with pytest.raises(ValidationError, match="small"):
-        total_central(1, cell, MACRO)
-    assert total_central(1, cell, MACRO, small_se=5.0).total_bps > 0
+    assert _central(1, small=cell) == _central(1)
+    assert _central(1, small=replace(cell, radius_m=100.0)).total_bps < _central(1).total_bps
 
 
 def test_comp_se():
-    assert comp_se(10, 5) == 45  # (10-1)*5
-    assert comp_se(1, 5) == 0
-    assert comp_se(2, 0) == 0
+    # each member's downlink adds the (K-1) * se cooperative traffic of its neighbors
+    assert _distribution(10).small_down_bps == pytest.approx(1.14e8 * (5 + 45), rel=1e-12)
+    th1 = _distribution(1)
+    assert th1.small_down_bps == th1.small_up_bps
+    assert _distribution(2, se=0.0).small_down_bps == 0
 
 
 def test_total_distribution_examples():
-    th = total_distribution(ClusterSpec(10, 5.0, 1e8))
+    th = _distribution(10)
     assert th.total_bps == pytest.approx(6.27e10, rel=1e-12)  # 1.14*1e8*5*10*11
-    th1 = total_distribution(ClusterSpec(1, 5.0, 1e8))
+    th1 = _distribution(1)
     assert th1.total_up_bps == pytest.approx(5.7e8, rel=1e-12)
     assert th1.total_down_bps == pytest.approx(5.7e8, rel=1e-12)
     assert th1.total_bps == pytest.approx(1.14e9, rel=1e-12)
-    assert total_distribution(ClusterSpec(5, 0.0, 1e8)).total_bps == 0
+    assert _distribution(5, se=0.0).total_bps == 0
 
 
 def test_distribution_macro_terms_zero():
-    th = total_distribution(ClusterSpec(4, 3.0, 1e8))
+    th = _distribution(4, se=3.0)
     assert th.macro_up_bps == 0 and th.macro_down_bps == 0
 
 
@@ -90,11 +104,8 @@ def test_central_linearity_in_n():
     rng = np.random.default_rng(1)
     for _ in range(20):
         b, s = 10 ** rng.uniform(6, 9), rng.uniform(0, 12)
-        from dataclasses import replace
-        from wbackhaul.scenario import FixedSE
         small = replace(SMALL, bandwidth_hz=b, spectrum_eff=FixedSE(s))
-        th = np.array([total_central(n, small, MACRO).total_bps
-                       for n in range(0, 300, 7)])
+        th = np.array([_central(n, small=small).total_bps for n in range(0, 300, 7)])
         d2 = th[2:] - 2 * th[1:-1] + th[:-2]
         assert np.abs(d2).max() <= 1e-12 * th.max()
 
@@ -104,7 +115,7 @@ def test_distribution_closed_form():
     ks = np.unique(np.concatenate([np.arange(1, 200),
                                    np.logspace(2.5, 4, 40).astype(int)]))
     for k in ks:
-        got = total_distribution(ClusterSpec(int(k), 5.0, 1e8)).total_bps
+        got = _distribution(int(k)).total_bps
         want = 1.14 * 1e8 * 5.0 * k * (k + 1)
         assert abs(got - want) <= 1e-12 * want
 
@@ -113,33 +124,21 @@ def test_homogeneity_in_bandwidth_and_se():
     rng = np.random.default_rng(2)
     for _ in range(30):
         b, s, c = 10 ** rng.uniform(6, 9), rng.uniform(0.1, 12), rng.uniform(0.5, 8)
-        base = total_distribution(ClusterSpec(7, s, b)).total_bps
-        assert total_distribution(ClusterSpec(7, s, c * b)).total_bps == pytest.approx(
-            c * base, rel=1e-12)
-        assert total_distribution(ClusterSpec(7, c * s, b)).total_bps == pytest.approx(
-            c * base, rel=1e-12)
+        base = _distribution(7, s, b).total_bps
+        assert _distribution(7, s, c * b).total_bps == pytest.approx(c * base, rel=1e-12)
+        assert _distribution(7, c * s, b).total_bps == pytest.approx(c * base, rel=1e-12)
 
 
 def test_breakdowns_nonnegative_and_consistent():
-    from dataclasses import replace
-    from wbackhaul.scenario import FixedSE
     rng = np.random.default_rng(3)
     for _ in range(50):
         b, s = 10 ** rng.uniform(5, 9), rng.uniform(0, 10)
         n = int(rng.integers(0, 500))
         k = int(rng.integers(1, 500))
         small = replace(SMALL, bandwidth_hz=b, spectrum_eff=FixedSE(s))
-        for th in (total_central(n, small, MACRO),
-                   total_distribution(ClusterSpec(k, s, b))):
+        for th in (_central(n, small=small), _distribution(k, s, b)):
             fields = (th.small_up_bps, th.small_down_bps, th.macro_up_bps,
                       th.macro_down_bps, th.total_up_bps, th.total_down_bps,
                       th.total_bps)
             assert all(v >= 0 for v in fields)
             assert th.total_bps == th.total_up_bps + th.total_down_bps
-
-
-def test_cluster_spec_invariants():
-    with pytest.raises(ValidationError):
-        ClusterSpec(0, 5.0, 1e8)
-    with pytest.raises(ValidationError):
-        ClusterSpec(2, -1.0, 1e8)
