@@ -1,14 +1,15 @@
 """Command line interface.
 
 Subcommands: eval, sweep, figures, verify-table1, topology.  Human
-summaries go to stdout; machine-readable output goes to files (--out)
-or to stdout with --stdout.  Exit codes: 0 success, 1 validation or
+summaries go to stdout; machine-readable output goes to a file (--out),
+to stdout (--stdout), or both.  Exit codes: 0 success, 1 validation or
 parse error (also a failed verify-table1), 2 I/O error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -52,6 +53,25 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _rows_text(fmt: str, grid, rows) -> str:
+    export = sweep_report.rows_to_csv if fmt == "csv" else sweep_report.rows_to_json
+    return export(grid, rows)
+
+
+def _emit(args, text: str) -> None:
+    """Write machine output to --out and to stdout, whichever are given."""
+    if not (args.out or args.stdout):
+        raise ValidationError(f"{args.command}: --out <path> or --stdout required")
+    if args.out:
+        _write_text(args.out, text)
+    if args.stdout:
+        sys.stdout.write(text)
+
+
 def _cmd_eval(args) -> int:
     cfg = load_scenario(_read_text(args.config))
     res = power_energy.efficiency(cfg)
@@ -62,10 +82,9 @@ def _cmd_eval(args) -> int:
         "throughput": asdict(res.throughput),
         "energy": asdict(res.energy),
     }
-    if args.out:
-        _write_text(args.out, json.dumps(machine, indent=2) + "\n")
+    if args.out or args.stdout:
+        _emit(args, _json_text(machine))
     if args.stdout:
-        print(json.dumps(machine, indent=2))
         return 0
     arch = cfg.architecture
     if isinstance(arch, Central):
@@ -89,54 +108,45 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
         raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
     name, _, rhs = spec.partition("=")
     name = name.strip()
-    integer = name in ("n_small", "k_cluster")
+    axis = sweep_report.AXES.get(name)
+    integer = axis is not None and axis.integer
 
     def conv(tok: str):
         try:
-            return int(tok) if integer else float(tok)
+            v = int(tok) if integer else float(tok)
+            if integer or math.isfinite(v):
+                return v
         except ValueError:
-            raise ValidationError(f"axis {name}: bad number {tok!r}") from None
+            pass
+        raise ValidationError(f"axis {name}: bad number {tok!r}")
 
-    if ":" in rhs:
-        parts = rhs.split(":")
-        if len(parts) != 3:
-            raise ValidationError(
-                f"axis {name}: expected <start>:<stop>:<step>, got {rhs!r}")
-        start, stop, step = (conv(p) for p in parts)
-        if step <= 0:
-            raise ValidationError(f"axis {name}: step must be > 0")
-        values = []
-        v = start
-        i = 0
-        # tolerate float accumulation up to 1e-9 of a step beyond stop
-        while v <= stop + step * 1e-9:
-            values.append(v)
-            i += 1
-            v = start + i * step
-        return name, tuple(values)
-    return name, tuple(conv(tok) for tok in rhs.split(","))
+    if ":" not in rhs:
+        return name, tuple(conv(tok) for tok in rhs.split(","))
+    parts = rhs.split(":")
+    if len(parts) != 3:
+        raise ValidationError(
+            f"axis {name}: expected <start>:<stop>:<step>, got {rhs!r}")
+    start, stop, step = (conv(p) for p in parts)
+    if step <= 0:
+        raise ValidationError(f"axis {name}: step must be > 0")
+    # a float range tolerates rounding up to 1e-9 of a step beyond stop
+    steps = (stop - start) // step if integer else (stop - start) / step + 1e-9
+    count = math.floor(min(steps, sweep_report.MAX_POINTS)) + 1 if steps >= 0 else 0
+    if count > sweep_report.MAX_POINTS:
+        raise ValidationError(
+            f"axis {name}: more than {sweep_report.MAX_POINTS} values")
+    # i == 0 is start itself, so a start of -0.0 keeps its sign
+    return name, tuple(start + i * step if i else start for i in range(count))
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(_read_text(args.config))
-    axes = [_parse_axis(spec) for spec in args.axis]
-    if len(axes) > 2:
-        raise ValidationError("--axis: at most two axes (second is the curve family)")
-    primary = axes[0]
-    secondary = axes[1] if len(axes) > 1 else (None, None)
-    grid = sweep_report.SweepGrid(primary[0], primary[1], cfg,
-                                  secondary[0], secondary[1])
+    grid = sweep_report.SweepGrid(cfg, tuple(_parse_axis(spec) for spec in args.axis))
     rows = sweep_report.run_sweep(grid)
-    text = (sweep_report.rows_to_csv(grid, rows) if args.format == "csv"
-            else sweep_report.rows_to_json(grid, rows))
-    if args.stdout:
-        sys.stdout.write(text)
-        return 0
-    if not args.out:
-        raise ValidationError("sweep: --out <path> or --stdout required")
-    _write_text(args.out, text)
-    print(f"swept {len(rows)} points over {'+'.join(grid.axis_names)}; "
-          f"wrote {args.out}")
+    _emit(args, _rows_text(args.format, grid, rows))
+    if not args.stdout:
+        print(f"swept {len(rows)} points over {'+'.join(grid.axis_names)}; "
+              f"wrote {args.out}")
     return 0
 
 
@@ -147,8 +157,7 @@ def _cmd_figures(args) -> int:
     for name in names:
         grid = sweep_report.figure_grid(name)
         rows = sweep_report.run_sweep(grid)
-        text = (sweep_report.rows_to_csv(grid, rows) if args.format == "csv"
-                else sweep_report.rows_to_json(grid, rows))
+        text = _rows_text(args.format, grid, rows)
         if args.stdout:
             sys.stdout.write(text)
             return 0
@@ -169,7 +178,7 @@ def _cmd_verify_table1(args) -> int:
         doc = [{"label": c.label, "computed": c.computed, "expected": c.expected,
                 "criterion": c.criterion, "passed": c.passed}
                for c in report.checks]
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.out, _json_text(doc))
         print(f"wrote {args.out}")
     return 0 if report.passed else 1
 
@@ -187,14 +196,9 @@ def _cmd_topology(args) -> int:
     placement = topology.place_uniform(args.n, args.radius, args.seed)
     tree = topology.build_relay_tree(placement, gateway)
     tree = topology.link_loads(tree, args.per_cell_bps)
-    doc = topology.export_topology(placement, tree)
-    text = json.dumps(doc, indent=2) + "\n"
+    _emit(args, _json_text(topology.export_topology(placement, tree)))
     if args.stdout:
-        sys.stdout.write(text)
         return 0
-    if not args.out:
-        raise ValidationError("topology: --out <path> or --stdout required")
-    _write_text(args.out, text)
     ingress = topology.gateway_ingress_bps(tree)
     print(f"placed {placement.n} stations in a {args.radius:g} m disk "
           f"(seed {args.seed}, gateway index {tree.gateway_index})")
@@ -216,12 +220,12 @@ def build_parser() -> _Parser:
                     help="print machine JSON instead of the human summary")
     ev.set_defaults(func=_cmd_eval)
 
-    sw = sub.add_parser("sweep", help="sweep one or two parameters of a config")
+    sw = sub.add_parser("sweep", help="sweep parameters of a config over a grid")
     sw.add_argument("--config", required=True, help="base scenario JSON path")
     sw.add_argument("--axis", action="append", required=True,
                     metavar="name=start:stop:step",
-                    help="swept axis; repeat once for a curve-family axis "
-                         "(also accepts name=v1,v2,...)")
+                    help="swept axis; repeat for more axes, the first varying "
+                         "slowest (also accepts name=v1,v2,...)")
     sw.add_argument("--out", help="output file")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.add_argument("--stdout", action="store_true", help="write rows to stdout")

@@ -122,10 +122,14 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     """Energy efficiency of a scenario: total throughput / system energy.
 
-    The denominator is strictly positive for any valid config because the
-    operating-power offset b is required to be > 0.
+    Every station's operating power is at least its offset b > 0, but a
+    lifetime energy b * lifetime_s can still underflow to 0 (or so near
+    it that the ratio overflows); that is a ValidationError, never inf.
     """
     th = traffic.scenario_throughput(cfg)
     en = scenario_energy(cfg)
-    return EfficiencyResult(throughput=th, energy=en,
-                            efficiency=th.total_bps / en.system_total_j)
+    energy_j = en.system_total_j
+    eff = th.total_bps / energy_j if energy_j > 0 else math.inf
+    if not math.isfinite(eff):
+        raise ValidationError(f"lifetime_s: system energy {energy_j!r} J is too small")
+    return EfficiencyResult(throughput=th, energy=en, efficiency=eff)

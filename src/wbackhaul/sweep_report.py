@@ -1,22 +1,22 @@
 """Parameter-sweep engine, preset figure datasets, and the calibration report.
 
-A sweep varies one named parameter of a base scenario (optionally
-crossed with a second "curve family" parameter) and records throughput,
-system energy, and efficiency at every grid point.  The figure presets
-reproduce the qualitative curves the model is known for: throughput
-vs. cell count, efficiency vs. cell count per band, and efficiency
-vs. path loss exponent per small-cell radius.
+A sweep is a base scenario plus an ordered tuple of named axes; it
+records throughput, system energy, and efficiency at every point of the
+axes' cross product, the first axis varying slowest.  The figure
+presets reproduce the qualitative curves the model is known for:
+throughput vs. cell count, efficiency vs. cell count per band, and
+efficiency vs. path loss exponent per small-cell radius.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from . import power_energy
 from .scenario import (
     DEFAULT_TX_ANCHOR,
-    CellParams,
     Central,
     ConfigError,
     Distribution,
@@ -28,9 +28,30 @@ from .scenario import (
     default_table1,
 )
 
-AXES = ("n_small", "k_cluster", "alpha", "small_se", "band", "small_radius")
 
-FIGURES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b")
+class Axis(NamedTuple):
+    """Everything a sweep needs to know about one named axis."""
+
+    arch: type | None   # architecture the base scenario must have, if any
+    integer: bool       # a station count: integer grid values and output cells
+    apply: Callable[[ScenarioConfig, object], ScenarioConfig]
+
+
+AXES = {
+    "n_small": Axis(Central, True,
+                    lambda cfg, v: replace(cfg, architecture=Central(v))),
+    "k_cluster": Axis(Distribution, True,
+                      lambda cfg, v: replace(cfg, architecture=Distribution(v))),
+    "alpha": Axis(None, False, lambda cfg, v: replace(cfg, path_loss_alpha=v)),
+    "small_se": Axis(None, False, lambda cfg, v: replace(
+        cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v)))),
+    "band": Axis(None, False, lambda cfg, v: replace(cfg, band=FrequencyBand(v))),
+    "small_radius": Axis(None, False, lambda cfg, v: replace(
+        cfg, small=replace(cfg.small, radius_m=v))),
+}
+
+# Largest grid a sweep builds, per axis and over the whole cross product.
+MAX_POINTS = 10**6
 
 # The carrier bands of the published calibration table; also the curve
 # families of the fig4 datasets.
@@ -44,33 +65,36 @@ FIG5_ALPHA_RANGE = (2.5, 4.0)
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """One swept axis (plus optional curve-family axis) over a base scenario."""
+    """A base scenario and the (name, values) axes swept over it, first slowest."""
 
-    axis: str
-    values: tuple
     base: ScenarioConfig
-    secondary_axis: str | None = None
-    secondary_values: tuple | None = None
+    axes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.secondary_values is not None:
-            object.__setattr__(self, "secondary_values",
-                               tuple(self.secondary_values))
-        _check_axis(self.axis, self.values, self.base)
-        if (self.secondary_axis is None) != (self.secondary_values is None):
-            raise ValidationError(
-                "secondary_axis and secondary_values: must be given together")
-        if self.secondary_axis is not None:
-            _check_axis(self.secondary_axis, self.secondary_values, self.base)
-            if self.secondary_axis == self.axis:
-                raise ValidationError("secondary_axis: must differ from axis")
+        object.__setattr__(self, "axes", tuple((n, tuple(v)) for n, v in self.axes))
+        if not self.axes:
+            raise ValidationError("axes: at least one axis is required")
+        for i, (name, values) in enumerate(self.axes):
+            axis = AXES.get(name)
+            if axis is None:
+                raise ValidationError(
+                    f"axis: unknown axis {name!r}, expected one of {tuple(AXES)}")
+            if len(values) == 0:
+                raise ValidationError(f"axis {name}: values must be non-empty")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise ValidationError(f"axis {name}: values must be strictly increasing")
+            if axis.arch is not None and not isinstance(self.base.architecture, axis.arch):
+                raise ValidationError(
+                    f"axis {name}: base scenario must be {axis.arch.__name__.lower()}")
+            if name in self.axis_names[:i]:
+                raise ValidationError(f"axis {name}: given more than once")
+        points = math.prod(len(values) for _, values in self.axes)
+        if points > MAX_POINTS:
+            raise ValidationError(f"axes: {points} grid points, at most {MAX_POINTS}")
 
     @property
     def axis_names(self) -> tuple[str, ...]:
-        if self.secondary_axis is None:
-            return (self.axis,)
-        return (self.axis, self.secondary_axis)
+        return tuple(name for name, _ in self.axes)
 
 
 @dataclass(frozen=True)
@@ -83,104 +107,73 @@ class SweepRow:
     efficiency: float
 
 
-def _check_axis(name: str, values, base: ScenarioConfig) -> None:
-    if name not in AXES:
-        raise ValidationError(f"axis: unknown axis {name!r}, expected one of {AXES}")
-    if values is None or len(values) == 0:
-        raise ValidationError(f"axis {name}: values must be non-empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValidationError(f"axis {name}: values must be strictly increasing")
-    if name == "n_small" and not isinstance(base.architecture, Central):
-        raise ValidationError("axis n_small: base scenario must be central")
-    if name == "k_cluster" and not isinstance(base.architecture, Distribution):
-        raise ValidationError("axis k_cluster: base scenario must be distribution")
-
-
 def apply_axis(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
     """Base scenario with one named parameter replaced by value."""
+    if name not in AXES:
+        raise ValidationError(f"axis: unknown axis {name!r}")
     try:
-        if name == "n_small":
-            return replace(cfg, architecture=Central(value))
-        if name == "k_cluster":
-            return replace(cfg, architecture=Distribution(value))
-        if name == "alpha":
-            return replace(cfg, path_loss_alpha=value)
-        if name == "small_se":
-            return replace(cfg, small=replace(cfg.small, spectrum_eff=FixedSE(value)))
-        if name == "band":
-            return replace(cfg, band=FrequencyBand(value))
-        if name == "small_radius":
-            return replace(cfg, small=replace(cfg.small, radius_m=value))
+        return AXES[name].apply(cfg, value)
     except ConfigError as e:
         raise ValidationError(f"grid point {name}={value!r}: {e}") from e
-    raise ValidationError(f"axis: unknown axis {name!r}")
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate every grid point, ordered by (axis, secondary axis)."""
+    """Evaluate every grid point, the first axis varying slowest; each axis
+    value is applied once per point of the axes before it."""
     rows = []
-    for v in grid.values:
-        cfg = apply_axis(grid.base, grid.axis, v)
-        if grid.secondary_axis is None:
-            rows.append(_evaluate_point(cfg, (v,), grid.axis, v))
-        else:
-            for w in grid.secondary_values:
-                cfg2 = apply_axis(cfg, grid.secondary_axis, w)
-                rows.append(_evaluate_point(cfg2, (v, w), grid.secondary_axis, w))
+    last = len(grid.axes) - 1
+
+    def walk(cfg: ScenarioConfig, depth: int, point: tuple) -> None:
+        name, values = grid.axes[depth]
+        for v in values:
+            at = apply_axis(cfg, name, v)
+            if depth < last:
+                walk(at, depth + 1, point + (v,))
+                continue
+            try:
+                res = power_energy.efficiency(at)
+            except ConfigError as e:
+                raise ValidationError(f"grid point {name}={v!r}: {e}") from e
+            rows.append(SweepRow(point + (v,), res.throughput_bps,
+                                 res.system_energy_j, res.efficiency))
+
+    walk(grid.base, 0, ())
     return rows
-
-
-def _evaluate_point(cfg, axis_values, last_axis, last_value) -> SweepRow:
-    try:
-        res = power_energy.efficiency(cfg)
-    except ConfigError as e:
-        raise ValidationError(f"grid point {last_axis}={last_value!r}: {e}") from e
-    return SweepRow(axis_values=axis_values, throughput_bps=res.throughput_bps,
-                    system_energy_j=res.system_energy_j, efficiency=res.efficiency)
 
 
 # ---------------------------------------------------------------------------
 # Figure presets
 # ---------------------------------------------------------------------------
 
-def _central_base() -> ScenarioConfig:
-    return ScenarioConfig(architecture=Central(100))
+_CENTRAL = ScenarioConfig(architecture=Central(100))
+_DISTRIBUTION = ScenarioConfig(architecture=Distribution(10))
+_SHANNON_SMALL = replace(_CENTRAL.small, spectrum_eff=ShannonEdgeSE(
+    calibration_se=5.0, ref_radius_m=50.0))
 
+_N = ("n_small", tuple(range(0, 1001, 25)))
+_K = ("k_cluster", tuple(range(1, 101)))
+_ALPHA = ("alpha", tuple(
+    FIG5_ALPHA_RANGE[0] + i * 0.05
+    for i in range(int(round((FIG5_ALPHA_RANGE[1] - FIG5_ALPHA_RANGE[0]) / 0.05)) + 1)))
+_RADIUS = ("small_radius", FIG5_RADII_M)
 
-def _distribution_base() -> ScenarioConfig:
-    return ScenarioConfig(architecture=Distribution(10))
+_FIGURE_GRIDS = {
+    "fig3a": SweepGrid(_CENTRAL, (_N, ("small_se", FIG3_SE_VALUES))),
+    "fig3b": SweepGrid(_DISTRIBUTION, (_K, ("small_se", FIG3_SE_VALUES))),
+    "fig4a": SweepGrid(_CENTRAL, (_N, ("band", BANDS_HZ))),
+    "fig4b": SweepGrid(_DISTRIBUTION, (_K, ("band", BANDS_HZ))),
+    "fig5a": SweepGrid(replace(_CENTRAL, small=_SHANNON_SMALL), (_ALPHA, _RADIUS)),
+    "fig5b": SweepGrid(replace(_DISTRIBUTION, small=_SHANNON_SMALL), (_ALPHA, _RADIUS)),
+}
 
-
-def _shannon_small(cell: CellParams) -> CellParams:
-    return replace(cell, spectrum_eff=ShannonEdgeSE(calibration_se=5.0,
-                                                    ref_radius_m=50.0))
+FIGURES = tuple(_FIGURE_GRIDS)
 
 
 def figure_grid(which: str) -> SweepGrid:
     """Preset sweep grid behind one of the named figure datasets."""
-    lo, hi = FIG5_ALPHA_RANGE
-    alphas = tuple(lo + i * 0.05 for i in range(int(round((hi - lo) / 0.05)) + 1))
-    if which == "fig3a":
-        return SweepGrid("n_small", tuple(range(0, 1001, 25)), _central_base(),
-                         "small_se", FIG3_SE_VALUES)
-    if which == "fig3b":
-        return SweepGrid("k_cluster", tuple(range(1, 101)), _distribution_base(),
-                         "small_se", FIG3_SE_VALUES)
-    if which == "fig4a":
-        return SweepGrid("n_small", tuple(range(0, 1001, 25)), _central_base(),
-                         "band", BANDS_HZ)
-    if which == "fig4b":
-        return SweepGrid("k_cluster", tuple(range(1, 101)), _distribution_base(),
-                         "band", BANDS_HZ)
-    if which == "fig5a":
-        base = _central_base()
-        base = replace(base, small=_shannon_small(base.small))
-        return SweepGrid("alpha", alphas, base, "small_radius", FIG5_RADII_M)
-    if which == "fig5b":
-        base = _distribution_base()
-        base = replace(base, small=_shannon_small(base.small))
-        return SweepGrid("alpha", alphas, base, "small_radius", FIG5_RADII_M)
-    raise ValidationError(f"figure: unknown dataset {which!r}, expected {FIGURES}")
+    if which not in FIGURES:
+        raise ValidationError(f"figure: unknown dataset {which!r}, expected {FIGURES}")
+    return _FIGURE_GRIDS[which]
 
 
 def figure_dataset(which: str) -> list[SweepRow]:
@@ -194,22 +187,19 @@ def figure_dataset(which: str) -> list[SweepRow]:
 
 VALUE_COLUMNS = ("throughput_bps", "system_energy_j", "efficiency_bps_per_j")
 
-_INT_AXES = {"n_small", "k_cluster"}
 
-
-def _format_number(axis: str | None, v) -> str:
-    if axis in _INT_AXES:
-        return str(int(v))
+def _float_cell(v) -> str:
     return format(float(v), ".17e")
 
 
 def rows_to_csv(grid: SweepGrid, rows: list[SweepRow]) -> str:
     """CSV text: axis columns then the three value columns, LF line endings."""
-    header = ",".join(grid.axis_names + VALUE_COLUMNS)
-    lines = [header]
+    integer = [AXES[a].integer for a in grid.axis_names]
+    lines = [",".join(grid.axis_names + VALUE_COLUMNS)]
     for row in rows:
-        cells = [_format_number(a, v) for a, v in zip(grid.axis_names, row.axis_values)]
-        cells += [_format_number(None, v) for v in
+        cells = [str(int(v)) if i else _float_cell(v)
+                 for i, v in zip(integer, row.axis_values)]
+        cells += [_float_cell(v) for v in
                   (row.throughput_bps, row.system_energy_j, row.efficiency)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -217,11 +207,10 @@ def rows_to_csv(grid: SweepGrid, rows: list[SweepRow]) -> str:
 
 def rows_to_json(grid: SweepGrid, rows: list[SweepRow]) -> str:
     """JSON text mirroring the CSV rows as an array of objects."""
+    axis_value = [(a, int if AXES[a].integer else float) for a in grid.axis_names]
     out = []
     for row in rows:
-        obj = {}
-        for a, v in zip(grid.axis_names, row.axis_values):
-            obj[a] = int(v) if a in _INT_AXES else float(v)
+        obj = {a: cast(v) for (a, cast), v in zip(axis_value, row.axis_values)}
         obj["throughput_bps"] = row.throughput_bps
         obj["system_energy_j"] = row.system_energy_j
         obj["efficiency_bps_per_j"] = row.efficiency

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wbackhaul
 from wbackhaul import power_energy
-from wbackhaul.cli import main
-from wbackhaul.scenario import Central, ScenarioConfig
+from wbackhaul.cli import _parse_axis, main
+from wbackhaul.scenario import Central, FrequencyBand, ScenarioConfig
+from wbackhaul.sweep_report import MAX_POINTS
 
 CENTRAL_100 = '{"architecture": {"type": "central", "n_small": 100}}'
 DIST_10 = '{"architecture": {"type": "distribution", "k_cluster": 10}}'
@@ -115,6 +122,67 @@ def test_sweep_bad_axis_name_exits_1(tmp_path, capsys):
     assert "central" in capsys.readouterr().err
 
 
+def test_sweep_three_axes_match_efficiency(tmp_path, capsys):
+    cfg = tmp_path / "central.json"
+    cfg.write_text(CENTRAL_100)
+    assert main(["sweep", "--config", str(cfg), "--axis", "n_small=0:100:50",
+                 "--axis", "alpha=2.5:3.5:0.5", "--axis", "band=5.8e9,60e9",
+                 "--format", "json", "--stdout"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    points = [(n, a, b) for n in (0, 50, 100) for a in (2.5, 3.0, 3.5)
+              for b in (5.8e9, 60e9)]
+    assert [(r["n_small"], r["alpha"], r["band"]) for r in rows] == points
+    for row, (n, a, b) in zip(rows, points):
+        res = power_energy.efficiency(ScenarioConfig(
+            architecture=Central(n), path_loss_alpha=a, band=FrequencyBand(b)))
+        assert row["throughput_bps"] == res.throughput_bps
+        assert row["system_energy_j"] == res.system_energy_j
+        assert row["efficiency_bps_per_j"] == res.efficiency
+
+
+def test_sweep_repeated_axis_exits_1(central_cfg, capsys):
+    assert main(["sweep", "--config", str(central_cfg), "--axis", "alpha=2.5,3",
+                 "--axis", "alpha=3.5", "--stdout"]) == 1
+    assert "alpha: given more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("alpha=2:inf:1", "bad number 'inf'"),
+    ("alpha=2:3:inf", "bad number 'inf'"),
+    ("alpha=nan,3", "bad number 'nan'"),
+    ("alpha=2:1e400:1", "bad number '1e400'"),
+    ("n_small=0:1000000000:1", f"more than {MAX_POINTS} values"),
+    ("alpha=2:3:1e-300", f"more than {MAX_POINTS} values"),
+    ("alpha=-1e308:1e308:1", f"more than {MAX_POINTS} values"),
+])
+def test_sweep_unbounded_axis_exits_1(central_cfg, capsys, spec, message):
+    assert main(["sweep", "--config", str(central_cfg), "--axis", spec,
+                 "--stdout"]) == 1
+    name = spec.partition("=")[0]
+    assert f"axis {name}: {message}" in capsys.readouterr().err
+
+
+def _loop_values(start, stop, step):
+    """Reference: the values a stepping loop yields, 1e-9 of a step past stop."""
+    values, i = [], 0
+    while start + i * step <= stop + step * 1e-9:
+        values.append(start + i * step)
+        i += 1
+    return tuple(values)
+
+
+def test_range_axis_matches_stepping_loop():
+    rng = random.Random(7)
+    for _ in range(2000):
+        start, step = rng.uniform(-50, 50), 10 ** rng.uniform(-3, 1)
+        stop = start + rng.randint(0, 60) * step + rng.choice((0.0, 0.5 * step))
+        spec = f"alpha={start!r}:{stop!r}:{step!r}"
+        assert _parse_axis(spec) == ("alpha", _loop_values(start, stop, step)), spec
+    for start, stop, step in ((0, 100, 25), (3, 50, 7), (5, 4, 1), (1, 1, 3)):
+        assert _parse_axis(f"k_cluster={start}:{stop}:{step}")[1] == tuple(
+            range(start, stop + 1, step))
+
+
 def test_figures_writes_datasets(tmp_path, capsys):
     assert main(["figures", "--which", "fig5a", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "fig5a.csv").read_text()
@@ -134,6 +202,40 @@ def test_verify_table1_passes(capsys):
     out = capsys.readouterr().out
     assert "12/12 cells pass" in out
     assert "macro P_OP @ 28 GHz" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{cfg}", "--axis", "n_small=0:100:50",
+     "--axis", "band=5.8e9,28e9"],
+    ["sweep", "--config", "{cfg}", "--axis", "alpha=2.5:3:0.25", "--format", "json"],
+    ["topology", "--n", "30", "--seed", "2"],
+    ["eval", "--config", "{cfg}"],
+], ids=["sweep-csv", "sweep-json", "topology", "eval"])
+def test_out_and_stdout_write_the_same_bytes(central_cfg, tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    argv = [a.format(cfg=central_cfg) for a in argv]
+    assert main(argv + ["--out", str(out), "--stdout"]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+def _tiny_energy_config(tmp_path):
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({
+        "architecture": {"type": "distribution", "k_cluster": 10},
+        "small": {"radius_m": 1e-100,
+                  "power_curve": {"slope_a": 1, "offset_b_w": 1e-200},
+                  "lifetime_s": 1e-200}}))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "{cfg}"],
+    ["sweep", "--config", "{cfg}", "--axis", "k_cluster=1:3:1", "--stdout"],
+])
+def test_energy_underflow_exits_1_naming_lifetime(tmp_path, capsys, argv):
+    cfg = _tiny_energy_config(tmp_path)
+    assert main([a.format(cfg=cfg) for a in argv]) == 1
+    assert "lifetime_s" in capsys.readouterr().err
 
 
 def test_topology_deterministic_files(tmp_path):
@@ -185,3 +287,66 @@ def test_console_script_matches_library(tmp_path):
     doc = json.loads(proc.stdout)
     res = power_energy.efficiency(ScenarioConfig(architecture=Central(100)))
     assert doc["efficiency_bps_per_j"] == res.efficiency
+
+
+_AXIS_NAMES = ("n_small", "k_cluster", "alpha", "small_se", "band", "small_radius",
+               "macro_radius", "", " alpha")
+# Valid grids stay small: no range of these tokens that passes holds more
+# than 29 values (0:28e9:1000000000), and the rest exceed the point cap.
+_PLAIN = st.sampled_from(("0", "1", "3", "7", "12"))
+_PLAIN_STEP = st.sampled_from(("1", "4"))
+_NUMBERS = st.one_of(_PLAIN, st.sampled_from((
+    "-3", "-0", "2.5", "3.2", "28e9", "1e9", "1000000000", "1e-9", "1e-300", "1e308",
+    "-1e308", "1e400", "10" * 200, "inf", "-inf", "nan", "", "x", "1_0", "0x10")))
+_STEPS = st.one_of(_PLAIN_STEP, st.sampled_from(
+    ("2.5", "1000000000", "0", "-1", "1e-9", "1e-300", "inf", "nan", "x")))
+
+
+@st.composite
+def _axis_specs(draw):
+    kind = draw(st.sampled_from(("plain", "plain", "range", "list", "raw")))
+    if kind == "raw":
+        return draw(st.text(alphabet="0123456789.:,-=e", max_size=12))
+    name = draw(st.sampled_from(_AXIS_NAMES))
+    if kind == "plain":
+        rhs = f"{draw(_PLAIN)}:{draw(_PLAIN)}:{draw(_PLAIN_STEP)}"
+    elif kind == "range":
+        rhs = f"{draw(_NUMBERS)}:{draw(_NUMBERS)}:{draw(_STEPS)}"
+    else:
+        rhs = ",".join(draw(st.lists(_NUMBERS, min_size=1, max_size=3)))
+    return f"{name}={rhs}"
+
+
+def _numbers_written(text: str, fmt: str) -> list:
+    if fmt == "csv":
+        return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+    return [v for row in json.loads(text, parse_constant=float) for v in row.values()]
+
+
+@pytest.fixture(scope="module")
+def sweep_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, text in (("central", CENTRAL_100), ("distribution", DIST_10)):
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+@settings(max_examples=100, deadline=None)
+@given(arch=st.sampled_from(("central", "distribution")),
+       specs=st.lists(_axis_specs(), min_size=1, max_size=3),
+       fmt=st.sampled_from(("csv", "json")))
+def test_sweep_argv_never_raises_and_writes_finite_numbers(sweep_configs, arch, specs,
+                                                           fmt):
+    argv = ["sweep", "--config", str(sweep_configs[arch]), "--format", fmt, "--stdout"]
+    for spec in specs:
+        argv += ["--axis", spec]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert all(math.isfinite(v) for v in _numbers_written(out.getvalue(), fmt)), argv
+    else:
+        assert out.getvalue() == "" and err.getvalue(), argv

@@ -218,3 +218,17 @@ def test_overflowing_totals_never_come_back_as_inf(arch, field):
         scenario_throughput(cfg)
     with pytest.raises(ValidationError, match=f"architecture.{field}"):
         scenario_energy(cfg)
+
+
+def _tiny_energy_doc(scale):
+    return _doc({"type": "distribution", "k_cluster": 10},
+                small={"radius_m": 1e-100,
+                       "power_curve": {"slope_a": 1, "offset_b_w": scale},
+                       "lifetime_s": scale})
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160])
+def test_energy_underflow_is_a_validation_error_naming_lifetime(scale):
+    # 1e-200: the system energy underflows to 0; 1e-160: the ratio overflows
+    with pytest.raises(ValidationError, match="lifetime_s"):
+        efficiency(load_scenario(_tiny_energy_doc(scale)))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wbackhaul import power_energy
+from wbackhaul import power_energy, sweep_report
 from wbackhaul.scenario import (
     Central,
     Distribution,
@@ -16,6 +16,7 @@ from wbackhaul.scenario import (
 )
 from wbackhaul.sweep_report import (
     FIGURES,
+    MAX_POINTS,
     SweepGrid,
     apply_axis,
     figure_dataset,
@@ -31,13 +32,13 @@ DIST = ScenarioConfig(architecture=Distribution(10))
 
 
 def test_single_point_reduces_to_single_evaluation():
-    rows = run_sweep(SweepGrid("n_small", (0,), CENTRAL))
+    rows = run_sweep(SweepGrid(CENTRAL, (("n_small", (0,)),)))
     assert len(rows) == 1
     assert rows[0].throughput_bps == pytest.approx(5.9e8, rel=1e-12)
 
 
 def test_k_cluster_sweep_matches_closed_form():
-    rows = run_sweep(SweepGrid("k_cluster", tuple(range(1, 101)), DIST))
+    rows = run_sweep(SweepGrid(DIST, (("k_cluster", tuple(range(1, 101))),)))
     for row, k in zip(rows, range(1, 101)):
         want = 1.14 * 1e8 * 5.0 * k * (k + 1)
         assert row.throughput_bps == pytest.approx(want, rel=1e-12)
@@ -45,28 +46,28 @@ def test_k_cluster_sweep_matches_closed_form():
 
 def test_empty_values_rejected():
     with pytest.raises(ValidationError, match="non-empty"):
-        SweepGrid("n_small", (), CENTRAL)
+        SweepGrid(CENTRAL, (("n_small", ()),))
 
 
 def test_values_must_be_strictly_increasing():
     with pytest.raises(ValidationError, match="strictly increasing"):
-        SweepGrid("n_small", (5, 5, 6), CENTRAL)
+        SweepGrid(CENTRAL, (("n_small", (5, 5, 6)),))
 
 
 def test_axis_must_match_architecture():
     with pytest.raises(ValidationError, match="central"):
-        SweepGrid("n_small", (1, 2), DIST)
+        SweepGrid(DIST, (("n_small", (1, 2)),))
     with pytest.raises(ValidationError, match="distribution"):
-        SweepGrid("k_cluster", (1, 2), CENTRAL)
+        SweepGrid(CENTRAL, (("k_cluster", (1, 2)),))
 
 
 def test_unknown_axis_rejected():
     with pytest.raises(ValidationError, match="unknown axis"):
-        SweepGrid("macro_radius", (1, 2), CENTRAL)
+        SweepGrid(CENTRAL, (("macro_radius", (1, 2)),))
 
 
 def test_grid_point_errors_are_tagged():
-    grid = SweepGrid("small_se", (-2.0, 5.0), CENTRAL)
+    grid = SweepGrid(CENTRAL, (("small_se", (-2.0, 5.0)),))
     with pytest.raises(ValidationError, match=r"small_se=-2"):
         run_sweep(grid)
 
@@ -77,11 +78,11 @@ def test_grid_point_errors_are_tagged():
 ])
 def test_non_integer_counts_are_rejected_not_truncated(axis, values, base):
     with pytest.raises(ValidationError, match=rf"grid point {axis}=.*must be an integer"):
-        run_sweep(SweepGrid(axis, values, base))
+        run_sweep(SweepGrid(base, ((axis, values),)))
 
 
 def test_cross_product_ordering():
-    grid = SweepGrid("n_small", (1, 2), CENTRAL, "band", (5.8e9, 28e9))
+    grid = SweepGrid(CENTRAL, (("n_small", (1, 2)), ("band", (5.8e9, 28e9))))
     rows = run_sweep(grid)
     assert [r.axis_values for r in rows] == [
         (1, 5.8e9), (1, 28e9), (2, 5.8e9), (2, 28e9)]
@@ -92,7 +93,8 @@ def test_sweep_rows_equal_independent_evaluation():
     rng = np.random.default_rng(31)
     ns = tuple(sorted(rng.choice(np.arange(0, 400), size=6, replace=False)))
     bands = (5.8e9, 28e9, 60e9)
-    grid = SweepGrid("n_small", tuple(int(n) for n in ns), CENTRAL, "band", bands)
+    grid = SweepGrid(CENTRAL, (("n_small", tuple(int(n) for n in ns)),
+                                ("band", bands)))
     rows = run_sweep(grid)
     i = 0
     for n in ns:
@@ -106,6 +108,60 @@ def test_sweep_rows_equal_independent_evaluation():
             assert row.system_energy_j == res.system_energy_j
             assert row.efficiency == res.efficiency
             i += 1
+
+
+def test_three_axis_sweep_matches_standalone_evaluation():
+    ns, alphas, bands = (0, 7, 40), (2.5, 3.2), (5.8e9, 60e9)
+    grid = SweepGrid(CENTRAL, (("n_small", ns), ("alpha", alphas), ("band", bands)))
+    rows = run_sweep(grid)
+    points = [(n, a, b) for n in ns for a in alphas for b in bands]
+    assert [r.axis_values for r in rows] == points
+    for row, (n, a, b) in zip(rows, points):
+        cfg = replace(CENTRAL, architecture=Central(n), path_loss_alpha=a,
+                      band=FrequencyBand(b))
+        res = power_energy.efficiency(cfg)
+        assert (row.throughput_bps, row.system_energy_j, row.efficiency) == (
+            res.throughput_bps, res.system_energy_j, res.efficiency)
+
+
+def test_repeated_axis_rejected():
+    with pytest.raises(ValidationError, match="alpha: given more than once"):
+        SweepGrid(CENTRAL, (("alpha", (2.5,)), ("band", (5.8e9,)), ("alpha", (3.0,))))
+
+
+def test_no_axes_rejected():
+    with pytest.raises(ValidationError, match="at least one axis"):
+        SweepGrid(CENTRAL, ())
+
+
+def test_grid_larger_than_max_points_rejected():
+    side = math.isqrt(MAX_POINTS) + 1
+    axes = (("n_small", tuple(range(side))), ("alpha", tuple(range(1, side + 1))))
+    with pytest.raises(ValidationError, match=f"at most {MAX_POINTS}"):
+        SweepGrid(CENTRAL, axes)
+
+
+def test_each_axis_value_applied_once_per_outer_point(monkeypatch):
+    calls = []
+    apply = sweep_report.apply_axis
+
+    def counting(cfg, name, value):
+        calls.append(name)
+        return apply(cfg, name, value)
+
+    monkeypatch.setattr(sweep_report, "apply_axis", counting)
+    bands = (5.8e9, 28e9, 38e9, 60e9)
+    run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", bands))))
+    assert calls.count("n_small") == 3 and calls.count("band") == 3 * 4
+
+
+def test_energy_underflow_grid_point_names_lifetime():
+    small = replace(DIST.small, radius_m=1e-100, lifetime_s=1e-200,
+                    power_curve=replace(DIST.small.power_curve, slope_a=1.0,
+                                        offset_b_w=1e-200))
+    grid = SweepGrid(replace(DIST, small=small), (("k_cluster", (1, 2)),))
+    with pytest.raises(ValidationError, match=r"grid point k_cluster=1: lifetime_s"):
+        run_sweep(grid)
 
 
 def test_apply_axis_variants():
@@ -130,7 +186,7 @@ def test_figure_presets_exist_and_are_deterministic():
 def test_fig3a_families_are_linear_in_n():
     grid = figure_grid("fig3a")
     rows = run_sweep(grid)
-    for se in grid.secondary_values:
+    for se in dict(grid.axes)["small_se"]:
         th = np.array([r.throughput_bps for r in rows if r.axis_values[1] == se])
         d2 = th[2:] - 2 * th[1:-1] + th[:-2]
         assert np.abs(d2).max() <= 1e-12 * max(th.max(), 1.0)
@@ -153,7 +209,7 @@ def test_fig5_reference_radius_throughput_alpha_invariant():
 
 
 def test_csv_output_format():
-    grid = SweepGrid("k_cluster", (1, 2, 3), DIST)
+    grid = SweepGrid(DIST, (("k_cluster", (1, 2, 3)),))
     rows = run_sweep(grid)
     text = rows_to_csv(grid, rows)
     lines = text.split("\n")
@@ -167,7 +223,7 @@ def test_csv_output_format():
 
 
 def test_json_output_mirrors_rows():
-    grid = SweepGrid("alpha", (2.5, 3.2), DIST)
+    grid = SweepGrid(DIST, (("alpha", (2.5, 3.2)),))
     rows = run_sweep(grid)
     data = json.loads(rows_to_json(grid, rows))
     assert len(data) == 2
