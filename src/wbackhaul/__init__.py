@@ -28,7 +28,6 @@ from .scenario import (
     EmbodiedFraction,
     EnergyBreakdown,
     FixedSE,
-    FrequencyBand,
     ParseError,
     PowerCurve,
     ScenarioConfig,

@@ -91,7 +91,7 @@ def _cmd_eval(args) -> int:
         print(f"architecture: central (n_small={arch.n_small})")
     else:
         print(f"architecture: distribution (k_cluster={arch.k_cluster})")
-    print(f"band: {_eng(cfg.band.carrier_hz, 'Hz')}")
+    print(f"band: {_eng(cfg.band_hz, 'Hz')}")
     print(f"backhaul throughput: {_eng(res.throughput_bps, 'bit/s')}"
           f" ({res.throughput_bps:.6e} bit/s)")
     print(f"system energy: {_eng(res.system_energy_j, 'J')}"

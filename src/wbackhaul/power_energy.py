@@ -17,7 +17,6 @@ from .scenario import (
     EmbodiedFraction,
     EmbodiedRule,
     EnergyBreakdown,
-    FrequencyBand,
     PowerCurve,
     ScenarioConfig,
     ThroughputBreakdown,
@@ -45,9 +44,9 @@ class EfficiencyResult:
         return self.energy.system_total_j
 
 
-def tx_power(radius_m: float, band: FrequencyBand, alpha: float,
+def tx_power(radius_m: float, band_hz: float, alpha: float,
              anchor: TxAnchor) -> float:
-    """Transmit power (W) needed to cover radius_m on the given band.
+    """Transmit power (W) needed to cover radius_m on the band_hz carrier.
 
     Scales the anchor power by (radius/anchor radius)^alpha for coverage
     and by (carrier/anchor carrier)^freq_exponent for the band; at the
@@ -55,18 +54,20 @@ def tx_power(radius_m: float, band: FrequencyBand, alpha: float,
     """
     if not radius_m > 0:
         raise ValidationError("radius_m: must be > 0")
+    if not band_hz > 0:
+        raise ValidationError("band_hz: must be > 0")
     if not alpha > 0:
         raise ValidationError("alpha: must be > 0")
     try:
         p_tx = (anchor.power_w
                 * (radius_m / anchor.radius_m) ** alpha
-                * (band.carrier_hz / anchor.carrier_hz) ** anchor.freq_exponent)
+                * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
     except OverflowError:
         p_tx = math.inf
     if not math.isfinite(p_tx):
         raise ValidationError(
             f"radius_m: transmit power overflows a float at radius_m={radius_m!r}, "
-            f"alpha={alpha!r}, carrier_hz={band.carrier_hz!r}")
+            f"alpha={alpha!r}, band_hz={band_hz!r}")
     return p_tx
 
 
@@ -94,7 +95,7 @@ def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
 
 def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of this class."""
-    p_tx = tx_power(cell.radius_m, cfg.band, cfg.path_loss_alpha, cfg.tx_anchor)
+    p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.path_loss_alpha, cfg.tx_anchor)
     e_op = operating_power(cell.power_curve, p_tx) * cell.lifetime_s
     return e_op, embodied_energy(cell.embodied, e_op)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
@@ -21,6 +21,7 @@ DEFAULT_OVERHEAD_S1 = 0.10
 DEFAULT_OVERHEAD_X2 = 0.04
 
 DEFAULT_ALPHA = 3.2  # urban path loss exponent
+DEFAULT_BAND_HZ = 5.8e9  # the carrier of the calibration table's anchor
 
 
 class ConfigError(ValueError):
@@ -35,50 +36,52 @@ class ValidationError(ConfigError):
     """A structurally valid config violates a field invariant."""
 
 
-def _require(cond: bool, field_name: str, message: str) -> None:
-    if not cond:
-        raise ValidationError(f"{field_name}: {message}")
+# Field rules, (types, low, high, message): a value passes when it is an
+# instance of types but not a bool, and low <= value <= high.  This number
+# test never raises: the chained comparison is False for NaN and for an
+# int too large for a float, so every accepted value fits a float (a count
+# is multiplied into float totals).  An open bound is written as the
+# nearest float inside it, which is exact for ints and floats alike.
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+_POSITIVE = ((int, float), _ABOVE_0, _FLOAT_MAX, "must be a number > 0")
+_NON_NEGATIVE = ((int, float), 0, _FLOAT_MAX, "must be a number >= 0")
+_OPEN_UNIT = ((int, float), _ABOVE_0, _BELOW_1, "must be a number in (0, 1)")
+_UNIT = ((int, float), 0, _BELOW_1, "must be a number in [0, 1)")
+_COUNT = (int, 0, _FLOAT_MAX, "must be an integer >= 0")
+_COUNT_1 = (int, 1, _FLOAT_MAX, "must be an integer >= 1")
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _each(rule, *names) -> tuple:
+    """(field, message name, rule) rows for fields that messages name as is."""
+    return tuple((name, name, rule) for name in names)
 
 
-def _require_count(value, field_name: str, low: int) -> None:
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
-        raise ValidationError(f"{field_name}: must be an integer >= {low}")
-    # a count is multiplied into float totals, so it must convert to a float
-    if value > _FLOAT_MAX:
-        raise ValidationError(f"{field_name}: does not fit a float")
+class _Checked:
+    """Base of the input records: one check of each field against the
+    (field, message name, rule) rows of the class's _rules."""
 
-
-@dataclass(frozen=True)
-class FrequencyBand:
-    """Carrier frequency of the wireless backhaul links."""
-
-    carrier_hz: float
+    _rules = ()
 
     def __post_init__(self):
-        _require(_is_num(self.carrier_hz) and self.carrier_hz > 0,
-                 "carrier_hz", "must be a number > 0")
+        for name, label, (types, low, high, message) in self._rules:
+            v = getattr(self, name)
+            if not (isinstance(v, types) and not isinstance(v, bool) and low <= v <= high):
+                raise ValidationError(f"{label}: {message}")
 
 
 @dataclass(frozen=True)
-class PowerCurve:
+class PowerCurve(_Checked):
     """Linear operating-power model: P_op = slope_a * P_tx + offset_b_w."""
 
     slope_a: float        # dimensionless
     offset_b_w: float     # Watt, draw at zero transmit power
 
-    def __post_init__(self):
-        _require(_is_num(self.slope_a) and self.slope_a > 0,
-                 "slope_a", "must be a number > 0")
-        _require(_is_num(self.offset_b_w) and self.offset_b_w > 0,
-                 "offset_b_w", "must be a number > 0")
+    _rules = _each(_POSITIVE, "slope_a", "offset_b_w")
 
 
 @dataclass(frozen=True)
-class TxAnchor:
+class TxAnchor(_Checked):
     """Reference point that pins the transmit-power scaling law.
 
     Transmit power scales as power_w * (r / radius_m)^alpha
@@ -91,12 +94,8 @@ class TxAnchor:
     carrier_hz: float = 5.8e9
     freq_exponent: float = 2.0
 
-    def __post_init__(self):
-        for name in ("power_w", "radius_m", "carrier_hz"):
-            _require(_is_num(getattr(self, name)) and getattr(self, name) > 0,
-                     f"tx_anchor.{name}", "must be a number > 0")
-        _require(_is_num(self.freq_exponent) and self.freq_exponent >= 0,
-                 "tx_anchor.freq_exponent", "must be a number >= 0")
+    _rules = (_each(_POSITIVE, "power_w", "radius_m", "carrier_hz")
+              + _each(_NON_NEGATIVE, "freq_exponent"))
 
 
 # Default anchor: reproduces the published calibration table
@@ -111,21 +110,17 @@ ANCHOR_40W_1KM = TxAnchor(power_w=40.0, radius_m=1000.0,
 
 
 @dataclass(frozen=True)
-class EmbodiedAbsolute:
+class EmbodiedAbsolute(_Checked):
     """Embodied energy given directly as initial + maintenance Joules."""
 
     init_j: float
     maint_j: float
 
-    def __post_init__(self):
-        _require(_is_num(self.init_j) and self.init_j >= 0,
-                 "embodied.init_j", "must be a number >= 0")
-        _require(_is_num(self.maint_j) and self.maint_j >= 0,
-                 "embodied.maint_j", "must be a number >= 0")
+    _rules = _each(_NON_NEGATIVE, "init_j", "maint_j")
 
 
 @dataclass(frozen=True)
-class EmbodiedFraction:
+class EmbodiedFraction(_Checked):
     """Embodied energy specified as a fraction of total lifetime energy.
 
     fraction = E_em / (E_em + E_op), so E_em = E_op * f / (1 - f).
@@ -133,27 +128,23 @@ class EmbodiedFraction:
 
     fraction: float
 
-    def __post_init__(self):
-        _require(_is_num(self.fraction) and 0 < self.fraction < 1,
-                 "embodied.fraction", "must be a number in (0, 1)")
+    _rules = _each(_OPEN_UNIT, "fraction")
 
 
 EmbodiedRule = Union[EmbodiedAbsolute, EmbodiedFraction]
 
 
 @dataclass(frozen=True)
-class FixedSE:
+class FixedSE(_Checked):
     """Constant average spectrum efficiency, bit/s/Hz."""
 
     bit_per_s_per_hz: float
 
-    def __post_init__(self):
-        _require(_is_num(self.bit_per_s_per_hz) and self.bit_per_s_per_hz >= 0,
-                 "spectrum_eff.bit_per_s_per_hz", "must be a number >= 0")
+    _rules = _each(_NON_NEGATIVE, "bit_per_s_per_hz")
 
 
 @dataclass(frozen=True)
-class ShannonEdgeSE:
+class ShannonEdgeSE(_Checked):
     """Cell-edge Shannon capacity model, calibrated at a reference radius.
 
     The cell's spectrum efficiency equals calibration_se when its radius
@@ -163,18 +154,14 @@ class ShannonEdgeSE:
     calibration_se: float        # bit/s/Hz at the reference radius
     ref_radius_m: float = 50.0
 
-    def __post_init__(self):
-        _require(_is_num(self.calibration_se) and self.calibration_se > 0,
-                 "spectrum_eff.calibration_se", "must be a number > 0")
-        _require(_is_num(self.ref_radius_m) and self.ref_radius_m > 0,
-                 "spectrum_eff.ref_radius_m", "must be a number > 0")
+    _rules = _each(_POSITIVE, "calibration_se", "ref_radius_m")
 
 
 SpectrumEffSource = Union[FixedSE, ShannonEdgeSE]
 
 
 @dataclass(frozen=True)
-class CellParams:
+class CellParams(_Checked):
     """Per-class (macro or small) base station parameters."""
 
     bandwidth_hz: float
@@ -184,33 +171,25 @@ class CellParams:
     lifetime_s: float
     embodied: EmbodiedRule
 
-    def __post_init__(self):
-        _require(_is_num(self.bandwidth_hz) and self.bandwidth_hz > 0,
-                 "bandwidth_hz", "must be a number > 0")
-        _require(_is_num(self.radius_m) and self.radius_m > 0,
-                 "radius_m", "must be a number > 0")
-        _require(_is_num(self.lifetime_s) and self.lifetime_s > 0,
-                 "lifetime_s", "must be a number > 0")
+    _rules = _each(_POSITIVE, "bandwidth_hz", "radius_m", "lifetime_s")
 
 
 @dataclass(frozen=True)
-class Central:
+class Central(_Checked):
     """All small cells backhaul into one macro base station."""
 
     n_small: int
 
-    def __post_init__(self):
-        _require_count(self.n_small, "architecture.n_small", 0)
+    _rules = _each(_COUNT, "n_small")
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(_Checked):
     """A cooperative cluster of small cells relays toward a gateway cell."""
 
     k_cluster: int
 
-    def __post_init__(self):
-        _require_count(self.k_cluster, "architecture.k_cluster", 1)
+    _rules = _each(_COUNT_1, "k_cluster")
 
 
 Architecture = Union[Central, Distribution]
@@ -228,58 +207,64 @@ def _finite_total(total: float, arch: Architecture, what: str) -> float:
     raise ValidationError(f"architecture.{name}: {what} overflows a float")
 
 
-def default_table1(cell_class: str) -> CellParams:
-    """Default per-class parameters from the published calibration table.
+# Default per-class parameters from the published calibration table.  The
+# table's constants are band-independent; the band only enters via
+# transmit-power scaling (see TxAnchor).
+_TABLE1 = {
+    "macro": CellParams(
+        bandwidth_hz=1e8,
+        spectrum_eff=FixedSE(5.0),
+        radius_m=500.0,
+        power_curve=PowerCurve(slope_a=21.45, offset_b_w=354.44),
+        lifetime_s=10 * SECONDS_PER_YEAR,
+        embodied=EmbodiedAbsolute(init_j=75e9, maint_j=10e9),
+    ),
+    "small": CellParams(
+        bandwidth_hz=1e8,
+        spectrum_eff=FixedSE(5.0),
+        radius_m=50.0,
+        power_curve=PowerCurve(slope_a=7.84, offset_b_w=71.50),
+        lifetime_s=5 * SECONDS_PER_YEAR,
+        embodied=EmbodiedFraction(fraction=0.20),
+    ),
+}
 
-    The table's constants are band-independent; the band only enters via
-    transmit-power scaling (see TxAnchor).
-    """
-    if cell_class == "macro":
-        return CellParams(
-            bandwidth_hz=1e8,
-            spectrum_eff=FixedSE(5.0),
-            radius_m=500.0,
-            power_curve=PowerCurve(slope_a=21.45, offset_b_w=354.44),
-            lifetime_s=10 * SECONDS_PER_YEAR,
-            embodied=EmbodiedAbsolute(init_j=75e9, maint_j=10e9),
-        )
-    if cell_class == "small":
-        return CellParams(
-            bandwidth_hz=1e8,
-            spectrum_eff=FixedSE(5.0),
-            radius_m=50.0,
-            power_curve=PowerCurve(slope_a=7.84, offset_b_w=71.50),
-            lifetime_s=5 * SECONDS_PER_YEAR,
-            embodied=EmbodiedFraction(fraction=0.20),
-        )
-    raise ValidationError(f"cell_class: must be 'macro' or 'small', got {cell_class!r}")
+
+def default_table1(cell_class: str) -> CellParams:
+    """Default parameters of the "macro" or "small" cell class, a shared
+    frozen record."""
+    cell = _TABLE1.get(cell_class) if isinstance(cell_class, str) else None
+    if cell is None:
+        raise ValidationError(f"cell_class: must be 'macro' or 'small', got {cell_class!r}")
+    return cell
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Checked):
     """Complete description of one backhaul evaluation."""
 
     architecture: Architecture
-    band: FrequencyBand = field(default_factory=lambda: FrequencyBand(5.8e9))
+    band_hz: float = DEFAULT_BAND_HZ       # carrier of the backhaul links
     macro: CellParams | None = None        # required iff architecture is Central
-    small: CellParams = field(
-        default_factory=lambda: default_table1("small"))
+    small: CellParams = _TABLE1["small"]
     path_loss_alpha: float = DEFAULT_ALPHA
     tx_anchor: TxAnchor = DEFAULT_TX_ANCHOR
     overhead_s1: float = DEFAULT_OVERHEAD_S1
     overhead_x2: float = DEFAULT_OVERHEAD_X2
 
+    # messages name the JSON document's keys
+    _rules = (("band_hz", "band_hz", _POSITIVE),
+              ("path_loss_alpha", "alpha", _POSITIVE),
+              ("overhead_s1", "overheads.s1", _UNIT),
+              ("overhead_x2", "overheads.x2", _UNIT))
+
     def __post_init__(self):
         if not isinstance(self.architecture, (Central, Distribution)):
             raise ValidationError("architecture: must be Central or Distribution")
-        _require(_is_num(self.path_loss_alpha) and self.path_loss_alpha > 0,
-                 "alpha", "must be a number > 0")
-        for name in ("overhead_s1", "overhead_x2"):
-            v = getattr(self, name)
-            _require(_is_num(v) and 0 <= v < 1, name, "must be a number in [0, 1)")
+        super().__post_init__()
         if isinstance(self.architecture, Central):
             if self.macro is None:
-                object.__setattr__(self, "macro", default_table1("macro"))
+                object.__setattr__(self, "macro", _TABLE1["macro"])
         elif self.macro is not None:
             raise ValidationError(
                 "macro: not allowed for the distribution architecture")
@@ -356,14 +341,13 @@ _NESTED = {"spectrum_eff": _SPECTRUM_EFFS, "power_curve": PowerCurve,
 
 
 def _layout(cls) -> tuple:
-    """(allowed keys, ((key, kind, default), ...), nested keys) of a JSON record.
+    """(allowed keys, ((key, nested, default), ...), nested keys) of a JSON record.
 
     A record's JSON keys are its dataclass fields, in declaration order,
-    plus "type" for a tagged union member; kind is int, float or the
-    field's _NESTED entry, and default is the dataclass default or MISSING.
+    plus "type" for a tagged union member; nested is the field's _NESTED
+    entry or None, and default is the dataclass default or MISSING.
     """
-    table = tuple((f.name, _NESTED.get(f.name, int if f.type == "int" else float), f.default)
-                  for f in fields(cls))
+    table = tuple((f.name, _NESTED.get(f.name), f.default) for f in fields(cls))
     keys = {name for name, _, _ in table} | ({"type"} if cls in _TAGS else set())
     return frozenset(keys), table, tuple(name for name in _NESTED if name in keys)
 
@@ -382,19 +366,13 @@ def _as_dict(obj, where: str) -> dict:
     return obj
 
 
-def _num(obj: dict, key: str, where: str, default):
-    v = obj.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"{where}.{key}: must be a number")
-    return v
-
-
 def _read(kind, obj, where: str, defaults=None):
     """Build a record (kind is its class) or a tagged union member (kind is a
     {type: class} map) from a JSON object.
 
     Keys the object omits come from defaults, else from the dataclass
-    defaults; a key with neither is an error.
+    defaults; a key with neither is an error.  The record checks its own
+    values; its error gets the object's JSON path as a prefix.
     """
     d = _as_dict(obj, where)
     cls = kind
@@ -407,22 +385,19 @@ def _read(kind, obj, where: str, defaults=None):
     allowed, table, _ = _RECORDS[cls]
     _check_keys(d, allowed, where)
     values = []
-    for key, sub, default in table:
+    for key, nested, default in table:
         v = d.get(key, MISSING)
-        if sub is int:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{where}.{key}: must be an integer")
-        elif v is MISSING:
+        if v is MISSING:
             v = default if defaults is None else getattr(defaults, key)
             if v is MISSING:
                 raise ValidationError(f"{where}.{key}: missing")
-        elif sub is float:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValidationError(f"{where}.{key}: must be a number")
-        else:
-            v = _read(sub, v, f"{where}.{key}")
+        elif nested is not None:
+            v = _read(nested, v, f"{where}.{key}")
         values.append(v)
-    return cls(*values)
+    try:
+        return cls(*values)
+    except ValidationError as e:
+        raise ValidationError(f"{where}.{e}") from e
 
 
 def _write(record) -> dict:
@@ -444,15 +419,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if "architecture" not in d:
         raise ValidationError("architecture: missing")
     arch = _read(_ARCHITECTURES, d["architecture"], "architecture")
-    band = FrequencyBand(_num(d, "band_hz", "config", 5.8e9))
 
     # ScenarioConfig fills the default macro cell, or rejects one for the
     # distribution architecture
     macro = None
     if "macro" in d:
-        macro = _read(CellParams, d["macro"], "macro", default_table1("macro"))
+        macro = _read(CellParams, d["macro"], "macro", _TABLE1["macro"])
 
-    small = default_table1("small")
+    small = _TABLE1["small"]
     if "small" in d:
         small = _read(CellParams, d["small"], "small", small)
 
@@ -460,28 +434,27 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if "tx_anchor" in d:
         anchor = _read(TxAnchor, d["tx_anchor"], "tx_anchor")
 
-    s1, x2 = DEFAULT_OVERHEAD_S1, DEFAULT_OVERHEAD_X2
-    if "overheads" in d:
-        o = _as_dict(d["overheads"], "overheads")
-        _check_keys(o, {"s1", "x2"}, "overheads")
-        s1 = _num(o, "s1", "overheads", DEFAULT_OVERHEAD_S1)
-        x2 = _num(o, "x2", "overheads", DEFAULT_OVERHEAD_X2)
+    o = _as_dict(d.get("overheads", {}), "overheads")
+    _check_keys(o, {"s1", "x2"}, "overheads")
 
-    return ScenarioConfig(architecture=arch, band=band, macro=macro, small=small,
-                          path_loss_alpha=_num(d, "alpha", "config", DEFAULT_ALPHA),
-                          tx_anchor=anchor, overhead_s1=s1, overhead_x2=x2)
+    return ScenarioConfig(architecture=arch, band_hz=d.get("band_hz", DEFAULT_BAND_HZ),
+                          macro=macro, small=small,
+                          path_loss_alpha=d.get("alpha", DEFAULT_ALPHA), tx_anchor=anchor,
+                          overhead_s1=o.get("s1", DEFAULT_OVERHEAD_S1),
+                          overhead_x2=o.get("x2", DEFAULT_OVERHEAD_X2))
 
 
 def load_scenario(source: str) -> ScenarioConfig:
     """Parse JSON config text into a validated ScenarioConfig.
 
     Omitted fields are filled with the calibration defaults.  Raises
-    ParseError for malformed JSON and ValidationError (naming the field)
-    for any invariant violation or unknown key.
+    ParseError for malformed or too deeply nested JSON and ValidationError
+    (naming the field's JSON path) for any invariant violation or unknown key.
     """
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested deeper than the parser's stack
         raise ParseError(f"invalid JSON: {e}") from e
     return scenario_from_dict(doc)
 
@@ -489,7 +462,7 @@ def load_scenario(source: str) -> ScenarioConfig:
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     doc = {
         "architecture": _write(cfg.architecture),
-        "band_hz": cfg.band.carrier_hz,
+        "band_hz": cfg.band_hz,
         "small": _write(cfg.small),
         "alpha": cfg.path_loss_alpha,
         "tx_anchor": _write(cfg.tx_anchor),

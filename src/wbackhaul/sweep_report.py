@@ -21,7 +21,6 @@ from .scenario import (
     ConfigError,
     Distribution,
     FixedSE,
-    FrequencyBand,
     ScenarioConfig,
     ShannonEdgeSE,
     ValidationError,
@@ -45,7 +44,7 @@ AXES = {
     "alpha": Axis(None, False, lambda cfg, v: replace(cfg, path_loss_alpha=v)),
     "small_se": Axis(None, False, lambda cfg, v: replace(
         cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v)))),
-    "band": Axis(None, False, lambda cfg, v: replace(cfg, band=FrequencyBand(v))),
+    "band": Axis(None, False, lambda cfg, v: replace(cfg, band_hz=v)),
     "small_radius": Axis(None, False, lambda cfg, v: replace(
         cfg, small=replace(cfg.small, radius_m=v))),
 }
@@ -63,6 +62,15 @@ FIG5_RADII_M = (20.0, 30.0, 40.0, 50.0, 75.0, 100.0)
 FIG5_ALPHA_RANGE = (2.5, 4.0)
 
 
+def _axis_pair(axis) -> tuple:
+    """(name, tuple of values) of one axis, or a ValidationError naming it."""
+    try:
+        name, values = axis
+        return name, tuple(values)
+    except (TypeError, ValueError):
+        raise ValidationError(f"axis {axis!r}: must be a (name, values) pair") from None
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """A base scenario and the (name, values) axes swept over it, first slowest."""
@@ -71,17 +79,21 @@ class SweepGrid:
     axes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple((n, tuple(v)) for n, v in self.axes))
+        object.__setattr__(self, "axes", tuple(_axis_pair(a) for a in self.axes))
         if not self.axes:
             raise ValidationError("axes: at least one axis is required")
         for i, (name, values) in enumerate(self.axes):
-            axis = AXES.get(name)
+            axis = AXES.get(name) if isinstance(name, str) else None
             if axis is None:
                 raise ValidationError(
                     f"axis: unknown axis {name!r}, expected one of {tuple(AXES)}")
             if len(values) == 0:
                 raise ValidationError(f"axis {name}: values must be non-empty")
-            if any(b <= a for a, b in zip(values, values[1:])):
+            try:
+                unordered = any(b <= a for a, b in zip(values, values[1:]))
+            except TypeError:   # values of types that do not compare
+                raise ValidationError(f"axis {name}: values must be numbers") from None
+            if unordered:
                 raise ValidationError(f"axis {name}: values must be strictly increasing")
             if axis.arch is not None and not isinstance(self.base.architecture, axis.arch):
                 raise ValidationError(
@@ -272,9 +284,8 @@ def table1_report(alpha: float = 3.2,
     for cell_class in ("macro", "small"):
         params = default_table1(cell_class)
         for band_hz in BANDS_HZ:
-            band = FrequencyBand(band_hz)
             ghz = band_hz / 1e9
-            tx = power_energy.tx_power(params.radius_m, band, alpha, anchor)
+            tx = power_energy.tx_power(params.radius_m, band_hz, alpha, anchor)
             tx_expected = _TABLE_TX_W[cell_class][band_hz]
             checks.append(CellCheck(
                 label=f"{cell_class} P_TX @ {ghz:g} GHz",

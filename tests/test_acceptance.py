@@ -90,10 +90,10 @@ def test_criterion_6_frequency_ordering():
     bands = (5.8e9, 28e9, 60e9)
     ok = True
     for n in (1, 10, 100, 1000):
-        e = [_eta_central(n, band=wb.FrequencyBand(f)) for f in bands]
+        e = [_eta_central(n, band_hz=f) for f in bands]
         ok = ok and e[0] > e[1] > e[2]
     for k in (1, 10, 100):
-        e = [_eta_dist(k, band=wb.FrequencyBand(f)) for f in bands]
+        e = [_eta_dist(k, band_hz=f) for f in bands]
         ok = ok and e[0] > e[1] > e[2]
     _report(6, "efficiency ordered 5.8 > 28 > 60 GHz for both architectures", ok)
 

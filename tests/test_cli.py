@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import wbackhaul
 from wbackhaul import power_energy
 from wbackhaul.cli import _parse_axis, main
-from wbackhaul.scenario import Central, FrequencyBand, ScenarioConfig
+from wbackhaul.scenario import Central, ScenarioConfig
 from wbackhaul.sweep_report import MAX_POINTS
 
 CENTRAL_100 = '{"architecture": {"type": "central", "n_small": 100}}'
@@ -70,6 +70,25 @@ def test_non_utf8_config_exits_1(tmp_path, capsys, argv):
                   .encode("latin-1"))
     assert main([a.format(cfg=p) for a in argv]) == 1
     assert "UTF-8" in capsys.readouterr().err
+
+
+_HUGE = "1" + "0" * 400   # a JSON number no float can hold
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"architecture": {"type": "central", "n_small": 1}, "alpha": %s}' % _HUGE,
+     "alpha: must be a number > 0"),
+    ('{"architecture": {"type": "central", "n_small": 1}, "small": {"radius_m": %s}}' % _HUGE,
+     "small.radius_m: must be a number > 0"),
+    ('{"architecture": {"type": "central", "n_small": 1}, "band_hz": %s}' % _HUGE,
+     "band_hz: must be a number > 0"),
+    ("[" * 100000 + "]" * 100000, "invalid JSON"),
+], ids=["alpha", "small.radius_m", "band_hz", "nested"])
+def test_eval_hostile_config_exits_1_naming_the_path(tmp_path, capsys, text, message):
+    p = tmp_path / "hostile.json"
+    p.write_text(text)
+    assert main(["eval", "--config", str(p)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(central_cfg, capsys):
@@ -134,7 +153,7 @@ def test_sweep_three_axes_match_efficiency(tmp_path, capsys):
     assert [(r["n_small"], r["alpha"], r["band"]) for r in rows] == points
     for row, (n, a, b) in zip(rows, points):
         res = power_energy.efficiency(ScenarioConfig(
-            architecture=Central(n), path_loss_alpha=a, band=FrequencyBand(b)))
+            architecture=Central(n), path_loss_alpha=a, band_hz=b))
         assert row["throughput_bps"] == res.throughput_bps
         assert row["system_energy_j"] == res.system_energy_j
         assert row["efficiency_bps_per_j"] == res.efficiency

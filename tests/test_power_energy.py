@@ -19,32 +19,36 @@ from wbackhaul.scenario import (
     EmbodiedAbsolute,
     EmbodiedFraction,
     FixedSE,
-    FrequencyBand,
     PowerCurve,
     ScenarioConfig,
+    TxAnchor,
     ValidationError,
     default_table1,
     load_scenario,
 )
 from wbackhaul.traffic import scenario_throughput
 
-B58, B28, B60 = (FrequencyBand(f) for f in (5.8e9, 28e9, 60e9))
+B58, B28, B60 = 5.8e9, 28e9, 60e9
 MACRO = default_table1("macro")
 SMALL = default_table1("small")
 
 
 def _energy(arch, band=B58):
-    return scenario_energy(ScenarioConfig(architecture=arch, band=band))
+    return scenario_energy(ScenarioConfig(architecture=arch, band_hz=band))
 
 
-@pytest.mark.parametrize("radius,band,expected_w", [
+_TX_CELLS = [
     (500.0, B58, 10.0),
     (500.0, B28, 233.0),
     (500.0, B60, 1070.0),
     (50.0, B58, 6.3e-3),
     (50.0, B28, 0.147),
     (50.0, B60, 0.675),
-])
+]
+
+
+@pytest.mark.parametrize("radius,band,expected_w", _TX_CELLS,
+                         ids=[f"{r}-band{i}-{w}" for i, (r, _, w) in enumerate(_TX_CELLS)])
 def test_tx_power_reproduces_published_cells(radius, band, expected_w):
     got = tx_power(radius, band, 3.2, DEFAULT_TX_ANCHOR)
     assert got == pytest.approx(expected_w, rel=5e-3)
@@ -62,6 +66,13 @@ def test_tx_power_alternative_anchor_is_band_flat():
     # and it does not hit the published 10 W at 500 m cell (that is why
     # the anchored default exists)
     assert tx_power(500.0, B58, 3.2, ANCHOR_40W_1KM) == pytest.approx(4.353, rel=1e-3)
+
+
+@pytest.mark.parametrize("band_hz", [-1.0, 0.0, math.nan])
+def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
+    # (-1 / 5.8e9) ** 2.5 is a complex number, not a power
+    with pytest.raises(ValidationError, match="band_hz"):
+        tx_power(50.0, band_hz, 3.2, TxAnchor(freq_exponent=2.5))
 
 
 def test_operating_power():
@@ -151,7 +162,7 @@ def test_efficiency_zero_spectrum_efficiency():
 def test_frequency_ordering(make):
     for count in (1, 10, 100):
         cfg = make(count)
-        e58, e28, e60 = (efficiency(replace(cfg, band=FrequencyBand(f))).efficiency
+        e58, e28, e60 = (efficiency(replace(cfg, band_hz=f)).efficiency
                          for f in (5.8e9, 28e9, 60e9))
         assert e58 > e28 > e60
 

@@ -10,7 +10,6 @@ from wbackhaul.scenario import (
     Central,
     Distribution,
     FixedSE,
-    FrequencyBand,
     ScenarioConfig,
     ValidationError,
 )
@@ -66,6 +65,18 @@ def test_unknown_axis_rejected():
         SweepGrid(CENTRAL, (("macro_radius", (1, 2)),))
 
 
+@pytest.mark.parametrize("axes,named", [
+    ((("n_small", 5),), "n_small"),            # values not iterable
+    ((("n_small",),), "n_small"),              # no values
+    ("ab", "'a'"),                             # not (name, values) pairs
+    ((("alpha", (3.0, "x")),), "alpha"),       # values that do not compare
+    ((([1], (1,)),), r"\[1\]"),                # a name that is not a string
+], ids=["values-not-iterable", "no-values", "string", "non-numeric", "name-not-str"])
+def test_malformed_axes_are_validation_errors_naming_the_axis(axes, named):
+    with pytest.raises(ValidationError, match=f"axis.*{named}"):
+        SweepGrid(CENTRAL, axes)
+
+
 def test_grid_point_errors_are_tagged():
     grid = SweepGrid(CENTRAL, (("small_se", (-2.0, 5.0)),))
     with pytest.raises(ValidationError, match=r"small_se=-2"):
@@ -100,7 +111,7 @@ def test_sweep_rows_equal_independent_evaluation():
     for n in ns:
         for b in bands:
             cfg = replace(CENTRAL, architecture=Central(int(n)),
-                          band=FrequencyBand(b))
+                          band_hz=b)
             res = power_energy.efficiency(cfg)
             row = rows[i]
             assert row.axis_values == (n, b)
@@ -118,7 +129,7 @@ def test_three_axis_sweep_matches_standalone_evaluation():
     assert [r.axis_values for r in rows] == points
     for row, (n, a, b) in zip(rows, points):
         cfg = replace(CENTRAL, architecture=Central(n), path_loss_alpha=a,
-                      band=FrequencyBand(b))
+                      band_hz=b)
         res = power_energy.efficiency(cfg)
         assert (row.throughput_bps, row.system_energy_j, row.efficiency) == (
             res.throughput_bps, res.system_energy_j, res.efficiency)
