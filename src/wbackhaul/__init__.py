@@ -28,6 +28,7 @@ from .scenario import (
     EmbodiedFraction,
     EnergyBreakdown,
     FixedSE,
+    Overheads,
     ParseError,
     PowerCurve,
     ScenarioConfig,

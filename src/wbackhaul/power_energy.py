@@ -95,7 +95,7 @@ def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
 
 def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of this class."""
-    p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.path_loss_alpha, cfg.tx_anchor)
+    p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
     e_op = operating_power(cell.power_curve, p_tx) * cell.lifetime_s
     return e_op, embodied_energy(cell.embodied, e_op)
 

@@ -2,26 +2,20 @@
 
 All quantities are SI: Hz, meters, Watts, Joules, seconds, bit/s.
 Every type is a frozen dataclass and safe to share between threads.
+An input record's fields are its JSON keys: one {field: rule} table per
+record checks its values, reads it from a document and writes it back.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
 
 _FLOAT_MAX = sys.float_info.max
-
-# S1 feeder protocol overhead and X2 handover overhead, as fractions of
-# the user-plane cell throughput.
-DEFAULT_OVERHEAD_S1 = 0.10
-DEFAULT_OVERHEAD_X2 = 0.04
-
-DEFAULT_ALPHA = 3.2  # urban path loss exponent
-DEFAULT_BAND_HZ = 5.8e9  # the carrier of the calibration table's anchor
 
 
 class ConfigError(ValueError):
@@ -36,7 +30,7 @@ class ValidationError(ConfigError):
     """A structurally valid config violates a field invariant."""
 
 
-# Field rules, (types, low, high, message): a value passes when it is an
+# Number rules, (types, low, high, message): a value passes when it is an
 # instance of types but not a bool, and low <= value <= high.  This number
 # test never raises: the chained comparison is False for NaN and for an
 # int too large for a float, so every accepted value fits a float (a count
@@ -52,22 +46,50 @@ _COUNT = (int, 0, _FLOAT_MAX, "must be an integer >= 0")
 _COUNT_1 = (int, 1, _FLOAT_MAX, "must be an integer >= 1")
 
 
-def _each(rule, *names) -> tuple:
-    """(field, message name, rule) rows for fields that messages name as is."""
-    return tuple((name, name, rule) for name in names)
-
-
 class _Checked:
-    """Base of the input records: one check of each field against the
-    (field, message name, rule) rows of the class's _rules."""
+    """Base of the input records.
 
-    _rules = ()
+    _rules maps every field, in declaration order, to its rule: a number
+    rule, a record class, or a {tag: class} tagged union, whose JSON
+    object names its class by the tag in its "type" key.  A record field
+    that defaults to None may also be None.
+    """
+
+    _rules = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # flat rows, built once per class: every replace() of a sweep point
+        # runs __post_init__ and every object of a document runs _read.
+        # _fields: (field, record rule or None, default) for the reader;
+        # _records: (field, types, message, {class: tag} or None);
+        # _numbers: (field, *number rule); _keys_with_type: a union member's JSON keys.
+        cls._keys_with_type = frozenset(cls._rules) | {"type"}
+        fields, records, numbers = [], [], []
+        for name, rule in cls._rules.items():
+            default = getattr(cls, name, MISSING)  # a dataclass default is a class attribute
+            if isinstance(rule, tuple):
+                fields.append((name, None, default))
+                numbers.append((name, *rule))
+                continue
+            fields.append((name, rule, default))
+            union = isinstance(rule, dict)
+            types = tuple(rule.values()) if union else (rule,)
+            message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
+            if default is None:
+                types, message = types + (type(None),), message + " or None"
+            tags = {c: tag for tag, c in rule.items()} if union else None
+            records.append((name, types, message, tags))
+        cls._fields, cls._records, cls._numbers = tuple(fields), tuple(records), tuple(numbers)
 
     def __post_init__(self):
-        for name, label, (types, low, high, message) in self._rules:
+        for name, types, message, _ in self._records:
+            if not isinstance(getattr(self, name), types):
+                raise ValidationError(message)
+        for name, types, low, high, message in self._numbers:
             v = getattr(self, name)
             if not (isinstance(v, types) and not isinstance(v, bool) and low <= v <= high):
-                raise ValidationError(f"{label}: {message}")
+                raise ValidationError(f"{name}: {message}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +99,7 @@ class PowerCurve(_Checked):
     slope_a: float        # dimensionless
     offset_b_w: float     # Watt, draw at zero transmit power
 
-    _rules = _each(_POSITIVE, "slope_a", "offset_b_w")
+    _rules = {"slope_a": _POSITIVE, "offset_b_w": _POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -94,8 +116,8 @@ class TxAnchor(_Checked):
     carrier_hz: float = 5.8e9
     freq_exponent: float = 2.0
 
-    _rules = (_each(_POSITIVE, "power_w", "radius_m", "carrier_hz")
-              + _each(_NON_NEGATIVE, "freq_exponent"))
+    _rules = {"power_w": _POSITIVE, "radius_m": _POSITIVE, "carrier_hz": _POSITIVE,
+              "freq_exponent": _NON_NEGATIVE}
 
 
 # Default anchor: reproduces the published calibration table
@@ -110,13 +132,24 @@ ANCHOR_40W_1KM = TxAnchor(power_w=40.0, radius_m=1000.0,
 
 
 @dataclass(frozen=True)
+class Overheads(_Checked):
+    """S1 feeder protocol overhead and X2 handover overhead, as fractions
+    of the user-plane cell throughput."""
+
+    s1: float = 0.10
+    x2: float = 0.04
+
+    _rules = {"s1": _UNIT, "x2": _UNIT}
+
+
+@dataclass(frozen=True)
 class EmbodiedAbsolute(_Checked):
     """Embodied energy given directly as initial + maintenance Joules."""
 
     init_j: float
     maint_j: float
 
-    _rules = _each(_NON_NEGATIVE, "init_j", "maint_j")
+    _rules = {"init_j": _NON_NEGATIVE, "maint_j": _NON_NEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -128,7 +161,7 @@ class EmbodiedFraction(_Checked):
 
     fraction: float
 
-    _rules = _each(_OPEN_UNIT, "fraction")
+    _rules = {"fraction": _OPEN_UNIT}
 
 
 EmbodiedRule = Union[EmbodiedAbsolute, EmbodiedFraction]
@@ -140,7 +173,7 @@ class FixedSE(_Checked):
 
     bit_per_s_per_hz: float
 
-    _rules = _each(_NON_NEGATIVE, "bit_per_s_per_hz")
+    _rules = {"bit_per_s_per_hz": _NON_NEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -154,7 +187,7 @@ class ShannonEdgeSE(_Checked):
     calibration_se: float        # bit/s/Hz at the reference radius
     ref_radius_m: float = 50.0
 
-    _rules = _each(_POSITIVE, "calibration_se", "ref_radius_m")
+    _rules = {"calibration_se": _POSITIVE, "ref_radius_m": _POSITIVE}
 
 
 SpectrumEffSource = Union[FixedSE, ShannonEdgeSE]
@@ -171,7 +204,13 @@ class CellParams(_Checked):
     lifetime_s: float
     embodied: EmbodiedRule
 
-    _rules = _each(_POSITIVE, "bandwidth_hz", "radius_m", "lifetime_s")
+    _rules = {"bandwidth_hz": _POSITIVE,
+              "spectrum_eff": {"fixed": FixedSE, "shannon_edge": ShannonEdgeSE},
+              "radius_m": _POSITIVE,
+              "power_curve": PowerCurve,
+              "lifetime_s": _POSITIVE,
+              "embodied": {"absolute": EmbodiedAbsolute,
+                           "fraction_of_total": EmbodiedFraction}}
 
 
 @dataclass(frozen=True)
@@ -180,7 +219,7 @@ class Central(_Checked):
 
     n_small: int
 
-    _rules = _each(_COUNT, "n_small")
+    _rules = {"n_small": _COUNT}
 
 
 @dataclass(frozen=True)
@@ -189,7 +228,7 @@ class Distribution(_Checked):
 
     k_cluster: int
 
-    _rules = _each(_COUNT_1, "k_cluster")
+    _rules = {"k_cluster": _COUNT_1}
 
 
 Architecture = Union[Central, Distribution]
@@ -244,24 +283,25 @@ class ScenarioConfig(_Checked):
     """Complete description of one backhaul evaluation."""
 
     architecture: Architecture
-    band_hz: float = DEFAULT_BAND_HZ       # carrier of the backhaul links
-    macro: CellParams | None = None        # required iff architecture is Central
+    band_hz: float = 5.8e9                 # carrier of the backhaul links
     small: CellParams = _TABLE1["small"]
-    path_loss_alpha: float = DEFAULT_ALPHA
+    alpha: float = 3.2                     # urban path loss exponent
     tx_anchor: TxAnchor = DEFAULT_TX_ANCHOR
-    overhead_s1: float = DEFAULT_OVERHEAD_S1
-    overhead_x2: float = DEFAULT_OVERHEAD_X2
+    overheads: Overheads = Overheads()
+    macro: CellParams | None = None        # required iff architecture is Central
 
-    # messages name the JSON document's keys
-    _rules = (("band_hz", "band_hz", _POSITIVE),
-              ("path_loss_alpha", "alpha", _POSITIVE),
-              ("overhead_s1", "overheads.s1", _UNIT),
-              ("overhead_x2", "overheads.x2", _UNIT))
+    _rules = {"architecture": {"central": Central, "distribution": Distribution},
+              "band_hz": _POSITIVE,
+              "small": CellParams,
+              "alpha": _POSITIVE,
+              "tx_anchor": TxAnchor,
+              "overheads": Overheads,
+              "macro": CellParams}
 
     def __post_init__(self):
-        if not isinstance(self.architecture, (Central, Distribution)):
-            raise ValidationError("architecture: must be Central or Distribution")
         super().__post_init__()
+        # the one cross-field rule: fill the default macro cell, or reject
+        # one for the distribution architecture
         if isinstance(self.architecture, Central):
             if self.macro is None:
                 object.__setattr__(self, "macro", _TABLE1["macro"])
@@ -304,144 +344,64 @@ class EnergyBreakdown:
 
 # ---------------------------------------------------------------------------
 # JSON loading / serialization
-#
-# Document layout (all keys optional except architecture; unknown keys are
-# rejected at every level):
-#
-#   {"architecture": {"type": "central", "n_small": 100},
-#    "band_hz": 5.8e9,
-#    "macro": { ...cell... },        # central only
-#    "small": { ...cell... },
-#    "alpha": 3.2,
-#    "tx_anchor": {"power_w": 10, "radius_m": 500,
-#                  "carrier_hz": 5.8e9, "freq_exponent": 2},
-#    "overheads": {"s1": 0.10, "x2": 0.04}}
-#
-#   cell: {"bandwidth_hz": 1e8,
-#          "spectrum_eff": {"type": "fixed", "bit_per_s_per_hz": 5}
-#                        | {"type": "shannon_edge", "calibration_se": 5,
-#                           "ref_radius_m": 50},
-#          "radius_m": 50,
-#          "power_curve": {"slope_a": 7.84, "offset_b_w": 71.5},
-#          "lifetime_s": 1.5768e8,
-#          "embodied": {"type": "absolute", "init_j": 75e9, "maint_j": 10e9}
-#                    | {"type": "fraction_of_total", "fraction": 0.2}}
 # ---------------------------------------------------------------------------
 
-# Tagged unions: the "type" value of a JSON object -> its record class.
-_ARCHITECTURES = {"central": Central, "distribution": Distribution}
-_SPECTRUM_EFFS = {"fixed": FixedSE, "shannon_edge": ShannonEdgeSE}
-_EMBODIED = {"absolute": EmbodiedAbsolute, "fraction_of_total": EmbodiedFraction}
-_TAGS = {cls: tag for union in (_ARCHITECTURES, _SPECTRUM_EFFS, _EMBODIED)
-         for tag, cls in union.items()}
-
-# Record fields whose JSON value is itself a record or a tagged union.
-_NESTED = {"spectrum_eff": _SPECTRUM_EFFS, "power_curve": PowerCurve,
-           "embodied": _EMBODIED}
-
-
-def _layout(cls) -> tuple:
-    """(allowed keys, ((key, nested, default), ...), nested keys) of a JSON record.
-
-    A record's JSON keys are its dataclass fields, in declaration order,
-    plus "type" for a tagged union member; nested is the field's _NESTED
-    entry or None, and default is the dataclass default or MISSING.
-    """
-    table = tuple((f.name, _NESTED.get(f.name), f.default) for f in fields(cls))
-    keys = {name for name, _, _ in table} | ({"type"} if cls in _TAGS else set())
-    return frozenset(keys), table, tuple(name for name in _NESTED if name in keys)
-
-
-_RECORDS = {cls: _layout(cls) for cls in (PowerCurve, TxAnchor, CellParams, *_TAGS)}
-
-
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    if not obj.keys() <= allowed:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(obj.keys() - allowed)}")
-
-
-def _as_dict(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: must be an object")
-    return obj
-
-
-def _read(kind, obj, where: str, defaults=None):
+def _read(kind, obj, prefix: str, defaults=None):
     """Build a record (kind is its class) or a tagged union member (kind is a
-    {type: class} map) from a JSON object.
+    {tag: class} map) from the JSON object at key path prefix: "" for the
+    document, else the object's path and a dot.
 
     Keys the object omits come from defaults, else from the dataclass
     defaults; a key with neither is an error.  The record checks its own
     values; its error gets the object's JSON path as a prefix.
     """
-    d = _as_dict(obj, where)
-    cls = kind
-    if isinstance(kind, dict):
-        tag = d.get("type")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{prefix[:-1] or 'config'}: must be an object")
+    cls, tagged = kind, isinstance(kind, dict)
+    if tagged:
+        tag = obj.get("type")
         cls = kind.get(tag) if isinstance(tag, str) else None
         if cls is None:
             raise ValidationError(
-                f"{where}.type: must be {' or '.join(repr(t) for t in kind)}")
-    allowed, table, _ = _RECORDS[cls]
-    _check_keys(d, allowed, where)
+                f"{prefix}type: must be {' or '.join(repr(t) for t in kind)}")
+    allowed = cls._keys_with_type if tagged else cls._rules.keys()
+    if not obj.keys() <= allowed:
+        raise ValidationError(f"{prefix[:-1] or 'config'}: unknown key(s) "
+                              f"{sorted(obj.keys() - allowed)}")
     values = []
-    for key, nested, default in table:
-        v = d.get(key, MISSING)
+    for key, nested, default in cls._fields:
+        v = obj.get(key, MISSING)
         if v is MISSING:
             v = default if defaults is None else getattr(defaults, key)
             if v is MISSING:
-                raise ValidationError(f"{where}.{key}: missing")
+                raise ValidationError(f"{prefix}{key}: missing")
         elif nested is not None:
-            v = _read(nested, v, f"{where}.{key}")
+            # a cell object fills the keys it omits from the Table-1 cell of its class
+            v = _read(nested, v, f"{prefix}{key}.", _TABLE1.get(key))
         values.append(v)
     try:
         return cls(*values)
     except ValidationError as e:
-        raise ValidationError(f"{where}.{e}") from e
+        raise ValidationError(f"{prefix}{e}") from e
 
 
-def _write(record) -> dict:
-    """JSON object of a record: its "type" tag if it has one, then its fields."""
-    cls = type(record)
-    tag = _TAGS.get(cls)
+def _write(record, tags=None) -> dict:
+    """JSON object of a record: its "type" tag if it is a tagged union member
+    (tags maps its class to the tag), then its fields in declaration order,
+    leaving out a None record."""
     # a dataclass instance's __dict__ holds its fields in declaration order
-    doc = vars(record).copy() if tag is None else {"type": tag, **vars(record)}
-    for key in _RECORDS[cls][2]:
-        doc[key] = _write(doc[key])
+    doc = vars(record).copy() if tags is None else {"type": tags[type(record)], **vars(record)}
+    for key, _, _, key_tags in record._records:
+        if doc[key] is None:
+            del doc[key]
+        else:
+            doc[key] = _write(doc[key], key_tags)
     return doc
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON document."""
-    d = _as_dict(doc, "config")
-    _check_keys(d, {"architecture", "band_hz", "macro", "small", "alpha",
-                    "tx_anchor", "overheads"}, "config")
-    if "architecture" not in d:
-        raise ValidationError("architecture: missing")
-    arch = _read(_ARCHITECTURES, d["architecture"], "architecture")
-
-    # ScenarioConfig fills the default macro cell, or rejects one for the
-    # distribution architecture
-    macro = None
-    if "macro" in d:
-        macro = _read(CellParams, d["macro"], "macro", _TABLE1["macro"])
-
-    small = _TABLE1["small"]
-    if "small" in d:
-        small = _read(CellParams, d["small"], "small", small)
-
-    anchor = DEFAULT_TX_ANCHOR
-    if "tx_anchor" in d:
-        anchor = _read(TxAnchor, d["tx_anchor"], "tx_anchor")
-
-    o = _as_dict(d.get("overheads", {}), "overheads")
-    _check_keys(o, {"s1", "x2"}, "overheads")
-
-    return ScenarioConfig(architecture=arch, band_hz=d.get("band_hz", DEFAULT_BAND_HZ),
-                          macro=macro, small=small,
-                          path_loss_alpha=d.get("alpha", DEFAULT_ALPHA), tx_anchor=anchor,
-                          overhead_s1=o.get("s1", DEFAULT_OVERHEAD_S1),
-                          overhead_x2=o.get("x2", DEFAULT_OVERHEAD_X2))
+    return _read(ScenarioConfig, doc, "")
 
 
 def load_scenario(source: str) -> ScenarioConfig:
@@ -460,17 +420,7 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    doc = {
-        "architecture": _write(cfg.architecture),
-        "band_hz": cfg.band_hz,
-        "small": _write(cfg.small),
-        "alpha": cfg.path_loss_alpha,
-        "tx_anchor": _write(cfg.tx_anchor),
-        "overheads": {"s1": cfg.overhead_s1, "x2": cfg.overhead_x2},
-    }
-    if cfg.macro is not None:
-        doc["macro"] = _write(cfg.macro)
-    return doc
+    return _write(cfg)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:

@@ -41,7 +41,7 @@ AXES = {
                     lambda cfg, v: replace(cfg, architecture=Central(v))),
     "k_cluster": Axis(Distribution, True,
                       lambda cfg, v: replace(cfg, architecture=Distribution(v))),
-    "alpha": Axis(None, False, lambda cfg, v: replace(cfg, path_loss_alpha=v)),
+    "alpha": Axis(None, False, lambda cfg, v: replace(cfg, alpha=v)),
     "small_se": Axis(None, False, lambda cfg, v: replace(
         cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v)))),
     "band": Axis(None, False, lambda cfg, v: replace(cfg, band_hz=v)),
@@ -79,7 +79,12 @@ class SweepGrid:
     axes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(_axis_pair(a) for a in self.axes))
+        try:
+            axes = iter(self.axes)
+        except TypeError:
+            raise ValidationError(
+                f"axes: must be a tuple of (name, values) pairs, got {self.axes!r}") from None
+        object.__setattr__(self, "axes", tuple(_axis_pair(a) for a in axes))
         if not self.axes:
             raise ValidationError("axes: at least one axis is required")
         for i, (name, values) in enumerate(self.axes):

@@ -14,6 +14,7 @@ inputs reproduce positions bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,11 @@ from .scenario import ValidationError
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
 NEAREST_TO_CENTER = "nearest-to-center"
+
+# Largest coordinate magnitude, meters: squared distances between nodes (at
+# most 8 * _MAX_COORD_M**2) and the relay kernel's squared cell sizes then
+# stay finite.
+_MAX_COORD_M = 1e150
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,8 @@ def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValidationError("n: must be an integer >= 0")
-    if not (macro_radius_m > 0 and math.isfinite(macro_radius_m)):
-        raise ValidationError("macro_radius_m: must be a finite number > 0")
+    if not 0 < macro_radius_m <= _MAX_COORD_M:
+        raise ValidationError(f"macro_radius_m: must be a number in (0, {_MAX_COORD_M:g}]")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("seed: must be an integer >= 0")
     rng = np.random.default_rng(seed)
@@ -99,8 +105,9 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     """
     if placement.n == 0:
         raise ValidationError("placement: must contain at least one node")
-    if not np.isfinite(placement.positions).all():
-        raise ValidationError("positions: must be finite")
+    if not (np.abs(placement.positions) <= _MAX_COORD_M).all():
+        raise ValidationError(f"positions: coordinates must be finite, at most "
+                              f"{_MAX_COORD_M:g} m in magnitude")
     g = _gateway_index(placement, gateway)
     pts = placement.positions
     d_gw = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
@@ -120,12 +127,16 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     routed through it, so the gateway's incident edges together carry
     (n - 1) * per_cell_bps.
     """
-    if not (per_cell_bps >= 0 and math.isfinite(per_cell_bps)):
+    if not 0 <= per_cell_bps <= sys.float_info.max:
         raise ValidationError("per_cell_bps: must be a finite number >= 0")
-    sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent))
-    loads = per_cell_bps * sizes.astype(np.float64)
-    loads[tree.gateway_index] = 0.0
-    return replace(tree, link_load_bps=loads)
+    sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent)).astype(np.float64)
+    sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
+    # checked in Python floats: numpy's multiply would overflow with a warning
+    largest = float(sizes.max())
+    if not math.isfinite(float(per_cell_bps) * largest):
+        raise ValidationError(f"per_cell_bps: {per_cell_bps!r} bit/s on an edge "
+                              f"carrying {largest:.0f} stations overflows a float")
+    return replace(tree, link_load_bps=per_cell_bps * sizes)
 
 
 def gateway_ingress_bps(tree: RelayTree) -> float:

@@ -38,13 +38,12 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
     arch, small = cfg.architecture, cfg.small
-    s1, x2 = cfg.overhead_s1, cfg.overhead_x2
-    small_se = link_model.resolve_se(small.spectrum_eff, small.radius_m, cfg.path_loss_alpha)
+    s1, x2 = cfg.overheads.s1, cfg.overheads.x2
+    small_se = link_model.resolve_se(small.spectrum_eff, small.radius_m, cfg.alpha)
     if isinstance(arch, Central):
         count = arch.n_small
         macro = cfg.macro
-        macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m,
-                                         cfg.path_loss_alpha)
+        macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m, cfg.alpha)
         small_up, small_down = cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
         macro_up, macro_down = cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
     else:

@@ -110,16 +110,16 @@ def test_criterion_8_radius_crossover_under_shannon_se():
     for base in (CENTRAL, DIST):
         b = replace(base, small=replace(base.small, spectrum_eff=shannon))
         for r in (20.0, 30.0, 40.0):
-            e = [wb.efficiency(replace(b, path_loss_alpha=a,
+            e = [wb.efficiency(replace(b, alpha=a,
                                        small=replace(b.small, radius_m=r))).efficiency
                  for a in alphas]
             ok = ok and all(y > x for x, y in zip(e, e[1:]))
         for r in (75.0, 100.0):
-            e = [wb.efficiency(replace(b, path_loss_alpha=a,
+            e = [wb.efficiency(replace(b, alpha=a,
                                        small=replace(b.small, radius_m=r))).efficiency
                  for a in alphas]
             ok = ok and all(y < x for x, y in zip(e, e[1:]))
-        th50 = {wb.scenario_throughput(replace(b, path_loss_alpha=a,
+        th50 = {wb.scenario_throughput(replace(b, alpha=a,
                                                small=replace(b.small, radius_m=50.0))).total_bps
                 for a in alphas}
         ok = ok and len(th50) == 1

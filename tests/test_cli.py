@@ -153,7 +153,7 @@ def test_sweep_three_axes_match_efficiency(tmp_path, capsys):
     assert [(r["n_small"], r["alpha"], r["band"]) for r in rows] == points
     for row, (n, a, b) in zip(rows, points):
         res = power_energy.efficiency(ScenarioConfig(
-            architecture=Central(n), path_loss_alpha=a, band_hz=b))
+            architecture=Central(n), alpha=a, band_hz=b))
         assert row["throughput_bps"] == res.throughput_bps
         assert row["system_energy_j"] == res.system_energy_j
         assert row["efficiency_bps_per_j"] == res.efficiency
@@ -285,10 +285,13 @@ def test_topology_stdout_and_gateway_index(capsys):
     ("--seed", "-1", "seed"),
     ("--per-cell-bps", "nan", "per_cell_bps"),
     ("--per-cell-bps", "inf", "per_cell_bps"),
+    ("--per-cell-bps", "1e308", "per_cell_bps"),   # finite, but not times a subtree
+    ("--radius", "1e308", "macro_radius_m"),
 ])
 def test_topology_bad_input_names_field(flag, value, field, capsys):
     assert main(["topology", "--n", "20", flag, value, "--stdout"]) == 1
-    assert field in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and field in err
 
 
 def test_console_script_matches_library(tmp_path):
@@ -367,5 +370,34 @@ def test_sweep_argv_never_raises_and_writes_finite_numbers(sweep_configs, arch, 
     assert code in (0, 1, 2), argv
     if code == 0:
         assert all(math.isfinite(v) for v in _numbers_written(out.getvalue(), fmt)), argv
+    else:
+        assert out.getvalue() == "" and err.getvalue(), argv
+
+
+_TOPOLOGY_TOKENS = st.sampled_from((
+    "0", "1", "3", "17", "500", "2.5", "-1", "-0", "1e308", "-1e308", "1e150", "1e-320",
+    "10" * 200, "nan", "inf", "-inf", "", "x", "0x10", "1_0", "nearest-to-center"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 64),
+       flags=st.dictionaries(st.sampled_from(("--radius", "--seed", "--gateway",
+                                              "--per-cell-bps")), _TOPOLOGY_TOKENS),
+       joined=st.booleans())
+def test_topology_argv_never_raises_and_writes_strict_json(n, flags, joined):
+    argv = ["topology", "--n", str(n), "--stdout"]
+    for flag, token in flags.items():
+        # "--radius=-inf" passes a token argparse would take for a flag
+        argv += [f"{flag}={token}"] if joined else [flag, token]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "" and err.getvalue(), argv

@@ -20,6 +20,7 @@ from wbackhaul.scenario import (
     EmbodiedFraction,
     EnergyBreakdown,
     FixedSE,
+    Overheads,
     ParseError,
     PowerCurve,
     ScenarioConfig,
@@ -70,12 +71,11 @@ def test_defaults_band_independent():
 def test_load_minimal_central_fills_defaults():
     cfg = load_scenario('{"architecture": {"type": "central", "n_small": 100}}')
     assert cfg.architecture == Central(100)
-    assert cfg.path_loss_alpha == 3.2
+    assert cfg.alpha == 3.2
     assert cfg.band_hz == 5.8e9
     assert cfg.small.bandwidth_hz == 1e8
     assert cfg.macro.spectrum_eff == FixedSE(5.0)
-    assert cfg.overhead_s1 == 0.10
-    assert cfg.overhead_x2 == 0.04
+    assert cfg.overheads == Overheads(s1=0.10, x2=0.04)
     assert cfg.tx_anchor == TxAnchor(10.0, 500.0, 5.8e9, 2.0)
 
 
@@ -152,8 +152,8 @@ def test_validation_is_total_over_random_documents():
             cfg = scenario_from_dict(doc)
         except ValidationError:
             continue
-        assert cfg.path_loss_alpha > 0
-        assert 0 <= cfg.overhead_s1 < 1
+        assert cfg.alpha > 0
+        assert 0 <= cfg.overheads.s1 < 1
         assert cfg.band_hz > 0
 
 
@@ -271,7 +271,7 @@ def test_roundtrip_every_record_kind():
 
 
 # Where each input record sits in a document, and a valid JSON object for
-# it there; ScenarioConfig's rules already name document key paths.
+# it there.
 _RECORD_AT = {
     ScenarioConfig: ((), {}),
     Central: (("architecture",), {"type": "central", "n_small": 1}),
@@ -283,6 +283,7 @@ _RECORD_AT = {
     EmbodiedAbsolute: (("small", "embodied"), {"type": "absolute", "init_j": 1, "maint_j": 1}),
     EmbodiedFraction: (("small", "embodied"), {"type": "fraction_of_total", "fraction": 0.2}),
     TxAnchor: (("tx_anchor",), {}),
+    Overheads: (("overheads",), {}),
 }
 
 
@@ -292,29 +293,58 @@ def _set_path(doc: dict, path: tuple, value) -> None:
     doc[path[-1]] = value
 
 
-def test_every_numeric_field_has_exactly_one_rule():
+def _fields_ruled(number: bool) -> list:
+    """(record class, field) of every number field, or of every record-typed one."""
+    return [(cls, name) for cls in _RECORD_AT for name, rule in cls._rules.items()
+            if isinstance(rule, tuple) == number]
+
+
+def _record_id(v):
+    return v if isinstance(v, str) else v.__name__
+
+
+def test_every_field_has_exactly_one_rule():
     records = {v for v in vars(scenario).values()
                if isinstance(v, type) and dataclasses.is_dataclass(v)}
     # the breakdowns are model outputs, never read from a document
     assert records == set(_RECORD_AT) | {ThroughputBreakdown, EnergyBreakdown}
     for cls in _RECORD_AT:
-        numeric = sorted(f.name for f in dataclasses.fields(cls) if f.type in ("int", "float"))
-        assert sorted(name for name, _, _ in cls._rules) == numeric, cls.__name__
+        # in field order: the reader passes a record's values positionally
+        assert list(cls._rules) == [f.name for f in dataclasses.fields(cls)], cls.__name__
+        for f in dataclasses.fields(cls):
+            number = f.type in ("int", "float")
+            assert isinstance(cls._rules[f.name], tuple) == number, (cls.__name__, f.name)
 
 
-@pytest.mark.parametrize("cls,label", [(cls, label) for cls in _RECORD_AT
-                                       for _, label, _ in cls._rules],
-                         ids=lambda v: v if isinstance(v, str) else v.__name__)
-def test_huge_int_in_every_numeric_field_names_its_json_path(cls, label):
+@pytest.mark.parametrize("cls,name", _fields_ruled(number=True), ids=_record_id)
+def test_huge_int_in_every_numeric_field_names_its_json_path(cls, name):
     record_path, obj = _RECORD_AT[cls]
     doc = {"architecture": {"type": "central", "n_small": 1}}
     if record_path:
         _set_path(doc, record_path, dict(obj))
-    path = record_path + tuple(label.split("."))
+    path = record_path + (name,)
     _set_path(doc, path, 10 ** 400)
     with pytest.raises(ValidationError) as info:
         load_scenario(json.dumps(doc))
     assert str(info.value).startswith(".".join(path) + ": must be ")
+
+
+# A valid instance of each input record that has record-typed fields.
+_VALID = {ScenarioConfig: ScenarioConfig(architecture=Central(1)),
+          CellParams: default_table1("small")}
+
+
+@pytest.mark.parametrize("bad", [5, None, "x"], ids=["int", "None", "str"])
+@pytest.mark.parametrize("cls,name", _fields_ruled(number=False), ids=_record_id)
+def test_wrong_type_in_every_record_field_names_it(cls, name, bad):
+    valid = _VALID[cls]
+    if bad is None and getattr(cls, name, dataclasses.MISSING) is None:
+        # an optional record (macro): None is its default, filled or kept
+        assert replace(valid, **{name: None}) == valid
+        return
+    with pytest.raises(ValidationError) as info:
+        replace(valid, **{name: bad})
+    assert str(info.value).startswith(f"{name}: must be "), str(info.value)
 
 
 def _doc_paths(doc: dict, prefix: tuple = ()) -> list:

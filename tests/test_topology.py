@@ -266,7 +266,8 @@ def test_export_bytes_match_per_element_construction(placement):
             == json.dumps(_export_per_element(placement, tree), indent=2))
 
 
-@pytest.mark.parametrize("radius", [float("inf"), float("nan"), -1.0, 0.0])
+@pytest.mark.parametrize("radius", [float("inf"), float("nan"), -1.0, 0.0, 1e308,
+                                    pytest.param(10 ** 400, id="400-digits")])
 def test_place_rejects_bad_radius(radius):
     with pytest.raises(ValidationError, match="macro_radius_m"):
         place_uniform(10, radius, seed=0)
@@ -296,3 +297,29 @@ def test_tree_rejects_non_finite_positions(bad):
     pts[17, 1] = bad
     with pytest.raises(ValidationError, match="positions"):
         build_relay_tree(_placement(pts))
+
+
+@pytest.mark.parametrize("scale", [1e150, -1e150])
+def test_tree_bounds_coordinates_so_distances_square_finitely(scale):
+    pts = place_uniform(50, 1.0, seed=2).positions * scale
+    # at the bound every squared distance is finite; the suite turns a numpy
+    # overflow warning into an error
+    build_relay_tree(_placement(pts.copy()))
+    pts[17, 1] = 2 * scale
+    with pytest.raises(ValidationError, match="positions"):
+        build_relay_tree(_placement(pts))
+
+
+@pytest.mark.parametrize("bps", [1e308, pytest.param(10 ** 400, id="400-digits")])
+def test_link_loads_that_overflow_name_per_cell_bps(bps):
+    tree = build_relay_tree(place_uniform(50, 500.0, seed=0))
+    # raised before numpy's multiply, which would warn (an error in this suite)
+    with pytest.raises(ValidationError, match="per_cell_bps"):
+        link_loads(tree, bps)
+
+
+def test_link_loads_bound_ignores_the_gateway():
+    # the gateway's own subtree (all n nodes) carries no edge: with n = 2 the
+    # one edge holds 1 * 1e308, which fits
+    tree = link_loads(build_relay_tree(place_uniform(2, 500.0, seed=0)), 1e308)
+    assert sorted(tree.link_load_bps.tolist()) == [0.0, 1e308]
