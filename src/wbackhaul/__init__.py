@@ -46,7 +46,6 @@ from .sweep_report import (
     SweepGrid,
     SweepRow,
     Table1Report,
-    figure_dataset,
     figure_grid,
     run_sweep,
     table1_report,

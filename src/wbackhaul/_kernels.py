@@ -17,6 +17,8 @@ from math import isqrt
 
 import numpy as np
 
+from .scenario import ValidationError
+
 # Rows queried and candidate pairs gathered at once; they bound the
 # kernel's scratch memory whatever the number of nodes.
 _CHUNK_ROWS = 1 << 11
@@ -159,7 +161,8 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
 
     Leaf peeling: accumulate a node into its parent once all of its own
     children are done, so one O(n) pass suffices for any acyclic parent
-    array.
+    array.  A node on a cycle is never peeled; that is a ValidationError
+    naming parent.
     """
     par = parent.tolist()
     n = len(par)
@@ -177,6 +180,8 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
             pending[p] -= 1
             if pending[p] == 0:
                 stack.append(p)
+    if any(pending):
+        raise ValidationError("parent: has a cycle, so some nodes never reach the root")
     return np.array(sizes, dtype=np.int64)
 
 

@@ -8,8 +8,6 @@ parse error (also a failed verify-table1), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -53,15 +51,6 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _rows_text(fmt: str, grid, rows) -> str:
-    export = sweep_report.rows_to_csv if fmt == "csv" else sweep_report.rows_to_json
-    return export(grid, rows)
-
-
 def _emit(args, text: str) -> None:
     """Write machine output to --out and to stdout, whichever are given."""
     if not (args.out or args.stdout):
@@ -83,7 +72,7 @@ def _cmd_eval(args) -> int:
         "energy": asdict(res.energy),
     }
     if args.out or args.stdout:
-        _emit(args, _json_text(machine))
+        _emit(args, sweep_report.json_text(machine))
     if args.stdout:
         return 0
     arch = cfg.architecture
@@ -103,47 +92,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_axis(spec: str) -> tuple[str, tuple]:
-    if "=" not in spec:
-        raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
-    name, _, rhs = spec.partition("=")
-    name = name.strip()
-    axis = sweep_report.AXES.get(name)
-    integer = axis is not None and axis.integer
-
-    def conv(tok: str):
-        try:
-            v = int(tok) if integer else float(tok)
-            if integer or math.isfinite(v):
-                return v
-        except ValueError:
-            pass
-        raise ValidationError(f"axis {name}: bad number {tok!r}")
-
-    if ":" not in rhs:
-        return name, tuple(conv(tok) for tok in rhs.split(","))
-    parts = rhs.split(":")
-    if len(parts) != 3:
-        raise ValidationError(
-            f"axis {name}: expected <start>:<stop>:<step>, got {rhs!r}")
-    start, stop, step = (conv(p) for p in parts)
-    if step <= 0:
-        raise ValidationError(f"axis {name}: step must be > 0")
-    # a float range tolerates rounding up to 1e-9 of a step beyond stop
-    steps = (stop - start) // step if integer else (stop - start) / step + 1e-9
-    count = math.floor(min(steps, sweep_report.MAX_POINTS)) + 1 if steps >= 0 else 0
-    if count > sweep_report.MAX_POINTS:
-        raise ValidationError(
-            f"axis {name}: more than {sweep_report.MAX_POINTS} values")
-    # i == 0 is start itself, so a start of -0.0 keeps its sign
-    return name, tuple(start + i * step if i else start for i in range(count))
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(_read_text(args.config))
-    grid = sweep_report.SweepGrid(cfg, tuple(_parse_axis(spec) for spec in args.axis))
+    grid = sweep_report.SweepGrid(
+        cfg, tuple(sweep_report.parse_axis(spec) for spec in args.axis))
     rows = sweep_report.run_sweep(grid)
-    _emit(args, _rows_text(args.format, grid, rows))
+    _emit(args, getattr(sweep_report, f"rows_to_{args.format}")(grid, rows))
     if not args.stdout:
         print(f"swept {len(rows)} points over {'+'.join(grid.axis_names)}; "
               f"wrote {args.out}")
@@ -157,7 +111,7 @@ def _cmd_figures(args) -> int:
     for name in names:
         grid = sweep_report.figure_grid(name)
         rows = sweep_report.run_sweep(grid)
-        text = _rows_text(args.format, grid, rows)
+        text = getattr(sweep_report, f"rows_to_{args.format}")(grid, rows)
         if args.stdout:
             sys.stdout.write(text)
             return 0
@@ -175,28 +129,20 @@ def _cmd_verify_table1(args) -> int:
               f"({c.criterion}): {'pass' if c.passed else 'FAIL'}")
     print(f"{report.n_passed}/{len(report.checks)} cells pass")
     if args.out:
-        doc = [{"label": c.label, "computed": c.computed, "expected": c.expected,
-                "criterion": c.criterion, "passed": c.passed}
-               for c in report.checks]
-        _write_text(args.out, _json_text(doc))
+        _write_text(args.out, sweep_report.json_text([asdict(c) for c in report.checks]))
         print(f"wrote {args.out}")
     return 0 if report.passed else 1
 
 
 def _cmd_topology(args) -> int:
-    if args.gateway == topology.NEAREST_TO_CENTER:
+    try:
+        gateway = int(args.gateway)
+    except ValueError:   # a rule name; build_relay_tree rejects any other text
         gateway = args.gateway
-    else:
-        try:
-            gateway = int(args.gateway)
-        except ValueError:
-            raise ValidationError(
-                f"--gateway: expected '{topology.NEAREST_TO_CENTER}' or an index, "
-                f"got {args.gateway!r}") from None
     placement = topology.place_uniform(args.n, args.radius, args.seed)
     tree = topology.build_relay_tree(placement, gateway)
     tree = topology.link_loads(tree, args.per_cell_bps)
-    _emit(args, _json_text(topology.export_topology(placement, tree)))
+    _emit(args, sweep_report.json_text(topology.export_topology(placement, tree)))
     if args.stdout:
         return 0
     ingress = topology.gateway_ingress_bps(tree)

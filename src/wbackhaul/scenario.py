@@ -31,11 +31,20 @@ class ValidationError(ConfigError):
 
 
 # Number rules, (types, low, high, message): a value passes when it is an
-# instance of types but not a bool, and low <= value <= high.  This number
-# test never raises: the chained comparison is False for NaN and for an
-# int too large for a float, so every accepted value fits a float (a count
-# is multiplied into float totals).  An open bound is written as the
-# nearest float inside it, which is exact for ints and floats alike.
+# instance of types but not a bool, and low <= value <= high.  The chained
+# comparison never raises: it is False for NaN and for an int too large
+# for a float, so every accepted value fits a float (a count is multiplied
+# into float totals).  An open bound is written as the nearest float
+# inside it, which is exact for ints and floats alike.  topology checks
+# its library arguments with the same test.
+def _check_number(name: str, value, rule: tuple) -> None:
+    """Raise a ValidationError naming name unless value passes the number rule."""
+    types, low, high, message = rule
+    if not (isinstance(value, types) and not isinstance(value, bool)
+            and low <= value <= high):
+        raise ValidationError(f"{name}: {message}")
+
+
 _ABOVE_0 = math.nextafter(0.0, 1.0)
 _BELOW_1 = math.nextafter(1.0, 0.0)
 _POSITIVE = ((int, float), _ABOVE_0, _FLOAT_MAX, "must be a number > 0")
@@ -63,14 +72,14 @@ class _Checked:
         # runs __post_init__ and every object of a document runs _read.
         # _fields: (field, record rule or None, default) for the reader;
         # _records: (field, types, message, {class: tag} or None);
-        # _numbers: (field, *number rule); _keys_with_type: a union member's JSON keys.
+        # _numbers: (field, number rule); _keys_with_type: a union member's JSON keys.
         cls._keys_with_type = frozenset(cls._rules) | {"type"}
         fields, records, numbers = [], [], []
         for name, rule in cls._rules.items():
             default = getattr(cls, name, MISSING)  # a dataclass default is a class attribute
             if isinstance(rule, tuple):
                 fields.append((name, None, default))
-                numbers.append((name, *rule))
+                numbers.append((name, rule))
                 continue
             fields.append((name, rule, default))
             union = isinstance(rule, dict)
@@ -86,10 +95,8 @@ class _Checked:
         for name, types, message, _ in self._records:
             if not isinstance(getattr(self, name), types):
                 raise ValidationError(message)
-        for name, types, low, high, message in self._numbers:
-            v = getattr(self, name)
-            if not (isinstance(v, types) and not isinstance(v, bool) and low <= v <= high):
-                raise ValidationError(f"{name}: {message}")
+        for name, rule in self._numbers:
+            _check_number(name, getattr(self, name), rule)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Parameter-sweep engine, preset figure datasets, and the calibration report.
+"""Parameter-sweep engine, figure presets, calibration report, JSON output.
 
 A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
-axes' cross product, the first axis varying slowest.  The figure
+axes' cross product, the first axis varying slowest.  parse_axis reads
+an axis from its spec, for the CLI and the figure presets alike.  The
 presets reproduce the qualitative curves the model is known for:
 throughput vs. cell count, efficiency vs. cell count per band, and
 efficiency vs. path loss exponent per small-cell radius.
@@ -52,14 +53,46 @@ AXES = {
 # Largest grid a sweep builds, per axis and over the whole cross product.
 MAX_POINTS = 10**6
 
-# The carrier bands of the published calibration table; also the curve
-# families of the fig4 datasets.
+# The carrier bands of the published calibration table.
 BANDS_HZ = (5.8e9, 28e9, 60e9)
 
-# Curve-family presets for the figure datasets.
-FIG3_SE_VALUES = (1.0, 2.5, 5.0, 7.5, 10.0)
-FIG5_RADII_M = (20.0, 30.0, 40.0, 50.0, 75.0, 100.0)
-FIG5_ALPHA_RANGE = (2.5, 4.0)
+
+def parse_axis(spec: str) -> tuple[str, tuple]:
+    """(name, values) of one axis spec: name=start:stop:step, a range that
+    includes stop, or name=v1,v2,...  A station-count axis takes integers;
+    every other name takes finite floats."""
+    if "=" not in spec:
+        raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
+    name, _, rhs = spec.partition("=")
+    name = name.strip()
+    axis = AXES.get(name)
+    integer = axis is not None and axis.integer
+
+    def conv(tok: str):
+        try:
+            v = int(tok) if integer else float(tok)
+            if integer or math.isfinite(v):
+                return v
+        except ValueError:
+            pass
+        raise ValidationError(f"axis {name}: bad number {tok!r}")
+
+    if ":" not in rhs:
+        return name, tuple(conv(tok) for tok in rhs.split(","))
+    parts = rhs.split(":")
+    if len(parts) != 3:
+        raise ValidationError(
+            f"axis {name}: expected <start>:<stop>:<step>, got {rhs!r}")
+    start, stop, step = (conv(p) for p in parts)
+    if step <= 0:
+        raise ValidationError(f"axis {name}: step must be > 0")
+    # a float range tolerates rounding up to 1e-9 of a step beyond stop
+    steps = (stop - start) // step if integer else (stop - start) / step + 1e-9
+    count = math.floor(min(steps, MAX_POINTS)) + 1 if steps >= 0 else 0
+    if count > MAX_POINTS:
+        raise ValidationError(f"axis {name}: more than {MAX_POINTS} values")
+    # i == 0 is start itself, so a start of -0.0 keeps its sign
+    return name, tuple(start + i * step if i else start for i in range(count))
 
 
 def _axis_pair(axis) -> tuple:
@@ -124,16 +157,6 @@ class SweepRow:
     efficiency: float
 
 
-def apply_axis(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
-    """Base scenario with one named parameter replaced by value."""
-    if name not in AXES:
-        raise ValidationError(f"axis: unknown axis {name!r}")
-    try:
-        return AXES[name].apply(cfg, value)
-    except ConfigError as e:
-        raise ValidationError(f"grid point {name}={value!r}: {e}") from e
-
-
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every grid point, the first axis varying slowest; each axis
     value is applied once per point of the axes before it."""
@@ -142,17 +165,19 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
 
     def walk(cfg: ScenarioConfig, depth: int, point: tuple) -> None:
         name, values = grid.axes[depth]
+        apply = AXES[name].apply
         for v in values:
-            at = apply_axis(cfg, name, v)
-            if depth < last:
-                walk(at, depth + 1, point + (v,))
-                continue
             try:
-                res = power_energy.efficiency(at)
+                at = apply(cfg, v)
+                if depth == last:
+                    res = power_energy.efficiency(at)
             except ConfigError as e:
                 raise ValidationError(f"grid point {name}={v!r}: {e}") from e
-            rows.append(SweepRow(point + (v,), res.throughput_bps,
-                                 res.system_energy_j, res.efficiency))
+            if depth < last:
+                walk(at, depth + 1, point + (v,))
+            else:
+                rows.append(SweepRow(point + (v,), res.throughput_bps,
+                                     res.system_energy_j, res.efficiency))
 
     walk(grid.base, 0, ())
     return rows
@@ -167,20 +192,20 @@ _DISTRIBUTION = ScenarioConfig(architecture=Distribution(10))
 _SHANNON_SMALL = replace(_CENTRAL.small, spectrum_eff=ShannonEdgeSE(
     calibration_se=5.0, ref_radius_m=50.0))
 
-_N = ("n_small", tuple(range(0, 1001, 25)))
-_K = ("k_cluster", tuple(range(1, 101)))
-_ALPHA = ("alpha", tuple(
-    FIG5_ALPHA_RANGE[0] + i * 0.05
-    for i in range(int(round((FIG5_ALPHA_RANGE[1] - FIG5_ALPHA_RANGE[0]) / 0.05)) + 1)))
-_RADIUS = ("small_radius", FIG5_RADII_M)
+
+def _preset(base: ScenarioConfig, *specs: str) -> SweepGrid:
+    return SweepGrid(base, tuple(parse_axis(spec) for spec in specs))
+
 
 _FIGURE_GRIDS = {
-    "fig3a": SweepGrid(_CENTRAL, (_N, ("small_se", FIG3_SE_VALUES))),
-    "fig3b": SweepGrid(_DISTRIBUTION, (_K, ("small_se", FIG3_SE_VALUES))),
-    "fig4a": SweepGrid(_CENTRAL, (_N, ("band", BANDS_HZ))),
-    "fig4b": SweepGrid(_DISTRIBUTION, (_K, ("band", BANDS_HZ))),
-    "fig5a": SweepGrid(replace(_CENTRAL, small=_SHANNON_SMALL), (_ALPHA, _RADIUS)),
-    "fig5b": SweepGrid(replace(_DISTRIBUTION, small=_SHANNON_SMALL), (_ALPHA, _RADIUS)),
+    "fig3a": _preset(_CENTRAL, "n_small=0:1000:25", "small_se=1,2.5,5,7.5,10"),
+    "fig3b": _preset(_DISTRIBUTION, "k_cluster=1:100:1", "small_se=1,2.5,5,7.5,10"),
+    "fig4a": _preset(_CENTRAL, "n_small=0:1000:25", "band=5.8e9,28e9,60e9"),
+    "fig4b": _preset(_DISTRIBUTION, "k_cluster=1:100:1", "band=5.8e9,28e9,60e9"),
+    "fig5a": _preset(replace(_CENTRAL, small=_SHANNON_SMALL),
+                     "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
+    "fig5b": _preset(replace(_DISTRIBUTION, small=_SHANNON_SMALL),
+                     "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
 }
 
 FIGURES = tuple(_FIGURE_GRIDS)
@@ -193,11 +218,6 @@ def figure_grid(which: str) -> SweepGrid:
     return _FIGURE_GRIDS[which]
 
 
-def figure_dataset(which: str) -> list[SweepRow]:
-    """Rows of the preset grid for the named figure dataset."""
-    return run_sweep(figure_grid(which))
-
-
 # ---------------------------------------------------------------------------
 # Output formats
 # ---------------------------------------------------------------------------
@@ -205,34 +225,38 @@ def figure_dataset(which: str) -> list[SweepRow]:
 VALUE_COLUMNS = ("throughput_bps", "system_energy_j", "efficiency_bps_per_j")
 
 
-def _float_cell(v) -> str:
-    return format(float(v), ".17e")
+def json_text(doc) -> str:
+    """JSON text of a machine output: indent 2, LF-terminated.  A non-finite
+    number, which JSON cannot hold, is a ValidationError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ValidationError(f"output: {e}") from e
+
+
+def _columns(grid: SweepGrid) -> tuple[tuple[str, ...], list[type]]:
+    """Output column names and types: int for a station-count axis, else float."""
+    types = [int if AXES[name].integer else float for name in grid.axis_names]
+    return grid.axis_names + VALUE_COLUMNS, types + [float] * len(VALUE_COLUMNS)
+
+
+def _cells(row: SweepRow) -> tuple:
+    return (*row.axis_values, row.throughput_bps, row.system_energy_j, row.efficiency)
 
 
 def rows_to_csv(grid: SweepGrid, rows: list[SweepRow]) -> str:
-    """CSV text: axis columns then the three value columns, LF line endings."""
-    integer = [AXES[a].integer for a in grid.axis_names]
-    lines = [",".join(grid.axis_names + VALUE_COLUMNS)]
-    for row in rows:
-        cells = [str(int(v)) if i else _float_cell(v)
-                 for i, v in zip(integer, row.axis_values)]
-        cells += [_float_cell(v) for v in
-                  (row.throughput_bps, row.system_energy_j, row.efficiency)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV text: axis columns then the three value columns, LF line endings;
+    counts as integers, every other number in full-precision %.17e."""
+    names, types = _columns(grid)
+    template = ",".join("%d" if t is int else "%.17e" for t in types)
+    return "\n".join([",".join(names)] + [template % _cells(row) for row in rows]) + "\n"
 
 
 def rows_to_json(grid: SweepGrid, rows: list[SweepRow]) -> str:
     """JSON text mirroring the CSV rows as an array of objects."""
-    axis_value = [(a, int if AXES[a].integer else float) for a in grid.axis_names]
-    out = []
-    for row in rows:
-        obj = {a: cast(v) for (a, cast), v in zip(axis_value, row.axis_values)}
-        obj["throughput_bps"] = row.throughput_bps
-        obj["system_energy_j"] = row.system_energy_j
-        obj["efficiency_bps_per_j"] = row.efficiency
-        out.append(obj)
-    return json.dumps(out, indent=2) + "\n"
+    names, types = _columns(grid)
+    return json_text([{name: t(v) for name, t, v in zip(names, types, _cells(row))}
+                      for row in rows])
 
 
 # ---------------------------------------------------------------------------

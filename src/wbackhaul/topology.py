@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .scenario import ValidationError
+from .scenario import ValidationError, _check_number
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
@@ -30,6 +30,13 @@ NEAREST_TO_CENTER = "nearest-to-center"
 # most 8 * _MAX_COORD_M**2) and the relay kernel's squared cell sizes then
 # stay finite.
 _MAX_COORD_M = 1e150
+
+# Number rules of the library arguments, as in scenario; numpy scalars count.
+_REAL = (int, float, np.integer, np.floating)
+_INDEX = ((int, np.integer), 0, math.inf, "must be an integer >= 0")
+_RADIUS = (_REAL, math.nextafter(0.0, 1.0), _MAX_COORD_M,
+           f"must be a number in (0, {_MAX_COORD_M:g}]")
+_BPS = (_REAL, 0, sys.float_info.max, "must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,12 +79,9 @@ class RelayTree:
 
 def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValidationError("n: must be an integer >= 0")
-    if not 0 < macro_radius_m <= _MAX_COORD_M:
-        raise ValidationError(f"macro_radius_m: must be a number in (0, {_MAX_COORD_M:g}]")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError("seed: must be an integer >= 0")
+    _check_number("n", n, _INDEX)
+    _check_number("macro_radius_m", macro_radius_m, _RADIUS)
+    _check_number("seed", seed, _INDEX)
     rng = np.random.default_rng(seed)
     # Uniform over the disk: radius is R*sqrt(u), angle uniform.
     r = macro_radius_m * np.sqrt(rng.random(n))
@@ -87,13 +91,13 @@ def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
 
 
 def _gateway_index(placement: Placement, gateway) -> int:
-    if gateway == NEAREST_TO_CENTER:
+    if isinstance(gateway, str) and gateway == NEAREST_TO_CENTER:
         d2 = (placement.positions ** 2).sum(axis=1)
         return int(np.argmin(d2))  # first occurrence: smallest index on ties
-    g = int(gateway)
-    if not 0 <= g < placement.n:
-        raise ValidationError(f"gateway: index {g} out of range for n={placement.n}")
-    return g
+    _check_number("gateway", gateway, (
+        (int, np.integer), 0, placement.n - 1,
+        f"must be '{NEAREST_TO_CENTER}' or an integer index in [0, {placement.n})"))
+    return int(gateway)
 
 
 def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTree:
@@ -125,12 +129,18 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
 
     The edge above node i aggregates the traffic of i and every node
     routed through it, so the gateway's incident edges together carry
-    (n - 1) * per_cell_bps.
+    (n - 1) * per_cell_bps.  A hand-built tree must be one: each parent
+    -1 or a node index, the gateway the only root, and no cycle.
     """
-    if not 0 <= per_cell_bps <= sys.float_info.max:
-        raise ValidationError("per_cell_bps: must be a finite number >= 0")
-    sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent)).astype(np.float64)
-    sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
+    _check_number("per_cell_bps", per_cell_bps, _BPS)
+    parent = tree.parent
+    roots = np.flatnonzero(parent == -1)
+    if (parent.dtype.kind not in "iu" or ((parent < -1) | (parent >= tree.n)).any()
+            or roots.tolist() != [tree.gateway_index]):
+        raise ValidationError(f"parent: must hold node indices in [0, {tree.n}), and -1 "
+                              f"for the gateway {tree.gateway_index} alone")
+    sizes = _kernels.subtree_sizes(np.ascontiguousarray(parent)).astype(np.float64)
+    sizes[roots[0]] = 0.0  # the gateway has no edge above it
     # checked in Python floats: numpy's multiply would overflow with a warning
     largest = float(sizes.max())
     if not math.isfinite(float(per_cell_bps) * largest):

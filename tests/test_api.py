@@ -38,7 +38,6 @@ PACKAGE_NAMES = [
     "efficiency",
     "embodied_energy",
     "export_topology",
-    "figure_dataset",
     "figure_grid",
     "gateway_ingress_bps",
     "link_loads",

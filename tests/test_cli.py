@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,9 @@ from hypothesis import strategies as st
 
 import wbackhaul
 from wbackhaul import power_energy
-from wbackhaul.cli import _parse_axis, main
-from wbackhaul.scenario import Central, ScenarioConfig
-from wbackhaul.sweep_report import MAX_POINTS
+from wbackhaul.cli import main
+from wbackhaul.scenario import Central, ScenarioConfig, serialize_scenario
+from wbackhaul.sweep_report import MAX_POINTS, figure_grid, parse_axis
 
 CENTRAL_100 = '{"architecture": {"type": "central", "n_small": 100}}'
 DIST_10 = '{"architecture": {"type": "distribution", "k_cluster": 10}}'
@@ -196,9 +198,9 @@ def test_range_axis_matches_stepping_loop():
         start, step = rng.uniform(-50, 50), 10 ** rng.uniform(-3, 1)
         stop = start + rng.randint(0, 60) * step + rng.choice((0.0, 0.5 * step))
         spec = f"alpha={start!r}:{stop!r}:{step!r}"
-        assert _parse_axis(spec) == ("alpha", _loop_values(start, stop, step)), spec
+        assert parse_axis(spec) == ("alpha", _loop_values(start, stop, step)), spec
     for start, stop, step in ((0, 100, 25), (3, 50, 7), (5, 4, 1), (1, 1, 3)):
-        assert _parse_axis(f"k_cluster={start}:{stop}:{step}")[1] == tuple(
+        assert parse_axis(f"k_cluster={start}:{stop}:{step}")[1] == tuple(
             range(start, stop + 1, step))
 
 
@@ -208,6 +210,37 @@ def test_figures_writes_datasets(tmp_path, capsys):
     header = text.splitlines()[0]
     assert header.startswith("alpha,small_radius,")
     assert len(text.splitlines()) == 1 + 31 * 6
+
+
+# Each figure preset as a base scenario plus --axis specs, as the README lists them.
+_SHANNON_SMALL = {"small": {"spectrum_eff": {"type": "shannon_edge", "calibration_se": 5.0,
+                                             "ref_radius_m": 50.0}}}
+_FIGURE_SWEEPS = {
+    "fig3a": (CENTRAL_100, "n_small=0:1000:25", "small_se=1,2.5,5,7.5,10"),
+    "fig3b": (DIST_10, "k_cluster=1:100:1", "small_se=1,2.5,5,7.5,10"),
+    "fig4a": (CENTRAL_100, "n_small=0:1000:25", "band=5.8e9,28e9,60e9"),
+    "fig4b": (DIST_10, "k_cluster=1:100:1", "band=5.8e9,28e9,60e9"),
+    "fig5a": ({**json.loads(CENTRAL_100), **_SHANNON_SMALL},
+              "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
+    "fig5b": ({**json.loads(DIST_10), **_SHANNON_SMALL},
+              "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIGURE_SWEEPS))
+def test_sweep_reproduces_each_figure_preset(tmp_path, capsys, name):
+    base, *specs = _FIGURE_SWEEPS[name]
+    cfg = tmp_path / "base.json"
+    cfg.write_text(base if isinstance(base, str) else json.dumps(base))
+    assert serialize_scenario(figure_grid(name).base) == serialize_scenario(
+        wbackhaul.load_scenario(cfg.read_text()))
+    argv = ["sweep", "--config", str(cfg), "--stdout"]
+    for spec in specs:
+        argv += ["--axis", spec]
+    assert main(argv) == 0
+    swept = capsys.readouterr().out
+    assert main(["figures", "--which", name, "--stdout"]) == 0
+    assert swept == capsys.readouterr().out
 
 
 def test_figures_all(tmp_path):
@@ -235,6 +268,20 @@ def test_out_and_stdout_write_the_same_bytes(central_cfg, tmp_path, capsys, argv
     argv = [a.format(cfg=central_cfg) for a in argv]
     assert main(argv + ["--out", str(out), "--stdout"]) == 0
     assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("target", ["--stdout", "--out"])
+def test_non_finite_output_exits_1_and_writes_nothing(central_cfg, tmp_path, capsys,
+                                                       monkeypatch, target):
+    efficiency = power_energy.efficiency
+    monkeypatch.setattr(power_energy, "efficiency",
+                        lambda cfg: replace(efficiency(cfg), efficiency=math.inf))
+    out = tmp_path / "out.json"
+    argv = ["eval", "--config", str(central_cfg), target]
+    assert main(argv + ([str(out)] if target == "--out" else [])) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and "error: output:" in stderr
+    assert not out.exists()
 
 
 def _tiny_energy_config(tmp_path):
@@ -401,3 +448,60 @@ def test_topology_argv_never_raises_and_writes_strict_json(n, flags, joined):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "" and err.getvalue(), argv
+
+
+# Hostile values for a scenario field: numbers no float holds, JSON's
+# non-finite literals, wrong types and nesting deeper than the parser's stack.
+_HOSTILE = st.sampled_from((
+    "1" + "0" * 400, "-" + "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400",
+    "1e-320", "0", "-1", "1", "2.5", "1e308", "true", "null", '"x"', "[]", "{}",
+    '{"type": "fixed"}', "[" * 3000 + "]" * 3000, "{" + '"a":{' * 1500 + "}" * 1501))
+_FIELDS = (("architecture",), ("architecture", "n_small"), ("architecture", "k_cluster"),
+           ("band_hz",), ("alpha",), ("small",), ("small", "radius_m"),
+           ("small", "lifetime_s"), ("small", "spectrum_eff"),
+           ("small", "power_curve", "offset_b_w"), ("macro",), ("macro", "bandwidth_hz"),
+           ("tx_anchor", "power_w"), ("overheads", "s1"), ("bogus",))
+
+
+@st.composite
+def _hostile_configs(draw) -> bytes:
+    arch = draw(st.sampled_from(({"type": "central", "n_small": 100},
+                                 {"type": "distribution", "k_cluster": 10})))
+    doc = {"architecture": dict(arch)}
+    slots = {}
+    for path in draw(st.lists(st.sampled_from(_FIELDS), max_size=3)):
+        obj = doc
+        for key in path[:-1]:
+            if not isinstance(obj.get(key), dict):
+                obj[key] = {}
+            obj = obj[key]
+        slot = f"@{len(slots)}@"
+        obj[path[-1]] = slot
+        slots[f'"{slot}"'] = draw(_HOSTILE)
+    text = json.dumps(doc)
+    for slot, token in slots.items():
+        text = text.replace(slot, token)
+    data = text.encode("utf-8")
+    if draw(st.booleans()):   # a byte that is not UTF-8, inside a string or not
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xe9", b"\xc3"))) + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_hostile_configs(), to_file=st.booleans())
+def test_eval_argv_never_raises_and_writes_strict_json(config, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out_path = Path(tmp) / "cfg.json", Path(tmp) / "out.json"
+        cfg.write_bytes(config)
+        argv = ["eval", "--config", str(cfg)]
+        argv += ["--out", str(out_path)] if to_file else ["--stdout"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), config
+        written = out_path.read_text() if out_path.exists() else out.getvalue()
+        if code == 0:
+            json.loads(written, parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == "" and not out_path.exists() and err.getvalue(), config

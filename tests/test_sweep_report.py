@@ -14,11 +14,10 @@ from wbackhaul.scenario import (
     ValidationError,
 )
 from wbackhaul.sweep_report import (
+    AXES,
     FIGURES,
     MAX_POINTS,
     SweepGrid,
-    apply_axis,
-    figure_dataset,
     figure_grid,
     rows_to_csv,
     rows_to_json,
@@ -156,13 +155,17 @@ def test_grid_larger_than_max_points_rejected():
 
 def test_each_axis_value_applied_once_per_outer_point(monkeypatch):
     calls = []
-    apply = sweep_report.apply_axis
 
-    def counting(cfg, name, value):
-        calls.append(name)
-        return apply(cfg, name, value)
+    def counting(name):
+        apply = AXES[name].apply
 
-    monkeypatch.setattr(sweep_report, "apply_axis", counting)
+        def counted(cfg, value):
+            calls.append(name)
+            return apply(cfg, value)
+        return AXES[name]._replace(apply=counted)
+
+    for name in ("n_small", "band"):
+        monkeypatch.setitem(sweep_report.AXES, name, counting(name))
     bands = (5.8e9, 28e9, 38e9, 60e9)
     run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", bands))))
     assert calls.count("n_small") == 3 and calls.count("band") == 3 * 4
@@ -178,20 +181,20 @@ def test_energy_underflow_grid_point_names_lifetime():
 
 
 def test_apply_axis_variants():
-    cfg = apply_axis(CENTRAL, "alpha", 2.7)
+    cfg = AXES["alpha"].apply(CENTRAL, 2.7)
     assert cfg.alpha == 2.7
-    cfg = apply_axis(CENTRAL, "small_se", 7.5)
+    cfg = AXES["small_se"].apply(CENTRAL, 7.5)
     assert cfg.small.spectrum_eff == FixedSE(7.5)
-    cfg = apply_axis(CENTRAL, "small_radius", 75.0)
+    cfg = AXES["small_radius"].apply(CENTRAL, 75.0)
     assert cfg.small.radius_m == 75.0
-    cfg = apply_axis(DIST, "k_cluster", 3)
+    cfg = AXES["k_cluster"].apply(DIST, 3)
     assert cfg.architecture == Distribution(3)
 
 
 def test_figure_presets_exist_and_are_deterministic():
     for name in FIGURES:
-        rows1 = figure_dataset(name)
-        rows2 = figure_dataset(name)
+        rows1 = run_sweep(figure_grid(name))
+        rows2 = run_sweep(figure_grid(name))
         assert rows1 == rows2
         assert len(rows1) > 0
 
@@ -206,7 +209,7 @@ def test_fig3a_families_are_linear_in_n():
 
 
 def test_fig4a_band_families_are_ordered():
-    rows = figure_dataset("fig4a")
+    rows = run_sweep(figure_grid("fig4a"))
     by_band = {}
     for r in rows:
         by_band.setdefault(r.axis_values[1], []).append(r.efficiency)
@@ -216,7 +219,7 @@ def test_fig4a_band_families_are_ordered():
 
 def test_fig5_reference_radius_throughput_alpha_invariant():
     for name in ("fig5a", "fig5b"):
-        rows = figure_dataset(name)
+        rows = run_sweep(figure_grid(name))
         th50 = {r.throughput_bps for r in rows if r.axis_values[1] == 50.0}
         assert len(th50) == 1
 

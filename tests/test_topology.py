@@ -7,6 +7,7 @@ from wbackhaul import _kernels
 from wbackhaul.scenario import ValidationError
 from wbackhaul.topology import (
     Placement,
+    RelayTree,
     build_relay_tree,
     export_topology,
     gateway_ingress_bps,
@@ -323,3 +324,41 @@ def test_link_loads_bound_ignores_the_gateway():
     # one edge holds 1 * 1e308, which fits
     tree = link_loads(build_relay_tree(place_uniform(2, 500.0, seed=0)), 1e308)
     assert sorted(tree.link_load_bps.tolist()) == [0.0, 1e308]
+
+
+_TEN = place_uniform(10, 500.0, seed=0)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: place_uniform(10, "500", 0), "macro_radius_m"),
+    (lambda: place_uniform(10, 500.0, True), "seed"),
+    (lambda: link_loads(build_relay_tree(_TEN), "1"), "per_cell_bps"),
+    (lambda: link_loads(build_relay_tree(_TEN), True), "per_cell_bps"),
+    (lambda: build_relay_tree(_TEN, gateway="x"), "gateway"),
+    (lambda: build_relay_tree(_TEN, gateway=None), "gateway"),
+    (lambda: build_relay_tree(_TEN, gateway=1.7), "gateway"),
+    (lambda: build_relay_tree(_TEN, gateway=True), "gateway"),
+    (lambda: build_relay_tree(_TEN, gateway=10), "gateway"),
+], ids=["radius-str", "seed-bool", "bps-str", "bps-bool", "gateway-str", "gateway-none",
+        "gateway-float", "gateway-bool", "gateway-range"])
+def test_arguments_that_are_not_numbers_name_the_argument(call, name):
+    with pytest.raises(ValidationError, match=f"^{name}: "):
+        call()
+
+
+def test_gateway_takes_numpy_integers():
+    assert build_relay_tree(_TEN, gateway=np.int64(3)).gateway_index == 3
+
+
+@pytest.mark.parametrize("parent,gateway", [
+    ([-1, 2, 1], 0),    # a cycle away from the gateway
+    ([-1, -1, 0], 0),   # a second root
+    ([0, -1, 1], 0),    # the root is not the gateway
+    ([-1, 0, -2], 0),   # an index below -1
+    ([-1, 0, 5], 0),    # an index past the last node
+    ([], 0),            # no root at all
+], ids=["cycle", "two-roots", "root-not-gateway", "below-minus-1", "past-n", "empty"])
+def test_link_loads_reject_hand_built_trees_that_are_not_trees(parent, gateway):
+    tree = RelayTree(gateway, np.array(parent, dtype=np.int64), np.zeros(len(parent)))
+    with pytest.raises(ValidationError, match="^parent: "):
+        link_loads(tree, 1.0)
