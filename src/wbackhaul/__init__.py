@@ -44,8 +44,6 @@ from .scenario import (
 )
 from .sweep_report import (
     SweepGrid,
-    SweepRow,
-    Table1Report,
     figure_grid,
     run_sweep,
     table1_report,

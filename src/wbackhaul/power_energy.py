@@ -22,7 +22,9 @@ from .scenario import (
     ThroughputBreakdown,
     TxAnchor,
     ValidationError,
+    _check_number,
     _finite_total,
+    _NON_NEGATIVE,
 )
 
 
@@ -73,8 +75,7 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
 
 def operating_power(curve: PowerCurve, tx_w: float) -> float:
     """Operating power draw (W) at the given transmit power."""
-    if tx_w < 0:
-        raise ValidationError("tx_w: must be >= 0")
+    _check_number("tx_w", tx_w, _NON_NEGATIVE)
     return curve.slope_a * tx_w + curve.offset_b_w
 
 
@@ -84,8 +85,7 @@ def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     A fractional rule f means embodied / (embodied + operating) == f,
     hence embodied = operating * f / (1 - f).
     """
-    if operating_j < 0:
-        raise ValidationError("operating_j: must be >= 0")
+    _check_number("operating_j", operating_j, _NON_NEGATIVE)
     if isinstance(rule, EmbodiedAbsolute):
         return rule.init_j + rule.maint_j
     if isinstance(rule, EmbodiedFraction):
@@ -97,6 +97,9 @@ def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float
     """(operating_j, embodied_j) of one base station of this class."""
     p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
     e_op = operating_power(cell.power_curve, p_tx) * cell.lifetime_s
+    if not math.isfinite(e_op):
+        raise ValidationError(f"lifetime_s: operating energy overflows a float at "
+                              f"lifetime_s={cell.lifetime_s!r}")
     return e_op, embodied_energy(cell.embodied, e_op)
 
 

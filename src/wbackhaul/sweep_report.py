@@ -32,21 +32,19 @@ from .scenario import (
 class Axis(NamedTuple):
     """Everything a sweep needs to know about one named axis."""
 
-    arch: type | None   # architecture the base scenario must have, if any
-    integer: bool       # a station count: integer grid values and output cells
+    arch: type | None   # base architecture required: set on the integer count axes only
     apply: Callable[[ScenarioConfig, object], ScenarioConfig]
 
 
 AXES = {
-    "n_small": Axis(Central, True,
-                    lambda cfg, v: replace(cfg, architecture=Central(v))),
-    "k_cluster": Axis(Distribution, True,
+    "n_small": Axis(Central, lambda cfg, v: replace(cfg, architecture=Central(v))),
+    "k_cluster": Axis(Distribution,
                       lambda cfg, v: replace(cfg, architecture=Distribution(v))),
-    "alpha": Axis(None, False, lambda cfg, v: replace(cfg, alpha=v)),
-    "small_se": Axis(None, False, lambda cfg, v: replace(
+    "alpha": Axis(None, lambda cfg, v: replace(cfg, alpha=v)),
+    "small_se": Axis(None, lambda cfg, v: replace(
         cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v)))),
-    "band": Axis(None, False, lambda cfg, v: replace(cfg, band_hz=v)),
-    "small_radius": Axis(None, False, lambda cfg, v: replace(
+    "band": Axis(None, lambda cfg, v: replace(cfg, band_hz=v)),
+    "small_radius": Axis(None, lambda cfg, v: replace(
         cfg, small=replace(cfg.small, radius_m=v))),
 }
 
@@ -65,8 +63,7 @@ def parse_axis(spec: str) -> tuple[str, tuple]:
         raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
     name, _, rhs = spec.partition("=")
     name = name.strip()
-    axis = AXES.get(name)
-    integer = axis is not None and axis.integer
+    integer = name in AXES and AXES[name].arch is not None
 
     def conv(tok: str):
         try:
@@ -147,19 +144,11 @@ class SweepGrid:
         return tuple(name for name, _ in self.axes)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Evaluation of one grid point; axis_values follow grid.axis_names."""
-
-    axis_values: tuple
-    throughput_bps: float
-    system_energy_j: float
-    efficiency: float
-
-
-def run_sweep(grid: SweepGrid) -> list[SweepRow]:
+def run_sweep(grid: SweepGrid) -> list[tuple]:
     """Evaluate every grid point, the first axis varying slowest; each axis
-    value is applied once per point of the axes before it."""
+    value is applied once per point of the axes before it.  A row is the
+    point's output cells: its axis values, then throughput_bps,
+    system_energy_j and efficiency, as in the CSV header."""
     rows = []
     last = len(grid.axes) - 1
 
@@ -176,8 +165,8 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
             if depth < last:
                 walk(at, depth + 1, point + (v,))
             else:
-                rows.append(SweepRow(point + (v,), res.throughput_bps,
-                                     res.system_energy_j, res.efficiency))
+                rows.append((*point, v, res.throughput_bps, res.system_energy_j,
+                             res.efficiency))
 
     walk(grid.base, 0, ())
     return rows
@@ -236,26 +225,22 @@ def json_text(doc) -> str:
 
 def _columns(grid: SweepGrid) -> tuple[tuple[str, ...], list[type]]:
     """Output column names and types: int for a station-count axis, else float."""
-    types = [int if AXES[name].integer else float for name in grid.axis_names]
+    types = [float if AXES[name].arch is None else int for name in grid.axis_names]
     return grid.axis_names + VALUE_COLUMNS, types + [float] * len(VALUE_COLUMNS)
 
 
-def _cells(row: SweepRow) -> tuple:
-    return (*row.axis_values, row.throughput_bps, row.system_energy_j, row.efficiency)
-
-
-def rows_to_csv(grid: SweepGrid, rows: list[SweepRow]) -> str:
+def rows_to_csv(grid: SweepGrid, rows: list[tuple]) -> str:
     """CSV text: axis columns then the three value columns, LF line endings;
     counts as integers, every other number in full-precision %.17e."""
     names, types = _columns(grid)
     template = ",".join("%d" if t is int else "%.17e" for t in types)
-    return "\n".join([",".join(names)] + [template % _cells(row) for row in rows]) + "\n"
+    return "\n".join([",".join(names)] + [template % row for row in rows]) + "\n"
 
 
-def rows_to_json(grid: SweepGrid, rows: list[SweepRow]) -> str:
+def rows_to_json(grid: SweepGrid, rows: list[tuple]) -> str:
     """JSON text mirroring the CSV rows as an array of objects."""
     names, types = _columns(grid)
-    return json_text([{name: t(v) for name, t, v in zip(names, types, _cells(row))}
+    return json_text([{name: t(v) for name, t, v in zip(names, types, row)}
                       for row in rows])
 
 
@@ -289,32 +274,20 @@ class CellCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Table1Report:
-    checks: tuple[CellCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def n_passed(self) -> int:
-        return sum(c.passed for c in self.checks)
-
-
-def table1_report(alpha: float = 3.2,
-                  anchor=DEFAULT_TX_ANCHOR) -> Table1Report:
+def table1_report() -> tuple[CellCheck, ...]:
     """Recompute every derivable calibration cell and compare.
 
-    Returns a report with 12 checks (6 transmit-power, 6 operating-power);
-    failures are entries, never exceptions.
+    Returns 12 checks (6 transmit-power, 6 operating-power), at the default
+    path loss exponent and transmit anchor; failures are entries, never
+    exceptions.
     """
+    alpha = ScenarioConfig.alpha
     checks = []
     for cell_class in ("macro", "small"):
         params = default_table1(cell_class)
         for band_hz in BANDS_HZ:
             ghz = band_hz / 1e9
-            tx = power_energy.tx_power(params.radius_m, band_hz, alpha, anchor)
+            tx = power_energy.tx_power(params.radius_m, band_hz, alpha, DEFAULT_TX_ANCHOR)
             tx_expected = _TABLE_TX_W[cell_class][band_hz]
             checks.append(CellCheck(
                 label=f"{cell_class} P_TX @ {ghz:g} GHz",
@@ -330,4 +303,4 @@ def table1_report(alpha: float = 3.2,
                 computed=op, expected=float(op_expected),
                 criterion="floor equals published integer",
                 passed=math.floor(op) == op_expected))
-    return Table1Report(checks=tuple(checks))
+    return tuple(checks)

@@ -31,9 +31,13 @@ NEAREST_TO_CENTER = "nearest-to-center"
 # stay finite.
 _MAX_COORD_M = 1e150
 
-# Number rules of the library arguments, as in scenario; numpy scalars count.
-_REAL = (int, float, np.integer, np.floating)
+_MAX_N = 10**6  # stations: 10**6 take a few s and ~300 MB to place, build and load
+
+# Number rules of the library arguments, as in scenario; numpy integers
+# count, and a numpy float is checked as the Python float it converts to.
+_REAL = (int, float, np.integer)
 _INDEX = ((int, np.integer), 0, math.inf, "must be an integer >= 0")
+_N = ((int, np.integer), 0, _MAX_N, f"must be an integer in [0, {_MAX_N}]")
 _RADIUS = (_REAL, math.nextafter(0.0, 1.0), _MAX_COORD_M,
            f"must be a number in (0, {_MAX_COORD_M:g}]")
 _BPS = (_REAL, 0, sys.float_info.max, "must be a finite number >= 0")
@@ -41,14 +45,24 @@ _BPS = (_REAL, 0, sys.float_info.max, "must be a finite number >= 0")
 
 @dataclass(frozen=True)
 class Placement:
-    """n station positions (meters, (n, 2) array) in a disk around the origin."""
+    """n station positions (meters, (n, 2) float64 array) in a disk around the origin."""
 
     positions: np.ndarray
     macro_radius_m: float
     seed: int
 
     def __post_init__(self):
-        self.positions.setflags(write=False)
+        pts = self.positions
+        if not (isinstance(pts, np.ndarray) and pts.dtype.kind in "iuf"
+                and pts.ndim == 2 and pts.shape[1] == 2):
+            raise ValidationError("positions: must be a real-valued (n, 2) ndarray")
+        pts = pts.astype(np.float64, copy=False)
+        if not (np.abs(pts) <= _MAX_COORD_M).all():
+            raise ValidationError(f"positions: coordinates must be finite, at most "
+                                  f"{_MAX_COORD_M:g} m in magnitude")
+        _check_number("seed", self.seed, _INDEX)
+        pts.setflags(write=False)
+        object.__setattr__(self, "positions", pts)
 
     @property
     def n(self) -> int:
@@ -69,18 +83,29 @@ class RelayTree:
     link_load_bps: np.ndarray
 
     def __post_init__(self):
-        self.parent.setflags(write=False)
-        self.link_load_bps.setflags(write=False)
+        _check_number("gateway_index", self.gateway_index, _INDEX)
+        for name in ("parent", "link_load_bps"):
+            if not isinstance(getattr(self, name), np.ndarray):
+                raise ValidationError(f"{name}: must be an ndarray")
+            getattr(self, name).setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.parent.shape[0]
 
 
+def _check_real(name: str, value, rule: tuple):
+    """value, checked by the number rule; a numpy float as the Python float it
+    converts to, since numpy would compare it with the bound in its own precision."""
+    value = float(value) if isinstance(value, np.floating) else value
+    _check_number(name, value, rule)
+    return value
+
+
 def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
-    _check_number("n", n, _INDEX)
-    _check_number("macro_radius_m", macro_radius_m, _RADIUS)
+    _check_number("n", n, _N)
+    macro_radius_m = _check_real("macro_radius_m", macro_radius_m, _RADIUS)
     _check_number("seed", seed, _INDEX)
     rng = np.random.default_rng(seed)
     # Uniform over the disk: radius is R*sqrt(u), angle uniform.
@@ -109,9 +134,6 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     """
     if placement.n == 0:
         raise ValidationError("placement: must contain at least one node")
-    if not (np.abs(placement.positions) <= _MAX_COORD_M).all():
-        raise ValidationError(f"positions: coordinates must be finite, at most "
-                              f"{_MAX_COORD_M:g} m in magnitude")
     g = _gateway_index(placement, gateway)
     pts = placement.positions
     d_gw = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
@@ -132,7 +154,7 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     (n - 1) * per_cell_bps.  A hand-built tree must be one: each parent
     -1 or a node index, the gateway the only root, and no cycle.
     """
-    _check_number("per_cell_bps", per_cell_bps, _BPS)
+    per_cell_bps = _check_real("per_cell_bps", per_cell_bps, _BPS)
     parent = tree.parent
     roots = np.flatnonzero(parent == -1)
     if (parent.dtype.kind not in "iu" or ((parent < -1) | (parent >= tree.n)).any()
@@ -158,7 +180,7 @@ def gateway_ingress_bps(tree: RelayTree) -> float:
 def export_topology(placement: Placement, tree: RelayTree) -> dict:
     """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
     return {
-        "positions": placement.positions.astype(np.float64, copy=False).tolist(),
+        "positions": placement.positions.tolist(),
         "gateway_index": int(tree.gateway_index),
         "parent": [None if p == -1 else p for p in tree.parent.tolist()],
         "link_load_bps": tree.link_load_bps.astype(np.float64, copy=False).tolist(),

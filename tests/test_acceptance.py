@@ -32,13 +32,13 @@ def _eta_dist(k: int, **over) -> float:
 
 def test_criterion_1_calibration_table():
     t0 = time.perf_counter()
-    report = wb.table1_report()
+    checks = wb.table1_report()
     elapsed = time.perf_counter() - t0
-    tx_ok = all(c.passed for c in report.checks if "P_TX" in c.label)
-    floors = [math.floor(c.computed) for c in report.checks if "P_OP" in c.label]
+    tx_ok = all(c.passed for c in checks if "P_TX" in c.label)
+    floors = [math.floor(c.computed) for c in checks if "P_OP" in c.label]
     op_ok = floors == [568, 5352, 23305, 71, 72, 76]
     _report(1, "12 calibration cells reproduced (P_TX +/-0.5%, P_OP floors), <1s",
-            tx_ok and op_ok and len(report.checks) == 12 and elapsed < 1.0)
+            tx_ok and op_ok and len(checks) == 12 and elapsed < 1.0)
 
 
 def test_criterion_2_central_throughput_linear_in_n():

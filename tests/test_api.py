@@ -27,8 +27,6 @@ PACKAGE_NAMES = [
     "ScenarioConfig",
     "ShannonEdgeSE",
     "SweepGrid",
-    "SweepRow",
-    "Table1Report",
     "ThroughputBreakdown",
     "TxAnchor",
     "ValidationError",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wbackhaul
-from wbackhaul import power_energy
+from wbackhaul import power_energy, sweep_report
 from wbackhaul.cli import main
 from wbackhaul.scenario import Central, ScenarioConfig, serialize_scenario
 from wbackhaul.sweep_report import MAX_POINTS, figure_grid, parse_axis
@@ -175,6 +175,9 @@ def test_sweep_repeated_axis_exits_1(central_cfg, capsys):
     ("n_small=0:1000000000:1", f"more than {MAX_POINTS} values"),
     ("alpha=2:3:1e-300", f"more than {MAX_POINTS} values"),
     ("alpha=-1e308:1e308:1", f"more than {MAX_POINTS} values"),
+    ("alpha=1:2", "expected <start>:<stop>:<step>, got '1:2'"),
+    ("alpha=1:2:0", "step must be > 0"),
+    ("alpha=1:2:-1", "step must be > 0"),
 ])
 def test_sweep_unbounded_axis_exits_1(central_cfg, capsys, spec, message):
     assert main(["sweep", "--config", str(central_cfg), "--axis", spec,
@@ -243,6 +246,11 @@ def test_sweep_reproduces_each_figure_preset(tmp_path, capsys, name):
     assert swept == capsys.readouterr().out
 
 
+def test_figures_stdout_needs_a_single_dataset(capsys):
+    assert main(["figures", "--stdout"]) == 1
+    assert "--stdout needs a single --which" in capsys.readouterr().err
+
+
 def test_figures_all(tmp_path):
     assert main(["figures", "--out", str(tmp_path)]) == 0
     for name in ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b"):
@@ -254,6 +262,14 @@ def test_verify_table1_passes(capsys):
     out = capsys.readouterr().out
     assert "12/12 cells pass" in out
     assert "macro P_OP @ 28 GHz" in out
+
+
+def test_verify_table1_fails_on_a_wrong_cell(monkeypatch, capsys):
+    monkeypatch.setitem(sweep_report._TABLE_TX_W["macro"], 28e9, 300.0)
+    assert main(["verify-table1"]) == 1
+    out = capsys.readouterr().out
+    assert "macro P_TX @ 28 GHz: computed" in out and ": FAIL" in out
+    assert "10/12 cells pass" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -334,6 +350,7 @@ def test_topology_stdout_and_gateway_index(capsys):
     ("--per-cell-bps", "inf", "per_cell_bps"),
     ("--per-cell-bps", "1e308", "per_cell_bps"),   # finite, but not times a subtree
     ("--radius", "1e308", "macro_radius_m"),
+    ("--n", "1000001", "n: "),
 ])
 def test_topology_bad_input_names_field(flag, value, field, capsys):
     assert main(["topology", "--n", "20", flag, value, "--stdout"]) == 1

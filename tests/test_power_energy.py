@@ -215,6 +215,8 @@ CENTRAL = {"type": "central", "n_small": 10}
     # a count whose totals overflow to inf
     (_doc({"type": "central", "n_small": 10 ** 300}), "n_small"),
     (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "k_cluster"),
+    # one station's operating power times its lifetime overflows
+    (_doc(CENTRAL, small={"lifetime_s": 1e308}), "lifetime_s"),
 ])
 def test_overflow_is_a_validation_error_naming_the_field(text, field):
     with pytest.raises(ValidationError, match=field):
@@ -243,3 +245,16 @@ def test_energy_underflow_is_a_validation_error_naming_lifetime(scale):
     # 1e-200: the system energy underflows to 0; 1e-160: the ratio overflows
     with pytest.raises(ValidationError, match="lifetime_s"):
         efficiency(load_scenario(_tiny_energy_doc(scale)))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: operating_power(default_table1("small").power_curve, math.nan), "tx_w"),
+    (lambda: operating_power(default_table1("small").power_curve, math.inf), "tx_w"),
+    (lambda: operating_power(default_table1("small").power_curve, -1.0), "tx_w"),
+    (lambda: embodied_energy(EmbodiedFraction(0.2), math.inf), "operating_j"),
+    (lambda: embodied_energy(EmbodiedFraction(0.2), math.nan), "operating_j"),
+    (lambda: embodied_energy(EmbodiedAbsolute(1.0, 2.0), -1.0), "operating_j"),
+], ids=["tx-nan", "tx-inf", "tx-negative", "op-inf", "op-nan", "op-negative"])
+def test_energy_arguments_must_be_finite_and_non_negative(call, name):
+    with pytest.raises(ValidationError, match=f"^{name}: must be a number >= 0$"):
+        call()

@@ -32,14 +32,16 @@ DIST = ScenarioConfig(architecture=Distribution(10))
 def test_single_point_reduces_to_single_evaluation():
     rows = run_sweep(SweepGrid(CENTRAL, (("n_small", (0,)),)))
     assert len(rows) == 1
-    assert rows[0].throughput_bps == pytest.approx(5.9e8, rel=1e-12)
+    _, throughput_bps, _, _ = rows[0]
+    assert throughput_bps == pytest.approx(5.9e8, rel=1e-12)
 
 
 def test_k_cluster_sweep_matches_closed_form():
     rows = run_sweep(SweepGrid(DIST, (("k_cluster", tuple(range(1, 101))),)))
-    for row, k in zip(rows, range(1, 101)):
+    assert [k for k, *_ in rows] == list(range(1, 101))
+    for k, throughput_bps, _, _ in rows:
         want = 1.14 * 1e8 * 5.0 * k * (k + 1)
-        assert row.throughput_bps == pytest.approx(want, rel=1e-12)
+        assert throughput_bps == pytest.approx(want, rel=1e-12)
 
 
 def test_empty_values_rejected():
@@ -97,7 +99,7 @@ def test_non_integer_counts_are_rejected_not_truncated(axis, values, base):
 def test_cross_product_ordering():
     grid = SweepGrid(CENTRAL, (("n_small", (1, 2)), ("band", (5.8e9, 28e9))))
     rows = run_sweep(grid)
-    assert [r.axis_values for r in rows] == [
+    assert [r[:2] for r in rows] == [
         (1, 5.8e9), (1, 28e9), (2, 5.8e9), (2, 28e9)]
 
 
@@ -115,11 +117,8 @@ def test_sweep_rows_equal_independent_evaluation():
             cfg = replace(CENTRAL, architecture=Central(int(n)),
                           band_hz=b)
             res = power_energy.efficiency(cfg)
-            row = rows[i]
-            assert row.axis_values == (n, b)
-            assert row.throughput_bps == res.throughput_bps
-            assert row.system_energy_j == res.system_energy_j
-            assert row.efficiency == res.efficiency
+            assert rows[i] == (n, b, res.throughput_bps, res.system_energy_j,
+                               res.efficiency)
             i += 1
 
 
@@ -128,12 +127,11 @@ def test_three_axis_sweep_matches_standalone_evaluation():
     grid = SweepGrid(CENTRAL, (("n_small", ns), ("alpha", alphas), ("band", bands)))
     rows = run_sweep(grid)
     points = [(n, a, b) for n in ns for a in alphas for b in bands]
-    assert [r.axis_values for r in rows] == points
+    assert [r[:3] for r in rows] == points
     for row, (n, a, b) in zip(rows, points):
         cfg = replace(CENTRAL, architecture=Central(n), alpha=a, band_hz=b)
         res = power_energy.efficiency(cfg)
-        assert (row.throughput_bps, row.system_energy_j, row.efficiency) == (
-            res.throughput_bps, res.system_energy_j, res.efficiency)
+        assert row[3:] == (res.throughput_bps, res.system_energy_j, res.efficiency)
 
 
 def test_repeated_axis_rejected():
@@ -203,7 +201,7 @@ def test_fig3a_families_are_linear_in_n():
     grid = figure_grid("fig3a")
     rows = run_sweep(grid)
     for se in dict(grid.axes)["small_se"]:
-        th = np.array([r.throughput_bps for r in rows if r.axis_values[1] == se])
+        th = np.array([t for _, s, t, _, _ in rows if s == se])
         d2 = th[2:] - 2 * th[1:-1] + th[:-2]
         assert np.abs(d2).max() <= 1e-12 * max(th.max(), 1.0)
 
@@ -211,8 +209,8 @@ def test_fig3a_families_are_linear_in_n():
 def test_fig4a_band_families_are_ordered():
     rows = run_sweep(figure_grid("fig4a"))
     by_band = {}
-    for r in rows:
-        by_band.setdefault(r.axis_values[1], []).append(r.efficiency)
+    for _, band, _, _, eff in rows:
+        by_band.setdefault(band, []).append(eff)
     e58, e28, e60 = by_band[5.8e9], by_band[28e9], by_band[60e9]
     assert all(a > b > c for a, b, c in zip(e58, e28, e60))
 
@@ -220,7 +218,7 @@ def test_fig4a_band_families_are_ordered():
 def test_fig5_reference_radius_throughput_alpha_invariant():
     for name in ("fig5a", "fig5b"):
         rows = run_sweep(figure_grid(name))
-        th50 = {r.throughput_bps for r in rows if r.axis_values[1] == 50.0}
+        th50 = {t for _, radius, t, _, _ in rows if radius == 50.0}
         assert len(th50) == 1
 
 
@@ -234,8 +232,8 @@ def test_csv_output_format():
     cells = lines[1].split(",")
     assert cells[0] == "1"
     # full-precision scientific notation round-trips exactly
-    assert float(cells[1]) == rows[0].throughput_bps
-    assert float(cells[3]) == rows[0].efficiency
+    assert float(cells[1]) == rows[0][1]
+    assert float(cells[3]) == rows[0][3]
 
 
 def test_json_output_mirrors_rows():
@@ -244,14 +242,14 @@ def test_json_output_mirrors_rows():
     data = json.loads(rows_to_json(grid, rows))
     assert len(data) == 2
     assert data[0]["alpha"] == 2.5
-    assert data[0]["efficiency_bps_per_j"] == rows[0].efficiency
+    assert data[0]["efficiency_bps_per_j"] == rows[0][3]
 
 
 def test_table1_report_shape_and_values():
-    report = table1_report()
-    assert len(report.checks) == 12
-    assert report.passed and report.n_passed == 12
-    by_label = {c.label: c for c in report.checks}
+    checks = table1_report()
+    assert len(checks) == 12
+    assert all(c.passed for c in checks)
+    by_label = {c.label: c for c in checks}
     op28 = by_label["macro P_OP @ 28 GHz"]
     assert op28.computed == pytest.approx(5352.3, abs=0.05)
     assert math.floor(op28.computed) == 5352
@@ -260,9 +258,11 @@ def test_table1_report_shape_and_values():
     assert tx60.expected == 0.675
 
 
-def test_table1_report_flags_failures_without_raising():
-    # a wrong path loss exponent breaks the transmit-power cells only
-    report = table1_report(alpha=2.0)
-    assert not report.passed
-    labels_failed = {c.label for c in report.checks if not c.passed}
-    assert any("P_TX" in lab for lab in labels_failed)
+def test_table1_report_flags_failures_without_raising(monkeypatch):
+    # a wrong published transmit power fails its own cell and the operating
+    # power computed from it, and no other
+    monkeypatch.setitem(sweep_report._TABLE_TX_W["macro"], 28e9, 300.0)
+    checks = table1_report()
+    assert len(checks) == 12
+    assert {c.label for c in checks if not c.passed} == {
+        "macro P_TX @ 28 GHz", "macro P_OP @ 28 GHz"}

@@ -279,7 +279,7 @@ def test_place_rejects_negative_seed():
         place_uniform(10, 500.0, seed=-1)
 
 
-@pytest.mark.parametrize("n", [2.5, -1, True, "3"])
+@pytest.mark.parametrize("n", [2.5, -1, True, "3", 10**6 + 1, 10**20])
 def test_place_rejects_non_integer_count(n):
     with pytest.raises(ValidationError, match="n: must be an integer"):
         place_uniform(n, 500.0, seed=0)
@@ -292,12 +292,38 @@ def test_link_loads_require_finite_per_cell_bps(bps):
         link_loads(tree, bps)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_tree_rejects_non_finite_positions(bad):
+def _with_coordinate(value):
     pts = place_uniform(50, 500.0, seed=2).positions.copy()
-    pts[17, 1] = bad
-    with pytest.raises(ValidationError, match="positions"):
-        build_relay_tree(_placement(pts))
+    pts[17, 1] = value
+    return pts
+
+
+@pytest.mark.parametrize("positions", [
+    _with_coordinate(float("nan")),
+    _with_coordinate(float("inf")),
+    _with_coordinate(-float("inf")),
+    [[0.0, 0.0], [1.0, 1.0]],                 # a list, not an array
+    np.zeros(4),                              # 1-D
+    np.zeros((4, 3)),                         # a third column
+    np.zeros((4, 2), dtype=complex),
+    np.zeros((4, 2), dtype=bool),
+    np.zeros((4, 2), dtype=object),
+], ids=["nan", "inf", "-inf", "list", "1-D", "3-columns", "complex", "bool", "object"])
+def test_tree_rejects_non_finite_positions(positions):
+    with pytest.raises(ValidationError, match="^positions: "):
+        build_relay_tree(Placement(positions, 500.0, 0))
+
+
+@pytest.mark.parametrize("given", [
+    np.array([[0, 0], [4_000_000_000, 0], [-1, 0], [4_000_000_001, 5]]),
+    np.array([[0, 0], [1e30, 0], [2e30, 0]], dtype=np.float32),
+], ids=["int64", "float32"])
+def test_positions_are_stored_as_float64(given):
+    # int64 squares of these would wrap, and float32 ones overflow
+    pl = Placement(given, 500.0, 0)
+    assert pl.positions.dtype == np.float64
+    want = build_relay_tree(_placement(given.astype(float)))
+    assert np.array_equal(build_relay_tree(pl).parent, want.parent)
 
 
 @pytest.mark.parametrize("scale", [1e150, -1e150])
@@ -339,11 +365,29 @@ _TEN = place_uniform(10, 500.0, seed=0)
     (lambda: build_relay_tree(_TEN, gateway=1.7), "gateway"),
     (lambda: build_relay_tree(_TEN, gateway=True), "gateway"),
     (lambda: build_relay_tree(_TEN, gateway=10), "gateway"),
+    (lambda: place_uniform(10, np.float32("inf"), 0), "macro_radius_m"),
+    (lambda: link_loads(build_relay_tree(_TEN), np.float32("inf")), "per_cell_bps"),
+    (lambda: Placement(_TEN.positions, 500.0, "x"), "seed"),
+    (lambda: RelayTree(0, [-1, 0], np.zeros(2)), "parent"),
+    (lambda: RelayTree(0, np.array([-1, 0]), [0.0, 0.0]), "link_load_bps"),
+    (lambda: RelayTree("x", np.array([-1, 0]), np.zeros(2)), "gateway_index"),
+    (lambda: RelayTree(2.5, np.array([-1, 0]), np.zeros(2)), "gateway_index"),
 ], ids=["radius-str", "seed-bool", "bps-str", "bps-bool", "gateway-str", "gateway-none",
-        "gateway-float", "gateway-bool", "gateway-range"])
+        "gateway-float", "gateway-bool", "gateway-range", "radius-float32-inf",
+        "bps-float32-inf", "placement-seed-str", "parent-list", "loads-list",
+        "tree-gateway-str", "tree-gateway-float"])
 def test_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: "):
         call()
+
+
+def test_numpy_floats_act_as_python_floats():
+    # a float32 is checked as the float it converts to: no overflowing cast
+    a, b = place_uniform(5, np.float32(3.0), 0), place_uniform(5, 3.0, 0)
+    assert np.array_equal(a.positions, b.positions)
+    tree = build_relay_tree(b)
+    assert np.array_equal(link_loads(tree, np.float32(2.5)).link_load_bps,
+                          link_loads(tree, 2.5).link_load_bps)
 
 
 def test_gateway_takes_numpy_integers():
