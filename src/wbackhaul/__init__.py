@@ -11,14 +11,10 @@ from .link_model import resolve_se
 from .power_energy import (
     EfficiencyResult,
     efficiency,
-    embodied_energy,
-    operating_power,
     scenario_energy,
     tx_power,
 )
 from .scenario import (
-    ANCHOR_40W_1KM,
-    DEFAULT_TX_ANCHOR,
     SECONDS_PER_YEAR,
     CellParams,
     Central,
@@ -58,4 +54,4 @@ from .topology import (
     link_loads,
     place_uniform,
 )
-from .traffic import cell_backhaul, scenario_throughput
+from .traffic import scenario_throughput

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .scenario import FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError
+from .scenario import FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError, _check_positive
 
 
 def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
@@ -24,15 +24,16 @@ def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> floa
         return source.bit_per_s_per_hz
     if not isinstance(source, ShannonEdgeSE):
         raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
-    if not radius_m > 0:
-        raise ValidationError("radius_m: must be > 0")
-    if not alpha > 0:
-        raise ValidationError("alpha: must be > 0")
     try:
+        if not (radius_m > 0 and alpha > 0):
+            _check_positive(radius_m=radius_m, alpha=alpha)
         se = math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
                        * (source.ref_radius_m / radius_m) ** alpha)
     except OverflowError:
         se = math.inf
+    except TypeError:   # an argument that is not a number
+        _check_positive(radius_m=radius_m, alpha=alpha)
+        raise
     if not math.isfinite(se):
         raise ValidationError(
             f"spectrum_eff: edge SNR overflows a float at radius_m={radius_m!r}, "

@@ -14,7 +14,6 @@ from .scenario import (
     CellParams,
     Central,
     EmbodiedAbsolute,
-    EmbodiedFraction,
     EmbodiedRule,
     EnergyBreakdown,
     PowerCurve,
@@ -22,9 +21,8 @@ from .scenario import (
     ThroughputBreakdown,
     TxAnchor,
     ValidationError,
-    _check_number,
+    _check_positive,
     _finite_total,
-    _NON_NEGATIVE,
 )
 
 
@@ -54,18 +52,17 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     and by (carrier/anchor carrier)^freq_exponent for the band; at the
     anchor's own radius and carrier it returns the anchor power exactly.
     """
-    if not radius_m > 0:
-        raise ValidationError("radius_m: must be > 0")
-    if not band_hz > 0:
-        raise ValidationError("band_hz: must be > 0")
-    if not alpha > 0:
-        raise ValidationError("alpha: must be > 0")
     try:
+        if not (radius_m > 0 and band_hz > 0 and alpha > 0):
+            _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
         p_tx = (anchor.power_w
                 * (radius_m / anchor.radius_m) ** alpha
                 * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
     except OverflowError:
         p_tx = math.inf
+    except (TypeError, AttributeError):   # an argument of the wrong type
+        _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
+        raise ValidationError("anchor: must be a TxAnchor") from None
     if not math.isfinite(p_tx):
         raise ValidationError(
             f"radius_m: transmit power overflows a float at radius_m={radius_m!r}, "
@@ -73,34 +70,32 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     return p_tx
 
 
-def operating_power(curve: PowerCurve, tx_w: float) -> float:
+# The per-station helpers below take values of checked records (and the
+# published calibration powers), so they check nothing themselves.
+def _operating_power(curve: PowerCurve, tx_w: float) -> float:
     """Operating power draw (W) at the given transmit power."""
-    _check_number("tx_w", tx_w, _NON_NEGATIVE)
     return curve.slope_a * tx_w + curve.offset_b_w
 
 
-def embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
+def _embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     """Manufacturing-plus-maintenance energy (J) for one station.
 
     A fractional rule f means embodied / (embodied + operating) == f,
     hence embodied = operating * f / (1 - f).
     """
-    _check_number("operating_j", operating_j, _NON_NEGATIVE)
     if isinstance(rule, EmbodiedAbsolute):
         return rule.init_j + rule.maint_j
-    if isinstance(rule, EmbodiedFraction):
-        return operating_j * rule.fraction / (1.0 - rule.fraction)
-    raise ValidationError(f"embodied: unsupported rule {type(rule).__name__}")
+    return operating_j * rule.fraction / (1.0 - rule.fraction)
 
 
 def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of this class."""
     p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
-    e_op = operating_power(cell.power_curve, p_tx) * cell.lifetime_s
+    e_op = _operating_power(cell.power_curve, p_tx) * cell.lifetime_s
     if not math.isfinite(e_op):
         raise ValidationError(f"lifetime_s: operating energy overflows a float at "
                               f"lifetime_s={cell.lifetime_s!r}")
-    return e_op, embodied_energy(cell.embodied, e_op)
+    return e_op, _embodied_energy(cell.embodied, e_op)
 
 
 def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:

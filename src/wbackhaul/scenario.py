@@ -55,6 +55,12 @@ _COUNT = (int, 0, _FLOAT_MAX, "must be an integer >= 0")
 _COUNT_1 = (int, 1, _FLOAT_MAX, "must be an integer >= 1")
 
 
+def _check_positive(**args) -> None:
+    """Raise a ValidationError naming the first of args that is not a number > 0."""
+    for name, value in args.items():
+        _check_number(name, value, _POSITIVE)
+
+
 class _Checked:
     """Base of the input records.
 
@@ -116,6 +122,8 @@ class TxAnchor(_Checked):
     Transmit power scales as power_w * (r / radius_m)^alpha
     * (f / carrier_hz)^freq_exponent, so a base station whose coverage
     radius and carrier equal the anchor's transmits exactly power_w.
+    The defaults, 10 W at 500 m on the 5.8 GHz band, reproduce the
+    published calibration table.
     """
 
     power_w: float = 10.0
@@ -125,17 +133,6 @@ class TxAnchor(_Checked):
 
     _rules = {"power_w": _POSITIVE, "radius_m": _POSITIVE, "carrier_hz": _POSITIVE,
               "freq_exponent": _NON_NEGATIVE}
-
-
-# Default anchor: reproduces the published calibration table
-# (10 W at 500 m on the 5.8 GHz band, carrier-frequency exponent 2).
-DEFAULT_TX_ANCHOR = TxAnchor()
-
-# Alternative normalization sometimes used for macro transmit power:
-# 40 W at 1 km, no frequency dependence.  Selectable, not the default,
-# because it does not reproduce the calibration table.
-ANCHOR_40W_1KM = TxAnchor(power_w=40.0, radius_m=1000.0,
-                          carrier_hz=5.8e9, freq_exponent=0.0)
 
 
 @dataclass(frozen=True)
@@ -293,7 +290,7 @@ class ScenarioConfig(_Checked):
     band_hz: float = 5.8e9                 # carrier of the backhaul links
     small: CellParams = _TABLE1["small"]
     alpha: float = 3.2                     # urban path loss exponent
-    tx_anchor: TxAnchor = DEFAULT_TX_ANCHOR
+    tx_anchor: TxAnchor = TxAnchor()
     overheads: Overheads = Overheads()
     macro: CellParams | None = None        # required iff architecture is Central
 

@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple
 
 from . import power_energy
 from .scenario import (
-    DEFAULT_TX_ANCHOR,
     Central,
     ConfigError,
     Distribution,
@@ -281,13 +280,13 @@ def table1_report() -> tuple[CellCheck, ...]:
     path loss exponent and transmit anchor; failures are entries, never
     exceptions.
     """
-    alpha = ScenarioConfig.alpha
+    alpha, anchor = ScenarioConfig.alpha, ScenarioConfig.tx_anchor
     checks = []
     for cell_class in ("macro", "small"):
         params = default_table1(cell_class)
         for band_hz in BANDS_HZ:
             ghz = band_hz / 1e9
-            tx = power_energy.tx_power(params.radius_m, band_hz, alpha, DEFAULT_TX_ANCHOR)
+            tx = power_energy.tx_power(params.radius_m, band_hz, alpha, anchor)
             tx_expected = _TABLE_TX_W[cell_class][band_hz]
             checks.append(CellCheck(
                 label=f"{cell_class} P_TX @ {ghz:g} GHz",
@@ -296,7 +295,7 @@ def table1_report() -> tuple[CellCheck, ...]:
                 passed=abs(tx - tx_expected) / tx_expected <= TX_REL_TOL))
             # The published operating powers round-trip only from the
             # published (rounded) transmit powers, then floor to watts.
-            op = power_energy.operating_power(params.power_curve, tx_expected)
+            op = power_energy._operating_power(params.power_curve, tx_expected)
             op_expected = _TABLE_OP_W[cell_class][band_hz]
             checks.append(CellCheck(
                 label=f"{cell_class} P_OP @ {ghz:g} GHz",

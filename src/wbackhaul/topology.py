@@ -63,6 +63,7 @@ class Placement:
         _check_number("seed", self.seed, _INDEX)
         pts.setflags(write=False)
         object.__setattr__(self, "positions", pts)
+        _check_real("macro_radius_m", self.macro_radius_m, _RADIUS)
 
     @property
     def n(self) -> int:
@@ -76,6 +77,8 @@ class RelayTree:
     parent[i] is the next hop of node i toward the gateway (-1 for the
     gateway itself); link_load_bps[i] is the traffic on the edge
     i -> parent[i] (0 until link_loads() fills it, and 0 for the gateway).
+    A hand-built tree must be one: each parent -1 or a node index, and the
+    gateway the only root; a cycle is found by link_loads.
     """
 
     gateway_index: int
@@ -83,11 +86,22 @@ class RelayTree:
     link_load_bps: np.ndarray
 
     def __post_init__(self):
-        _check_number("gateway_index", self.gateway_index, _INDEX)
-        for name in ("parent", "link_load_bps"):
-            if not isinstance(getattr(self, name), np.ndarray):
-                raise ValidationError(f"{name}: must be an ndarray")
-            getattr(self, name).setflags(write=False)
+        parent, loads = self.parent, self.link_load_bps
+        if not (isinstance(parent, np.ndarray) and parent.ndim == 1
+                and parent.dtype.kind in "iu" and parent.size > 0):
+            raise ValidationError("parent: must be a non-empty 1-D integer ndarray")
+        n = parent.shape[0]
+        if not (isinstance(loads, np.ndarray) and loads.dtype.kind == "f"
+                and loads.shape == (n,)):
+            raise ValidationError(f"link_load_bps: must be a float ndarray of length {n}")
+        _check_number("gateway_index", self.gateway_index,
+                      ((int, np.integer), 0, n - 1, f"must be an integer in [0, {n})"))
+        if (((parent < -1) | (parent >= n)).any()
+                or np.flatnonzero(parent == -1).tolist() != [self.gateway_index]):
+            raise ValidationError(f"parent: must hold node indices in [0, {n}), and -1 "
+                                  f"for the gateway {self.gateway_index} alone")
+        parent.setflags(write=False)
+        loads.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -151,18 +165,12 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
 
     The edge above node i aggregates the traffic of i and every node
     routed through it, so the gateway's incident edges together carry
-    (n - 1) * per_cell_bps.  A hand-built tree must be one: each parent
-    -1 or a node index, the gateway the only root, and no cycle.
+    (n - 1) * per_cell_bps.  A hand-built tree with a cycle is a
+    ValidationError naming parent.
     """
     per_cell_bps = _check_real("per_cell_bps", per_cell_bps, _BPS)
-    parent = tree.parent
-    roots = np.flatnonzero(parent == -1)
-    if (parent.dtype.kind not in "iu" or ((parent < -1) | (parent >= tree.n)).any()
-            or roots.tolist() != [tree.gateway_index]):
-        raise ValidationError(f"parent: must hold node indices in [0, {tree.n}), and -1 "
-                              f"for the gateway {tree.gateway_index} alone")
-    sizes = _kernels.subtree_sizes(np.ascontiguousarray(parent)).astype(np.float64)
-    sizes[roots[0]] = 0.0  # the gateway has no edge above it
+    sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent)).astype(np.float64)
+    sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
     # checked in Python floats: numpy's multiply would overflow with a warning
     largest = float(sizes.max())
     if not math.isfinite(float(per_cell_bps) * largest):
@@ -179,6 +187,8 @@ def gateway_ingress_bps(tree: RelayTree) -> float:
 
 def export_topology(placement: Placement, tree: RelayTree) -> dict:
     """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
+    if tree.n != placement.n:
+        raise ValidationError(f"tree: has {tree.n} nodes, the placement {placement.n}")
     return {
         "positions": placement.positions.tolist(),
         "gateway_index": int(tree.gateway_index),

@@ -17,8 +17,8 @@ from .scenario import (
 )
 
 
-def cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
-                  overhead_x2: float) -> tuple[float, float]:
+def _cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
+                   overhead_x2: float) -> tuple[float, float]:
     """(up, down) backhaul bit/s of one cell carrying bandwidth_hz * se of user traffic.
 
     The uplink carries the X2 handover fraction only; the downlink carries
@@ -44,13 +44,13 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
         count = arch.n_small
         macro = cfg.macro
         macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m, cfg.alpha)
-        small_up, small_down = cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
-        macro_up, macro_down = cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
+        small_up, small_down = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
+        macro_up, macro_down = _cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
     else:
         count = arch.k_cluster
         coop_se = small_se + (count - 1) * small_se
-        small_up = cell_backhaul(small.bandwidth_hz, small_se, s1, x2)[1]
-        small_down = cell_backhaul(small.bandwidth_hz, coop_se, s1, x2)[1]
+        small_up = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)[1]
+        small_down = _cell_backhaul(small.bandwidth_hz, coop_se, s1, x2)[1]
         macro_up = macro_down = 0.0
     total_up = count * small_up + macro_up
     total_down = count * small_down + macro_down

@@ -6,11 +6,9 @@ import types
 import wbackhaul as wb
 
 PACKAGE_NAMES = [
-    "ANCHOR_40W_1KM",
     "CellParams",
     "Central",
     "ConfigError",
-    "DEFAULT_TX_ANCHOR",
     "Distribution",
     "EfficiencyResult",
     "EmbodiedAbsolute",
@@ -31,16 +29,13 @@ PACKAGE_NAMES = [
     "TxAnchor",
     "ValidationError",
     "build_relay_tree",
-    "cell_backhaul",
     "default_table1",
     "efficiency",
-    "embodied_energy",
     "export_topology",
     "figure_grid",
     "gateway_ingress_bps",
     "link_loads",
     "load_scenario",
-    "operating_power",
     "place_uniform",
     "resolve_se",
     "run_sweep",

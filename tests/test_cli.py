@@ -38,6 +38,12 @@ def test_eval_human_summary(central_cfg, capsys):
     assert "59.59 Gbit/s" in out
     assert "1.67466 TJ" in out
     assert "35.5833 mbit/s/J" in out
+    # a zero throughput prints without a prefix
+    zero = central_cfg.with_name("zero.json")
+    zero.write_text('{"architecture": {"type": "distribution", "k_cluster": 10}, "small": '
+                    '{"spectrum_eff": {"type": "fixed", "bit_per_s_per_hz": 0}}}')
+    assert main(["eval", "--config", str(zero)]) == 0
+    assert "backhaul throughput: 0 bit/s (" in capsys.readouterr().out
 
 
 def test_eval_stdout_machine_values_exact(central_cfg, capsys):

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from wbackhaul.cli import main
-from wbackhaul.scenario import ANCHOR_40W_1KM, load_scenario, serialize_scenario
+from wbackhaul.scenario import load_scenario, serialize_scenario
 
 GOLDEN = Path(__file__).with_name("golden.sha256")
 
@@ -45,10 +45,8 @@ CONFIGS = {
     },
     "anchor_40w_1km": {
         "architecture": {"type": "central", "n_small": 20},
-        "tx_anchor": {"power_w": ANCHOR_40W_1KM.power_w,
-                      "radius_m": ANCHOR_40W_1KM.radius_m,
-                      "carrier_hz": ANCHOR_40W_1KM.carrier_hz,
-                      "freq_exponent": ANCHOR_40W_1KM.freq_exponent},
+        "tx_anchor": {"power_w": 40.0, "radius_m": 1000.0, "carrier_hz": 5.8e9,
+                      "freq_exponent": 0.0},
     },
 }
 

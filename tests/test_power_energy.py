@@ -4,16 +4,15 @@ from dataclasses import replace
 
 import pytest
 
+from wbackhaul.link_model import resolve_se
 from wbackhaul.power_energy import (
+    _embodied_energy,
+    _operating_power,
     efficiency,
-    embodied_energy,
-    operating_power,
     scenario_energy,
     tx_power,
 )
 from wbackhaul.scenario import (
-    ANCHOR_40W_1KM,
-    DEFAULT_TX_ANCHOR,
     Central,
     Distribution,
     EmbodiedAbsolute,
@@ -21,6 +20,7 @@ from wbackhaul.scenario import (
     FixedSE,
     PowerCurve,
     ScenarioConfig,
+    ShannonEdgeSE,
     TxAnchor,
     ValidationError,
     default_table1,
@@ -50,22 +50,23 @@ _TX_CELLS = [
 @pytest.mark.parametrize("radius,band,expected_w", _TX_CELLS,
                          ids=[f"{r}-band{i}-{w}" for i, (r, _, w) in enumerate(_TX_CELLS)])
 def test_tx_power_reproduces_published_cells(radius, band, expected_w):
-    got = tx_power(radius, band, 3.2, DEFAULT_TX_ANCHOR)
+    got = tx_power(radius, band, 3.2, TxAnchor())
     assert got == pytest.approx(expected_w, rel=5e-3)
 
 
 def test_tx_power_anchor_identity():
     for alpha in (2.0, 3.2, 4.0):
-        assert tx_power(500.0, B58, alpha, DEFAULT_TX_ANCHOR) == 10.0
+        assert tx_power(500.0, B58, alpha, TxAnchor()) == 10.0
 
 
 def test_tx_power_alternative_anchor_is_band_flat():
     # 40 W at 1 km, no carrier dependence
+    anchor = TxAnchor(power_w=40.0, radius_m=1000.0, carrier_hz=5.8e9, freq_exponent=0.0)
     for band in (B58, B28, B60):
-        assert tx_power(1000.0, band, 3.2, ANCHOR_40W_1KM) == 40.0
+        assert tx_power(1000.0, band, 3.2, anchor) == 40.0
     # and it does not hit the published 10 W at 500 m cell (that is why
     # the anchored default exists)
-    assert tx_power(500.0, B58, 3.2, ANCHOR_40W_1KM) == pytest.approx(4.353, rel=1e-3)
+    assert tx_power(500.0, B58, 3.2, anchor) == pytest.approx(4.353, rel=1e-3)
 
 
 @pytest.mark.parametrize("band_hz", [-1.0, 0.0, math.nan])
@@ -75,12 +76,27 @@ def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
         tx_power(50.0, band_hz, 3.2, TxAnchor(freq_exponent=2.5))
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: tx_power("50", B58, 3.2, TxAnchor()), "radius_m"),
+    (lambda: tx_power(0.0, B58, 3.2, TxAnchor()), "radius_m"),
+    (lambda: tx_power(50.0, B58, 0.0, TxAnchor()), "alpha"),
+    (lambda: tx_power(50.0, B58, math.nan, TxAnchor()), "alpha"),
+    (lambda: tx_power(50, B58, 3.2, "a"), "anchor"),
+    (lambda: resolve_se(ShannonEdgeSE(5.0), "50", 3.2), "radius_m"),
+    (lambda: resolve_se(ShannonEdgeSE(5.0), 50.0, [3.2]), "alpha"),
+], ids=["tx-radius-str", "tx-radius-0", "tx-alpha-0", "tx-alpha-nan", "tx-anchor-str",
+        "se-radius-str", "se-alpha-list"])
+def test_loose_arguments_that_are_not_numbers_name_the_argument(call, name):
+    with pytest.raises(ValidationError, match=f"^{name}: must be "):
+        call()
+
+
 def test_operating_power():
-    assert operating_power(MACRO.power_curve, 10.0) == pytest.approx(568.94, rel=1e-12)
-    assert operating_power(SMALL.power_curve, 0.675) == pytest.approx(76.792, rel=1e-12)
-    assert operating_power(SMALL.power_curve, 0.0) == 71.50
-    assert math.floor(operating_power(MACRO.power_curve, 10.0)) == 568
-    assert math.floor(operating_power(SMALL.power_curve, 0.675)) == 76
+    assert _operating_power(MACRO.power_curve, 10.0) == pytest.approx(568.94, rel=1e-12)
+    assert _operating_power(SMALL.power_curve, 0.675) == pytest.approx(76.792, rel=1e-12)
+    assert _operating_power(SMALL.power_curve, 0.0) == 71.50
+    assert math.floor(_operating_power(MACRO.power_curve, 10.0)) == 568
+    assert math.floor(_operating_power(SMALL.power_curve, 0.675)) == 76
 
 
 def test_operating_energy():
@@ -95,11 +111,11 @@ def test_operating_energy():
 
 
 def test_embodied_energy():
-    assert embodied_energy(EmbodiedAbsolute(75e9, 10e9), 0.0) == 8.5e10
+    assert _embodied_energy(EmbodiedAbsolute(75e9, 10e9), 0.0) == 8.5e10
     # 20% of total means a quarter of the operating energy
-    assert embodied_energy(EmbodiedFraction(0.20), 1.1282e10) == pytest.approx(
+    assert _embodied_energy(EmbodiedFraction(0.20), 1.1282e10) == pytest.approx(
         2.8205e9, rel=1e-4)
-    assert embodied_energy(EmbodiedFraction(0.20), 0.0) == 0.0
+    assert _embodied_energy(EmbodiedFraction(0.20), 0.0) == 0.0
 
 
 def test_system_energy_central_defaults():
@@ -245,16 +261,3 @@ def test_energy_underflow_is_a_validation_error_naming_lifetime(scale):
     # 1e-200: the system energy underflows to 0; 1e-160: the ratio overflows
     with pytest.raises(ValidationError, match="lifetime_s"):
         efficiency(load_scenario(_tiny_energy_doc(scale)))
-
-
-@pytest.mark.parametrize("call,name", [
-    (lambda: operating_power(default_table1("small").power_curve, math.nan), "tx_w"),
-    (lambda: operating_power(default_table1("small").power_curve, math.inf), "tx_w"),
-    (lambda: operating_power(default_table1("small").power_curve, -1.0), "tx_w"),
-    (lambda: embodied_energy(EmbodiedFraction(0.2), math.inf), "operating_j"),
-    (lambda: embodied_energy(EmbodiedFraction(0.2), math.nan), "operating_j"),
-    (lambda: embodied_energy(EmbodiedAbsolute(1.0, 2.0), -1.0), "operating_j"),
-], ids=["tx-nan", "tx-inf", "tx-negative", "op-inf", "op-nan", "op-negative"])
-def test_energy_arguments_must_be_finite_and_non_negative(call, name):
-    with pytest.raises(ValidationError, match=f"^{name}: must be a number >= 0$"):
-        call()

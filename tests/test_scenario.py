@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wbackhaul import scenario
 from wbackhaul.power_energy import efficiency
 from wbackhaul.scenario import (
-    ANCHOR_40W_1KM,
     SECONDS_PER_YEAR,
     CellParams,
     Central,
@@ -192,9 +191,16 @@ def test_programmatic_distribution_rejects_macro():
 
 
 def test_alternative_anchor_preset():
-    assert ANCHOR_40W_1KM.power_w == 40.0
-    assert ANCHOR_40W_1KM.radius_m == 1000.0
-    assert ANCHOR_40W_1KM.freq_exponent == 0.0
+    # 40 W at 1 km with no carrier dependence, given in a document that
+    # leaves the anchor carrier at its default
+    cfg = load_scenario(json.dumps({
+        "architecture": {"type": "central", "n_small": 1},
+        "tx_anchor": {"power_w": 40.0, "radius_m": 1000.0, "freq_exponent": 0.0}}))
+    assert cfg.tx_anchor == TxAnchor(power_w=40.0, radius_m=1000.0, carrier_hz=5.8e9,
+                                     freq_exponent=0.0)
+    assert cfg.tx_anchor.power_w == 40.0
+    assert cfg.tx_anchor.radius_m == 1000.0
+    assert cfg.tx_anchor.freq_exponent == 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -208,6 +214,7 @@ def test_alternative_anchor_preset():
     lambda: ShannonEdgeSE(0.0),
     lambda: Central(-1),
     lambda: Distribution(0),
+    lambda: default_table1("tiny"),
 ])
 def test_type_invariants_enforced(bad):
     with pytest.raises(ValidationError):

@@ -195,6 +195,8 @@ def test_figure_presets_exist_and_are_deterministic():
         rows2 = run_sweep(figure_grid(name))
         assert rows1 == rows2
         assert len(rows1) > 0
+    with pytest.raises(ValidationError, match="^figure: unknown dataset 'fig9'"):
+        figure_grid("fig9")
 
 
 def test_fig3a_families_are_linear_in_n():

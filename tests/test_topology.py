@@ -372,10 +372,18 @@ _TEN = place_uniform(10, 500.0, seed=0)
     (lambda: RelayTree(0, np.array([-1, 0]), [0.0, 0.0]), "link_load_bps"),
     (lambda: RelayTree("x", np.array([-1, 0]), np.zeros(2)), "gateway_index"),
     (lambda: RelayTree(2.5, np.array([-1, 0]), np.zeros(2)), "gateway_index"),
+    (lambda: RelayTree(7, np.array([-1, 0]), np.array([0.0, 1e9])), "gateway_index"),
+    (lambda: RelayTree(0, np.array([-1, 0]), np.zeros(5)), "link_load_bps"),
+    (lambda: RelayTree(0, np.array([-1, 0]), np.array([0, 1])), "link_load_bps"),
+    (lambda: Placement(np.zeros((1, 2)), float("nan"), 0), "macro_radius_m"),
+    (lambda: Placement(np.zeros((1, 2)), "x", 0), "macro_radius_m"),
+    (lambda: export_topology(place_uniform(3, 500.0, 0),
+                             build_relay_tree(place_uniform(5, 500.0, 0))), "tree"),
 ], ids=["radius-str", "seed-bool", "bps-str", "bps-bool", "gateway-str", "gateway-none",
         "gateway-float", "gateway-bool", "gateway-range", "radius-float32-inf",
         "bps-float32-inf", "placement-seed-str", "parent-list", "loads-list",
-        "tree-gateway-str", "tree-gateway-float"])
+        "tree-gateway-str", "tree-gateway-float", "tree-gateway-range", "loads-length",
+        "loads-int", "placement-radius-nan", "placement-radius-str", "export-n-mismatch"])
 def test_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: "):
         call()
@@ -401,8 +409,12 @@ def test_gateway_takes_numpy_integers():
     ([-1, 0, -2], 0),   # an index below -1
     ([-1, 0, 5], 0),    # an index past the last node
     ([], 0),            # no root at all
-], ids=["cycle", "two-roots", "root-not-gateway", "below-minus-1", "past-n", "empty"])
+    ([[-1, 0]], 0),     # not 1-D
+    (np.array([-1.0, 0.0]), 0),   # float parents
+], ids=["cycle", "two-roots", "root-not-gateway", "below-minus-1", "past-n", "empty",
+        "2-d", "float"])
 def test_link_loads_reject_hand_built_trees_that_are_not_trees(parent, gateway):
-    tree = RelayTree(gateway, np.array(parent, dtype=np.int64), np.zeros(len(parent)))
+    # a cycle is found by link_loads, anything else when the tree is built
+    parent = parent if isinstance(parent, np.ndarray) else np.array(parent, dtype=np.int64)
     with pytest.raises(ValidationError, match="^parent: "):
-        link_loads(tree, 1.0)
+        link_loads(RelayTree(gateway, parent, np.zeros(parent.shape[-1])), 1.0)

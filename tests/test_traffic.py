@@ -11,7 +11,7 @@ from wbackhaul.scenario import (
     ShannonEdgeSE,
     default_table1,
 )
-from wbackhaul.traffic import cell_backhaul, scenario_throughput
+from wbackhaul.traffic import _cell_backhaul, scenario_throughput
 
 SMALL = default_table1("small")
 MACRO = default_table1("macro")
@@ -28,16 +28,16 @@ def _distribution(k, se=5.0, bandwidth_hz=1e8):
 
 
 def test_small_up_central():
-    assert cell_backhaul(1e8, 5, 0.10, 0.04)[0] == pytest.approx(2.0e7, rel=1e-12)  # 0.04*1e8*5
-    assert cell_backhaul(1e8, 0, 0.10, 0.04)[0] == 0
-    assert cell_backhaul(0, 5, 0.10, 0.04)[0] == 0
+    assert _cell_backhaul(1e8, 5, 0.10, 0.04)[0] == pytest.approx(2.0e7, rel=1e-12)  # 0.04*1e8*5
+    assert _cell_backhaul(1e8, 0, 0.10, 0.04)[0] == 0
+    assert _cell_backhaul(0, 5, 0.10, 0.04)[0] == 0
 
 
 def test_small_down_central():
     # 1.14*1e8*5
-    assert cell_backhaul(1e8, 5, 0.10, 0.04)[1] == pytest.approx(5.7e8, rel=1e-12)
-    assert cell_backhaul(1e8, 10, 0.10, 0.04)[1] == pytest.approx(1.14e9, rel=1e-12)
-    assert cell_backhaul(1e8, 0, 0.10, 0.04)[1] == 0
+    assert _cell_backhaul(1e8, 5, 0.10, 0.04)[1] == pytest.approx(5.7e8, rel=1e-12)
+    assert _cell_backhaul(1e8, 10, 0.10, 0.04)[1] == pytest.approx(1.14e9, rel=1e-12)
+    assert _cell_backhaul(1e8, 0, 0.10, 0.04)[1] == 0
 
 
 def test_macro_factors_match_small_factors():
