@@ -17,8 +17,6 @@ from math import isqrt
 
 import numpy as np
 
-from .scenario import ValidationError
-
 # Rows queried and candidate pairs gathered at once; they bound the
 # kernel's scratch memory whatever the number of nodes.
 _CHUNK_ROWS = 1 << 11
@@ -41,10 +39,7 @@ def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
     has keys in [0, side^2).  Returns (keys, side, complete), where
     complete means every 3x3 block covers every node.
     """
-    if h == np.inf:
-        c = np.ones(pos.shape, dtype=np.int64)
-    else:
-        c = np.floor((pos - lo) / h).astype(np.int64) + 1
+    c = np.floor((pos - lo) / h).astype(np.int64) + 1
     top = int(c.max())
     side = top + 2
     return c[:, 0] * side + c[:, 1], side, top <= 2
@@ -66,12 +61,12 @@ def _finest_cell(pos: np.ndarray, lo: np.ndarray, span: float) -> float:
 
 
 def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
-    """Parent rank for each rank: nearest strictly-lower-ranked node.
+    """Node index of each rank's parent: its nearest strictly-lower-ranked node.
 
-    pos is (n, 2) float64 in rank order (gateway at rank 0, gateway
-    distance non-decreasing); node_idx maps rank -> original node index
-    and breaks exact distance ties (smaller index wins).  Rank 0 gets
-    parent -1.
+    pos is (n, 2) float64 of finite span (Placement bounds it) in rank
+    order (gateway at rank 0, gateway distance non-decreasing); node_idx
+    maps rank -> original node index and breaks exact distance ties
+    (smaller index wins).  Rank 0 gets parent -1.
     """
     n = pos.shape[0]
     out = np.full(n, -1, dtype=np.int64)
@@ -81,7 +76,8 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     y = np.ascontiguousarray(pos[:, 1])
     lo = pos.min(axis=0)
     span = float((pos.max(axis=0) - lo).max())
-    h = _finest_cell(pos, lo, span) if 0.0 < span < np.inf else np.inf
+    # coincident nodes share a cell of any size, so every row then resolves
+    h = _finest_cell(pos, lo, span) if span > 0.0 else 1.0
     rows = np.arange(1, n, dtype=np.int64)
     while rows.size:
         keys, side, complete = _cell_keys(pos, lo, h)
@@ -110,8 +106,8 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
 
 
 def _resolve(x, y, node_idx, packed, rows_packed, block, threshold, out):
-    """Write the parent of every row whose best candidate is accepted;
-    return the rows left for the next, coarser grid.
+    """Write the parent's node index of every row whose best candidate is
+    accepted; return the rows left for the next, coarser grid.
 
     packed holds key * n + rank of every node, sorted; rows_packed the
     same for the rows to resolve, and block the offsets of a 3x3 block
@@ -147,10 +143,8 @@ def _resolve(x, y, node_idx, packed, rows_packed, block, threshold, out):
         nid = np.where(d2 == np.repeat(best, m), node_idx[cand],
                        np.iinfo(np.int64).max)
         least = np.minimum.reduceat(nid, row_start)
-        pick = np.minimum.reduceat(np.where(nid == np.repeat(least, m), cand, n),
-                                   row_start)
         ok = np.full(b - a, True) if threshold is None else best < threshold
-        out[rows[a:b][ok]] = pick[ok]
+        out[rows[a:b][ok]] = least[ok]
         rest.append(rows[a:b][~ok])
         a = b
     return np.concatenate(rest)
@@ -161,8 +155,7 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
 
     Leaf peeling: accumulate a node into its parent once all of its own
     children are done, so one O(n) pass suffices for any acyclic parent
-    array.  A node on a cycle is never peeled; that is a ValidationError
-    naming parent.
+    array.
     """
     par = parent.tolist()
     n = len(par)
@@ -180,8 +173,6 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
             pending[p] -= 1
             if pending[p] == 0:
                 stack.append(p)
-    if any(pending):
-        raise ValidationError("parent: has a cycle, so some nodes never reach the root")
     return np.array(sizes, dtype=np.int64)
 
 

@@ -16,14 +16,6 @@ from . import __version__, power_energy, sweep_report, topology
 from .scenario import Central, ConfigError, ParseError, ValidationError, load_scenario
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems (unknown flags, missing args) exit 1, not argparse's 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 _PREFIXES = ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k"), (1.0, ""),
              (1e-3, "m"), (1e-6, "u"), (1e-9, "n"))
 
@@ -153,10 +145,10 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="wbackhaul",
-                description="Backhaul throughput, energy, and efficiency models "
-                            "for small-cell networks.")
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="wbackhaul",
+                                description="Backhaul throughput, energy, and efficiency "
+                                            "models for small-cell networks.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -213,7 +205,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return int(e.code or 0)
+        # usage problems (unknown flags, missing args) exit 1, not argparse's 2
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except ConfigError as e:

@@ -24,16 +24,15 @@ def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> floa
         return source.bit_per_s_per_hz
     if not isinstance(source, ShannonEdgeSE):
         raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
+    # any type but int and float (bools, arrays, numpy floats) takes the full rule
+    if not (type(radius_m) in (int, float) and type(alpha) in (int, float)
+            and radius_m > 0 and alpha > 0):
+        _check_positive(radius_m=radius_m, alpha=alpha)
     try:
-        if not (radius_m > 0 and alpha > 0):
-            _check_positive(radius_m=radius_m, alpha=alpha)
         se = math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
                        * (source.ref_radius_m / radius_m) ** alpha)
     except OverflowError:
         se = math.inf
-    except TypeError:   # an argument that is not a number
-        _check_positive(radius_m=radius_m, alpha=alpha)
-        raise
     if not math.isfinite(se):
         raise ValidationError(
             f"spectrum_eff: edge SNR overflows a float at radius_m={radius_m!r}, "

@@ -52,16 +52,17 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     and by (carrier/anchor carrier)^freq_exponent for the band; at the
     anchor's own radius and carrier it returns the anchor power exactly.
     """
+    # any type but int and float (bools, arrays, numpy floats) takes the full rule
+    if not (type(radius_m) in (int, float) and type(band_hz) in (int, float)
+            and type(alpha) in (int, float) and radius_m > 0 and band_hz > 0 and alpha > 0):
+        _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
     try:
-        if not (radius_m > 0 and band_hz > 0 and alpha > 0):
-            _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
         p_tx = (anchor.power_w
                 * (radius_m / anchor.radius_m) ** alpha
                 * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
     except OverflowError:
         p_tx = math.inf
-    except (TypeError, AttributeError):   # an argument of the wrong type
-        _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
+    except (TypeError, AttributeError):
         raise ValidationError("anchor: must be a TxAnchor") from None
     if not math.isfinite(p_tx):
         raise ValidationError(
@@ -88,14 +89,18 @@ def _embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     return operating_j * rule.fraction / (1.0 - rule.fraction)
 
 
-def _station_energy(cell: CellParams, cfg: ScenarioConfig) -> tuple[float, float]:
-    """(operating_j, embodied_j) of one base station of this class."""
+def _station_energy(cell: CellParams, cfg: ScenarioConfig,
+                    name: str) -> tuple[float, float]:
+    """(operating_j, embodied_j) of one base station of the class name."""
     p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
     e_op = _operating_power(cell.power_curve, p_tx) * cell.lifetime_s
     if not math.isfinite(e_op):
-        raise ValidationError(f"lifetime_s: operating energy overflows a float at "
+        raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float at "
                               f"lifetime_s={cell.lifetime_s!r}")
-    return e_op, _embodied_energy(cell.embodied, e_op)
+    e_em = _embodied_energy(cell.embodied, e_op)
+    if not math.isfinite(e_op + e_em):
+        raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
+    return e_op, e_em
 
 
 def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
@@ -107,11 +112,11 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     arch = cfg.architecture
     if isinstance(arch, Central):
         count = arch.n_small
-        mac_op, mac_em = _station_energy(cfg.macro, cfg)
+        mac_op, mac_em = _station_energy(cfg.macro, cfg, "macro")
     else:
         count = arch.k_cluster
         mac_op = mac_em = 0.0
-    sc_op, sc_em = _station_energy(cfg.small, cfg)
+    sc_op, sc_em = _station_energy(cfg.small, cfg, "small")
     total = mac_em + mac_op + count * (sc_em + sc_op)
     return EnergyBreakdown(per_macro_operating_j=mac_op, per_macro_embodied_j=mac_em,
                            per_small_operating_j=sc_op, per_small_embodied_j=sc_em,

@@ -241,8 +241,8 @@ Architecture = Union[Central, Distribution]
 def _finite_total(total: float, arch: Architecture, what: str) -> float:
     """A scenario total, or a ValidationError naming the station count if it overflowed.
 
-    Every per-station term is non-negative, so any overflow on the way
-    shows up as an inf or nan total.
+    The per-station terms are checked finite where they are computed, and
+    none is negative, so an overflow on the way shows up as an inf total.
     """
     if math.isfinite(total):
         return total

@@ -77,8 +77,8 @@ class RelayTree:
     parent[i] is the next hop of node i toward the gateway (-1 for the
     gateway itself); link_load_bps[i] is the traffic on the edge
     i -> parent[i] (0 until link_loads() fills it, and 0 for the gateway).
-    A hand-built tree must be one: each parent -1 or a node index, and the
-    gateway the only root; a cycle is found by link_loads.
+    A hand-built tree must be one: each parent -1 or a node index, the
+    gateway the only root, and every node's parent chain ending there.
     """
 
     gateway_index: int
@@ -100,6 +100,13 @@ class RelayTree:
                 or np.flatnonzero(parent == -1).tolist() != [self.gateway_index]):
             raise ValidationError(f"parent: must hold node indices in [0, {n}), and -1 "
                                   f"for the gateway {self.gateway_index} alone")
+        # pointer doubling: after k rounds anc[i] is i's 2^k-th ancestor,
+        # with the gateway its own ancestor
+        anc = np.where(parent == -1, self.gateway_index, parent)
+        for _ in range(n.bit_length()):
+            anc = anc[anc]
+        if (anc != self.gateway_index).any():
+            raise ValidationError("parent: has a cycle, so some nodes never reach the gateway")
         parent.setflags(write=False)
         loads.setflags(write=False)
 
@@ -153,9 +160,8 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     d_gw = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
     d_gw[g] = -1.0  # gateway sorts first even if another node shares its position
     order = np.lexsort((np.arange(placement.n), d_gw))
-    parent_rank = _kernels.parent_ranks(pts[order], order.astype(np.int64))
-    parent = np.full(placement.n, -1, dtype=np.int64)
-    parent[order[1:]] = order[parent_rank[1:]]
+    parent = np.empty(placement.n, dtype=np.int64)
+    parent[order] = _kernels.parent_ranks(pts[order], order.astype(np.int64))
     return RelayTree(gateway_index=g, parent=parent,
                      link_load_bps=np.zeros(placement.n))
 
@@ -165,11 +171,10 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
 
     The edge above node i aggregates the traffic of i and every node
     routed through it, so the gateway's incident edges together carry
-    (n - 1) * per_cell_bps.  A hand-built tree with a cycle is a
-    ValidationError naming parent.
+    (n - 1) * per_cell_bps.
     """
     per_cell_bps = _check_real("per_cell_bps", per_cell_bps, _BPS)
-    sizes = _kernels.subtree_sizes(np.ascontiguousarray(tree.parent)).astype(np.float64)
+    sizes = _kernels.subtree_sizes(tree.parent).astype(np.float64)
     sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
     # checked in Python floats: numpy's multiply would overflow with a warning
     largest = float(sizes.max())
@@ -181,8 +186,7 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
 
 def gateway_ingress_bps(tree: RelayTree) -> float:
     """Total traffic arriving at the gateway over its incident edges."""
-    children = np.nonzero(tree.parent == tree.gateway_index)[0]
-    return float(tree.link_load_bps[children].sum())
+    return float(tree.link_load_bps[tree.parent == tree.gateway_index].sum())
 
 
 def export_topology(placement: Placement, tree: RelayTree) -> dict:

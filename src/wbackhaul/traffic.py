@@ -8,11 +8,14 @@ baseline user uplink term.
 """
 from __future__ import annotations
 
+import math
+
 from . import link_model
 from .scenario import (
     Central,
     ScenarioConfig,
     ThroughputBreakdown,
+    ValidationError,
     _finite_total,
 )
 
@@ -40,16 +43,23 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     arch, small = cfg.architecture, cfg.small
     s1, x2 = cfg.overheads.s1, cfg.overheads.x2
     small_se = link_model.resolve_se(small.spectrum_eff, small.radius_m, cfg.alpha)
+    # a cell's downlink is its largest term: it overflows whenever the uplink does
+    small_up, small_down = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
+    if not math.isfinite(small_down):
+        raise ValidationError(f"small.bandwidth_hz: cell backhaul overflows a float at "
+                              f"{small.bandwidth_hz!r} Hz and {small_se!r} bit/s/Hz")
     if isinstance(arch, Central):
         count = arch.n_small
         macro = cfg.macro
         macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m, cfg.alpha)
-        small_up, small_down = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
         macro_up, macro_down = _cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
+        if not math.isfinite(macro_down):
+            raise ValidationError(f"macro.bandwidth_hz: cell backhaul overflows a float at "
+                                  f"{macro.bandwidth_hz!r} Hz and {macro_se!r} bit/s/Hz")
     else:
         count = arch.k_cluster
         coop_se = small_se + (count - 1) * small_se
-        small_up = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)[1]
+        small_up = small_down
         small_down = _cell_backhaul(small.bandwidth_hz, coop_se, s1, x2)[1]
         macro_up = macro_down = 0.0
     total_up = count * small_up + macro_up

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wbackhaul.link_model import resolve_se
@@ -84,11 +85,24 @@ def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
     (lambda: tx_power(50, B58, 3.2, "a"), "anchor"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), "50", 3.2), "radius_m"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), 50.0, [3.2]), "alpha"),
+    (lambda: tx_power(True, B58, 3.2, TxAnchor()), "radius_m"),
+    (lambda: tx_power(np.array([50.0, 60.0]), B58, 3.2, TxAnchor()), "radius_m"),
+    (lambda: resolve_se(ShannonEdgeSE(5.0), True, 3.2), "radius_m"),
+    (lambda: resolve_se(ShannonEdgeSE(5.0), np.array([50.0, 60.0]), 3.2), "radius_m"),
 ], ids=["tx-radius-str", "tx-radius-0", "tx-alpha-0", "tx-alpha-nan", "tx-anchor-str",
-        "se-radius-str", "se-alpha-list"])
+        "se-radius-str", "se-alpha-list", "tx-radius-bool", "tx-radius-array",
+        "se-radius-bool", "se-radius-array"])
 def test_loose_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: must be "):
         call()
+
+
+def test_numpy_floats_act_as_python_floats():
+    args = (50.0, B58, 3.2)
+    as_numpy = tuple(np.float64(v) for v in args)
+    assert tx_power(*as_numpy, TxAnchor()) == tx_power(*args, TxAnchor())
+    assert (resolve_se(ShannonEdgeSE(5.0), as_numpy[0], as_numpy[2])
+            == resolve_se(ShannonEdgeSE(5.0), args[0], args[2]))
 
 
 def test_operating_power():
@@ -216,6 +230,7 @@ def _doc(arch, **fields):
 
 
 CENTRAL = {"type": "central", "n_small": 10}
+HUGE_EMBODIED = {"type": "absolute", "init_j": 1e308, "maint_j": 1e308}
 
 
 @pytest.mark.parametrize("text,field", [
@@ -233,6 +248,21 @@ CENTRAL = {"type": "central", "n_small": 10}
     (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "k_cluster"),
     # one station's operating power times its lifetime overflows
     (_doc(CENTRAL, small={"lifetime_s": 1e308}), "lifetime_s"),
+    # a cell's own backhaul or energy overflows, whatever the station count
+    (_doc({"type": "central", "n_small": 0}, small={"bandwidth_hz": 1e308}),
+     "^small.bandwidth_hz: "),
+    (_doc({"type": "central", "n_small": 1}, macro={"bandwidth_hz": 1e308}),
+     "^macro.bandwidth_hz: "),
+    (_doc({"type": "distribution", "k_cluster": 1}, small={"bandwidth_hz": 1e308}),
+     "^small.bandwidth_hz: "),
+    (_doc({"type": "central", "n_small": 1}, small={"embodied": HUGE_EMBODIED}),
+     "^small.embodied: "),
+    (_doc({"type": "central", "n_small": 0}, macro={"embodied": HUGE_EMBODIED}),
+     "^macro.embodied: "),
+    (_doc({"type": "distribution", "k_cluster": 1},
+          small={"lifetime_s": 1e300, "embodied": {"type": "fraction_of_total",
+                                                   "fraction": 0.9999999999999999}}),
+     "^small.embodied: "),
 ])
 def test_overflow_is_a_validation_error_naming_the_field(text, field):
     with pytest.raises(ValidationError, match=field):

@@ -212,7 +212,8 @@ def test_parent_ranks_match_brute_force_oracle(name, points):
     for node_idx in (np.arange(len(points), dtype=np.int64),
                      rng.permutation(len(points)).astype(np.int64)):
         with np.errstate(over="ignore"):
-            expected = _brute_parent_ranks(points, node_idx)
+            ranks = _brute_parent_ranks(points, node_idx)
+            expected = np.where(ranks < 0, -1, node_idx[ranks])
             assert np.array_equal(_kernels.parent_ranks(points, node_idx), expected)
 
 
@@ -228,6 +229,28 @@ def test_relay_tree_matches_brute_force_rule(gateway):
     expected = np.full(pl.n, -1, dtype=np.int64)
     expected[order[1:]] = order[_brute_parent_ranks(pts[order], order)[1:]]
     assert np.array_equal(tree.parent, expected)
+
+
+@pytest.mark.parametrize("placement", [
+    place_uniform(10**5, 500.0, seed=11),
+    _placement(_hotspots_with_duplicates(np.random.default_rng(12), 10**5)),
+], ids=["uniform", "hotspots"])
+def test_relay_tree_of_1e5_nodes_matches_brute_force_rule_on_a_sample(placement):
+    tree = build_relay_tree(placement)
+    pts, g = placement.positions, tree.gateway_index
+    d = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
+    d[g] = -1.0
+    order = np.lexsort((np.arange(placement.n), d))
+    rank = np.empty(placement.n, dtype=np.int64)
+    rank[order] = np.arange(placement.n)
+    for i in np.random.default_rng(13).choice(placement.n, size=300, replace=False):
+        lower = order[:rank[i]]
+        if lower.size == 0:
+            assert tree.parent[i] == -1
+            continue
+        diff = pts[lower] - pts[i]
+        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+        assert tree.parent[i] == lower[d2 == d2.min()].min()
 
 
 def test_subtree_sizes_deep_chain_and_star():
@@ -404,6 +427,7 @@ def test_gateway_takes_numpy_integers():
 
 @pytest.mark.parametrize("parent,gateway", [
     ([-1, 2, 1], 0),    # a cycle away from the gateway
+    ([-1, 0, 3, 4, 2, 4], 0),  # a chain ending in a cycle
     ([-1, -1, 0], 0),   # a second root
     ([0, -1, 1], 0),    # the root is not the gateway
     ([-1, 0, -2], 0),   # an index below -1
@@ -411,10 +435,10 @@ def test_gateway_takes_numpy_integers():
     ([], 0),            # no root at all
     ([[-1, 0]], 0),     # not 1-D
     (np.array([-1.0, 0.0]), 0),   # float parents
-], ids=["cycle", "two-roots", "root-not-gateway", "below-minus-1", "past-n", "empty",
-        "2-d", "float"])
+], ids=["cycle", "tail-into-cycle", "two-roots", "root-not-gateway", "below-minus-1",
+        "past-n", "empty", "2-d", "float"])
 def test_link_loads_reject_hand_built_trees_that_are_not_trees(parent, gateway):
-    # a cycle is found by link_loads, anything else when the tree is built
+    # every case fails when the tree is built, before link_loads could see it
     parent = parent if isinstance(parent, np.ndarray) else np.array(parent, dtype=np.int64)
     with pytest.raises(ValidationError, match="^parent: "):
-        link_loads(RelayTree(gateway, parent, np.zeros(parent.shape[-1])), 1.0)
+        RelayTree(gateway, parent, np.zeros(parent.shape[-1]))
