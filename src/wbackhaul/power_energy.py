@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import traffic
 from .scenario import (
+    Architecture,
     CellParams,
     Central,
     EmbodiedAbsolute,
@@ -93,8 +94,13 @@ def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                     name: str) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of the class name."""
     p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
-    e_op = _operating_power(cell.power_curve, p_tx) * cell.lifetime_s
+    p_op = _operating_power(cell.power_curve, p_tx)
+    e_op = p_op * cell.lifetime_s
     if not math.isfinite(e_op):
+        # name the larger factor: a power that overflows on its own is the curve's
+        if p_op >= cell.lifetime_s:
+            raise ValidationError(f"{name}.power_curve: operating energy overflows a float "
+                                  f"at P_op={p_op!r} W")
         raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float at "
                               f"lifetime_s={cell.lifetime_s!r}")
     e_em = _embodied_energy(cell.embodied, e_op)
@@ -103,37 +109,48 @@ def _station_energy(cell: CellParams, cfg: ScenarioConfig,
     return e_op, e_em
 
 
+def _station_terms(cfg: ScenarioConfig) -> tuple[float, float, float, float]:
+    """Count-free energy terms, each checked finite: the operating and
+    embodied J of one macro station (0.0 without a macro cell), then of one
+    small station."""
+    if isinstance(cfg.architecture, Central):
+        mac_op, mac_em = _station_energy(cfg.macro, cfg, "macro")
+    else:
+        mac_op = mac_em = 0.0
+    return (mac_op, mac_em, *_station_energy(cfg.small, cfg, "small"))
+
+
+def _energy_total(stations: tuple, arch: Architecture) -> float:
+    """System energy, J, at the station count of arch, from the
+    _station_terms of a scenario of its architecture."""
+    mac_op, mac_em, sc_op, sc_em = stations
+    count = arch.n_small if isinstance(arch, Central) else arch.k_cluster
+    return _finite_total(mac_em + mac_op + count * (sc_em + sc_op), arch, "system energy")
+
+
+def _ratio(throughput_bps: float, energy_j: float) -> float:
+    """Efficiency, bit/s per J.  Every station's operating power is at least
+    its offset b > 0, but a lifetime energy b * lifetime_s can still
+    underflow to 0 (or so near it that the ratio overflows); that is a
+    ValidationError, never inf."""
+    eff = throughput_bps / energy_j if energy_j > 0 else math.inf
+    if not math.isfinite(eff):
+        raise ValidationError(f"lifetime_s: system energy {energy_j!r} J is too small")
+    return eff
+
+
 def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     """Lifetime energy of a full scenario.
 
     Central: one macro station plus n_small small stations.
     Distribution: a cooperative cluster of k_cluster identical small stations.
     """
-    arch = cfg.architecture
-    if isinstance(arch, Central):
-        count = arch.n_small
-        mac_op, mac_em = _station_energy(cfg.macro, cfg, "macro")
-    else:
-        count = arch.k_cluster
-        mac_op = mac_em = 0.0
-    sc_op, sc_em = _station_energy(cfg.small, cfg, "small")
-    total = mac_em + mac_op + count * (sc_em + sc_op)
-    return EnergyBreakdown(per_macro_operating_j=mac_op, per_macro_embodied_j=mac_em,
-                           per_small_operating_j=sc_op, per_small_embodied_j=sc_em,
-                           system_total_j=_finite_total(total, arch, "system energy"))
+    stations = _station_terms(cfg)
+    return EnergyBreakdown(*stations, _energy_total(stations, cfg.architecture))
 
 
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
-    """Energy efficiency of a scenario: total throughput / system energy.
-
-    Every station's operating power is at least its offset b > 0, but a
-    lifetime energy b * lifetime_s can still underflow to 0 (or so near
-    it that the ratio overflows); that is a ValidationError, never inf.
-    """
+    """Energy efficiency of a scenario: total throughput / system energy."""
     th = traffic.scenario_throughput(cfg)
     en = scenario_energy(cfg)
-    energy_j = en.system_total_j
-    eff = th.total_bps / energy_j if energy_j > 0 else math.inf
-    if not math.isfinite(eff):
-        raise ValidationError(f"lifetime_s: system energy {energy_j!r} J is too small")
-    return EfficiencyResult(throughput=th, energy=en, efficiency=eff)
+    return EfficiencyResult(th, en, _ratio(th.total_bps, en.system_total_j))

@@ -37,12 +37,13 @@ class ValidationError(ConfigError):
 # into float totals).  An open bound is written as the nearest float
 # inside it, which is exact for ints and floats alike.  topology checks
 # its library arguments with the same test.
-def _check_number(name: str, value, rule: tuple) -> None:
-    """Raise a ValidationError naming name unless value passes the number rule."""
+def _check_number(name: str, value, rule: tuple):
+    """value, or a ValidationError naming name unless it passes the number rule."""
     types, low, high, message = rule
     if not (isinstance(value, types) and not isinstance(value, bool)
             and low <= value <= high):
         raise ValidationError(f"{name}: {message}")
+    return value
 
 
 _ABOVE_0 = math.nextafter(0.0, 1.0)
@@ -74,8 +75,8 @@ class _Checked:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # flat rows, built once per class: every replace() of a sweep point
-        # runs __post_init__ and every object of a document runs _read.
+        # flat rows, built once per class: every record built runs
+        # __post_init__ and every object of a document runs _read.
         # _fields: (field, record rule or None, default) for the reader;
         # _records: (field, types, message, {class: tag} or None);
         # _numbers: (field, number rule); _keys_with_type: a union member's JSON keys.
@@ -103,6 +104,14 @@ class _Checked:
                 raise ValidationError(message)
         for name, rule in self._numbers:
             _check_number(name, getattr(self, name), rule)
+
+
+def _with_checked(record, **fields):
+    """A copy of a frozen record with fields set to values that are already
+    checked, without running __post_init__ again."""
+    new = object.__new__(type(record))
+    new.__dict__.update(vars(record), **fields)
+    return new
 
 
 @dataclass(frozen=True)

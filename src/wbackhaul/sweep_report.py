@@ -3,10 +3,13 @@
 A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
 axes' cross product, the first axis varying slowest.  parse_axis reads
-an axis from its spec, for the CLI and the figure presets alike.  The
-presets reproduce the qualitative curves the model is known for:
-throughput vs. cell count, efficiency vs. cell count per band, and
-efficiency vs. path loss exponent per small-cell radius.
+an axis from its spec, for the CLI and the figure presets alike.  A sweep
+checks each axis value once, not once per point, and its rows are bit for
+bit those of efficiency(); the JSON writer formats them from one template,
+in the bytes json_text writes.  The presets reproduce the qualitative
+curves the model is known for: throughput vs. cell count, efficiency vs.
+cell count per band, and efficiency vs. path loss exponent per small-cell
+radius.
 """
 from __future__ import annotations
 
@@ -15,8 +18,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from . import power_energy
+from . import power_energy, traffic
 from .scenario import (
+    CellParams,
     Central,
     ConfigError,
     Distribution,
@@ -24,6 +28,8 @@ from .scenario import (
     ScenarioConfig,
     ShannonEdgeSE,
     ValidationError,
+    _check_number,
+    _with_checked,
     default_table1,
 )
 
@@ -32,19 +38,23 @@ class Axis(NamedTuple):
     """Everything a sweep needs to know about one named axis."""
 
     arch: type | None   # base architecture required: set on the integer count axes only
-    apply: Callable[[ScenarioConfig, object], ScenarioConfig]
+    field: tuple        # path of the scenario field the axis sets (a count axis's
+                        # architecture goes to the count algebra alone)
+    part: Callable      # an axis value -> the checked field value, or a ValidationError
+
+
+def _number(record: type, field: str) -> Callable:
+    """The part of a number field: the value, checked by the field's own rule."""
+    return lambda value: _check_number(field, value, record._rules[field])
 
 
 AXES = {
-    "n_small": Axis(Central, lambda cfg, v: replace(cfg, architecture=Central(v))),
-    "k_cluster": Axis(Distribution,
-                      lambda cfg, v: replace(cfg, architecture=Distribution(v))),
-    "alpha": Axis(None, lambda cfg, v: replace(cfg, alpha=v)),
-    "small_se": Axis(None, lambda cfg, v: replace(
-        cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v)))),
-    "band": Axis(None, lambda cfg, v: replace(cfg, band_hz=v)),
-    "small_radius": Axis(None, lambda cfg, v: replace(
-        cfg, small=replace(cfg.small, radius_m=v))),
+    "n_small": Axis(Central, ("architecture",), Central),
+    "k_cluster": Axis(Distribution, ("architecture",), Distribution),
+    "alpha": Axis(None, ("alpha",), _number(ScenarioConfig, "alpha")),
+    "small_se": Axis(None, ("small", "spectrum_eff"), FixedSE),
+    "band": Axis(None, ("band_hz",), _number(ScenarioConfig, "band_hz")),
+    "small_radius": Axis(None, ("small", "radius_m"), _number(CellParams, "radius_m")),
 }
 
 # Largest grid a sweep builds, per axis and over the whole cross product.
@@ -140,31 +150,67 @@ class SweepGrid:
         return tuple(name for name, _ in self.axes)
 
 
-def run_sweep(grid: SweepGrid) -> list[tuple]:
-    """Evaluate every grid point, the first axis varying slowest; each axis
-    value is applied once per point of the axes before it.  A row is the
-    point's output cells: its axis values, then throughput_bps,
-    system_energy_j and efficiency, as in the CSV header."""
-    rows = []
-    last = len(grid.axes) - 1
+def _set(record, path: tuple, part):
+    """record with the field at path, a tuple of field names, set to a checked part."""
+    name, *rest = path
+    return _with_checked(record, **{name: _set(getattr(record, name), rest, part)
+                                    if rest else part})
 
-    def walk(cfg: ScenarioConfig, depth: int, point: tuple) -> None:
-        name, values = grid.axes[depth]
-        apply = AXES[name].apply
-        for v in values:
+
+# Most count-free terms a sweep keeps at once, ~0.5 kB each
+_MAX_CACHED = 2**16
+
+
+def _evaluate(cfg: ScenarioConfig, arch, terms, key: tuple) -> tuple[float, float, float]:
+    """(throughput_bps, system_energy_j, efficiency) of cfg at the station count
+    of arch, checked in efficiency's order.  terms, unless None, holds cfg's
+    count-free terms under key."""
+    hit = terms.get(key) if terms is not None else None
+    cells = hit[0] if hit else traffic._cell_terms(cfg)
+    bps = traffic._sums(cells, arch)[3]
+    stations = hit[1] if hit else power_energy._station_terms(cfg)
+    if not hit and terms is not None and len(terms) < _MAX_CACHED:
+        terms[key] = cells, stations
+    energy_j = power_energy._energy_total(stations, arch)
+    return bps, energy_j, power_energy._ratio(bps, energy_j)
+
+
+def run_sweep(grid: SweepGrid) -> list[tuple]:
+    """Evaluate every grid point, the first axis varying slowest.  A row is
+    the point's output cells: its axis values, then throughput_bps,
+    system_energy_j and efficiency, as in the CSV header.
+
+    Each axis value is checked once, when the walk first reaches it, and a
+    point's scenario is assembled from checked parts.  Along a station-count
+    axis only the count algebra varies: the count-free terms are computed
+    once per value of the axes after it.
+    """
+    # per axis, the checked parts by value index
+    axes = [(name, values, AXES[name], [None] * len(values)) for name, values in grid.axes]
+    last = len(axes) - 1
+    rows = []
+
+    def walk(depth: int, cfg: ScenarioConfig, arch, point: tuple, terms, key: tuple):
+        name, values, axis, parts = axes[depth]
+        if axis.arch and len(values) > 1:
+            terms = {}  # count-free terms, by the value indices of the other axes
+        for i, v in enumerate(values):
+            at_key = key if axis.arch else key + (i,)
             try:
-                at = apply(cfg, v)
+                if parts[i] is None:
+                    parts[i] = axis.part(v)
+                if axis.arch:
+                    arch = parts[i]   # read by the count algebra, never by the terms
+                else:
+                    cfg = _set(cfg, axis.field, parts[i])   # the same field each time
                 if depth == last:
-                    res = power_energy.efficiency(at)
+                    rows.append((*point, v, *_evaluate(cfg, arch, terms, at_key)))
             except ConfigError as e:
                 raise ValidationError(f"grid point {name}={v!r}: {e}") from e
             if depth < last:
-                walk(at, depth + 1, point + (v,))
-            else:
-                rows.append((*point, v, res.throughput_bps, res.system_energy_j,
-                             res.efficiency))
+                walk(depth + 1, cfg, arch, point + (v,), terms, at_key)
 
-    walk(grid.base, 0, ())
+    walk(0, grid.base, grid.base.architecture, (), None, ())
     return rows
 
 
@@ -234,10 +280,14 @@ def rows_to_csv(grid: SweepGrid, rows: list[tuple]) -> str:
 
 
 def rows_to_json(grid: SweepGrid, rows: list[tuple]) -> str:
-    """JSON text mirroring the CSV rows as an array of objects."""
+    """JSON text mirroring the CSV rows as an array of objects: the bytes
+    json_text writes for them, from one %r template per grid."""
     names, types = _columns(grid)
-    return json_text([{name: t(v) for name, t, v in zip(names, types, row)}
-                      for row in rows])
+    columns = [list(map(t, column)) for t, column in zip(types, zip(*rows))]
+    if not all(all(map(math.isfinite, c)) for t, c in zip(types, columns) if t is float):
+        json_text(columns)   # raises json_text's error for a non-finite number
+    template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in names) + "\n  }"
+    return "[\n" + ",\n".join([template % row for row in zip(*columns)]) + "\n]\n" if rows else "[]\n"
 
 
 # ---------------------------------------------------------------------------

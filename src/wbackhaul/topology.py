@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .scenario import ValidationError, _check_number
+from .scenario import ValidationError, _check_number, _with_checked
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
@@ -118,9 +118,7 @@ class RelayTree:
 def _check_real(name: str, value, rule: tuple):
     """value, checked by the number rule; a numpy float as the Python float it
     converts to, since numpy would compare it with the bound in its own precision."""
-    value = float(value) if isinstance(value, np.floating) else value
-    _check_number(name, value, rule)
-    return value
+    return _check_number(name, float(value) if isinstance(value, np.floating) else value, rule)
 
 
 def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
@@ -181,7 +179,10 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     if not math.isfinite(float(per_cell_bps) * largest):
         raise ValidationError(f"per_cell_bps: {per_cell_bps!r} bit/s on an edge "
                               f"carrying {largest:.0f} stations overflows a float")
-    return replace(tree, link_load_bps=per_cell_bps * sizes)
+    loads = per_cell_bps * sizes
+    loads.setflags(write=False)
+    # the tree was checked when it was built; only its loads are new
+    return _with_checked(tree, link_load_bps=loads)
 
 
 def gateway_ingress_bps(tree: RelayTree) -> float:

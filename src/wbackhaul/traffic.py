@@ -12,6 +12,8 @@ import math
 
 from . import link_model
 from .scenario import (
+    Architecture,
+    CellParams,
     Central,
     ScenarioConfig,
     ThroughputBreakdown,
@@ -31,6 +33,49 @@ def _cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
             (1.0 + overhead_s1 + overhead_x2) * bandwidth_hz * se)
 
 
+def _cell(cfg: ScenarioConfig, cell: CellParams, name: str) -> tuple[float, float, float]:
+    """(se, up, down) of one cell of the class name; a cell's downlink is its
+    largest term, so it overflows whenever the uplink does."""
+    se = link_model.resolve_se(cell.spectrum_eff, cell.radius_m, cfg.alpha)
+    up, down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)
+    if not math.isfinite(down):
+        raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "
+                              f"{cell.bandwidth_hz!r} Hz and {se!r} bit/s/Hz")
+    return se, up, down
+
+
+def _cell_terms(cfg: ScenarioConfig) -> tuple:
+    """Count-free throughput terms, each cell's backhaul checked finite:
+    (small_up, small_down, macro_up, macro_down, down_factor, small_se).
+
+    Central: the per-cell up and down backhaul of a small and the macro
+    cell; down_factor goes unused.  Distribution: a member relays at its
+    full downlink in both directions, and down_factor * SE is its downlink
+    at the cooperative SE that _sums sets; there is no macro cell.
+    """
+    small_se, small_up, small_down = _cell(cfg, cfg.small, "small")
+    if not isinstance(cfg.architecture, Central):
+        factor = (1.0 + cfg.overheads.s1 + cfg.overheads.x2) * cfg.small.bandwidth_hz
+        return small_down, small_down, 0.0, 0.0, factor, small_se
+    _, macro_up, macro_down = _cell(cfg, cfg.macro, "macro")
+    return small_up, small_down, macro_up, macro_down, None, small_se
+
+
+def _sums(cells: tuple, arch: Architecture) -> tuple[float, float, float, float]:
+    """(small_down, total_up, total_down, total_bps) at the station count of
+    arch, from the _cell_terms of a scenario of its architecture."""
+    small_up, small_down, macro_up, macro_down, down_factor, se = cells
+    if isinstance(arch, Central):
+        count = arch.n_small
+    else:
+        count = arch.k_cluster
+        small_down = down_factor * (se + (count - 1) * se)
+    total_up = count * small_up + macro_up
+    total_down = count * small_down + macro_down
+    return (small_down, total_up, total_down,
+            _finite_total(total_up + total_down, arch, "backhaul throughput"))
+
+
 def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     """Throughput breakdown of a full scenario, resolving SE sources.
 
@@ -40,32 +85,7 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     downlink also carries the cooperative traffic of its K-1 neighbours,
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
-    arch, small = cfg.architecture, cfg.small
-    s1, x2 = cfg.overheads.s1, cfg.overheads.x2
-    small_se = link_model.resolve_se(small.spectrum_eff, small.radius_m, cfg.alpha)
-    # a cell's downlink is its largest term: it overflows whenever the uplink does
-    small_up, small_down = _cell_backhaul(small.bandwidth_hz, small_se, s1, x2)
-    if not math.isfinite(small_down):
-        raise ValidationError(f"small.bandwidth_hz: cell backhaul overflows a float at "
-                              f"{small.bandwidth_hz!r} Hz and {small_se!r} bit/s/Hz")
-    if isinstance(arch, Central):
-        count = arch.n_small
-        macro = cfg.macro
-        macro_se = link_model.resolve_se(macro.spectrum_eff, macro.radius_m, cfg.alpha)
-        macro_up, macro_down = _cell_backhaul(macro.bandwidth_hz, macro_se, s1, x2)
-        if not math.isfinite(macro_down):
-            raise ValidationError(f"macro.bandwidth_hz: cell backhaul overflows a float at "
-                                  f"{macro.bandwidth_hz!r} Hz and {macro_se!r} bit/s/Hz")
-    else:
-        count = arch.k_cluster
-        coop_se = small_se + (count - 1) * small_se
-        small_up = small_down
-        small_down = _cell_backhaul(small.bandwidth_hz, coop_se, s1, x2)[1]
-        macro_up = macro_down = 0.0
-    total_up = count * small_up + macro_up
-    total_down = count * small_down + macro_down
-    return ThroughputBreakdown(
-        small_up_bps=small_up, small_down_bps=small_down,
-        macro_up_bps=macro_up, macro_down_bps=macro_down,
-        total_up_bps=total_up, total_down_bps=total_down,
-        total_bps=_finite_total(total_up + total_down, arch, "backhaul throughput"))
+    small_up, _, macro_up, macro_down, _, _ = cells = _cell_terms(cfg)
+    small_down, total_up, total_down, total = _sums(cells, cfg.architecture)
+    return ThroughputBreakdown(small_up, small_down, macro_up, macro_down,
+                               total_up, total_down, total)

@@ -247,7 +247,13 @@ HUGE_EMBODIED = {"type": "absolute", "init_j": 1e308, "maint_j": 1e308}
     (_doc({"type": "central", "n_small": 10 ** 300}), "n_small"),
     (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "k_cluster"),
     # one station's operating power times its lifetime overflows
-    (_doc(CENTRAL, small={"lifetime_s": 1e308}), "lifetime_s"),
+    (_doc(CENTRAL, small={"lifetime_s": 1e308}), "^small.lifetime_s: "),
+    # the operating power overflows on its own, or is the larger factor
+    (_doc(CENTRAL, macro={"power_curve": {"slope_a": 1e308, "offset_b_w": 354.44}}),
+     r"^macro.power_curve: operating energy overflows a float at P_op=inf W$"),
+    (_doc(CENTRAL, macro={"power_curve": {"slope_a": 21.45, "offset_b_w": 1e308},
+                          "lifetime_s": 10}),
+     r"^macro.power_curve: operating energy overflows a float at P_op=1e\+308 W$"),
     # a cell's own backhaul or energy overflows, whatever the station count
     (_doc({"type": "central", "n_small": 0}, small={"bandwidth_hz": 1e308}),
      "^small.bandwidth_hz: "),

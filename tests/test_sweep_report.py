@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -10,7 +11,9 @@ from wbackhaul.scenario import (
     Central,
     Distribution,
     FixedSE,
+    PowerCurve,
     ScenarioConfig,
+    ShannonEdgeSE,
     ValidationError,
 )
 from wbackhaul.sweep_report import (
@@ -151,22 +154,24 @@ def test_grid_larger_than_max_points_rejected():
         SweepGrid(CENTRAL, axes)
 
 
-def test_each_axis_value_applied_once_per_outer_point(monkeypatch):
-    calls = []
+def test_each_axis_value_checked_once(monkeypatch):
+    checked = []
 
     def counting(name):
-        apply = AXES[name].apply
+        part = AXES[name].part
 
-        def counted(cfg, value):
-            calls.append(name)
-            return apply(cfg, value)
-        return AXES[name]._replace(apply=counted)
+        def counted(value):
+            checked.append(name)
+            return part(value)
+        return AXES[name]._replace(part=counted)
 
     for name in ("n_small", "band"):
         monkeypatch.setitem(sweep_report.AXES, name, counting(name))
     bands = (5.8e9, 28e9, 38e9, 60e9)
-    run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", bands))))
-    assert calls.count("n_small") == 3 and calls.count("band") == 3 * 4
+    rows = run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", bands))))
+    assert len(rows) == 3 * 4
+    # each distinct value once, not once per point of the axes before it
+    assert checked.count("n_small") == 3 and checked.count("band") == 4
 
 
 def test_energy_underflow_grid_point_names_lifetime():
@@ -178,15 +183,17 @@ def test_energy_underflow_grid_point_names_lifetime():
         run_sweep(grid)
 
 
-def test_apply_axis_variants():
-    cfg = AXES["alpha"].apply(CENTRAL, 2.7)
-    assert cfg.alpha == 2.7
-    cfg = AXES["small_se"].apply(CENTRAL, 7.5)
-    assert cfg.small.spectrum_eff == FixedSE(7.5)
-    cfg = AXES["small_radius"].apply(CENTRAL, 75.0)
-    assert cfg.small.radius_m == 75.0
-    cfg = AXES["k_cluster"].apply(DIST, 3)
-    assert cfg.architecture == Distribution(3)
+def test_axis_parts_and_fields():
+    assert AXES["alpha"].part(2.7) == 2.7
+    assert AXES["small_se"].part(7.5) == FixedSE(7.5)
+    assert AXES["k_cluster"].part(3) == Distribution(3)
+    assert AXES["small_radius"].field == ("small", "radius_m")
+    with pytest.raises(ValidationError, match="^radius_m: must be a number > 0$"):
+        AXES["small_radius"].part(0.0)
+    # a part set into a scenario is the scenario replace() checks and builds
+    cfg = sweep_report._set(CENTRAL, AXES["small_radius"].field, 75.0)
+    assert cfg == replace(CENTRAL, small=replace(CENTRAL.small, radius_m=75.0))
+    assert CENTRAL.small.radius_m == 50.0
 
 
 def test_figure_presets_exist_and_are_deterministic():
@@ -268,3 +275,165 @@ def test_table1_report_flags_failures_without_raising(monkeypatch):
     assert len(checks) == 12
     assert {c.label for c in checks if not c.passed} == {
         "macro P_TX @ 28 GHz", "macro P_OP @ 28 GHz"}
+
+
+# ---------------------------------------------------------------------------
+# The sweep path against standalone evaluation, bit for bit
+# ---------------------------------------------------------------------------
+
+_SETTERS = {
+    "n_small": lambda cfg, v: replace(cfg, architecture=Central(v)),
+    "k_cluster": lambda cfg, v: replace(cfg, architecture=Distribution(v)),
+    "alpha": lambda cfg, v: replace(cfg, alpha=v),
+    "small_se": lambda cfg, v: replace(cfg, small=replace(cfg.small, spectrum_eff=FixedSE(v))),
+    "band": lambda cfg, v: replace(cfg, band_hz=v),
+    "small_radius": lambda cfg, v: replace(cfg, small=replace(cfg.small, radius_m=v)),
+}
+
+
+def _hex(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def _standalone(grid):
+    """Hex rows, or the first error message, from building each point's
+    scenario with replace() and evaluating it with efficiency(), in row order."""
+    rows = []
+    for point in itertools.product(*(values for _, values in grid.axes)):
+        cfg = grid.base
+        try:
+            for (name, _), v in zip(grid.axes, point):
+                where = f"grid point {name}={v!r}"
+                cfg = _SETTERS[name](cfg, v)
+            res = power_energy.efficiency(cfg)
+        except ValidationError as e:
+            return f"{where}: {e}"
+        rows.append((*point, res.throughput_bps, res.system_energy_j, res.efficiency))
+    return _hex(rows)
+
+
+def _swept(grid):
+    try:
+        return _hex(run_sweep(grid))
+    except ValidationError as e:
+        return str(e)
+
+
+SHANNON = replace(CENTRAL.small, spectrum_eff=ShannonEdgeSE(5.0, 50.0))
+HUGE_COUNTS = (1, 2**53 + 1, 10**30)
+TINY = replace(DIST.small, radius_m=1e-100, lifetime_s=1e-160,
+               power_curve=PowerCurve(1.0, 1e-160))
+
+SWEEP_CASES = {
+    "central-count-first": (CENTRAL, (("n_small", (0, 1, 7, 400)), ("alpha", (2.5, 3.2, 4.0)))),
+    "central-count-middle": (CENTRAL, (("band", (5.8e9, 60e9)), ("n_small", (0, 7, 40)),
+                                       ("small_radius", (20.0, 75.0)))),
+    "central-count-last": (CENTRAL, (("small_se", (-0.0, 1.0, 7.5)), ("n_small", (0, 3)))),
+    "central-no-count": (CENTRAL, (("alpha", (2, 3)), ("band", (6000000000, 28e9)))),
+    "distribution-count-first": (DIST, (("k_cluster", (1, 2, 99)), ("small_se", (0.0, 2.5)))),
+    "distribution-count-middle": (DIST, (("alpha", (2.5, 3.5)), ("k_cluster", (1, 10)),
+                                         ("band", (5.8e9, 28e9)))),
+    "distribution-count-last": (DIST, (("small_radius", (20.0, 100.0)), ("k_cluster", (1, 3)))),
+    "shannon-central": (replace(CENTRAL, small=SHANNON),
+                        (("alpha", (2.5, 3.2, 4.0)), ("small_radius", (20.0, 50.0, 100.0)),
+                         ("n_small", (0, 25)))),
+    "shannon-distribution": (replace(DIST, small=SHANNON),
+                             (("k_cluster", (1, 5)), ("small_radius", (20.0, 50.0)))),
+    # hostile grids: each ends in the same first error as standalone evaluation
+    "huge-counts-central": (CENTRAL, (("n_small", HUGE_COUNTS + (10**300,)),
+                                      ("alpha", (2.5, 3.2)))),
+    "huge-counts-distribution": (DIST, (("alpha", (2.5, 3.2)),
+                                        ("k_cluster", HUGE_COUNTS + (10**300,)))),
+    "huge-counts-fit": (DIST, (("k_cluster", HUGE_COUNTS),)),
+    "shannon-edge-overflow": (replace(DIST, small=SHANNON),
+                              (("alpha", (2.5, 50.0, 60.0)), ("small_radius", (1e-6, 50.0)))),
+    "tiny-lifetimes": (replace(DIST, small=TINY), (("alpha", (2.0, 3.0)), ("k_cluster", (1, 2)))),
+    "bad-inner-value": (CENTRAL, (("n_small", (1, 2)), ("small_se", (1.0, math.inf)))),
+    "bad-outer-value": (CENTRAL, (("alpha", (3.0, math.inf)), ("n_small", (1, 2)))),
+    "bad-outer-count": (CENTRAL, (("n_small", (1, 2, 2.5)), ("alpha", (3.0, 4.0)))),
+    "band-1e308": (DIST, (("k_cluster", (1, 2)), ("band", (5.8e9, 1e308)))),
+    "power-curve-overflow": (replace(CENTRAL, macro=replace(
+        CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))), (("n_small", (1, 2)),)),
+    # the throughput total is checked before the station energies
+    "count-and-energy-overflow": (replace(CENTRAL, macro=replace(
+        CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))),
+        (("alpha", (3.0,)), ("n_small", (10**300,)))),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
+    grid = SweepGrid(*SWEEP_CASES[case])
+    assert _swept(grid) == _standalone(grid)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("huge-counts-central",
+     "grid point alpha=2.5: architecture.n_small: backhaul throughput overflows a float"),
+    ("count-and-energy-overflow",
+     "grid point n_small=" + str(10**300) + ": architecture.n_small: backhaul throughput "
+     "overflows a float"),
+    ("bad-inner-value", "grid point small_se=inf: bit_per_s_per_hz: must be a number >= 0"),
+    ("bad-outer-value", "grid point alpha=inf: alpha: must be a number > 0"),
+    ("bad-outer-count", "grid point n_small=2.5: n_small: must be an integer >= 0"),
+    ("band-1e308", "grid point band=1e+308: radius_m: transmit power overflows a float "
+                   "at radius_m=50.0, alpha=3.2, band_hz=1e+308"),
+    ("tiny-lifetimes", "grid point k_cluster=1: lifetime_s: system energy 1.25e-320 J "
+                       "is too small"),
+])
+def test_hostile_grids_end_in_their_first_error(case, message):
+    assert _swept(SweepGrid(*SWEEP_CASES[case])) == message
+
+
+def test_count_axis_computes_the_count_free_terms_once_per_other_point(monkeypatch):
+    calls = []
+    cell_terms = sweep_report.traffic._cell_terms
+    monkeypatch.setattr(sweep_report.traffic, "_cell_terms",
+                        lambda cfg: calls.append(cfg.alpha) or cell_terms(cfg))
+    run_sweep(SweepGrid(CENTRAL, (("n_small", (0, 1, 2, 3)), ("alpha", (2.5, 3.0)))))
+    assert calls == [2.5, 3.0]
+
+
+def test_terms_beyond_the_cache_bound_are_recomputed_not_lost(monkeypatch):
+    monkeypatch.setattr(sweep_report, "_MAX_CACHED", 1)
+    grid = SweepGrid(*SWEEP_CASES["central-count-first"])
+    assert _swept(grid) == _standalone(grid)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: the bytes json_text writes
+# ---------------------------------------------------------------------------
+
+def _json_oracle(grid, rows):
+    names = grid.axis_names + sweep_report.VALUE_COLUMNS
+    types = [int if AXES[n].arch else float for n in grid.axis_names] + [float] * 3
+    return sweep_report.json_text([{n: t(v) for n, t, v in zip(names, types, row)}
+                                   for row in rows])
+
+
+@pytest.mark.parametrize("grid,rows", [
+    (SweepGrid(CENTRAL, (("small_se", (-0.0, 1.0)), ("n_small", (0, 2**53 + 1)))), None),
+    (SweepGrid(DIST, (("alpha", (2, 3)), ("k_cluster", (1, 10**30)))), None),
+    (SweepGrid(CENTRAL, (("band", (5.8e9,)),)), [(6000000000, 1, 2, 3)]),
+    (SweepGrid(CENTRAL, (("n_small", (1,)),)), [(2**60 + 1, 1e-320, 5e-324, 1.7976931348623157e308)]),
+    (SweepGrid(CENTRAL, (("n_small", (1,)),)), []),
+], ids=["neg-zero-and-2**53+1", "int-floats-and-1e30", "ints-on-float-columns",
+        "extremes", "empty"])
+def test_rows_to_json_bytes_equal_json_text(grid, rows):
+    rows = run_sweep(grid) if rows is None else rows
+    assert rows_to_json(grid, rows) == _json_oracle(grid, rows)
+
+
+def test_rows_to_json_of_no_rows():
+    assert rows_to_json(SweepGrid(CENTRAL, (("n_small", (1,)),)), []) == "[]\n"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rows_to_json_rejects_non_finite_numbers_like_json_text(bad):
+    grid = SweepGrid(CENTRAL, (("alpha", (3.0,)),))
+    rows = [(3.0, 1.0, 2.0, 0.5), (3.5, 1.0, bad, 0.5)]
+    with pytest.raises(ValidationError, match="^output: ") as got:
+        rows_to_json(grid, rows)
+    with pytest.raises(ValidationError) as want:
+        _json_oracle(grid, rows)
+    assert str(got.value) == str(want.value)

@@ -442,3 +442,21 @@ def test_link_loads_reject_hand_built_trees_that_are_not_trees(parent, gateway):
     parent = parent if isinstance(parent, np.ndarray) else np.array(parent, dtype=np.int64)
     with pytest.raises(ValidationError, match="^parent: "):
         RelayTree(gateway, parent, np.zeros(parent.shape[-1]))
+
+
+def test_link_loads_keep_the_tree_and_do_not_check_it_again(monkeypatch):
+    tree = build_relay_tree(place_uniform(300, 500.0, seed=4))
+    parent = tree.parent.copy()
+    checks = []
+    post_init = RelayTree.__post_init__
+    monkeypatch.setattr(RelayTree, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    loaded = link_loads(tree, 2e9)
+    assert checks == []
+    assert loaded.gateway_index == tree.gateway_index
+    assert loaded.parent is tree.parent and np.array_equal(loaded.parent, parent)
+    assert not tree.link_load_bps.any()     # the input tree keeps its zero loads
+    for array in (loaded.parent, loaded.link_load_bps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
