@@ -150,7 +150,13 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
 
 
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
-    """Energy efficiency of a scenario: total throughput / system energy."""
-    th = traffic.scenario_throughput(cfg)
-    en = scenario_energy(cfg)
+    """Energy efficiency of a scenario: total throughput / system energy.
+
+    Every cell's and station's own terms are checked before any total, so
+    an overflowing station names its own field even where a station count
+    would overflow the totals as well.
+    """
+    cells, stations = traffic._cell_terms(cfg), _station_terms(cfg)
+    th = ThroughputBreakdown(*traffic._sums(cells, cfg.architecture))
+    en = EnergyBreakdown(*stations, _energy_total(stations, cfg.architecture))
     return EfficiencyResult(th, en, _ratio(th.total_bps, en.system_total_j))

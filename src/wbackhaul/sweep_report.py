@@ -115,6 +115,8 @@ class SweepGrid:
     axes: tuple
 
     def __post_init__(self):
+        if not isinstance(self.base, ScenarioConfig):
+            raise ValidationError(f"base: must be a ScenarioConfig, got {self.base!r}")
         try:
             axes = iter(self.axes)
         except TypeError:
@@ -157,45 +159,28 @@ def _set(record, path: tuple, part):
                                     if rest else part})
 
 
-# Most count-free terms a sweep keeps at once, ~0.5 kB each
-_MAX_CACHED = 2**16
-
-
-def _evaluate(cfg: ScenarioConfig, arch, terms, key: tuple) -> tuple[float, float, float]:
-    """(throughput_bps, system_energy_j, efficiency) of cfg at the station count
-    of arch, checked in efficiency's order.  terms, unless None, holds cfg's
-    count-free terms under key."""
-    hit = terms.get(key) if terms is not None else None
-    cells = hit[0] if hit else traffic._cell_terms(cfg)
-    bps = traffic._sums(cells, arch)[3]
-    stations = hit[1] if hit else power_energy._station_terms(cfg)
-    if not hit and terms is not None and len(terms) < _MAX_CACHED:
-        terms[key] = cells, stations
-    energy_j = power_energy._energy_total(stations, arch)
-    return bps, energy_j, power_energy._ratio(bps, energy_j)
-
-
 def run_sweep(grid: SweepGrid) -> list[tuple]:
     """Evaluate every grid point, the first axis varying slowest.  A row is
     the point's output cells: its axis values, then throughput_bps,
     system_energy_j and efficiency, as in the CSV header.
 
     Each axis value is checked once, when the walk first reaches it, and a
-    point's scenario is assembled from checked parts.  Along a station-count
-    axis only the count algebra varies: the count-free terms are computed
-    once per value of the axes after it.
+    point's scenario is assembled from checked parts.  A point is evaluated
+    as efficiency() evaluates it, every count-free term before the count
+    algebra; the terms are recomputed only when the point's scenario is not
+    the one last evaluated.  A station count builds no scenario, so along a
+    last (or only) count axis they are computed once per scenario.
     """
     # per axis, the checked parts by value index
     axes = [(name, values, AXES[name], [None] * len(values)) for name, values in grid.axes]
     last = len(axes) - 1
     rows = []
+    evaluated = cells = stations = None   # the scenario last evaluated and its terms
 
-    def walk(depth: int, cfg: ScenarioConfig, arch, point: tuple, terms, key: tuple):
+    def walk(depth: int, cfg: ScenarioConfig, arch, point: tuple):
+        nonlocal evaluated, cells, stations
         name, values, axis, parts = axes[depth]
-        if axis.arch and len(values) > 1:
-            terms = {}  # count-free terms, by the value indices of the other axes
         for i, v in enumerate(values):
-            at_key = key if axis.arch else key + (i,)
             try:
                 if parts[i] is None:
                     parts[i] = axis.part(v)
@@ -204,13 +189,18 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
                 else:
                     cfg = _set(cfg, axis.field, parts[i])   # the same field each time
                 if depth == last:
-                    rows.append((*point, v, *_evaluate(cfg, arch, terms, at_key)))
+                    if cfg is not evaluated:
+                        cells, stations = traffic._cell_terms(cfg), power_energy._station_terms(cfg)
+                        evaluated = cfg
+                    bps = traffic._sums(cells, arch)[6]
+                    energy_j = power_energy._energy_total(stations, arch)
+                    rows.append((*point, v, bps, energy_j, power_energy._ratio(bps, energy_j)))
             except ConfigError as e:
                 raise ValidationError(f"grid point {name}={v!r}: {e}") from e
             if depth < last:
-                walk(depth + 1, cfg, arch, point + (v,), terms, at_key)
+                walk(depth + 1, cfg, arch, point + (v,))
 
-    walk(0, grid.base, grid.base.architecture, (), None, ())
+    walk(0, grid.base, grid.base.architecture, ())
     return rows
 
 

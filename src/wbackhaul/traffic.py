@@ -61,9 +61,9 @@ def _cell_terms(cfg: ScenarioConfig) -> tuple:
     return small_up, small_down, macro_up, macro_down, None, small_se
 
 
-def _sums(cells: tuple, arch: Architecture) -> tuple[float, float, float, float]:
-    """(small_down, total_up, total_down, total_bps) at the station count of
-    arch, from the _cell_terms of a scenario of its architecture."""
+def _sums(cells: tuple, arch: Architecture) -> tuple:
+    """The seven ThroughputBreakdown fields at the station count of arch,
+    from the _cell_terms of a scenario of its architecture."""
     small_up, small_down, macro_up, macro_down, down_factor, se = cells
     if isinstance(arch, Central):
         count = arch.n_small
@@ -72,7 +72,7 @@ def _sums(cells: tuple, arch: Architecture) -> tuple[float, float, float, float]
         small_down = down_factor * (se + (count - 1) * se)
     total_up = count * small_up + macro_up
     total_down = count * small_down + macro_down
-    return (small_down, total_up, total_down,
+    return (small_up, small_down, macro_up, macro_down, total_up, total_down,
             _finite_total(total_up + total_down, arch, "backhaul throughput"))
 
 
@@ -85,7 +85,4 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     downlink also carries the cooperative traffic of its K-1 neighbours,
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
-    small_up, _, macro_up, macro_down, _, _ = cells = _cell_terms(cfg)
-    small_down, total_up, total_down, total = _sums(cells, cfg.architecture)
-    return ThroughputBreakdown(small_up, small_down, macro_up, macro_down,
-                               total_up, total_down, total)
+    return ThroughputBreakdown(*_sums(_cell_terms(cfg), cfg.architecture))

@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 import wbackhaul
 from wbackhaul import power_energy, sweep_report
 from wbackhaul.cli import main
-from wbackhaul.scenario import Central, ScenarioConfig, serialize_scenario
+from wbackhaul.scenario import (
+    Central,
+    ScenarioConfig,
+    ValidationError,
+    scenario_from_dict,
+    serialize_scenario,
+)
 from wbackhaul.sweep_report import MAX_POINTS, figure_grid, parse_axis
+from wbackhaul.traffic import scenario_throughput
 
 CENTRAL_100 = '{"architecture": {"type": "central", "n_small": 100}}'
 DIST_10 = '{"architecture": {"type": "distribution", "k_cluster": 10}}'
@@ -97,6 +104,27 @@ def test_eval_hostile_config_exits_1_naming_the_path(tmp_path, capsys, text, mes
     p.write_text(text)
     assert main(["eval", "--config", str(p)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_a_station_that_overflows_is_named_before_the_count(tmp_path, capsys):
+    # n_small overflows the throughput total, and the macro station's own
+    # energy overflows at every count: the station is the error
+    doc = {"architecture": {"type": "central", "n_small": 10**300},
+           "macro": {"power_curve": {"slope_a": 1e308, "offset_b_w": 1.0}}}
+    cfg = scenario_from_dict(doc)
+    station = "macro.power_curve: operating energy overflows a float"
+    for evaluate in (power_energy.efficiency, power_energy.scenario_energy):
+        with pytest.raises(ValidationError, match=f"^{station}"):
+            evaluate(cfg)
+    grid = sweep_report.SweepGrid(cfg, (parse_axis(f"n_small={10**300}"),))
+    with pytest.raises(ValidationError, match=f"^grid point n_small=1{'0' * 300}: {station}"):
+        sweep_report.run_sweep(grid)
+    with pytest.raises(ValidationError, match="^architecture.n_small: backhaul throughput"):
+        scenario_throughput(cfg)
+    p = tmp_path / "two-faults.json"
+    p.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(p)]) == 1
+    assert f"error: {station}" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(central_cfg, capsys):

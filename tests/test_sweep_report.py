@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbackhaul import power_energy, sweep_report
 from wbackhaul.scenario import (
@@ -82,6 +84,15 @@ def test_unknown_axis_rejected():
 def test_malformed_axes_are_validation_errors_naming_the_axis(axes, message):
     with pytest.raises(ValidationError, match=message):
         SweepGrid(CENTRAL, axes)
+
+
+@pytest.mark.parametrize("base", [None, {"architecture": {"type": "central", "n_small": 1}}, 5],
+                         ids=["none", "dict", "int"])
+@pytest.mark.parametrize("axis", [("alpha", (3.0,)), ("n_small", (1,))],
+                         ids=["alpha", "n_small"])
+def test_a_base_that_is_not_a_scenario_is_a_validation_error(base, axis):
+    with pytest.raises(ValidationError, match="^base: must be a ScenarioConfig, got "):
+        SweepGrid(base, (axis,))
 
 
 def test_grid_point_errors_are_tagged():
@@ -354,7 +365,7 @@ SWEEP_CASES = {
     "band-1e308": (DIST, (("k_cluster", (1, 2)), ("band", (5.8e9, 1e308)))),
     "power-curve-overflow": (replace(CENTRAL, macro=replace(
         CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))), (("n_small", (1, 2)),)),
-    # the throughput total is checked before the station energies
+    # every station's own energy is checked before the throughput total
     "count-and-energy-overflow": (replace(CENTRAL, macro=replace(
         CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))),
         (("alpha", (3.0,)), ("n_small", (10**300,)))),
@@ -371,8 +382,8 @@ def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
     ("huge-counts-central",
      "grid point alpha=2.5: architecture.n_small: backhaul throughput overflows a float"),
     ("count-and-energy-overflow",
-     "grid point n_small=" + str(10**300) + ": architecture.n_small: backhaul throughput "
-     "overflows a float"),
+     "grid point n_small=" + str(10**300) + ": macro.power_curve: operating energy "
+     "overflows a float at P_op=1.0000000000000002e+306 W"),
     ("bad-inner-value", "grid point small_se=inf: bit_per_s_per_hz: must be a number >= 0"),
     ("bad-outer-value", "grid point alpha=inf: alpha: must be a number > 0"),
     ("bad-outer-count", "grid point n_small=2.5: n_small: must be an integer >= 0"),
@@ -385,19 +396,59 @@ def test_hostile_grids_end_in_their_first_error(case, message):
     assert _swept(SweepGrid(*SWEEP_CASES[case])) == message
 
 
-def test_count_axis_computes_the_count_free_terms_once_per_other_point(monkeypatch):
+# values the random grids draw from, hostile ones among them
+_POOLS = {
+    "n_small": (0, 1, 7, 400, 2**53 + 1, 10**300),
+    "k_cluster": (1, 2, 99, 2**53 + 1, 10**300),
+    "alpha": (2.0, 2.5, 3.2, 4.0, 50.0),
+    "small_se": (-0.0, 1.0, 7.5),
+    "band": (5.8e9, 28e9, 60e9, 1e308, math.inf),
+    "small_radius": (1e-6, 20.0, 50.0, 100.0),
+}
+_OVERFLOWING_MACRO = replace(CENTRAL.macro, power_curve=PowerCurve(1e308, 1.0))
+
+
+@st.composite
+def _grids(draw):
+    base = draw(st.sampled_from((CENTRAL, DIST, replace(CENTRAL, macro=_OVERFLOWING_MACRO))))
+    small = draw(st.sampled_from((base.small, SHANNON, TINY,
+                                  replace(TINY, spectrum_eff=SHANNON.spectrum_eff))))
+    count = "n_small" if isinstance(base.architecture, Central) else "k_cluster"
+    others = ("alpha", "small_se", "band", "small_radius")
+    names = draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+    # then the count axis, or at times a third non-count axis
+    if draw(st.booleans()) or not names:
+        names.append(count)
+    elif draw(st.booleans()):
+        names.append(draw(st.sampled_from([n for n in others if n not in names])))
+    names = draw(st.permutations(names))
+    # at most 6 * 6 or 3**3 points
+    size = 6 if len(names) < 3 else 3
+    axes = tuple((name, tuple(sorted(draw(st.lists(st.sampled_from(_POOLS[name]), min_size=1,
+                                                   max_size=size, unique=True)))))
+                 for name in names)
+    return SweepGrid(replace(base, small=small), axes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids())
+def test_random_grids_match_standalone_evaluation_bit_for_bit(grid):
+    assert _swept(grid) == _standalone(grid)
+
+
+def test_count_free_terms_are_recomputed_only_for_a_new_scenario(monkeypatch):
     calls = []
     cell_terms = sweep_report.traffic._cell_terms
     monkeypatch.setattr(sweep_report.traffic, "_cell_terms",
                         lambda cfg: calls.append(cfg.alpha) or cell_terms(cfg))
-    run_sweep(SweepGrid(CENTRAL, (("n_small", (0, 1, 2, 3)), ("alpha", (2.5, 3.0)))))
+    counts, alphas = ("n_small", (0, 1, 2, 3)), ("alpha", (2.5, 3.0))
+    # a count builds no scenario: along a last count axis, once per alpha
+    run_sweep(SweepGrid(CENTRAL, (alphas, counts)))
     assert calls == [2.5, 3.0]
-
-
-def test_terms_beyond_the_cache_bound_are_recomputed_not_lost(monkeypatch):
-    monkeypatch.setattr(sweep_report, "_MAX_CACHED", 1)
-    grid = SweepGrid(*SWEEP_CASES["central-count-first"])
-    assert _swept(grid) == _standalone(grid)
+    # each alpha value builds a new scenario: with the count axis first, once per point
+    calls.clear()
+    run_sweep(SweepGrid(CENTRAL, (counts, alphas)))
+    assert calls == [2.5, 3.0] * 4
 
 
 # ---------------------------------------------------------------------------
