@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import math
 
-from .scenario import FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError, _check_positive
+from .scenario import (FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError, _FLOAT_MAX,
+                       _check_positive)
 
 
 def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
     """Numeric spectrum efficiency (bit/s/Hz) for a cell, whatever its configured source."""
+    # any type but int and float (bools, arrays, numpy floats) takes the full rule
+    if not (type(radius_m) in (int, float) and type(alpha) in (int, float)
+            and 0 < radius_m <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
+        _check_positive(radius_m=radius_m, alpha=alpha)
     if isinstance(source, FixedSE):
         return source.bit_per_s_per_hz
     if not isinstance(source, ShannonEdgeSE):
         raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
-    # any type but int and float (bools, arrays, numpy floats) takes the full rule
-    if not (type(radius_m) in (int, float) and type(alpha) in (int, float)
-            and radius_m > 0 and alpha > 0):
-        _check_positive(radius_m=radius_m, alpha=alpha)
     try:
         se = math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
                        * (source.ref_radius_m / radius_m) ** alpha)

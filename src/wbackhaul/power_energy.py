@@ -22,6 +22,7 @@ from .scenario import (
     ThroughputBreakdown,
     TxAnchor,
     ValidationError,
+    _FLOAT_MAX,
     _check_positive,
     _finite_total,
 )
@@ -55,7 +56,8 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     """
     # any type but int and float (bools, arrays, numpy floats) takes the full rule
     if not (type(radius_m) in (int, float) and type(band_hz) in (int, float)
-            and type(alpha) in (int, float) and radius_m > 0 and band_hz > 0 and alpha > 0):
+            and type(alpha) in (int, float) and 0 < radius_m <= _FLOAT_MAX
+            and 0 < band_hz <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
         _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
     try:
         p_tx = (anchor.power_w
@@ -66,10 +68,21 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     except (TypeError, AttributeError):
         raise ValidationError("anchor: must be a TxAnchor") from None
     if not math.isfinite(p_tx):
-        raise ValidationError(
-            f"radius_m: transmit power overflows a float at radius_m={radius_m!r}, "
-            f"alpha={alpha!r}, band_hz={band_hz!r}")
+        raise _tx_overflow(radius_m, band_hz, alpha, anchor, "")
     return p_tx
+
+
+def _tx_overflow(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor,
+                 cell: str) -> ValidationError:
+    """The error of a transmit power that overflows a float.  It names band_hz
+    when the band factor is the larger one, else the radius_m of cell: "" for
+    the library call, else the cell's JSON path and a dot.  The factors are
+    compared by their logarithms, which never overflow."""
+    band = (anchor.freq_exponent * (math.log(band_hz) - math.log(anchor.carrier_hz))
+            >= alpha * (math.log(radius_m) - math.log(anchor.radius_m)))
+    return ValidationError(
+        f"{'band_hz' if band else cell + 'radius_m'}: transmit power overflows a float at "
+        f"radius_m={radius_m!r}, alpha={alpha!r}, band_hz={band_hz!r}")
 
 
 # The per-station helpers below take values of checked records (and the
@@ -93,7 +106,11 @@ def _embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
 def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                     name: str) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of the class name."""
-    p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
+    try:
+        p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
+    except ValidationError:   # an overflow: the arguments come from a checked scenario
+        raise _tx_overflow(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor,
+                           f"{name}.") from None
     p_op = _operating_power(cell.power_curve, p_tx)
     e_op = p_op * cell.lifetime_s
     if not math.isfinite(e_op):

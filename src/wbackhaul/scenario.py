@@ -2,15 +2,15 @@
 
 All quantities are SI: Hz, meters, Watts, Joules, seconds, bit/s.
 Every type is a frozen dataclass and safe to share between threads.
-An input record's fields are its JSON keys: one {field: rule} table per
-record checks its values, reads it from a document and writes it back.
+An input record's fields are its JSON keys, and each field carries the
+rule that checks its value, reads it from a document and writes it back.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
@@ -62,41 +62,46 @@ def _check_positive(**args) -> None:
         _check_number(name, value, _POSITIVE)
 
 
+def _rule(rule, default=MISSING):
+    """A record field with its rule: a number rule, a record class, or a
+    {tag: class} tagged union, whose JSON object names its class by the tag
+    in its "type" key.  A record field that defaults to None may also be None."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _record(cls):
+    """The frozen dataclass of an input record, with the rule tables of its
+    fields built once per class: every record built runs __post_init__ and
+    every object of a document runs _read."""
+    cls = dataclass(frozen=True)(cls)
+    # _rules: {field: rule} in declaration order;
+    # _fields: (field, record rule or None, default) for the reader;
+    # _records: (field, types, message, {class: tag} or None);
+    # _numbers: (field, number rule); _keys_with_type: a union member's JSON keys.
+    cls._rules = {f.name: f.metadata["rule"] for f in fields(cls)}
+    cls._keys_with_type = frozenset(cls._rules) | {"type"}
+    read, records, numbers = [], [], []
+    for f in fields(cls):
+        name, rule, default = f.name, f.metadata["rule"], f.default
+        if isinstance(rule, tuple):
+            read.append((name, None, default))
+            numbers.append((name, rule))
+            continue
+        read.append((name, rule, default))
+        union = isinstance(rule, dict)
+        types = tuple(rule.values()) if union else (rule,)
+        message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
+        if default is None:
+            types, message = types + (type(None),), message + " or None"
+        tags = {c: tag for tag, c in rule.items()} if union else None
+        records.append((name, types, message, tags))
+    cls._fields, cls._records, cls._numbers = tuple(read), tuple(records), tuple(numbers)
+    return cls
+
+
 class _Checked:
-    """Base of the input records.
-
-    _rules maps every field, in declaration order, to its rule: a number
-    rule, a record class, or a {tag: class} tagged union, whose JSON
-    object names its class by the tag in its "type" key.  A record field
-    that defaults to None may also be None.
-    """
-
-    _rules = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # flat rows, built once per class: every record built runs
-        # __post_init__ and every object of a document runs _read.
-        # _fields: (field, record rule or None, default) for the reader;
-        # _records: (field, types, message, {class: tag} or None);
-        # _numbers: (field, number rule); _keys_with_type: a union member's JSON keys.
-        cls._keys_with_type = frozenset(cls._rules) | {"type"}
-        fields, records, numbers = [], [], []
-        for name, rule in cls._rules.items():
-            default = getattr(cls, name, MISSING)  # a dataclass default is a class attribute
-            if isinstance(rule, tuple):
-                fields.append((name, None, default))
-                numbers.append((name, rule))
-                continue
-            fields.append((name, rule, default))
-            union = isinstance(rule, dict)
-            types = tuple(rule.values()) if union else (rule,)
-            message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
-            if default is None:
-                types, message = types + (type(None),), message + " or None"
-            tags = {c: tag for tag, c in rule.items()} if union else None
-            records.append((name, types, message, tags))
-        cls._fields, cls._records, cls._numbers = tuple(fields), tuple(records), tuple(numbers)
+    """Base of the input records, each built by _record: every field carries
+    its rule (see _rule), and a record checks its fields by them when built."""
 
     def __post_init__(self):
         for name, types, message, _ in self._records:
@@ -114,17 +119,15 @@ def _with_checked(record, **fields):
     return new
 
 
-@dataclass(frozen=True)
+@_record
 class PowerCurve(_Checked):
     """Linear operating-power model: P_op = slope_a * P_tx + offset_b_w."""
 
-    slope_a: float        # dimensionless
-    offset_b_w: float     # Watt, draw at zero transmit power
-
-    _rules = {"slope_a": _POSITIVE, "offset_b_w": _POSITIVE}
+    slope_a: float = _rule(_POSITIVE)       # dimensionless
+    offset_b_w: float = _rule(_POSITIVE)    # Watt, draw at zero transmit power
 
 
-@dataclass(frozen=True)
+@_record
 class TxAnchor(_Checked):
     """Reference point that pins the transmit-power scaling law.
 
@@ -135,61 +138,50 @@ class TxAnchor(_Checked):
     published calibration table.
     """
 
-    power_w: float = 10.0
-    radius_m: float = 500.0
-    carrier_hz: float = 5.8e9
-    freq_exponent: float = 2.0
-
-    _rules = {"power_w": _POSITIVE, "radius_m": _POSITIVE, "carrier_hz": _POSITIVE,
-              "freq_exponent": _NON_NEGATIVE}
+    power_w: float = _rule(_POSITIVE, 10.0)
+    radius_m: float = _rule(_POSITIVE, 500.0)
+    carrier_hz: float = _rule(_POSITIVE, 5.8e9)
+    freq_exponent: float = _rule(_NON_NEGATIVE, 2.0)
 
 
-@dataclass(frozen=True)
+@_record
 class Overheads(_Checked):
     """S1 feeder protocol overhead and X2 handover overhead, as fractions
     of the user-plane cell throughput."""
 
-    s1: float = 0.10
-    x2: float = 0.04
-
-    _rules = {"s1": _UNIT, "x2": _UNIT}
+    s1: float = _rule(_UNIT, 0.10)
+    x2: float = _rule(_UNIT, 0.04)
 
 
-@dataclass(frozen=True)
+@_record
 class EmbodiedAbsolute(_Checked):
     """Embodied energy given directly as initial + maintenance Joules."""
 
-    init_j: float
-    maint_j: float
-
-    _rules = {"init_j": _NON_NEGATIVE, "maint_j": _NON_NEGATIVE}
+    init_j: float = _rule(_NON_NEGATIVE)
+    maint_j: float = _rule(_NON_NEGATIVE)
 
 
-@dataclass(frozen=True)
+@_record
 class EmbodiedFraction(_Checked):
     """Embodied energy specified as a fraction of total lifetime energy.
 
     fraction = E_em / (E_em + E_op), so E_em = E_op * f / (1 - f).
     """
 
-    fraction: float
-
-    _rules = {"fraction": _OPEN_UNIT}
+    fraction: float = _rule(_OPEN_UNIT)
 
 
 EmbodiedRule = Union[EmbodiedAbsolute, EmbodiedFraction]
 
 
-@dataclass(frozen=True)
+@_record
 class FixedSE(_Checked):
     """Constant average spectrum efficiency, bit/s/Hz."""
 
-    bit_per_s_per_hz: float
-
-    _rules = {"bit_per_s_per_hz": _NON_NEGATIVE}
+    bit_per_s_per_hz: float = _rule(_NON_NEGATIVE)
 
 
-@dataclass(frozen=True)
+@_record
 class ShannonEdgeSE(_Checked):
     """Cell-edge Shannon capacity model, calibrated at a reference radius.
 
@@ -197,51 +189,38 @@ class ShannonEdgeSE(_Checked):
     equals ref_radius_m, for every path loss exponent; see link_model.
     """
 
-    calibration_se: float        # bit/s/Hz at the reference radius
-    ref_radius_m: float = 50.0
-
-    _rules = {"calibration_se": _POSITIVE, "ref_radius_m": _POSITIVE}
+    calibration_se: float = _rule(_POSITIVE)        # bit/s/Hz at the reference radius
+    ref_radius_m: float = _rule(_POSITIVE, 50.0)
 
 
 SpectrumEffSource = Union[FixedSE, ShannonEdgeSE]
 
 
-@dataclass(frozen=True)
+@_record
 class CellParams(_Checked):
     """Per-class (macro or small) base station parameters."""
 
-    bandwidth_hz: float
-    spectrum_eff: SpectrumEffSource
-    radius_m: float
-    power_curve: PowerCurve
-    lifetime_s: float
-    embodied: EmbodiedRule
-
-    _rules = {"bandwidth_hz": _POSITIVE,
-              "spectrum_eff": {"fixed": FixedSE, "shannon_edge": ShannonEdgeSE},
-              "radius_m": _POSITIVE,
-              "power_curve": PowerCurve,
-              "lifetime_s": _POSITIVE,
-              "embodied": {"absolute": EmbodiedAbsolute,
-                           "fraction_of_total": EmbodiedFraction}}
+    bandwidth_hz: float = _rule(_POSITIVE)
+    spectrum_eff: SpectrumEffSource = _rule({"fixed": FixedSE, "shannon_edge": ShannonEdgeSE})
+    radius_m: float = _rule(_POSITIVE)
+    power_curve: PowerCurve = _rule(PowerCurve)
+    lifetime_s: float = _rule(_POSITIVE)
+    embodied: EmbodiedRule = _rule({"absolute": EmbodiedAbsolute,
+                                    "fraction_of_total": EmbodiedFraction})
 
 
-@dataclass(frozen=True)
+@_record
 class Central(_Checked):
     """All small cells backhaul into one macro base station."""
 
-    n_small: int
-
-    _rules = {"n_small": _COUNT}
+    n_small: int = _rule(_COUNT)
 
 
-@dataclass(frozen=True)
+@_record
 class Distribution(_Checked):
     """A cooperative cluster of small cells relays toward a gateway cell."""
 
-    k_cluster: int
-
-    _rules = {"k_cluster": _COUNT_1}
+    k_cluster: int = _rule(_COUNT_1)
 
 
 Architecture = Union[Central, Distribution]
@@ -291,25 +270,17 @@ def default_table1(cell_class: str) -> CellParams:
     return cell
 
 
-@dataclass(frozen=True)
+@_record
 class ScenarioConfig(_Checked):
     """Complete description of one backhaul evaluation."""
 
-    architecture: Architecture
-    band_hz: float = 5.8e9                 # carrier of the backhaul links
-    small: CellParams = _TABLE1["small"]
-    alpha: float = 3.2                     # urban path loss exponent
-    tx_anchor: TxAnchor = TxAnchor()
-    overheads: Overheads = Overheads()
-    macro: CellParams | None = None        # required iff architecture is Central
-
-    _rules = {"architecture": {"central": Central, "distribution": Distribution},
-              "band_hz": _POSITIVE,
-              "small": CellParams,
-              "alpha": _POSITIVE,
-              "tx_anchor": TxAnchor,
-              "overheads": Overheads,
-              "macro": CellParams}
+    architecture: Architecture = _rule({"central": Central, "distribution": Distribution})
+    band_hz: float = _rule(_POSITIVE, 5.8e9)            # carrier of the backhaul links
+    small: CellParams = _rule(CellParams, _TABLE1["small"])
+    alpha: float = _rule(_POSITIVE, 3.2)                # urban path loss exponent
+    tx_anchor: TxAnchor = _rule(TxAnchor, TxAnchor())
+    overheads: Overheads = _rule(Overheads, Overheads())
+    macro: CellParams | None = _rule(CellParams, None)  # required iff architecture is Central
 
     def __post_init__(self):
         super().__post_init__()

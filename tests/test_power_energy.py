@@ -89,12 +89,42 @@ def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
     (lambda: tx_power(np.array([50.0, 60.0]), B58, 3.2, TxAnchor()), "radius_m"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), True, 3.2), "radius_m"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), np.array([50.0, 60.0]), 3.2), "radius_m"),
+    (lambda: resolve_se(FixedSE(5.0), "x", 3.2), "radius_m"),
+    (lambda: resolve_se(FixedSE(5.0), 50.0, None), "alpha"),
 ], ids=["tx-radius-str", "tx-radius-0", "tx-alpha-0", "tx-alpha-nan", "tx-anchor-str",
         "se-radius-str", "se-alpha-list", "tx-radius-bool", "tx-radius-array",
-        "se-radius-bool", "se-radius-array"])
+        "se-radius-bool", "se-radius-array", "fixed-se-radius-str", "fixed-se-alpha-none"])
 def test_loose_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: must be "):
         call()
+
+
+@pytest.mark.parametrize("huge", [math.inf, np.float64(math.inf), 10 ** 400],
+                         ids=["inf", "np-inf", "int-10e400"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: tx_power(x, B58, 3.2, TxAnchor()), "radius_m"),
+    (lambda x: tx_power(50.0, x, 3.2, TxAnchor()), "band_hz"),
+    (lambda x: tx_power(50.0, B58, x, TxAnchor()), "alpha"),
+    (lambda x: resolve_se(ShannonEdgeSE(5.0), x, 3.2), "radius_m"),
+    (lambda x: resolve_se(ShannonEdgeSE(5.0), 50.0, x), "alpha"),
+    (lambda x: resolve_se(FixedSE(5.0), x, 3.2), "radius_m"),
+    (lambda x: resolve_se(FixedSE(5.0), 50.0, x), "alpha"),
+], ids=["tx-radius", "tx-band", "tx-alpha", "se-radius", "se-alpha", "fixed-se-radius",
+        "fixed-se-alpha"])
+def test_arguments_no_float_holds_name_the_argument(call, name, huge):
+    with pytest.raises(ValidationError, match=f"^{name}: must be a number > 0$"):
+        call(huge)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((1e300, B58, 3.2), "radius_m"),
+    ((50.0, 1e300, 3.2), "band_hz"),
+    ((5e64, 5.8e84, 3.2), "radius_m"),   # both factors finite, the radius one larger
+    ((5e50, 5.8e109, 3.2), "band_hz"),   # both factors finite, the band one larger
+])
+def test_tx_power_overflow_names_the_overflowing_factor(args, name):
+    with pytest.raises(ValidationError, match=f"^{name}: transmit power overflows a float"):
+        tx_power(*args, TxAnchor())
 
 
 def test_numpy_floats_act_as_python_floats():
@@ -235,17 +265,29 @@ HUGE_EMBODIED = {"type": "absolute", "init_j": 1e308, "maint_j": 1e308}
 
 @pytest.mark.parametrize("text,field", [
     # (1e6 / 500) ** 100 overflows the transmit power
-    (_doc(CENTRAL, alpha=100, small={"radius_m": 1e6}), "radius_m"),
+    (_doc(CENTRAL, alpha=100, small={"radius_m": 1e6}), "^small.radius_m: transmit power "),
+    (_doc(CENTRAL, macro={"radius_m": 1e300}), "^macro.radius_m: transmit power "),
+    # (1e300 / 5.8e9) ** 2 overflows the band factor, in every cell
+    (_doc(CENTRAL, band_hz=1e300), "^band_hz: transmit power "),
+    # both factors are finite and their product overflows: the larger is named
+    (_doc({"type": "distribution", "k_cluster": 1}, band_hz=5.8e84, small={"radius_m": 5e64}),
+     "^small.radius_m: transmit power "),
+    (_doc({"type": "distribution", "k_cluster": 1}, band_hz=5.8e109, small={"radius_m": 5e50}),
+     "^band_hz: transmit power "),
     # (50 / 1e-6) ** 60 overflows the Shannon edge SNR
     (_doc({"type": "distribution", "k_cluster": 3}, alpha=60,
           small={"radius_m": 1e-6,
                  "spectrum_eff": {"type": "shannon_edge", "calibration_se": 5}}),
-     "radius_m"),
+     "^small.spectrum_eff: edge SNR "),
+    (_doc(CENTRAL, alpha=60,
+          macro={"radius_m": 1e-6,
+                 "spectrum_eff": {"type": "shannon_edge", "calibration_se": 5}}),
+     "^macro.spectrum_eff: edge SNR "),
     # a count no float can hold
-    (_doc({"type": "central", "n_small": 10 ** 400}), "n_small"),
+    (_doc({"type": "central", "n_small": 10 ** 400}), "^architecture.n_small: must be "),
     # a count whose totals overflow to inf
-    (_doc({"type": "central", "n_small": 10 ** 300}), "n_small"),
-    (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "k_cluster"),
+    (_doc({"type": "central", "n_small": 10 ** 300}), "^architecture.n_small: "),
+    (_doc({"type": "distribution", "k_cluster": 10 ** 300}), "^architecture.k_cluster: "),
     # one station's operating power times its lifetime overflows
     (_doc(CENTRAL, small={"lifetime_s": 1e308}), "^small.lifetime_s: "),
     # the operating power overflows on its own, or is the larger factor

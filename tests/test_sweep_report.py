@@ -387,7 +387,7 @@ def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
     ("bad-inner-value", "grid point small_se=inf: bit_per_s_per_hz: must be a number >= 0"),
     ("bad-outer-value", "grid point alpha=inf: alpha: must be a number > 0"),
     ("bad-outer-count", "grid point n_small=2.5: n_small: must be an integer >= 0"),
-    ("band-1e308", "grid point band=1e+308: radius_m: transmit power overflows a float "
+    ("band-1e308", "grid point band=1e+308: band_hz: transmit power overflows a float "
                    "at radius_m=50.0, alpha=3.2, band_hz=1e+308"),
     ("tiny-lifetimes", "grid point k_cluster=1: lifetime_s: system energy 1.25e-320 J "
                        "is too small"),
