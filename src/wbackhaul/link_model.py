@@ -21,21 +21,36 @@ from .scenario import (FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationErro
 
 def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
     """Numeric spectrum efficiency (bit/s/Hz) for a cell, whatever its configured source."""
-    # any type but int and float (bools, arrays, numpy floats) takes the full rule
+    # any type but int and float (bools, arrays, numpy floats) takes the full rule,
+    # and a numpy float that passes it is computed with as a Python float
     if not (type(radius_m) in (int, float) and type(alpha) in (int, float)
             and 0 < radius_m <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
         _check_positive(radius_m=radius_m, alpha=alpha)
+        radius_m, alpha = float(radius_m), float(alpha)
+    if not isinstance(source, (FixedSE, ShannonEdgeSE)):
+        raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
+    se = _se(source, radius_m, alpha)
+    if not math.isfinite(se):
+        raise _se_overflow(source, radius_m, alpha, "")
+    return se
+
+
+def _se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
+    """The spectrum efficiency of checked arguments, inf where the edge SNR
+    overflows a float.  A fixed source reads neither radius_m nor alpha."""
     if isinstance(source, FixedSE):
         return source.bit_per_s_per_hz
-    if not isinstance(source, ShannonEdgeSE):
-        raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
     try:
-        se = math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
-                       * (source.ref_radius_m / radius_m) ** alpha)
+        return math.log2(1.0 + (2.0 ** source.calibration_se - 1.0)
+                         * (source.ref_radius_m / radius_m) ** alpha)
     except OverflowError:
-        se = math.inf
-    if not math.isfinite(se):
-        raise ValidationError(
-            f"spectrum_eff: edge SNR overflows a float at radius_m={radius_m!r}, "
-            f"alpha={alpha!r}, calibration_se={source.calibration_se!r}")
-    return se
+        return math.inf
+
+
+def _se_overflow(source: ShannonEdgeSE, radius_m: float, alpha: float,
+                 cell: str) -> ValidationError:
+    """The error of an edge SNR that overflows a float; cell is "" for the
+    library call, else the cell's JSON path and a dot."""
+    return ValidationError(
+        f"{cell}spectrum_eff: edge SNR overflows a float at radius_m={radius_m!r}, "
+        f"alpha={alpha!r}, calibration_se={source.calibration_se!r}")

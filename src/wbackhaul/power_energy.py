@@ -54,22 +54,31 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     and by (carrier/anchor carrier)^freq_exponent for the band; at the
     anchor's own radius and carrier it returns the anchor power exactly.
     """
-    # any type but int and float (bools, arrays, numpy floats) takes the full rule
+    # any type but int and float (bools, arrays, numpy floats) takes the full rule,
+    # and a numpy float that passes it is computed with as a Python float
     if not (type(radius_m) in (int, float) and type(band_hz) in (int, float)
             and type(alpha) in (int, float) and 0 < radius_m <= _FLOAT_MAX
             and 0 < band_hz <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
         _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
+        radius_m, band_hz, alpha = float(radius_m), float(band_hz), float(alpha)
     try:
-        p_tx = (anchor.power_w
-                * (radius_m / anchor.radius_m) ** alpha
-                * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
-    except OverflowError:
-        p_tx = math.inf
+        p_tx = _tx(radius_m, band_hz, alpha, anchor)
     except (TypeError, AttributeError):
         raise ValidationError("anchor: must be a TxAnchor") from None
     if not math.isfinite(p_tx):
         raise _tx_overflow(radius_m, band_hz, alpha, anchor, "")
     return p_tx
+
+
+def _tx(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor) -> float:
+    """The anchored transmit power, W, of checked arguments; inf where it
+    overflows a float."""
+    try:
+        return (anchor.power_w
+                * (radius_m / anchor.radius_m) ** alpha
+                * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _tx_overflow(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor,
@@ -86,7 +95,9 @@ def _tx_overflow(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor
 
 
 # The per-station helpers below take values of checked records (and the
-# published calibration powers), so they check nothing themselves.
+# published calibration powers), so they check nothing themselves; those
+# that return floats return columns of them when given columns (see
+# sweep_report.run_sweep).
 def _operating_power(curve: PowerCurve, tx_w: float) -> float:
     """Operating power draw (W) at the given transmit power."""
     return curve.slope_a * tx_w + curve.offset_b_w
@@ -103,16 +114,21 @@ def _embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     return operating_j * rule.fraction / (1.0 - rule.fraction)
 
 
+def _lifetime_energy(cell: CellParams, tx_w: float) -> tuple[float, float, float]:
+    """(P_op, operating J, embodied J) of one station of cell at the given
+    transmit power, unchecked."""
+    p_op = _operating_power(cell.power_curve, tx_w)
+    e_op = p_op * cell.lifetime_s
+    return p_op, e_op, _embodied_energy(cell.embodied, e_op)
+
+
 def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                     name: str) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of the class name."""
-    try:
-        p_tx = tx_power(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
-    except ValidationError:   # an overflow: the arguments come from a checked scenario
-        raise _tx_overflow(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor,
-                           f"{name}.") from None
-    p_op = _operating_power(cell.power_curve, p_tx)
-    e_op = p_op * cell.lifetime_s
+    p_tx = _tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
+    if not math.isfinite(p_tx):
+        raise _tx_overflow(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}.")
+    p_op, e_op, e_em = _lifetime_energy(cell, p_tx)
     if not math.isfinite(e_op):
         # name the larger factor: a power that overflows on its own is the curve's
         if p_op >= cell.lifetime_s:
@@ -120,7 +136,6 @@ def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                                   f"at P_op={p_op!r} W")
         raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float at "
                               f"lifetime_s={cell.lifetime_s!r}")
-    e_em = _embodied_energy(cell.embodied, e_op)
     if not math.isfinite(e_op + e_em):
         raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
     return e_op, e_em
@@ -137,12 +152,17 @@ def _station_terms(cfg: ScenarioConfig) -> tuple[float, float, float, float]:
     return (mac_op, mac_em, *_station_energy(cfg.small, cfg, "small"))
 
 
-def _energy_total(stations: tuple, arch: Architecture) -> float:
-    """System energy, J, at the station count of arch, from the
-    _station_terms of a scenario of its architecture."""
+def _energy_total(stations: tuple, count: float) -> float:
+    """System energy, J, unchecked, at count stations from _station_terms."""
     mac_op, mac_em, sc_op, sc_em = stations
-    count = arch.n_small if isinstance(arch, Central) else arch.k_cluster
-    return _finite_total(mac_em + mac_op + count * (sc_em + sc_op), arch, "system energy")
+    return mac_em + mac_op + count * (sc_em + sc_op)
+
+
+def _energy(stations: tuple, arch: Architecture) -> EnergyBreakdown:
+    """The EnergyBreakdown at the station count of arch, its total checked
+    finite, from the _station_terms of a scenario of its architecture."""
+    total = _energy_total(stations, traffic._counts(arch)[0])
+    return EnergyBreakdown(*stations, _finite_total(total, arch, "system energy"))
 
 
 def _ratio(throughput_bps: float, energy_j: float) -> float:
@@ -162,8 +182,7 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     Central: one macro station plus n_small small stations.
     Distribution: a cooperative cluster of k_cluster identical small stations.
     """
-    stations = _station_terms(cfg)
-    return EnergyBreakdown(*stations, _energy_total(stations, cfg.architecture))
+    return _energy(_station_terms(cfg), cfg.architecture)
 
 
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
@@ -174,6 +193,6 @@ def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     would overflow the totals as well.
     """
     cells, stations = traffic._cell_terms(cfg), _station_terms(cfg)
-    th = ThroughputBreakdown(*traffic._sums(cells, cfg.architecture))
-    en = EnergyBreakdown(*stations, _energy_total(stations, cfg.architecture))
+    th = traffic._throughput(cells, cfg.architecture)
+    en = _energy(stations, cfg.architecture)
     return EfficiencyResult(th, en, _ratio(th.total_bps, en.system_total_j))

@@ -4,21 +4,26 @@ A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
 axes' cross product, the first axis varying slowest.  parse_axis reads
 an axis from its spec, for the CLI and the figure presets alike.  A sweep
-checks each axis value once, not once per point, and its rows are bit for
-bit those of efficiency(); the JSON writer formats them from one template,
-in the bytes json_text writes.  The presets reproduce the qualitative
-curves the model is known for: throughput vs. cell count, efficiency vs.
-cell count per band, and efficiency vs. path loss exponent per small-cell
-radius.
+checks each axis value once, not once per point, and evaluates the whole
+grid as float64 columns, bit for bit as efficiency() evaluates each
+point; a grid with a bad point is evaluated again point by point, to
+raise that point's error.  The JSON writer formats the rows from one
+template, in the bytes json_text writes.  The presets reproduce the
+qualitative curves the model is known for: throughput vs. cell count,
+efficiency vs. cell count per band, and efficiency vs. path loss exponent
+per small-cell radius.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from . import power_energy, traffic
+import numpy as np
+
+from . import link_model, power_energy, traffic
 from .scenario import (
     CellParams,
     Central,
@@ -38,14 +43,14 @@ class Axis(NamedTuple):
     """Everything a sweep needs to know about one named axis."""
 
     arch: type | None   # base architecture required: set on the integer count axes only
-    field: tuple        # path of the scenario field the axis sets (a count axis's
-                        # architecture goes to the count algebra alone)
+    field: tuple        # path of the scenario field the axis sets
     part: Callable      # an axis value -> the checked field value, or a ValidationError
 
 
 def _number(record: type, field: str) -> Callable:
     """The part of a number field: the value, checked by the field's own rule."""
-    return lambda value: _check_number(field, value, record._rules[field])
+    rule = record._rules[field]
+    return lambda value: _check_number(field, value, rule)
 
 
 AXES = {
@@ -159,48 +164,145 @@ def _set(record, path: tuple, part):
                                     if rest else part})
 
 
+class _Swept(NamedTuple):
+    """The checked values of the field an axis sets, and the axis's place in the grid."""
+
+    place: int
+    values: list
+
+
 def run_sweep(grid: SweepGrid) -> list[tuple]:
     """Evaluate every grid point, the first axis varying slowest.  A row is
     the point's output cells: its axis values, then throughput_bps,
     system_energy_j and efficiency, as in the CSV header.
 
-    Each axis value is checked once, when the walk first reaches it, and a
-    point's scenario is assembled from checked parts.  A point is evaluated
-    as efficiency() evaluates it, every count-free term before the count
-    algebra; the terms are recomputed only when the point's scenario is not
-    the one last evaluated.  A station count builds no scenario, so along a
-    last (or only) count axis they are computed once per scenario.
+    Each axis value is checked once, and the whole grid is evaluated at
+    once, bit for bit as efficiency() evaluates each point: see
+    _grid_columns.  A grid with a bad value, or with a point whose
+    evaluation fails, is walked again point by point, its values checked
+    as the walk reaches them, so that its first bad point in row order
+    raises efficiency()'s error.
     """
-    # per axis, the checked parts by value index
+    axes = [AXES[name] for name in grid.axis_names]
+    try:
+        parts = [list(map(axis.part, values)) for axis, (_, values) in zip(axes, grid.axes)]
+        with np.errstate(all="ignore"):
+            columns = _grid_columns(grid.base, axes, parts)
+    except (ConfigError, ArithmeticError):
+        columns = None
+    if columns is None:
+        return _rows_one_by_one(grid)
+    shape = [len(values) for _, values in grid.axes]
+    points = (_spread(values, shape, place) for place, (_, values) in enumerate(grid.axes))
+    return list(zip(*points, *columns))
+
+
+def _spread(values, shape: list, place: int) -> list:
+    """The value at each point of a grid of the given shape, in row order,
+    of its axis at place: values, each repeated as many times as the axes
+    after it have points, the whole as many times as those before it."""
+    inner, outer = math.prod(shape[place + 1:]), math.prod(shape[:place])
+    if inner > 1:
+        repeats = itertools.repeat(inner, len(values))
+        values = itertools.chain.from_iterable(map(itertools.repeat, values, repeats))
+    return list(values) * outer
+
+
+def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> list[list] | None:
+    """The throughput, energy and efficiency of every grid point, in row
+    order, or None if one is not finite or an energy is not > 0.
+
+    Each quantity is a float, or a float64 array with one dimension per
+    axis, of length 1 where it does not depend on the axis, so it is
+    computed once per combination of the axis values it reads.  The
+    transmit power and spectrum efficiency are computed by their scalar
+    kernels in Python floats, as efficiency() computes them; every other
+    term by the same helpers as efficiency(), which compute a column as
+    they compute a float, in the same order of operations.
+    """
+    swept = {axis.field: _Swept(place, values)
+             for place, (axis, values) in enumerate(zip(axes, parts))}
+    shape = [len(values) for values in parts]
+
+    def field(*path):
+        """The swept values of the field at path, or the base scenario's value."""
+        if path in swept:
+            return swept[path]
+        value = base
+        for name in path:
+            value = getattr(value, name)
+        return value
+
+    def each(kernel, *args):
+        """kernel at every combination of the swept values among args, the
+        other args passed as they are."""
+        reads = {a.place: a.values for a in args if isinstance(a, _Swept)}
+        if not reads:
+            return kernel(*args)
+        dims = [len(reads[place]) if place in reads else 1 for place in range(len(shape))]
+        spread = {place: _spread(values, dims, place) for place, values in reads.items()}
+        combos = math.prod(dims)
+        out = map(kernel, *(spread[a.place] if isinstance(a, _Swept)
+                            else itertools.repeat(a, combos) for a in args))
+        return np.array(list(out), dtype=float).reshape(dims)
+
+    alpha, band, overheads = field("alpha"), field("band_hz"), base.overheads
+
+    def cell(params, radius, source):
+        # a fixed SE reads neither the radius nor alpha
+        se = each(link_model._se, source,
+                  *((radius, alpha) if isinstance(source, ShannonEdgeSE) else (None, None)))
+        return (se, *traffic._cell_backhaul(params.bandwidth_hz, se, overheads.s1, overheads.x2))
+
+    def station(params, radius):
+        p_tx = each(power_energy._tx, radius, band, alpha, base.tx_anchor)
+        return power_energy._lifetime_energy(params, p_tx)[1:]
+
+    small_radius, macro = field("small", "radius_m"), base.macro
+    central = isinstance(base.architecture, Central)
+    cells = traffic._terms(base, cell(base.small, small_radius, field("small", "spectrum_eff")),
+                           cell(macro, macro.radius_m, macro.spectrum_eff) if central else None)
+    # a distribution scenario's macro terms are 0.0, as in _station_terms
+    stations = (*(station(macro, macro.radius_m) if central else (0.0, 0.0)),
+                *station(base.small, small_radius))
+    arch = field("architecture")
+    count = each(lambda a: traffic._counts(a)[0], arch)
+    neighbours = each(lambda a: traffic._counts(a)[1], arch)
+    bps = traffic._sums(cells, count, neighbours)[6]
+    energy = power_energy._energy_total(stations, count)
+    eff = bps / energy
+    if not (np.isfinite(bps).all() and np.isfinite(energy).all() and np.all(energy > 0)
+            and np.isfinite(eff).all()):
+        return None
+    return [np.broadcast_to(column, shape).ravel().tolist() for column in (bps, energy, eff)]
+
+
+def _rows_one_by_one(grid: SweepGrid) -> list[tuple]:
+    """The rows of the grid, evaluated point by point in row order by
+    efficiency(), each point's scenario assembled from checked parts: the
+    path that raises a grid point's error.  Each axis value is checked when
+    the walk first reaches it."""
     axes = [(name, values, AXES[name], [None] * len(values)) for name, values in grid.axes]
     last = len(axes) - 1
     rows = []
-    evaluated = cells = stations = None   # the scenario last evaluated and its terms
 
-    def walk(depth: int, cfg: ScenarioConfig, arch, point: tuple):
-        nonlocal evaluated, cells, stations
+    def walk(depth: int, cfg: ScenarioConfig, point: tuple):
         name, values, axis, parts = axes[depth]
         for i, v in enumerate(values):
             try:
                 if parts[i] is None:
                     parts[i] = axis.part(v)
-                if axis.arch:
-                    arch = parts[i]   # read by the count algebra, never by the terms
-                else:
-                    cfg = _set(cfg, axis.field, parts[i])   # the same field each time
+                cfg = _set(cfg, axis.field, parts[i])   # the same field each time
                 if depth == last:
-                    if cfg is not evaluated:
-                        cells, stations = traffic._cell_terms(cfg), power_energy._station_terms(cfg)
-                        evaluated = cfg
-                    bps = traffic._sums(cells, arch)[6]
-                    energy_j = power_energy._energy_total(stations, arch)
-                    rows.append((*point, v, bps, energy_j, power_energy._ratio(bps, energy_j)))
+                    res = power_energy.efficiency(cfg)
+                    rows.append((*point, v, res.throughput_bps, res.system_energy_j,
+                                 res.efficiency))
             except ConfigError as e:
                 raise ValidationError(f"grid point {name}={v!r}: {e}") from e
             if depth < last:
-                walk(depth + 1, cfg, arch, point + (v,))
+                walk(depth + 1, cfg, point + (v,))
 
-    walk(0, grid.base, grid.base.architecture, ())
+    walk(0, grid.base, ())
     return rows
 
 

@@ -36,10 +36,9 @@ def _cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
 def _cell(cfg: ScenarioConfig, cell: CellParams, name: str) -> tuple[float, float, float]:
     """(se, up, down) of one cell of the class name; a cell's downlink is its
     largest term, so it overflows whenever the uplink does."""
-    try:
-        se = link_model.resolve_se(cell.spectrum_eff, cell.radius_m, cfg.alpha)
-    except ValidationError as e:   # an overflow: the arguments come from a checked scenario
-        raise ValidationError(f"{name}.{e}") from None
+    se = link_model._se(cell.spectrum_eff, cell.radius_m, cfg.alpha)
+    if not math.isfinite(se):
+        raise link_model._se_overflow(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
     up, down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)
     if not math.isfinite(down):
         raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "
@@ -48,35 +47,55 @@ def _cell(cfg: ScenarioConfig, cell: CellParams, name: str) -> tuple[float, floa
 
 
 def _cell_terms(cfg: ScenarioConfig) -> tuple:
-    """Count-free throughput terms, each cell's backhaul checked finite:
-    (small_up, small_down, macro_up, macro_down, down_factor, small_se).
+    """Count-free throughput terms of a scenario, each cell's backhaul
+    checked finite (see _terms)."""
+    small = _cell(cfg, cfg.small, "small")
+    macro = _cell(cfg, cfg.macro, "macro") if isinstance(cfg.architecture, Central) else None
+    return _terms(cfg, small, macro)
+
+
+def _terms(cfg: ScenarioConfig, small: tuple, macro: tuple | None) -> tuple:
+    """Count-free throughput terms from the (se, up, down) of the small cell
+    and of the macro cell, None without one, whose other parameters are
+    cfg's: (small_up, small_down, macro_up, macro_down, down_factor, small_se).
 
     Central: the per-cell up and down backhaul of a small and the macro
-    cell; down_factor goes unused.  Distribution: a member relays at its
-    full downlink in both directions, and down_factor * SE is its downlink
-    at the cooperative SE that _sums sets; there is no macro cell.
+    cell; down_factor is None.  Distribution: a member relays at its full
+    downlink in both directions, and down_factor * SE is its downlink at
+    the cooperative SE that _sums sets; there is no macro cell.  Each term
+    is a float, or a column of them (see sweep_report.run_sweep).
     """
-    small_se, small_up, small_down = _cell(cfg, cfg.small, "small")
-    if not isinstance(cfg.architecture, Central):
+    small_se, small_up, small_down = small
+    if macro is None:
         factor = (1.0 + cfg.overheads.s1 + cfg.overheads.x2) * cfg.small.bandwidth_hz
         return small_down, small_down, 0.0, 0.0, factor, small_se
-    _, macro_up, macro_down = _cell(cfg, cfg.macro, "macro")
-    return small_up, small_down, macro_up, macro_down, None, small_se
+    return small_up, small_down, macro[1], macro[2], None, small_se
 
 
-def _sums(cells: tuple, arch: Architecture) -> tuple:
-    """The seven ThroughputBreakdown fields at the station count of arch,
-    from the _cell_terms of a scenario of its architecture."""
+def _counts(arch: Architecture) -> tuple[float, float]:
+    """(count, count - 1) of arch's stations as floats, the count algebra's
+    operands; count - 1 is taken on the integer, so it is exact where the
+    count is."""
+    count = arch.n_small if isinstance(arch, Central) else arch.k_cluster
+    return float(count), float(count - 1)
+
+
+def _sums(cells: tuple, count: float, neighbours: float) -> tuple:
+    """The seven ThroughputBreakdown fields, unchecked, at count stations
+    (neighbours is count - 1), from _terms.  Floats or columns alike."""
     small_up, small_down, macro_up, macro_down, down_factor, se = cells
-    if isinstance(arch, Central):
-        count = arch.n_small
-    else:
-        count = arch.k_cluster
-        small_down = down_factor * (se + (count - 1) * se)
+    if down_factor is not None:
+        small_down = down_factor * (se + neighbours * se)
     total_up = count * small_up + macro_up
     total_down = count * small_down + macro_down
-    return (small_up, small_down, macro_up, macro_down, total_up, total_down,
-            _finite_total(total_up + total_down, arch, "backhaul throughput"))
+    return small_up, small_down, macro_up, macro_down, total_up, total_down, total_up + total_down
+
+
+def _throughput(cells: tuple, arch: Architecture) -> ThroughputBreakdown:
+    """The ThroughputBreakdown at the station count of arch, its total
+    checked finite, from the _cell_terms of a scenario of its architecture."""
+    *fields, total = _sums(cells, *_counts(arch))
+    return ThroughputBreakdown(*fields, _finite_total(total, arch, "backhaul throughput"))
 
 
 def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
@@ -88,4 +107,4 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     downlink also carries the cooperative traffic of its K-1 neighbours,
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
-    return ThroughputBreakdown(*_sums(_cell_terms(cfg), cfg.architecture))
+    return _throughput(_cell_terms(cfg), cfg.architecture)

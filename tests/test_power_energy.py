@@ -135,6 +135,30 @@ def test_numpy_floats_act_as_python_floats():
             == resolve_se(ShannonEdgeSE(5.0), args[0], args[2]))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: tx_power(np.float64(1e300), B58, 3.2, TxAnchor()),
+     "^radius_m: transmit power overflows a float at radius_m=1e[+]300,"),
+    (lambda: resolve_se(ShannonEdgeSE(5.0), np.float64(1e-6), 60.0),
+     "^spectrum_eff: edge SNR overflows a float at radius_m=1e-06,"),
+], ids=["tx-power", "shannon-se"])
+def test_numpy_float_overflow_is_a_validation_error_not_a_warning(call, message):
+    # computed in numpy scalars, the overflow would warn, and the suite's
+    # warning filter would raise the warning instead
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_a_checked_scenario_is_not_checked_again(monkeypatch):
+    # the per-cell and per-station helpers call the unchecked kernels
+    def unexpected(*args):
+        raise AssertionError("a public, checked function was called")
+    monkeypatch.setattr("wbackhaul.link_model.resolve_se", unexpected)
+    monkeypatch.setattr("wbackhaul.power_energy.tx_power", unexpected)
+    cfg = ScenarioConfig(architecture=Central(10))
+    shannon = replace(cfg.small, spectrum_eff=ShannonEdgeSE(5.0))
+    assert efficiency(replace(cfg, small=shannon)).efficiency > 0
+
+
 def test_operating_power():
     assert _operating_power(MACRO.power_curve, 10.0) == pytest.approx(568.94, rel=1e-12)
     assert _operating_power(SMALL.power_curve, 0.675) == pytest.approx(76.792, rel=1e-12)

@@ -436,19 +436,63 @@ def test_random_grids_match_standalone_evaluation_bit_for_bit(grid):
     assert _swept(grid) == _standalone(grid)
 
 
-def test_count_free_terms_are_recomputed_only_for_a_new_scenario(monkeypatch):
-    calls = []
-    cell_terms = sweep_report.traffic._cell_terms
-    monkeypatch.setattr(sweep_report.traffic, "_cell_terms",
-                        lambda cfg: calls.append(cfg.alpha) or cell_terms(cfg))
-    counts, alphas = ("n_small", (0, 1, 2, 3)), ("alpha", (2.5, 3.0))
-    # a count builds no scenario: along a last count axis, once per alpha
-    run_sweep(SweepGrid(CENTRAL, (alphas, counts)))
-    assert calls == [2.5, 3.0]
-    # each alpha value builds a new scenario: with the count axis first, once per point
-    calls.clear()
-    run_sweep(SweepGrid(CENTRAL, (counts, alphas)))
-    assert calls == [2.5, 3.0] * 4
+def _column_path_only(monkeypatch):
+    """Make the point-by-point path, which a grid enters only to raise a
+    grid point's error, fail the test."""
+    def unexpected(grid):
+        raise AssertionError("a finite grid was evaluated point by point")
+    monkeypatch.setattr(sweep_report, "_rows_one_by_one", unexpected)
+
+
+FINITE_CASES = [case for case in SWEEP_CASES
+                if isinstance(_standalone(SweepGrid(*SWEEP_CASES[case])), list)]
+
+
+@pytest.mark.parametrize("case", FINITE_CASES)
+def test_a_finite_grid_is_evaluated_as_columns_only(case, monkeypatch):
+    grid = SweepGrid(*SWEEP_CASES[case])
+    want = _standalone(grid)
+    _column_path_only(monkeypatch)
+    assert _swept(grid) == want
+
+
+def test_the_figure_grids_are_evaluated_as_columns_only(monkeypatch):
+    want = {name: _standalone(figure_grid(name)) for name in FIGURES}
+    _column_path_only(monkeypatch)
+    assert {name: _swept(figure_grid(name)) for name in FIGURES} == want
+
+
+def test_a_count_column_takes_k_minus_1_on_the_integer(monkeypatch):
+    # 2**53 + 1 rounds to 2**53 as a float, so float(k) - 1 would be 2**53 - 1
+    k = 2**53 + 1
+    grid = SweepGrid(DIST, (("small_se", (1.0, 7.5)), ("k_cluster", (1, 2, k, k + 2))))
+    want = _standalone(grid)
+    _column_path_only(monkeypatch)
+    rows = run_sweep(grid)
+    assert _hex(rows) == want
+
+    def throughput(neighbours, se=7.5):
+        factor = (1.0 + 0.10 + 0.04) * 1e8
+        up = float(k) * (factor * se) + 0.0
+        return up + (float(k) * (factor * (se + neighbours * se)) + 0.0)
+    assert rows[6][:3] == (7.5, k, throughput(float(k - 1)))
+    assert throughput(float(k - 1)) != throughput(float(k) - 1)
+
+
+@pytest.mark.parametrize("axes", [
+    # only the last point's edge SNR overflows
+    (("alpha", tuple(2.0 + i * 0.002 for i in range(10**4)) + (60.0,)),),
+    # only the last small_se value is bad, and the walk reaches it last
+    (("small_se", tuple(i * 0.001 for i in range(2000)) + (math.inf,)),
+     ("n_small", (0, 1, 2, 3, 4))),
+], ids=["overflow", "bad-value"])
+def test_a_large_grid_with_one_bad_point_near_its_end_raises_its_error(axes):
+    small = replace(SHANNON, radius_m=1e-6)
+    grid = SweepGrid(replace(CENTRAL, small=small), axes)
+    assert math.prod(len(values) for _, values in axes) >= 10**4
+    want = _standalone(grid)
+    assert want.startswith("grid point ")
+    assert _swept(grid) == want
 
 
 # ---------------------------------------------------------------------------
