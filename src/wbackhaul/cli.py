@@ -135,7 +135,7 @@ def _cmd_topology(args) -> int:
     placement = topology.place_uniform(args.n, args.radius, args.seed)
     tree = topology.build_relay_tree(placement, gateway)
     tree = topology.link_loads(tree, args.per_cell_bps)
-    _emit(args, sweep_report.json_text(topology.export_topology(placement, tree)))
+    _emit(args, topology.export_json(placement, tree))
     if args.stdout:
         return 0
     ingress = topology.gateway_ingress_bps(tree)

@@ -136,7 +136,11 @@ def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                                   f"at P_op={p_op!r} W")
         raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float at "
                               f"lifetime_s={cell.lifetime_s!r}")
-    if not math.isfinite(e_op + e_em):
+    try:
+        total = e_op + e_em
+    except OverflowError:   # an absolute rule's integer Joules summed past the float range
+        total = math.inf
+    if not math.isfinite(total):
         raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
     return e_op, e_em
 

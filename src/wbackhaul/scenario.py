@@ -108,7 +108,16 @@ class _Checked:
             if not isinstance(getattr(self, name), types):
                 raise ValidationError(message)
         for name, rule in self._numbers:
-            _check_number(name, getattr(self, name), rule)
+            value = _check_number(name, getattr(self, name), rule)
+            if type(value) is not float and type(value) is not int:
+                object.__setattr__(self, name, _plain(value))
+
+
+def _plain(value):
+    """A checked number as the Python int or float it equals.  numpy's float64
+    is a float, but its arithmetic runs in numpy, and an overflow there warns
+    instead of giving the inf or OverflowError that the checks catch."""
+    return float(value) if isinstance(value, float) else int(value)
 
 
 def _with_checked(record, **fields):

@@ -34,6 +34,7 @@ from .scenario import (
     ShannonEdgeSE,
     ValidationError,
     _check_number,
+    _plain,
     _with_checked,
     default_table1,
 )
@@ -48,9 +49,14 @@ class Axis(NamedTuple):
 
 
 def _number(record: type, field: str) -> Callable:
-    """The part of a number field: the value, checked by the field's own rule."""
+    """The part of a number field: the value, checked by the field's own rule,
+    as the Python number it equals, as a record stores it."""
     rule = record._rules[field]
-    return lambda value: _check_number(field, value, rule)
+
+    def part(value):
+        value = _check_number(field, value, rule)
+        return value if type(value) is float or type(value) is int else _plain(value)
+    return part
 
 
 AXES = {

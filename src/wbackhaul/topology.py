@@ -9,10 +9,13 @@ are therefore always at least as close to the gateway, the parent
 relation is acyclic, and every node reaches the gateway.
 
 Placement uses numpy's default_rng (PCG64); identical (n, radius, seed)
-inputs reproduce positions bit for bit.
+inputs reproduce positions bit for bit.  export_topology gives a tree as
+a JSON-ready dict, and export_json as the JSON text of that dict.
 """
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .scenario import ValidationError, _check_number, _with_checked
+from .sweep_report import json_text
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
@@ -202,3 +206,33 @@ def export_topology(placement: Placement, tree: RelayTree) -> dict:
         "seed": int(placement.seed),
         "rng": RNG_ALGORITHM,
     }
+
+
+def export_json(placement: Placement, tree: RelayTree) -> str:
+    """JSON text of export_topology(placement, tree): the bytes json_text
+    writes for it, formatted from %-templates of the array elements, since
+    json.dumps with an indent runs CPython's pure-Python encoder."""
+    doc = export_topology(placement, tree)
+    # positions are finite by the Placement bounds; a hand-built tree's loads may not be
+    if not np.isfinite(tree.link_load_bps).all():
+        return json_text(doc)   # raises json_text's error for the non-finite load
+    n = tree.n    # at least 1, so no array is the empty one json_text writes as []
+    arrays = {
+        "positions": (_array(["    [\n      %r,\n      %r\n    ]"] * n)
+                      % tuple(itertools.chain.from_iterable(doc["positions"]))),
+        "parent": _array(["    null" if p is None else "    %d" % p for p in doc["parent"]]),
+        "link_load_bps": _array(["    %r"] * n) % tuple(doc["link_load_bps"]),
+    }
+    # one join of all the pieces, so that the text is copied once
+    pieces = ["{\n"]
+    for key, value in doc.items():
+        pieces += ("  ", json.dumps(key), ": ",
+                   arrays[key] if key in arrays else json.dumps(value), ",\n")
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)
+
+
+def _array(elements: list) -> str:
+    """A JSON array as json_text indents it at the second level, from the
+    text of its elements."""
+    return "[\n" + ",\n".join(elements) + "\n  ]"

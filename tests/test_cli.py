@@ -98,7 +98,10 @@ _HUGE = "1" + "0" * 400   # a JSON number no float can hold
     ('{"architecture": {"type": "central", "n_small": 1}, "band_hz": %s}' % _HUGE,
      "band_hz: must be a number > 0"),
     ("[" * 100000 + "]" * 100000, "invalid JSON"),
-], ids=["alpha", "small.radius_m", "band_hz", "nested"])
+    ('{"architecture": {"type": "central", "n_small": 1}, "small": {"embodied": '
+     '{"type": "absolute", "init_j": %s, "maint_j": %s}}}' % (10**308, 10**308),
+     "small.embodied: a station's energy overflows a float"),
+], ids=["alpha", "small.radius_m", "band_hz", "nested", "integer-embodied"])
 def test_eval_hostile_config_exits_1_naming_the_path(tmp_path, capsys, text, message):
     p = tmp_path / "hostile.json"
     p.write_text(text)

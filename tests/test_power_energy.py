@@ -285,6 +285,8 @@ def _doc(arch, **fields):
 
 CENTRAL = {"type": "central", "n_small": 10}
 HUGE_EMBODIED = {"type": "absolute", "init_j": 1e308, "maint_j": 1e308}
+# integers: their sum is an int that no float holds
+HUGE_INT_EMBODIED = {"type": "absolute", "init_j": 10**308, "maint_j": 10**308}
 
 
 @pytest.mark.parametrize("text,field", [
@@ -330,6 +332,10 @@ HUGE_EMBODIED = {"type": "absolute", "init_j": 1e308, "maint_j": 1e308}
     (_doc({"type": "central", "n_small": 1}, small={"embodied": HUGE_EMBODIED}),
      "^small.embodied: "),
     (_doc({"type": "central", "n_small": 0}, macro={"embodied": HUGE_EMBODIED}),
+     "^macro.embodied: "),
+    (_doc({"type": "central", "n_small": 1}, small={"embodied": HUGE_INT_EMBODIED}),
+     "^small.embodied: "),
+    (_doc({"type": "central", "n_small": 0}, macro={"embodied": HUGE_INT_EMBODIED}),
      "^macro.embodied: "),
     (_doc({"type": "distribution", "k_cluster": 1},
           small={"lifetime_s": 1e300, "embodied": {"type": "fraction_of_total",

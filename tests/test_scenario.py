@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,31 @@ def test_huge_int_in_every_numeric_field_names_its_json_path(cls, name):
     with pytest.raises(ValidationError) as info:
         load_scenario(json.dumps(doc))
     assert str(info.value).startswith(".".join(path) + ": must be ")
+
+
+# every number field but the counts, which take ints alone
+@pytest.mark.parametrize("cls,name", [(cls, name) for cls, name in _fields_ruled(number=True)
+                                      if cls._rules[name][0] is not int], ids=_record_id)
+def test_numpy_float_in_every_number_field_is_stored_as_a_python_float(cls, name):
+    record_path, obj = _RECORD_AT[cls]
+    doc = {"architecture": {"type": "central", "n_small": 1}}
+    if record_path:
+        _set_path(doc, record_path, dict(obj))
+    record = scenario_from_dict(doc)
+    for key in record_path:
+        record = getattr(record, key)
+    value = float(getattr(record, name))
+    stored = getattr(replace(record, **{name: np.float64(value)}), name)
+    assert type(stored) is float and stored == value
+
+
+def test_numpy_float_overflow_is_a_validation_error_not_a_warning():
+    # computed in numpy scalars, the overflow would warn, and the suite's
+    # warning filter would raise the warning instead
+    cfg = ScenarioConfig(architecture=Central(3), tx_anchor=TxAnchor(power_w=np.float64(1e300)),
+                         alpha=np.float64(50.0))
+    with pytest.raises(ValidationError, match="^macro.power_curve: operating energy overflows"):
+        efficiency(cfg)
 
 
 # A valid instance of each input record that has record-typed fields.

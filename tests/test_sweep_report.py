@@ -12,10 +12,12 @@ from wbackhaul import power_energy, sweep_report
 from wbackhaul.scenario import (
     Central,
     Distribution,
+    EmbodiedAbsolute,
     FixedSE,
     PowerCurve,
     ScenarioConfig,
     ShannonEdgeSE,
+    TxAnchor,
     ValidationError,
 )
 from wbackhaul.sweep_report import (
@@ -365,6 +367,10 @@ SWEEP_CASES = {
     "band-1e308": (DIST, (("k_cluster", (1, 2)), ("band", (5.8e9, 1e308)))),
     "power-curve-overflow": (replace(CENTRAL, macro=replace(
         CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))), (("n_small", (1, 2)),)),
+    # integer embodied Joules whose sum no float holds
+    "integer-embodied-overflow": (replace(CENTRAL, small=replace(
+        CENTRAL.small, embodied=EmbodiedAbsolute(10**308, 10**308))),
+        (("alpha", (3.0, 4.0)), ("n_small", (1, 2)))),
     # every station's own energy is checked before the throughput total
     "count-and-energy-overflow": (replace(CENTRAL, macro=replace(
         CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))),
@@ -391,9 +397,20 @@ def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
                    "at radius_m=50.0, alpha=3.2, band_hz=1e+308"),
     ("tiny-lifetimes", "grid point k_cluster=1: lifetime_s: system energy 1.25e-320 J "
                        "is too small"),
+    ("integer-embodied-overflow",
+     "grid point n_small=1: small.embodied: a station's energy overflows a float"),
 ])
 def test_hostile_grids_end_in_their_first_error(case, message):
     assert _swept(SweepGrid(*SWEEP_CASES[case])) == message
+
+
+def test_numpy_float_axis_values_overflow_into_a_validation_error():
+    # each value is set as the Python float it equals, so the point that
+    # overflows raises its error, not numpy's overflow warning
+    base = replace(CENTRAL, tx_anchor=TxAnchor(power_w=1e300))
+    grid = SweepGrid(base, (("alpha", (np.float64(1.0), np.float64(50.0))),))
+    with pytest.raises(ValidationError, match="^grid point alpha=np.float64[(]1.0[)]: macro"):
+        run_sweep(grid)
 
 
 # values the random grids draw from, hostile ones among them

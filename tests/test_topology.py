@@ -5,10 +5,12 @@ import pytest
 
 from wbackhaul import _kernels
 from wbackhaul.scenario import ValidationError
+from wbackhaul.sweep_report import json_text
 from wbackhaul.topology import (
     Placement,
     RelayTree,
     build_relay_tree,
+    export_json,
     export_topology,
     gateway_ingress_bps,
     link_loads,
@@ -266,6 +268,97 @@ def test_subtree_sizes_deep_chain_and_star():
     sizes = _kernels.subtree_sizes(tree.parent)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == list(range(n, 0, -1))
+
+
+def _leaf_peeling_subtree_sizes(parent):
+    """Reference: accumulate a node into its parent once all of its own
+    children are done, one Python step per node."""
+    par = parent.tolist()
+    n = len(par)
+    sizes = [1] * n
+    pending = [0] * n
+    for p in par:
+        if p != -1:
+            pending[p] += 1
+    stack = [i for i in range(n) if pending[i] == 0]
+    while stack:
+        i = stack.pop()
+        p = par[i]
+        if p != -1:
+            sizes[p] += sizes[i]
+            pending[p] -= 1
+            if pending[p] == 0:
+                stack.append(p)
+    return sizes
+
+
+def _random_tree(rng, n, reach):
+    """Parent array of a random tree on n nodes whose labels are a random
+    permutation of their ranks: rank k hangs below one of the `reach`
+    ranks just before it, so a small reach makes a deep tree."""
+    label = rng.permutation(n)
+    rank = np.arange(1, n)
+    above = rank - 1 - rng.integers(0, np.minimum(rank, reach))
+    parent = np.empty(n, dtype=np.int64)
+    parent[label[0]] = -1
+    parent[label[1:]] = label[above]
+    return parent
+
+
+def _subtree_cases():
+    rng = np.random.default_rng(41)
+    for n, reach in ((2, 1), (50, 3), (3000, 1), (3000, 2), (3000, 40), (20000, 20000)):
+        yield f"random-{n}-reach-{reach}", _random_tree(rng, n, reach)
+    yield "chain-1e5", np.arange(-1, 10**5 - 1, dtype=np.int64)
+    star = np.full(10**4, 7, dtype=np.int64)
+    star[7] = -1
+    yield "star", star
+    yield "single", np.array([-1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name,parent", list(_subtree_cases()),
+                         ids=[name for name, _ in _subtree_cases()])
+def test_subtree_sizes_match_leaf_peeling_oracle(name, parent):
+    sizes = _kernels.subtree_sizes(parent)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == _leaf_peeling_subtree_sizes(parent)
+
+
+def _writer_cases():
+    yield "n-1", place_uniform(1, 500.0, seed=0), "nearest-to-center", 5.9e8
+    yield "n-2", place_uniform(2, 500.0, seed=1), "nearest-to-center", 5.9e8
+    yield "coincident", _placement([[3.5, -1.25]] * 5), "nearest-to-center", 5.9e8
+    yield "explicit-gateway", place_uniform(500, 750.0, seed=2), 123, 1e9
+    yield "zero-traffic", place_uniform(300, 500.0, seed=3), "nearest-to-center", 0.0
+    yield ("extreme-values", _placement([[0.0, -0.0], [5e-324, 1e150], [-1e150, 1e-7]]),
+           "nearest-to-center", 1e300)
+    chain = np.column_stack((np.arange(10**4, dtype=float), np.zeros(10**4)))
+    yield "chain-1e4", _placement(chain), 0, 5.9e8
+    yield ("clustered", _placement(_hotspots_with_duplicates(np.random.default_rng(9), 4000)),
+           "nearest-to-center", 2.5e8)
+    rng = np.random.default_rng(10)
+    n = int(rng.integers(1, 2 * 10**4 + 1))
+    yield ("random", place_uniform(n, float(rng.uniform(1.0, 1e4)), seed=int(rng.integers(1000))),
+           int(rng.integers(n)), float(rng.uniform(0.0, 1e10)))
+
+
+@pytest.mark.parametrize("name,placement,gateway,bps", list(_writer_cases()),
+                         ids=[case[0] for case in _writer_cases()])
+def test_export_json_writes_the_bytes_of_json_text(name, placement, gateway, bps):
+    tree = link_loads(build_relay_tree(placement, gateway), bps)
+    assert export_json(placement, tree) == json_text(export_topology(placement, tree))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_export_json_rejects_a_non_finite_load_as_json_text_does(bad):
+    placement = place_uniform(4, 500.0, seed=0)
+    loads = np.array([0.0, 1.0, bad, 2.0])
+    tree = RelayTree(0, np.array([-1, 0, 0, 1]), loads)
+    with pytest.raises(ValidationError) as want:
+        json_text(export_topology(placement, tree))
+    with pytest.raises(ValidationError) as got:
+        export_json(placement, tree)
+    assert str(got.value) == str(want.value)
 
 
 def _export_per_element(placement, tree):
