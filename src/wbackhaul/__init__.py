@@ -7,6 +7,9 @@ cooperative cluster of small cells relays toward a gateway cell.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .link_model import resolve_se
 from .power_energy import (
     EfficiencyResult,
@@ -44,14 +47,33 @@ from .sweep_report import (
     run_sweep,
     table1_report,
 )
-from .topology import (
-    NEAREST_TO_CENTER,
-    Placement,
-    RelayTree,
-    build_relay_tree,
-    export_topology,
-    gateway_ingress_bps,
-    link_loads,
-    place_uniform,
-)
 from .traffic import scenario_throughput
+
+# topology needs numpy, so its names, and the submodules that import numpy,
+# are loaded on first use (PEP 562): a scenario is evaluated without numpy.
+_TOPOLOGY_NAMES = (
+    "NEAREST_TO_CENTER",
+    "Placement",
+    "RelayTree",
+    "build_relay_tree",
+    "export_topology",
+    "gateway_ingress_bps",
+    "link_loads",
+    "place_uniform",
+)
+
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_TOPOLOGY_NAMES))
+
+
+def __getattr__(name):
+    if name in _TOPOLOGY_NAMES:
+        return getattr(_import_module(".topology", __name__), name)
+    if name in ("_kernels", "topology"):
+        return _import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

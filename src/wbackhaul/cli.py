@@ -3,7 +3,8 @@
 Subcommands: eval, sweep, figures, verify-table1, topology.  Human
 summaries go to stdout; machine-readable output goes to a file (--out),
 to stdout (--stdout), or both.  Exit codes: 0 success, 1 validation or
-parse error (also a failed verify-table1), 2 I/O error.
+parse error (also a failed verify-table1), 2 I/O error.  Only sweep,
+figures and topology import numpy.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import __version__, power_energy, sweep_report, topology
+from . import __version__, power_energy, sweep_report
 from .scenario import Central, ConfigError, ParseError, ValidationError, load_scenario
 
 
@@ -128,6 +129,8 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_topology(args) -> int:
+    from . import topology   # here, not at the top: the other commands never load numpy
+
     try:
         gateway = int(args.gateway)
     except ValueError:   # a rule name; build_relay_tree rejects any other text
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--radius", type=float, default=500.0,
                     help="macro disk radius, meters (default 500)")
     tp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    tp.add_argument("--gateway", default=topology.NEAREST_TO_CENTER,
+    tp.add_argument("--gateway", default="nearest-to-center",   # topology.NEAREST_TO_CENTER
                     help="gateway rule: 'nearest-to-center' or a node index")
     tp.add_argument("--per-cell-bps", type=float, default=5.9e8,
                     help="per-station backhaul used for link loads "

@@ -8,10 +8,11 @@ checks each axis value once, not once per point, and evaluates the whole
 grid as float64 columns, bit for bit as efficiency() evaluates each
 point; a grid with a bad point is evaluated again point by point, to
 raise that point's error.  The JSON writer formats the rows from one
-template, in the bytes json_text writes.  The presets reproduce the
-qualitative curves the model is known for: throughput vs. cell count,
-efficiency vs. cell count per band, and efficiency vs. path loss exponent
-per small-cell radius.
+template, in the bytes json_text writes.  Only the sweep imports numpy,
+on its first call, so the calibration report and the JSON writer load
+without it.  The presets reproduce the qualitative curves the model is
+known for: throughput vs. cell count, efficiency vs. cell count per band,
+and efficiency vs. path loss exponent per small-cell radius.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import link_model, power_energy, traffic
 from .scenario import (
@@ -189,6 +188,8 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
     as the walk reaches them, so that its first bad point in row order
     raises efficiency()'s error.
     """
+    import numpy as np   # here, not at the top: eval and verify-table1 never load numpy
+
     axes = [AXES[name] for name in grid.axis_names]
     try:
         parts = [list(map(axis.part, values)) for axis, (_, values) in zip(axes, grid.axes)]
@@ -226,6 +227,8 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> list[list] |
     term by the same helpers as efficiency(), which compute a column as
     they compute a float, in the same order of operations.
     """
+    import numpy as np
+
     swept = {axis.field: _Swept(place, values)
              for place, (axis, values) in enumerate(zip(axes, parts))}
     shape = [len(values) for values in parts]

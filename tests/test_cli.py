@@ -395,21 +395,59 @@ def test_topology_bad_input_names_field(flag, value, field, capsys):
     assert out == "" and field in err
 
 
-def test_console_script_matches_library(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(CENTRAL_100)
-    # the child imports the same wbackhaul as this process, installed or not
+def _child(*argv):
+    """Run python with argv in a fresh process that imports the same wbackhaul
+    as this one, installed or not."""
     src = str(Path(wbackhaul.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wbackhaul.cli", "eval", "--config", str(cfg),
-         "--stdout"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_script_matches_library(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(CENTRAL_100)
+    proc = _child("-m", "wbackhaul.cli", "eval", "--config", str(cfg), "--stdout")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     res = power_energy.efficiency(ScenarioConfig(architecture=Central(100)))
     assert doc["efficiency_bps_per_j"] == res.efficiency
+
+
+def test_parser_eval_and_verify_table1_never_import_numpy(central_cfg):
+    proc = _child("-c", (
+        "import contextlib, io, sys; import wbackhaul.cli as c; c.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert c.main(['verify-table1']) == 0\n"
+        "    assert c.main(['eval', '--config', sys.argv[1], '--stdout']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"),
+        str(central_cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{cfg}", "--axis", "n_small=0:10:5", "--stdout"],
+    ["figures", "--which", "fig3a", "--stdout"],
+    ["topology", "--n", "5", "--stdout"],
+])
+def test_numpy_commands_load_it_on_demand(central_cfg, argv):
+    proc = _child("-c", (
+        "import contextlib, io, sys; import wbackhaul.cli as c\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = c.main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)"),
+        *(a.format(cfg=central_cfg) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True\n"
+
+
+def test_gateway_default_is_the_topology_rule():
+    from wbackhaul import topology
+    from wbackhaul.cli import build_parser
+    args = build_parser().parse_args(["topology", "--n", "5"])
+    assert args.gateway == topology.NEAREST_TO_CENTER
 
 
 _AXIS_NAMES = ("n_small", "k_cluster", "alpha", "small_se", "band", "small_radius",

@@ -461,8 +461,18 @@ def _column_path_only(monkeypatch):
     monkeypatch.setattr(sweep_report, "_rows_one_by_one", unexpected)
 
 
-FINITE_CASES = [case for case in SWEEP_CASES
-                if isinstance(_standalone(SweepGrid(*SWEEP_CASES[case])), list)]
+def _finite(case) -> bool:
+    """Whether standalone evaluation of the case gives rows.  Any other
+    exception counts as no rows, so that it fails the case's own
+    test_sweep_matches_standalone_evaluation_bit_for_bit, not the
+    collection of this file."""
+    try:
+        return isinstance(_standalone(SweepGrid(*SWEEP_CASES[case])), list)
+    except Exception:
+        return False
+
+
+FINITE_CASES = [case for case in SWEEP_CASES if _finite(case)]
 
 
 @pytest.mark.parametrize("case", FINITE_CASES)

@@ -47,8 +47,9 @@ def code_lines(path: Path) -> int:
 def root_names() -> int:
     sys.path.insert(0, str(SRC))
     import wbackhaul as wb
-    return sum(1 for name, v in vars(wb).items()
-               if not name.startswith("_") and not isinstance(v, types.ModuleType))
+    # dir() lists the names the root loads on first use as well
+    return sum(1 for name in dir(wb) if not name.startswith("_")
+               and not isinstance(getattr(wb, name), types.ModuleType))
 
 
 def main(argv: list) -> None:
