@@ -109,10 +109,10 @@ def test_the_lazy_submodules_resolve_in_a_fresh_process():
     proc = subprocess.run([sys.executable, "-c", (
         "import sys, wbackhaul as wb\n"
         "assert 'wbackhaul.topology' not in sys.modules and 'numpy' not in sys.modules\n"
-        "print(wb.topology.__name__, wb._kernels.backend(), wb.sweep_report.__name__)")],
+        "print(wb._kernels.backend(), wb.topology.__name__, wb.sweep_report.__name__)")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "wbackhaul.topology numpy wbackhaul.sweep_report\n"
+    assert proc.stdout == "numpy wbackhaul.topology wbackhaul.sweep_report\n"
 
 
 def test_scenario_config_fields():
