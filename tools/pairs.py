@@ -1,18 +1,19 @@
 """Run the layered benchmark in parent/change pairs and write a BENCH_*.json.
 
     python tools/pairs.py PARENT_REV CHANGE_REV --workload W --pairs N --pr PR
-        [--seed S] [--seconds T] [--out PATH]
+        [--seed S] [--out PATH]
 
 Each revision is exported with `git archive` into its own temporary
 directory, so both sides run from committed files only.  Each pair runs
 `python3 layerbench/run.py --workload W --seed S --seconds T --trace 0`
-once in each tree; odd pairs run the parent first, even pairs the change
+once in each tree, T being BENCHMARK.json's run_seconds; odd pairs run the parent first, even pairs the change
 first, so a drift in host speed falls on both sides alike.  The result,
 BENCH_<PR>_<W>.json in the repository root unless --out is given, holds:
 
     command    the run.py command line of every run
     runs       how the pairs were run
     parent     the parent revision
+    change     the change revision
     medians    per end-to-end metric of BENCHMARK.json: the parent and
                change medians and their ratio (change / parent)
     pair_wins  per metric: in how many pairs the change was better, the
@@ -20,7 +21,9 @@ BENCH_<PR>_<W>.json in the repository root unless --out is given, holds:
                medians (change - parent)
     pairs      every run's result JSON, as run.py wrote it
 
-Exits 1 if any run failed an op or gave a wrong result, else 0.
+Exits 1 if any run failed an op or gave a wrong result, else 0.  If a
+run.py child itself fails, the pair and side are reported on stderr and
+the script exits 1 without writing the file.
 """
 import argparse
 import json
@@ -37,14 +40,21 @@ def export(rev: str, dest: Path) -> None:
     """The committed files of rev, written under dest."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                                stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
     archive.stdout.close()
-    if archive.wait():
-        raise SystemExit(f"pairs: git archive {rev} failed")
+    if archive.wait() or tar.returncode:
+        raise SystemExit(f"pairs: exporting {rev} failed")
 
 
-def run(tree: Path, argv: list, stem: str) -> dict:
-    subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+def short(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run(tree: Path, argv: list, stem: str) -> dict | None:
+    """run.py's result JSON, or None if the child exited nonzero."""
+    if subprocess.run(argv, cwd=tree, stdout=subprocess.DEVNULL).returncode:
+        return None
     with open(tree / ".bench_out" / f"{stem}.json", encoding="utf-8") as f:
         return json.load(f)
 
@@ -75,18 +85,17 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--pr", required=True, help="the number in BENCH_<PR>_<W>.json")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, help="output path (default: BENCH_<PR>_<W>.json "
                                              "in the repository root)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for an interquartile range")
 
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
+        bench = json.load(f)
     stem = f"{args.workload}-seed{args.seed}-trace0"
     cmd = ["python3", "layerbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", f"{args.seconds:g}", "--trace", "0"]
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
-        metrics = json.load(f)["end_to_end"]
+           "--seed", str(args.seed), "--seconds", f"{bench['run_seconds']:g}", "--trace", "0"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -98,20 +107,23 @@ def main(argv=None) -> int:
             pair = {}
             for side in order:
                 pair[side] = run(trees[side], cmd, stem)
+                if pair[side] is None:
+                    print(f"pairs: pair {i}/{args.pairs} {side}: run.py failed; "
+                          f"nothing written", file=sys.stderr)
+                    return 1
                 setup = pair[side]["metrics"]["setup_s"]["value"]
                 print(f"pair {i}/{args.pairs} {side}: setup_s {setup:.4f}, "
                       f"failed {pair[side]['failed']}, correct {pair[side]['correct']}",
                       file=sys.stderr)
             pairs.append({"parent": pair["parent"], "change": pair["change"]})
 
-    medians, wins = summarize(pairs, metrics)
-    parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent_rev],
-                            check=True, capture_output=True, text=True).stdout.strip()
+    medians, wins = summarize(pairs, bench["end_to_end"])
     doc = {"command": " ".join(cmd),
            "runs": f"{args.pairs} pairs, alternating which side ran first (odd pairs "
                    f"parent first); each entry is the run's .bench_out/{stem}.json",
-           "parent": f"{parent} (both sides ran from exported trees, so run.py's "
-                     f"meta.commit reads \"unknown\")",
+           "parent": f"{short(args.parent_rev)} (both sides ran from exported trees, "
+                     f"so run.py's meta.commit reads \"unknown\")",
+           "change": short(args.change_rev),
            "medians": medians, "pair_wins": wins, "pairs": pairs}
     out = args.out or ROOT / f"BENCH_{args.pr}_{args.workload}.json"
     with open(out, "w", encoding="utf-8") as f:
