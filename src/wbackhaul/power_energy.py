@@ -25,6 +25,7 @@ from .scenario import (
     _FLOAT_MAX,
     _check_positive,
     _finite_total,
+    _not_a,
 )
 
 
@@ -186,6 +187,8 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     Central: one macro station plus n_small small stations.
     Distribution: a cooperative cluster of k_cluster identical small stations.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise _not_a("cfg", cfg, "a ScenarioConfig")
     return _energy(_station_terms(cfg), cfg.architecture)
 
 
@@ -196,6 +199,8 @@ def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     an overflowing station names its own field even where a station count
     would overflow the totals as well.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise _not_a("cfg", cfg, "a ScenarioConfig")
     cells, stations = traffic._cell_terms(cfg), _station_terms(cfg)
     th = traffic._throughput(cells, cfg.architecture)
     en = _energy(stations, cfg.architecture)

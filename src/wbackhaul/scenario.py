@@ -4,6 +4,11 @@ All quantities are SI: Hz, meters, Watts, Joules, seconds, bit/s.
 Every type is a frozen dataclass and safe to share between threads.
 An input record's fields are its JSON keys, and each field carries the
 rule that checks its value, reads it from a document and writes it back.
+A record's one check is its __post_init__, run by its constructor and by
+the reader alike.  serialize_scenario writes exactly the bytes of
+json.dumps(scenario_to_dict(cfg), indent=2).  Text that is not JSON, or
+holds an integer literal longer than the interpreter converts, is a
+ParseError.
 """
 from __future__ import annotations
 
@@ -71,46 +76,52 @@ def _rule(rule, default=MISSING):
 
 def _record(cls):
     """The frozen dataclass of an input record, with the rule tables of its
-    fields built once per class: every record built runs __post_init__ and
-    every object of a document runs _read."""
+    fields built once per class: every record built runs __post_init__,
+    every object of a document runs _read and every record written runs _text."""
     cls = dataclass(frozen=True)(cls)
     # _rules: {field: rule} in declaration order;
-    # _fields: (field, record rule or None, default) for the reader;
-    # _records: (field, types, message, {class: tag} or None);
-    # _numbers: (field, number rule); _keys_with_type: a union member's JSON keys.
+    # _fields: (field, record rule or None, default, a union's {class: tag}
+    #   or None) in declaration order, for the reader and the writers;
+    # _records: (field, types, message);
+    # _numbers: (field, the rule's types as a tuple, low, high, number rule);
+    # _keys_with_type: a union member's JSON keys.
     cls._rules = {f.name: f.metadata["rule"] for f in fields(cls)}
     cls._keys_with_type = frozenset(cls._rules) | {"type"}
     read, records, numbers = [], [], []
     for f in fields(cls):
         name, rule, default = f.name, f.metadata["rule"], f.default
         if isinstance(rule, tuple):
-            read.append((name, None, default))
-            numbers.append((name, rule))
+            read.append((name, None, default, None))
+            types = rule[0] if isinstance(rule[0], tuple) else (rule[0],)
+            numbers.append((name, types, rule[1], rule[2], rule))
             continue
-        read.append((name, rule, default))
         union = isinstance(rule, dict)
         types = tuple(rule.values()) if union else (rule,)
         message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
         if default is None:
             types, message = types + (type(None),), message + " or None"
-        tags = {c: tag for tag, c in rule.items()} if union else None
-        records.append((name, types, message, tags))
+        read.append((name, rule, default, {c: tag for tag, c in rule.items()} if union else None))
+        records.append((name, types, message))
     cls._fields, cls._records, cls._numbers = tuple(read), tuple(records), tuple(numbers)
     return cls
 
 
 class _Checked:
     """Base of the input records, each built by _record: every field carries
-    its rule (see _rule), and a record checks its fields by them when built."""
+    its rule (see _rule), and a record checks its fields by them when built,
+    whether by its constructor or by _read."""
 
     def __post_init__(self):
-        for name, types, message, _ in self._records:
-            if not isinstance(getattr(self, name), types):
+        values = self.__dict__
+        for name, types, message in self._records:
+            if not isinstance(values[name], types):
                 raise ValidationError(message)
-        for name, rule in self._numbers:
-            value = _check_number(name, getattr(self, name), rule)
-            if type(value) is not float and type(value) is not int:
-                object.__setattr__(self, name, _plain(value))
+        for name, types, low, high, rule in self._numbers:
+            value = values[name]
+            # a plain int or float of the rule's types passes here; anything
+            # else is checked in full and stored as the plain number it equals
+            if type(value) not in types or not low <= value <= high:
+                values[name] = _plain(_check_number(name, value, rule))
 
 
 def _plain(value):
@@ -345,8 +356,9 @@ def _read(kind, obj, prefix: str, defaults=None):
     document, else the object's path and a dot.
 
     Keys the object omits come from defaults, else from the dataclass
-    defaults; a key with neither is an error.  The record checks its own
-    values; its error gets the object's JSON path as a prefix.
+    defaults; a key with neither is an error.  The values go straight into
+    a new record, which then checks them by the __post_init__ its
+    constructor runs; an error gets the object's JSON path as a prefix.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"{prefix[:-1] or 'config'}: must be an object")
@@ -361,35 +373,59 @@ def _read(kind, obj, prefix: str, defaults=None):
     if not obj.keys() <= allowed:
         raise ValidationError(f"{prefix[:-1] or 'config'}: unknown key(s) "
                               f"{sorted(obj.keys() - allowed)}")
-    values = []
-    for key, nested, default in cls._fields:
+    record = object.__new__(cls)
+    values = record.__dict__    # filled in declaration order, as the constructor does
+    for key, nested, default, _ in cls._fields:
         v = obj.get(key, MISSING)
         if v is MISSING:
-            v = default if defaults is None else getattr(defaults, key)
+            v = default if defaults is None else defaults.__dict__[key]
             if v is MISSING:
                 raise ValidationError(f"{prefix}{key}: missing")
         elif nested is not None:
             # a cell object fills the keys it omits from the Table-1 cell of its class
             v = _read(nested, v, f"{prefix}{key}.", _TABLE1.get(key))
-        values.append(v)
+        values[key] = v
     try:
-        return cls(*values)
+        record.__post_init__()
     except ValidationError as e:
         raise ValidationError(f"{prefix}{e}") from e
+    return record
 
 
-def _write(record, tags=None) -> dict:
-    """JSON object of a record: its "type" tag if it is a tagged union member
-    (tags maps its class to the tag), then its fields in declaration order,
-    leaving out a None record."""
-    # a dataclass instance's __dict__ holds its fields in declaration order
-    doc = vars(record).copy() if tags is None else {"type": tags[type(record)], **vars(record)}
-    for key, _, _, key_tags in record._records:
-        if doc[key] is None:
-            del doc[key]
-        else:
-            doc[key] = _write(doc[key], key_tags)
+def _write(record, tag=None) -> dict:
+    """JSON object of a record: its "type" tag if it is a tagged union member,
+    then its fields in declaration order, leaving out a None record."""
+    doc = {} if tag is None else {"type": tag}
+    values = record.__dict__
+    for key, nested, _, tags in record._fields:
+        value = values[key]
+        if nested is None:
+            doc[key] = value
+        elif value is not None:
+            doc[key] = _write(value, tags and tags[type(value)])
     return doc
+
+
+def _text(record, tag, pad: str) -> str:
+    """The text json.dumps(_write(record, tag), indent=2) gives, for an
+    object whose fields are indented by pad (a newline and spaces).  Every
+    number field holds a checked Python int or float, finite, whose repr
+    is its JSON text."""
+    inner = pad + "  "
+    items = [] if tag is None else ['"type": "%s"' % tag]
+    values = record.__dict__
+    for key, nested, _, tags in record._fields:
+        value = values[key]
+        if nested is None:
+            items.append('"%s": %r' % (key, value))
+        elif value is not None:
+            items.append('"%s": %s' % (key, _text(value, tags and tags[type(value)], inner)))
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def _not_a(name: str, value, what: str) -> ValidationError:
+    """The error for an argument name whose value is not what it must be."""
+    return ValidationError(f"{name}: must be {what}, got {value!r}")
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -401,21 +437,32 @@ def load_scenario(source: str) -> ScenarioConfig:
     """Parse JSON config text into a validated ScenarioConfig.
 
     Omitted fields are filled with the calibration defaults.  Raises
-    ParseError for malformed or too deeply nested JSON and ValidationError
-    (naming the field's JSON path) for any invariant violation or unknown key.
+    ParseError for malformed or too deeply nested JSON, or for an integer
+    literal too long to convert, and ValidationError (naming the field's
+    JSON path) for any invariant violation or unknown key.
     """
+    if not isinstance(source, (str, bytes, bytearray)):
+        raise _not_a("source", source, "str, bytes or bytearray")
     try:
         doc = json.loads(source)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: arrays or objects nested deeper than the parser's stack
+    except (ValueError, RecursionError) as e:
+        # ValueError: a JSONDecodeError, or an integer literal past the
+        # interpreter's digit limit; RecursionError: arrays or objects
+        # nested deeper than the parser's stack
         raise ParseError(f"invalid JSON: {e}") from e
     return scenario_from_dict(doc)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    """The JSON document of a config; serialize_scenario writes it as text."""
+    if not isinstance(cfg, ScenarioConfig):
+        raise _not_a("cfg", cfg, "a ScenarioConfig")
     return _write(cfg)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
-    """Serialize to JSON text; load_scenario() round-trips it exactly."""
-    return json.dumps(scenario_to_dict(cfg), indent=2)
+    """Serialize to JSON text, exactly the bytes of
+    json.dumps(scenario_to_dict(cfg), indent=2); load_scenario() round-trips it."""
+    if not isinstance(cfg, ScenarioConfig):
+        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    return _text(cfg, None, "\n")

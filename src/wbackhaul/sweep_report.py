@@ -33,6 +33,7 @@ from .scenario import (
     ShannonEdgeSE,
     ValidationError,
     _check_number,
+    _not_a,
     _plain,
     _with_checked,
     default_table1,
@@ -126,7 +127,7 @@ class SweepGrid:
 
     def __post_init__(self):
         if not isinstance(self.base, ScenarioConfig):
-            raise ValidationError(f"base: must be a ScenarioConfig, got {self.base!r}")
+            raise _not_a("base", self.base, "a ScenarioConfig")
         try:
             axes = iter(self.axes)
         except TypeError:

@@ -19,6 +19,7 @@ from .scenario import (
     ThroughputBreakdown,
     ValidationError,
     _finite_total,
+    _not_a,
 )
 
 
@@ -107,4 +108,6 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     downlink also carries the cooperative traffic of its K-1 neighbours,
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise _not_a("cfg", cfg, "a ScenarioConfig")
     return _throughput(_cell_terms(cfg), cfg.architecture)

@@ -109,6 +109,19 @@ def test_eval_hostile_config_exits_1_naming_the_path(tmp_path, capsys, text, mes
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "{cfg}"],
+    ["sweep", "--config", "{cfg}", "--axis", "n_small=0:2:1", "--stdout"],
+])
+def test_an_integer_literal_past_the_digit_limit_exits_1(tmp_path, capsys, argv,
+                                                         int_digit_limit):
+    p = tmp_path / "digits.json"
+    p.write_text('{"architecture": {"type": "central", "n_small": %s}}' % ("9" * 5000))
+    assert main([a.format(cfg=p) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: invalid JSON: Exceeds the limit") and out.out == ""
+
+
 def test_a_station_that_overflows_is_named_before_the_count(tmp_path, capsys):
     # n_small overflows the throughput total, and the macro station's own
     # energy overflows at every count: the station is the error

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbackhaul import scenario
-from wbackhaul.power_energy import efficiency
+from wbackhaul.power_energy import efficiency, scenario_energy
 from wbackhaul.scenario import (
     SECONDS_PER_YEAR,
     CellParams,
@@ -34,6 +34,7 @@ from wbackhaul.scenario import (
     scenario_to_dict,
     serialize_scenario,
 )
+from wbackhaul.traffic import scenario_throughput
 
 BANDS = [5.8e9, 28e9, 60e9]
 
@@ -435,3 +436,187 @@ def test_any_document_loads_or_names_a_key_path(data, base):
     numbers = [res.efficiency, *dataclasses.astuple(res.throughput),
                *dataclasses.astuple(res.energy)]
     assert all(math.isfinite(v) for v in numbers), numbers
+
+
+# ---------------------------------------------------------------------------
+# the reader and the writer against the plain paths they replace
+# ---------------------------------------------------------------------------
+
+def _oracle_read(kind, obj, prefix: str, defaults=None):
+    """The reader as a plain pass: collect an object's values, check each
+    number by its rule through _check_number, then build the record with
+    its constructor, cls(*values)."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{prefix[:-1] or 'config'}: must be an object")
+    cls, tagged = kind, isinstance(kind, dict)
+    if tagged:
+        tag = obj.get("type")
+        cls = kind.get(tag) if isinstance(tag, str) else None
+        if cls is None:
+            raise ValidationError(
+                f"{prefix}type: must be {' or '.join(repr(t) for t in kind)}")
+    allowed = cls._rules.keys() | ({"type"} if tagged else set())
+    if not obj.keys() <= allowed:
+        raise ValidationError(f"{prefix[:-1] or 'config'}: unknown key(s) "
+                              f"{sorted(obj.keys() - allowed)}")
+    values = []
+    for f in dataclasses.fields(cls):
+        key, rule = f.name, cls._rules[f.name]
+        v = obj.get(key, dataclasses.MISSING)
+        if v is dataclasses.MISSING:
+            v = f.default if defaults is None else getattr(defaults, key)
+            if v is dataclasses.MISSING:
+                raise ValidationError(f"{prefix}{key}: missing")
+        elif not isinstance(rule, tuple):
+            cell = default_table1(key) if key in ("small", "macro") else None
+            v = _oracle_read(rule, v, f"{prefix}{key}.", cell)
+        values.append(v)
+    try:
+        for key, v in zip(cls._rules, values):
+            if isinstance(cls._rules[key], tuple):
+                scenario._check_number(key, v, cls._rules[key])
+        return cls(*values)
+    except ValidationError as e:
+        raise ValidationError(f"{prefix}{e}") from e
+
+
+def _outcome(read, doc):
+    """(config, None) or (None, (exception type, message)) of read(doc)."""
+    try:
+        return read(doc), None
+    except ConfigError as e:
+        return None, (type(e), str(e))
+
+
+_COUNTS = st.sampled_from([2.5, 1.0, -0.0, True, False, 0, 3, 10 ** 400, "3"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), base=st.sampled_from(_FULL_DOCS))
+def test_reader_matches_the_plain_reader_on_hostile_documents(data, base):
+    doc = json.loads(json.dumps(base))
+    if data.draw(st.booleans()):
+        arch = doc["architecture"]
+        arch["n_small" if arch["type"] == "central" else "k_cluster"] = data.draw(_COUNTS)
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(_doc_paths(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(("replace", "delete", "unknown key")))
+        if action == "replace":
+            parent[path[-1]] = data.draw(_HOSTILE | _COUNTS)
+        elif action == "delete":
+            del parent[path[-1]]
+        else:
+            parent["x_unknown"] = 1
+    got, got_error = _outcome(scenario_from_dict, doc)
+    want, want_error = _outcome(lambda d: _oracle_read(ScenarioConfig, d, ""), doc)
+    assert got_error == want_error
+    if want is not None:
+        assert got == want
+        assert serialize_scenario(got) == serialize_scenario(want)
+
+
+@pytest.mark.parametrize("arch", [{"type": "central", "n_small": 2.5},
+                                  {"type": "central", "n_small": True},
+                                  {"type": "distribution", "k_cluster": 2.5},
+                                  {"type": "distribution", "k_cluster": True}],
+                         ids=["n_small-2.5", "n_small-True", "k_cluster-2.5", "k_cluster-True"])
+def test_non_integer_count_gets_the_plain_readers_error(arch):
+    doc = {"architecture": arch}
+    error = _outcome(scenario_from_dict, doc)[1]
+    assert error is not None and error == _outcome(
+        lambda d: _oracle_read(ScenarioConfig, d, ""), doc)[1]
+
+
+def _number(rule) -> st.SearchStrategy:
+    """Values a number rule accepts: ints, floats, numpy float64s and the
+    edge values -0.0, 5e-324 and 10**308 where the rule takes them."""
+    types, low, high, _ = rule
+    edges = [v for v in (-0.0, 5e-324, 0.5, 1, 10 ** 308)
+             if isinstance(v, types) and low <= v <= high]
+    low_int, high_int = math.ceil(low), min(math.floor(high), 10 ** 308)
+    ints = st.integers(low_int, high_int) if low_int <= high_int else st.nothing()
+    if types is int:
+        return ints | st.sampled_from(edges)
+    floats = st.floats(low, high)
+    return st.one_of(floats, ints, floats.map(np.float64), st.sampled_from(edges))
+
+
+def _records(cls) -> st.SearchStrategy:
+    """Valid records of cls, every union member and number rule drawn from."""
+    fields = {}
+    for name, rule in cls._rules.items():
+        if isinstance(rule, tuple):
+            fields[name] = _number(rule)
+        elif isinstance(rule, dict):
+            fields[name] = st.one_of(*map(_records, rule.values()))
+        else:
+            fields[name] = _records(rule)
+    return st.builds(cls, **fields)
+
+
+_CONFIGS = st.one_of(
+    st.builds(ScenarioConfig, architecture=_records(Central), band_hz=_number(scenario._POSITIVE),
+              small=_records(CellParams), macro=st.none() | _records(CellParams),
+              tx_anchor=_records(TxAnchor), overheads=_records(Overheads)),
+    st.builds(ScenarioConfig, architecture=_records(Distribution), alpha=_number(scenario._POSITIVE),
+              small=_records(CellParams), tx_anchor=_records(TxAnchor),
+              overheads=_records(Overheads)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_CONFIGS)
+def test_serialize_writes_the_bytes_of_json_dumps_and_round_trips(cfg):
+    text = serialize_scenario(cfg)
+    assert text == json.dumps(scenario_to_dict(cfg), indent=2)
+    again = load_scenario(text)
+    assert again == cfg
+    assert serialize_scenario(again) == text
+
+
+def test_serialize_writes_every_edge_number_as_json_dumps_does():
+    cfg = ScenarioConfig(architecture=Central(10 ** 308), band_hz=np.float64(5e-324),
+                         alpha=10 ** 308, overheads=Overheads(s1=-0.0, x2=0),
+                         small=_SHANNON_ABSOLUTE)
+    text = serialize_scenario(cfg)
+    assert text == json.dumps(scenario_to_dict(cfg), indent=2)
+    assert '"n_small": 1' + "0" * 308 in text and '"band_hz": 5e-324' in text
+    assert '"s1": -0.0' in text and '"x2": 0\n' in text
+    assert load_scenario(text) == cfg
+
+
+# ---------------------------------------------------------------------------
+# arguments of the wrong kind
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,bad", [
+    (efficiency, None), (scenario_energy, None), (scenario_throughput, "x"),
+    (serialize_scenario, None), (scenario_to_dict, {}), (scenario_to_dict, Central(1)),
+], ids=["efficiency", "scenario_energy", "scenario_throughput", "serialize_scenario",
+        "scenario_to_dict-dict", "scenario_to_dict-record"])
+def test_an_argument_that_is_not_a_config_names_cfg(call, bad):
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert str(info.value) == f"cfg: must be a ScenarioConfig, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [None, 123, ["{}"]], ids=["None", "int", "list"])
+def test_load_scenario_of_a_non_text_names_source(bad):
+    with pytest.raises(ValidationError) as info:
+        load_scenario(bad)
+    assert str(info.value) == f"source: must be str, bytes or bytearray, got {bad!r}"
+
+
+def test_load_scenario_reads_utf8_bytes():
+    text = '{"architecture": {"type": "central", "n_small": 3}}'
+    assert load_scenario(text.encode()) == load_scenario(bytearray(text.encode())) \
+        == load_scenario(text)
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(int_digit_limit):
+    text = '{"architecture": {"type": "central", "n_small": %s}}' % ("9" * 5000)
+    with pytest.raises(ParseError, match="^invalid JSON: Exceeds the limit"):
+        load_scenario(text)
