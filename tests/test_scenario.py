@@ -557,13 +557,14 @@ def _records(cls) -> st.SearchStrategy:
     return st.builds(cls, **fields)
 
 
+_SHARED = {"band_hz": _number(scenario._POSITIVE), "alpha": _number(scenario._POSITIVE),
+           "small": _records(CellParams), "tx_anchor": _records(TxAnchor),
+           "overheads": _records(Overheads)}
+# a central config with its macro cell given or filled in, and a distribution one without
 _CONFIGS = st.one_of(
-    st.builds(ScenarioConfig, architecture=_records(Central), band_hz=_number(scenario._POSITIVE),
-              small=_records(CellParams), macro=st.none() | _records(CellParams),
-              tx_anchor=_records(TxAnchor), overheads=_records(Overheads)),
-    st.builds(ScenarioConfig, architecture=_records(Distribution), alpha=_number(scenario._POSITIVE),
-              small=_records(CellParams), tx_anchor=_records(TxAnchor),
-              overheads=_records(Overheads)),
+    st.builds(ScenarioConfig, architecture=_records(Central),
+              macro=st.none() | _records(CellParams), **_SHARED),
+    st.builds(ScenarioConfig, architecture=_records(Distribution), **_SHARED),
 )
 
 
@@ -614,6 +615,11 @@ def test_load_scenario_reads_utf8_bytes():
     text = '{"architecture": {"type": "central", "n_small": 3}}'
     assert load_scenario(text.encode()) == load_scenario(bytearray(text.encode())) \
         == load_scenario(text)
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON: 'utf-8' codec can't decode"):
+        load_scenario(b'{"architecture": "\xff"}')
 
 
 def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(int_digit_limit):
