@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import math
 
-from .scenario import (FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError, _FLOAT_MAX,
+from .scenario import (FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError,
                        _check_positive)
 
 
 def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
     """Numeric spectrum efficiency (bit/s/Hz) for a cell, whatever its configured source."""
-    # any type but int and float (bools, arrays, numpy floats) takes the full rule,
-    # and a numpy float that passes it is computed with as a Python float
-    if not (type(radius_m) in (int, float) and type(alpha) in (int, float)
-            and 0 < radius_m <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
-        _check_positive(radius_m=radius_m, alpha=alpha)
-        radius_m, alpha = float(radius_m), float(alpha)
+    radius_m, alpha = _check_positive(radius_m=radius_m, alpha=alpha)
     if not isinstance(source, (FixedSE, ShannonEdgeSE)):
         raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
     se = _se(source, radius_m, alpha)

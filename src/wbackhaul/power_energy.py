@@ -22,7 +22,6 @@ from .scenario import (
     ThroughputBreakdown,
     TxAnchor,
     ValidationError,
-    _FLOAT_MAX,
     _check_positive,
     _finite_total,
     _not_a,
@@ -55,13 +54,7 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     and by (carrier/anchor carrier)^freq_exponent for the band; at the
     anchor's own radius and carrier it returns the anchor power exactly.
     """
-    # any type but int and float (bools, arrays, numpy floats) takes the full rule,
-    # and a numpy float that passes it is computed with as a Python float
-    if not (type(radius_m) in (int, float) and type(band_hz) in (int, float)
-            and type(alpha) in (int, float) and 0 < radius_m <= _FLOAT_MAX
-            and 0 < band_hz <= _FLOAT_MAX and 0 < alpha <= _FLOAT_MAX):
-        _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
-        radius_m, band_hz, alpha = float(radius_m), float(band_hz), float(alpha)
+    radius_m, band_hz, alpha = _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
     try:
         p_tx = _tx(radius_m, band_hz, alpha, anchor)
     except (TypeError, AttributeError):

@@ -61,10 +61,10 @@ _COUNT = (int, 0, _FLOAT_MAX, "must be an integer >= 0")
 _COUNT_1 = (int, 1, _FLOAT_MAX, "must be an integer >= 1")
 
 
-def _check_positive(**args) -> None:
-    """Raise a ValidationError naming the first of args that is not a number > 0."""
-    for name, value in args.items():
-        _check_number(name, value, _POSITIVE)
+def _check_positive(**args) -> list:
+    """The values of args as the Python numbers they equal, or a
+    ValidationError naming the first that is not a number > 0."""
+    return [_plain(_check_number(name, value, _POSITIVE)) for name, value in args.items()]
 
 
 def _rule(rule, default=MISSING):
@@ -372,7 +372,7 @@ def _read(kind, obj, prefix: str, defaults=None):
     allowed = cls._keys_with_type if tagged else cls._rules.keys()
     if not obj.keys() <= allowed:
         raise ValidationError(f"{prefix[:-1] or 'config'}: unknown key(s) "
-                              f"{sorted(obj.keys() - allowed)}")
+                              f"{sorted(obj.keys() - allowed, key=str)}")
     record = object.__new__(cls)
     values = record.__dict__    # filled in declaration order, as the constructor does
     for key, nested, default, _ in cls._fields:

@@ -6,13 +6,14 @@ axes' cross product, the first axis varying slowest.  parse_axis reads
 an axis from its spec, for the CLI and the figure presets alike.  A sweep
 checks each axis value once, not once per point, and evaluates the whole
 grid as float64 columns, bit for bit as efficiency() evaluates each
-point; a grid with a bad point is evaluated again point by point, to
-raise that point's error.  The JSON writer formats the rows from one
-template, in the bytes json_text writes.  Only the sweep imports numpy,
-on its first call, so the calibration report and the JSON writer load
-without it.  The presets reproduce the qualitative curves the model is
-known for: throughput vs. cell count, efficiency vs. cell count per band,
-and efficiency vs. path loss exponent per small-cell radius.
+point.  A grid with a bad point ends in the error of the first one in row
+order, which the checks and the columns locate: that one point is built
+and evaluated by efficiency() to raise it.  The JSON writer formats the
+rows from one template, in the bytes json_text writes.  Only the sweep
+imports numpy, on its first call, so the calibration report and the JSON
+writer load without it.  The presets reproduce the qualitative curves the
+model is known for: throughput vs. cell count, efficiency vs. cell count
+per band, and efficiency vs. path loss exponent per small-cell radius.
 """
 from __future__ import annotations
 
@@ -184,25 +185,62 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
 
     Each axis value is checked once, and the whole grid is evaluated at
     once, bit for bit as efficiency() evaluates each point: see
-    _grid_columns.  A grid with a bad value, or with a point whose
-    evaluation fails, is walked again point by point, its values checked
-    as the walk reaches them, so that its first bad point in row order
-    raises efficiency()'s error.
+    _grid_columns.  A grid with a bad row, one that holds a value failing
+    its check or a point efficiency() cannot evaluate, raises the error of
+    the first one: the earlier of the first row that holds a failing value
+    and the first row whose energy or efficiency is not finite, of the grid
+    of each axis's values before its first failing one, which holds every
+    row before the former.  See _raise_point_error.
     """
     import numpy as np   # here, not at the top: eval and verify-table1 never load numpy
 
     axes = [AXES[name] for name in grid.axis_names]
+    parts = [_parts(axis, values) for axis, (_, values) in zip(axes, grid.axes)]
+    shape, good = [len(values) for _, values in grid.axes], [len(p) for p in parts]
+    size = math.prod(shape)
+    # value j of an axis first appears at row j times the points of the axes after it
+    bad = min((j * math.prod(shape[place + 1:]) for place, j in enumerate(good)
+               if j < shape[place]), default=size)
     try:
-        parts = [list(map(axis.part, values)) for axis, (_, values) in zip(axes, grid.axes)]
         with np.errstate(all="ignore"):
             columns = _grid_columns(grid.base, axes, parts)
-    except (ConfigError, ArithmeticError):
-        columns = None
-    if columns is None:
-        return _rows_one_by_one(grid)
-    shape = [len(values) for _, values in grid.axes]
+    except ArithmeticError:   # raised by the base scenario's integer Joules alone: at row 0
+        bad = 0
+    else:
+        ok = np.broadcast_to(np.isfinite(columns[1]) & np.isfinite(columns[2]), good).ravel()
+        if not ok.all():
+            bad = min(bad, int(np.ravel_multi_index(np.unravel_index(ok.argmin(), good), shape)))
+    if bad < size:
+        _raise_point_error(grid, np.unravel_index(bad, shape))
+    columns = [np.broadcast_to(c, shape).ravel().tolist() for c in columns]   # frees the arrays
     points = (_spread(values, shape, place) for place, (_, values) in enumerate(grid.axes))
     return list(zip(*points, *columns))
+
+
+def _parts(axis: Axis, values: tuple) -> list:
+    """The checked parts of values, up to the first value that fails its check."""
+    parts = []
+    try:
+        parts.extend(map(axis.part, values))   # keeps the parts made before a part raises
+    except ConfigError:
+        pass
+    return parts
+
+
+def _raise_point_error(grid: SweepGrid, index: tuple):
+    """Raise the error of the grid point at index, one value index per axis,
+    as evaluating the grid point by point in row order would: that of its
+    first value, outermost first, that fails its check, else efficiency()'s,
+    tagged with the axis and value."""
+    cfg = grid.base
+    try:
+        for (name, values), i in zip(grid.axes, index):
+            where = f"grid point {name}={values[i]!r}"
+            cfg = _set(cfg, AXES[name].field, AXES[name].part(values[i]))
+        power_energy.efficiency(cfg)
+    except ConfigError as e:
+        raise ValidationError(f"{where}: {e}") from e
+    raise RuntimeError(f"{where}: evaluates, but its grid columns are not finite")
 
 
 def _spread(values, shape: list, place: int) -> list:
@@ -216,9 +254,11 @@ def _spread(values, shape: list, place: int) -> list:
     return list(values) * outer
 
 
-def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> list[list] | None:
-    """The throughput, energy and efficiency of every grid point, in row
-    order, or None if one is not finite or an energy is not > 0.
+def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
+    """The throughput, energy and efficiency of every point of the grid of
+    parts.  The energy or the efficiency is not finite at exactly the
+    points where efficiency() raises: energies are never < 0, so one of 0,
+    or a throughput that is not finite, makes the efficiency not finite.
 
     Each quantity is a float, or a float64 array with one dimension per
     axis, of length 1 where it does not depend on the axis, so it is
@@ -280,40 +320,7 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> list[list] |
     neighbours = each(lambda a: traffic._counts(a)[1], arch)
     bps = traffic._sums(cells, count, neighbours)[6]
     energy = power_energy._energy_total(stations, count)
-    eff = bps / energy
-    if not (np.isfinite(bps).all() and np.isfinite(energy).all() and np.all(energy > 0)
-            and np.isfinite(eff).all()):
-        return None
-    return [np.broadcast_to(column, shape).ravel().tolist() for column in (bps, energy, eff)]
-
-
-def _rows_one_by_one(grid: SweepGrid) -> list[tuple]:
-    """The rows of the grid, evaluated point by point in row order by
-    efficiency(), each point's scenario assembled from checked parts: the
-    path that raises a grid point's error.  Each axis value is checked when
-    the walk first reaches it."""
-    axes = [(name, values, AXES[name], [None] * len(values)) for name, values in grid.axes]
-    last = len(axes) - 1
-    rows = []
-
-    def walk(depth: int, cfg: ScenarioConfig, point: tuple):
-        name, values, axis, parts = axes[depth]
-        for i, v in enumerate(values):
-            try:
-                if parts[i] is None:
-                    parts[i] = axis.part(v)
-                cfg = _set(cfg, axis.field, parts[i])   # the same field each time
-                if depth == last:
-                    res = power_energy.efficiency(cfg)
-                    rows.append((*point, v, res.throughput_bps, res.system_energy_j,
-                                 res.efficiency))
-            except ConfigError as e:
-                raise ValidationError(f"grid point {name}={v!r}: {e}") from e
-            if depth < last:
-                walk(depth + 1, cfg, point + (v,))
-
-    walk(0, grid.base, ())
-    return rows
+    return bps, energy, bps / energy
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,11 @@ _C = {"type": "central", "n_small": 1}
     ({"architecture": _C, "tx_anchor": {"power_w": "10"}}, "tx_anchor.power_w: must be a number > 0"),
     ({"architecture": _C, "tx_anchor": {"watts": 10}}, "tx_anchor: unknown key(s) ['watts']"),
     ({"architecture": _C, "overheads": {"s3": 0.1}}, "overheads: unknown key(s) ['s3']"),
+    # a dict from the library may hold keys that do not compare
+    ({"architecture": {"type": "central", "n_small": 1}, 1: 2, "a": 3},
+     "config: unknown key(s) [1, 'a']"),
+    ({"architecture": _C, "tx_anchor": {"b": 1, None: 2, 3: 4}},
+     "tx_anchor: unknown key(s) [3, None, 'b']"),
     ({"architecture": _C, "small": {"radius_m": -1}}, "small.radius_m: must be a number > 0"),
     ({"architecture": _C, "macro": {"power_curve": {"slope_a": 0, "offset_b_w": 1}}},
      "macro.power_curve.slope_a: must be a number > 0"),

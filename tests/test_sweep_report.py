@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -454,11 +455,11 @@ def test_random_grids_match_standalone_evaluation_bit_for_bit(grid):
 
 
 def _column_path_only(monkeypatch):
-    """Make the point-by-point path, which a grid enters only to raise a
-    grid point's error, fail the test."""
-    def unexpected(grid):
-        raise AssertionError("a finite grid was evaluated point by point")
-    monkeypatch.setattr(sweep_report, "_rows_one_by_one", unexpected)
+    """Make the path that raises a grid point's error, which only a grid
+    with a bad point enters, fail the test."""
+    def unexpected(grid, index):
+        raise AssertionError("a finite grid was sent to raise a grid point's error")
+    monkeypatch.setattr(sweep_report, "_raise_point_error", unexpected)
 
 
 def _finite(case) -> bool:
@@ -506,20 +507,67 @@ def test_a_count_column_takes_k_minus_1_on_the_integer(monkeypatch):
     assert throughput(float(k - 1)) != throughput(float(k) - 1)
 
 
-@pytest.mark.parametrize("axes", [
+@pytest.mark.parametrize("axes,evaluations", [
     # only the last point's edge SNR overflows
-    (("alpha", tuple(2.0 + i * 0.002 for i in range(10**4)) + (60.0,)),),
-    # only the last small_se value is bad, and the walk reaches it last
-    (("small_se", tuple(i * 0.001 for i in range(2000)) + (math.inf,)),
-     ("n_small", (0, 1, 2, 3, 4))),
+    ((("alpha", tuple(2.0 + i * 0.002 for i in range(10**4)) + (60.0,)),), 1),
+    # only the last small_se value is bad, in the grid's last rows; its own
+    # check raises the error, so no point is evaluated
+    ((("small_se", tuple(i * 0.001 for i in range(2000)) + (math.inf,)),
+      ("n_small", (0, 1, 2, 3, 4))), 0),
 ], ids=["overflow", "bad-value"])
-def test_a_large_grid_with_one_bad_point_near_its_end_raises_its_error(axes):
+def test_a_large_grid_with_one_bad_point_near_its_end_raises_its_error(
+        axes, evaluations, monkeypatch):
     small = replace(SHANNON, radius_m=1e-6)
     grid = SweepGrid(replace(CENTRAL, small=small), axes)
     assert math.prod(len(values) for _, values in axes) >= 10**4
     want = _standalone(grid)
     assert want.startswith("grid point ")
+    evaluated, efficiency = [], power_energy.efficiency
+    monkeypatch.setattr(power_energy, "efficiency",
+                        lambda cfg: evaluated.append(cfg) or efficiency(cfg))
     assert _swept(grid) == want
+    # the bad point alone is built and evaluated, not the points before it
+    assert len(evaluated) == evaluations
+
+
+# part failures and overflows that the random grids below put in their axes
+_BAD = {
+    "n_small": (2.5, 10.5, 99.5, 10**300),
+    "k_cluster": (0, 7.5, 10**300),
+    "alpha": (-1.0, 0.0, 60.0, math.inf),
+    "small_se": (-1.0, math.inf),
+    "band": (-5.0, 1e308, math.inf),
+    "small_radius": (-1.0, 1e200, math.inf),
+}
+
+
+def _hostile_grid(rng):
+    """A grid of 1 to 3 axes and up to about 500 points, on a 1e-6 m Shannon
+    small cell or the default one, where each axis holds one or two bad
+    values with probability one half, among good values drawn at random."""
+    base = rng.choice((CENTRAL, DIST))
+    if rng.random() < 0.5:
+        base = replace(base, small=replace(SHANNON, radius_m=1e-6))
+    count = "n_small" if isinstance(base.architecture, Central) else "k_cluster"
+    names = rng.sample([count, "alpha", "small_se", "band", "small_radius"], rng.randint(1, 3))
+    size = {1: 500, 2: 22, 3: 8}[len(names)]
+    good = {count: lambda: rng.randrange(1, 2000), "alpha": lambda: rng.uniform(2.0, 4.0),
+            "small_se": lambda: rng.uniform(0.0, 10.0), "band": lambda: rng.uniform(1e9, 1e11),
+            "small_radius": lambda: rng.uniform(10.0, 200.0)}
+    axes = []
+    for name in names:
+        values = {good[name]() for _ in range(rng.randint(1, size - 2))}
+        if rng.random() < 0.5:
+            values.update(rng.sample(_BAD[name], rng.randint(1, 2)))
+        axes.append((name, tuple(sorted(values))))
+    return SweepGrid(base, tuple(axes))
+
+
+def test_hostile_grids_of_hundreds_of_points_match_standalone_evaluation():
+    rng = random.Random(18)
+    for _ in range(150):
+        grid = _hostile_grid(rng)
+        assert _swept(grid) == _standalone(grid), grid
 
 
 # ---------------------------------------------------------------------------
