@@ -9,6 +9,7 @@ figures and topology import numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -89,11 +90,10 @@ def _cmd_sweep(args) -> int:
     cfg = load_scenario(_read_text(args.config))
     grid = sweep_report.SweepGrid(
         cfg, tuple(sweep_report.parse_axis(spec) for spec in args.axis))
-    rows = sweep_report.run_sweep(grid)
-    _emit(args, getattr(sweep_report, f"rows_to_{args.format}")(grid, rows))
+    _emit(args, sweep_report.sweep_text(grid, args.format))
     if not args.stdout:
-        print(f"swept {len(rows)} points over {'+'.join(grid.axis_names)}; "
-              f"wrote {args.out}")
+        print(f"swept {math.prod(len(v) for _, v in grid.axes)} points over "
+              f"{'+'.join(grid.axis_names)}; wrote {args.out}")
     return 0
 
 
@@ -103,15 +103,14 @@ def _cmd_figures(args) -> int:
         raise ValidationError("figures: --stdout needs a single --which dataset")
     for name in names:
         grid = sweep_report.figure_grid(name)
-        rows = sweep_report.run_sweep(grid)
-        text = getattr(sweep_report, f"rows_to_{args.format}")(grid, rows)
+        text = sweep_report.sweep_text(grid, args.format)
         if args.stdout:
             sys.stdout.write(text)
             return 0
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.{args.format}")
         _write_text(path, text)
-        print(f"wrote {path} ({len(rows)} rows)")
+        print(f"wrote {path} ({math.prod(len(v) for _, v in grid.axes)} rows)")
     return 0
 
 

@@ -8,10 +8,15 @@ checks each axis value once, not once per point, and evaluates the whole
 grid as float64 columns, bit for bit as efficiency() evaluates each
 point.  A grid with a bad point ends in the error of the first one in row
 order, which the checks and the columns locate: that one point is built
-and evaluated by efficiency() to raise it.  The JSON writer formats the
-rows from one template, in the bytes json_text writes.  Only the sweep
-imports numpy, on its first call, so the calibration report and the JSON
-writer load without it.  The presets reproduce the qualitative curves the
+and evaluated by efficiency() to raise it.  One writer turns columns into
+CSV or JSON text, the JSON in the bytes json_text writes: a column with a
+value per row goes through the row template, and a column the grid holds
+once per combination of fewer axes is formatted once per value, so
+sweep_text formats each computed value once.  rows_to_csv and
+rows_to_json are its case where every column is full, and reject a row
+that is not one number per column.  Only the sweep and these writers
+import numpy, on their first call, so the calibration report and
+json_text load without it.  The presets reproduce the qualitative curves the
 model is known for: throughput vs. cell count, efficiency vs. cell count
 per band, and efficiency vs. path loss exponent per small-cell radius.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -171,17 +177,32 @@ def _set(record, path: tuple, part):
                                     if rest else part})
 
 
-class _Swept(NamedTuple):
-    """The checked values of the field an axis sets, and the axis's place in the grid."""
+def _along(values, place: int, ndim: int):
+    """values, as they are, in an object array of ndim dimensions that lies
+    along the one at place: of length 1 on every other."""
+    import numpy as np
 
-    place: int
-    values: list
+    return np.array(values, dtype=object).reshape([-1 if p == place else 1 for p in range(ndim)])
 
 
 def run_sweep(grid: SweepGrid) -> list[tuple]:
     """Evaluate every grid point, the first axis varying slowest.  A row is
     the point's output cells: its axis values, then throughput_bps,
-    system_energy_j and efficiency, as in the CSV header.
+    system_energy_j and efficiency, as in the CSV header.  See
+    _sweep_columns, which evaluates the grid and raises a bad row's error.
+    """
+    import numpy as np
+
+    shape, columns = _sweep_columns(grid)
+    return list(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)))
+
+
+def _sweep_columns(grid: SweepGrid) -> tuple[tuple, list]:
+    """The grid's shape and one array per output column, in the order of
+    the CSV header, with a dimension per axis, each the axis's length or 1:
+    an axis's values, as they are, lie along its own dimension, and a value
+    column has length 1 where it does not depend on the axis, as
+    _grid_columns computes it.
 
     Each axis value is checked once, and the whole grid is evaluated at
     once, bit for bit as efficiency() evaluates each point: see
@@ -212,9 +233,8 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
             bad = min(bad, int(np.ravel_multi_index(np.unravel_index(ok.argmin(), good), shape)))
     if bad < size:
         _raise_point_error(grid, np.unravel_index(bad, shape))
-    columns = [np.broadcast_to(c, shape).ravel().tolist() for c in columns]   # frees the arrays
-    points = (_spread(values, shape, place) for place, (_, values) in enumerate(grid.axes))
-    return list(zip(*points, *columns))
+    points = [_along(values, place, len(shape)) for place, (_, values) in enumerate(grid.axes)]
+    return shape, points + [np.array(c, ndmin=len(shape)) for c in columns]
 
 
 def _parts(axis: Axis, values: tuple) -> list:
@@ -243,17 +263,6 @@ def _raise_point_error(grid: SweepGrid, index: tuple):
     raise RuntimeError(f"{where}: evaluates, but its grid columns are not finite")
 
 
-def _spread(values, shape: list, place: int) -> list:
-    """The value at each point of a grid of the given shape, in row order,
-    of its axis at place: values, each repeated as many times as the axes
-    after it have points, the whole as many times as those before it."""
-    inner, outer = math.prod(shape[place + 1:]), math.prod(shape[:place])
-    if inner > 1:
-        repeats = itertools.repeat(inner, len(values))
-        values = itertools.chain.from_iterable(map(itertools.repeat, values, repeats))
-    return list(values) * outer
-
-
 def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
     """The throughput, energy and efficiency of every point of the grid of
     parts.  The energy or the efficiency is not finite at exactly the
@@ -270,9 +279,8 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
     """
     import numpy as np
 
-    swept = {axis.field: _Swept(place, values)
+    swept = {axis.field: _along(values, place, len(parts))
              for place, (axis, values) in enumerate(zip(axes, parts))}
-    shape = [len(values) for values in parts]
 
     def field(*path):
         """The swept values of the field at path, or the base scenario's value."""
@@ -286,14 +294,12 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
     def each(kernel, *args):
         """kernel at every combination of the swept values among args, the
         other args passed as they are."""
-        reads = {a.place: a.values for a in args if isinstance(a, _Swept)}
+        reads = [a.shape for a in args if isinstance(a, np.ndarray)]
         if not reads:
             return kernel(*args)
-        dims = [len(reads[place]) if place in reads else 1 for place in range(len(shape))]
-        spread = {place: _spread(values, dims, place) for place, values in reads.items()}
-        combos = math.prod(dims)
-        out = map(kernel, *(spread[a.place] if isinstance(a, _Swept)
-                            else itertools.repeat(a, combos) for a in args))
+        dims = np.broadcast_shapes(*reads)
+        out = map(kernel, *(np.broadcast_to(a, dims).ravel().tolist() if isinstance(a, np.ndarray)
+                            else itertools.repeat(a) for a in args))
         return np.array(list(out), dtype=float).reshape(dims)
 
     alpha, band, overheads = field("alpha"), field("band_hz"), base.overheads
@@ -383,20 +389,74 @@ def _columns(grid: SweepGrid) -> tuple[tuple[str, ...], list[type]]:
 def rows_to_csv(grid: SweepGrid, rows: list[tuple]) -> str:
     """CSV text: axis columns then the three value columns, LF line endings;
     counts as integers, every other number in full-precision %.17e."""
-    names, types = _columns(grid)
-    template = ",".join("%d" if t is int else "%.17e" for t in types)
-    return "\n".join([",".join(names)] + [template % row for row in rows]) + "\n"
+    return _text("csv", grid, *_row_columns("csv", grid, rows))
 
 
 def rows_to_json(grid: SweepGrid, rows: list[tuple]) -> str:
     """JSON text mirroring the CSV rows as an array of objects: the bytes
-    json_text writes for them, from one %r template per grid."""
-    names, types = _columns(grid)
-    columns = [list(map(t, column)) for t, column in zip(types, zip(*rows))]
-    if not all(all(map(math.isfinite, c)) for t, c in zip(types, columns) if t is float):
-        json_text(columns)   # raises json_text's error for a non-finite number
-    template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %r" for name in names) + "\n  }"
-    return "[\n" + ",\n".join([template % row for row in zip(*columns)]) + "\n]\n" if rows else "[]\n"
+    json_text writes for them."""
+    return _text("json", grid, *_row_columns("json", grid, rows))
+
+
+def sweep_text(grid: SweepGrid, fmt: str) -> str:
+    """The bytes of rows_to_csv or rows_to_json (fmt "csv" or "json") of
+    run_sweep(grid), written from the grid's columns without building rows."""
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")
+    return _text(fmt, grid, *_sweep_columns(grid))
+
+
+def _row_columns(fmt: str, grid: SweepGrid, rows) -> tuple[tuple, list]:
+    """The shape and column arrays of rows, each a tuple of one cell
+    per output column: an integer in a count column, else a finite number.
+    Anything else is a ValidationError naming rows, but a non-finite number
+    in JSON is json_text's."""
+    import numpy as np
+
+    names, kinds = _columns(grid)
+    try:
+        rows = list(map(tuple, rows))
+        if set(map(len, rows)) - {len(names)}:
+            raise TypeError
+    except TypeError:
+        raise ValidationError(f"rows: must be a list of tuples of {len(names)} numbers") from None
+    columns = [list(map(operator.itemgetter(i), rows)) for i in range(len(names))]
+    for i, (name, kind) in enumerate(zip(names, kinds)):
+        try:
+            if kind is int:
+                columns[i] = list(map(operator.index, columns[i]))
+            elif not all(map(math.isfinite, columns[i])):
+                if fmt == "json":   # json_text's error for a non-finite number
+                    json_text(list(map(float, columns[i])))
+                raise TypeError
+        except (TypeError, OverflowError):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValidationError(f"rows: {name}: every cell must be {what}") from None
+    return (len(rows),), [np.array(values, dtype=object) for values in columns]
+
+
+def _text(fmt: str, grid: SweepGrid, shape: tuple, columns: list) -> str:
+    """The CSV or JSON text of column arrays that broadcast to a grid of the
+    given shape (see _sweep_columns).  A column with one value per row goes
+    into the row template; a shorter one is formatted once per value, and
+    its strings are spread to the grid."""
+    import numpy as np
+
+    names, kinds = _columns(grid)
+    size, cells, fields = math.prod(shape), [], []
+    for kind, column in zip(kinds, columns):
+        if fmt == "json" and kind is float:
+            column = column.astype(float)   # an int on a float axis is written 2.0
+        cell = "%r" if fmt == "json" else "%d" if kind is int else "%.17e"
+        if column.size < size:
+            column, cell = np.frompyfunc(cell.__mod__, 1, 1)(column), "%s"
+        cells.append(cell)
+        fields.append(np.broadcast_to(column, shape).ravel().tolist())
+    if fmt == "csv":
+        template = ",".join(cells)
+        return "\n".join([",".join(names)] + [template % row for row in zip(*fields)]) + "\n"
+    template = "  {\n" + ",\n".join(f'    "{n}": {c}' for n, c in zip(names, cells)) + "\n  }"
+    return "[\n" + ",\n".join([template % row for row in zip(*fields)]) + "\n]\n" if size else "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbackhaul import power_energy, sweep_report
+from wbackhaul import cli, power_energy, sweep_report
 from wbackhaul.scenario import (
     Central,
     Distribution,
@@ -20,6 +20,7 @@ from wbackhaul.scenario import (
     ShannonEdgeSE,
     TxAnchor,
     ValidationError,
+    serialize_scenario,
 )
 from wbackhaul.sweep_report import (
     AXES,
@@ -30,6 +31,7 @@ from wbackhaul.sweep_report import (
     rows_to_csv,
     rows_to_json,
     run_sweep,
+    sweep_text,
     table1_report,
 )
 
@@ -607,3 +609,146 @@ def test_rows_to_json_rejects_non_finite_numbers_like_json_text(bad):
     with pytest.raises(ValidationError) as want:
         _json_oracle(grid, rows)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Column writer: sweep_text formats each computed value once
+# ---------------------------------------------------------------------------
+
+def _csv_oracle(grid, rows):
+    cells = ["%d" if AXES[n].arch else "%.17e" for n in grid.axis_names] + ["%.17e"] * 3
+    lines = [",".join(grid.axis_names + sweep_report.VALUE_COLUMNS)]
+    return "\n".join(lines + [",".join(c % v for c, v in zip(cells, row)) for row in rows]) + "\n"
+
+
+def _text_or_error(write):
+    try:
+        return write()
+    except ValidationError as e:
+        return f"error: {e}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grids())
+def test_sweep_text_equals_the_row_writers_of_run_sweep(grid):
+    # a grid with a bad point raises the same error through both paths
+    for fmt, write in (("csv", rows_to_csv), ("json", rows_to_json)):
+        want = _text_or_error(lambda: write(grid, run_sweep(grid)))
+        assert _text_or_error(lambda: sweep_text(grid, fmt)) == want
+
+
+# (grid, the sizes of its value columns: throughput, energy, efficiency)
+COLUMN_CASES = {
+    # a fixed SE: the throughput reads no band
+    "constant-throughput": (SweepGrid(CENTRAL, (("band", (5.8e9, 28e9, 60e9)),)), (1, 3, 3)),
+    # the energy reads no small-cell SE
+    "constant-energy": (SweepGrid(CENTRAL, (("small_se", (1.0, 2.5, 7.5)),)), (3, 1, 3)),
+    # the energy reads axes 0 and 2, the throughput axes 1 and 2
+    "axes-0-and-2": (SweepGrid(CENTRAL, (("alpha", (2.5, 3.0)), ("small_se", (1.0, 2.0, 5.0)),
+                                         ("n_small", (0, 7, 40, 400)))), (12, 8, 24)),
+    "ints-on-a-float-axis": (SweepGrid(CENTRAL, (("alpha", (2, 3)), ("band", (6000000000, 28e9)))),
+                             (1, 4, 4)),
+    "negative-zero-start": (SweepGrid(CENTRAL, (("small_se", (-0.0, 1.0)), ("n_small", (0, 2)))),
+                            (4, 2, 4)),
+    "counts-above-2**53": (SweepGrid(DIST, (("k_cluster", (1, 2**53 + 1, 10**30)),
+                                            ("band", (5.8e9, 60e9)))), (3, 6, 6)),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_sweep_text_of_compact_columns_equals_the_row_bytes(case):
+    grid, sizes = COLUMN_CASES[case]
+    shape, columns = sweep_report._sweep_columns(grid)
+    assert tuple(c.size for c in columns[len(shape):]) == sizes
+    rows = run_sweep(grid)
+    assert sweep_text(grid, "csv") == rows_to_csv(grid, rows) == _csv_oracle(grid, rows)
+    assert sweep_text(grid, "json") == rows_to_json(grid, rows) == _json_oracle(grid, rows)
+
+
+def test_sweep_text_writes_each_case_of_an_axis_value():
+    grid = COLUMN_CASES["ints-on-a-float-axis"][0]
+    assert json.loads(sweep_text(grid, "json"))[0]["alpha"] == 2.0
+    assert '"alpha": 2.0,' in sweep_text(grid, "json")
+    grid = COLUMN_CASES["negative-zero-start"][0]
+    assert sweep_text(grid, "csv").split("\n")[1].startswith("-0.00000000000000000e+00,0,")
+    assert '"small_se": -0.0,' in sweep_text(grid, "json")
+    grid = COLUMN_CASES["counts-above-2**53"][0]
+    assert "\n9007199254740993," in sweep_text(grid, "csv")
+    assert '"k_cluster": 9007199254740993,' in sweep_text(grid, "json")
+
+
+def test_sweep_text_rejects_an_unknown_format():
+    with pytest.raises(ValidationError, match="^format: expected 'csv' or 'json', got 'xml'"):
+        sweep_text(SweepGrid(CENTRAL, (("alpha", (3.0,)),)), "xml")
+
+
+def test_the_cli_writes_sweeps_and_figures_without_building_rows(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "central.json"
+    config.write_text(serialize_scenario(CENTRAL))
+    grid = SweepGrid(CENTRAL, (sweep_report.parse_axis("small_se=1:3:0.5"),
+                               sweep_report.parse_axis("n_small=0:40:8")))
+    want = {fmt: write(grid, run_sweep(grid)) for fmt, write in (("csv", rows_to_csv),
+                                                                 ("json", rows_to_json))}
+    figure = rows_to_json(figure_grid("fig4a"), run_sweep(figure_grid("fig4a")))
+
+    def unexpected(grid):
+        raise AssertionError("the CLI built the rows of a sweep")
+    monkeypatch.setattr(sweep_report, "run_sweep", unexpected)
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--config", str(config), "--axis", "small_se=1:3:0.5",
+                "--axis", "n_small=0:40:8", "--format", fmt, "--stdout"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want[fmt]
+    assert cli.main(["figures", "--which", "fig4a", "--format", "json", "--stdout"]) == 0
+    assert capsys.readouterr().out == figure
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(config), "--axis", "small_se=1:3:0.5",
+                     "--axis", "n_small=0:40:8", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("swept 30 points over small_se+n_small; ")
+    assert out.read_text() == want["csv"]
+    assert cli.main(["figures", "--which", "fig4a", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(" (123 rows)\n")
+
+
+# ---------------------------------------------------------------------------
+# Row writers: rows that are not one number per column
+# ---------------------------------------------------------------------------
+
+_ALPHA = SweepGrid(CENTRAL, (("alpha", (3.0,)),))
+_COUNT = SweepGrid(CENTRAL, (("n_small", (1,)),))
+
+
+@pytest.mark.parametrize("write", [rows_to_csv, rows_to_json])
+@pytest.mark.parametrize("grid,rows,message", [
+    (_ALPHA, [(3.0, 1.0, 2.0, 0.5, 4.0)], "rows: must be a list of tuples of 4 numbers"),
+    (_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.0, 1.0, 2.0)], "rows: must be a list of tuples of 4 numbers"),
+    (_ALPHA, None, "rows: must be a list of tuples of 4 numbers"),
+    (_ALPHA, [5], "rows: must be a list of tuples of 4 numbers"),
+    (_ALPHA, [(3.0, "x", 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
+    (_ALPHA, [(3.0, "1", 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
+    (_ALPHA, [(3.0, 10**400, 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
+    (_COUNT, [(2.5, 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
+    (_COUNT, [(math.inf, 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
+    (_COUNT, [("1", 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
+], ids=["extra-value", "short-row", "none", "not-a-row", "string", "numeric-string",
+        "huge-int", "fractional-count", "infinite-count", "string-count"])
+def test_row_writers_reject_rows_that_are_not_one_number_per_column(write, grid, rows, message):
+    with pytest.raises(ValidationError) as got:
+        write(grid, rows)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rows_to_csv_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValidationError) as got:
+        rows_to_csv(_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.5, 1.0, bad, 0.5)])
+    assert str(got.value) == "rows: system_energy_j: every cell must be a finite number"
+
+
+def test_row_writers_take_any_iterable_of_number_tuples():
+    rows = [(3.0, 1, np.float64(2.0), True)]
+    want = "alpha,throughput_bps,system_energy_j,efficiency_bps_per_j\n" + ",".join(
+        ["3.00000000000000000e+00", "1.00000000000000000e+00",
+         "2.00000000000000000e+00", "1.00000000000000000e+00"]) + "\n"
+    assert rows_to_csv(_ALPHA, iter(rows)) == rows_to_csv(_ALPHA, rows) == want
+    assert rows_to_json(_ALPHA, (list(row) for row in rows)) == _json_oracle(_ALPHA, rows)
