@@ -197,7 +197,7 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
     return list(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)))
 
 
-def _sweep_columns(grid: SweepGrid) -> tuple[tuple, list]:
+def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     """The grid's shape and one array per output column, in the order of
     the CSV header, with a dimension per axis, each the axis's length or 1:
     an axis's values, as they are, lie along its own dimension, and a value
@@ -406,7 +406,7 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
     return _text(fmt, grid, *_sweep_columns(grid))
 
 
-def _row_columns(fmt: str, grid: SweepGrid, rows) -> tuple[tuple, list]:
+def _row_columns(fmt: str, grid: SweepGrid, rows) -> tuple[list, list]:
     """The shape and column arrays of rows, each a tuple of one cell
     per output column: an integer in a count column, else a finite number.
     Anything else is a ValidationError naming rows, but a non-finite number
@@ -432,10 +432,10 @@ def _row_columns(fmt: str, grid: SweepGrid, rows) -> tuple[tuple, list]:
         except (TypeError, OverflowError):
             what = "an integer" if kind is int else "a finite number"
             raise ValidationError(f"rows: {name}: every cell must be {what}") from None
-    return (len(rows),), [np.array(values, dtype=object) for values in columns]
+    return [len(rows)], [np.array(values, dtype=object) for values in columns]
 
 
-def _text(fmt: str, grid: SweepGrid, shape: tuple, columns: list) -> str:
+def _text(fmt: str, grid: SweepGrid, shape: list, columns: list) -> str:
     """The CSV or JSON text of column arrays that broadcast to a grid of the
     given shape (see _sweep_columns).  A column with one value per row goes
     into the row template; a shorter one is formatted once per value, and
