@@ -716,20 +716,23 @@ def test_the_cli_writes_sweeps_and_figures_without_building_rows(tmp_path, capsy
 
 _ALPHA = SweepGrid(CENTRAL, (("alpha", (3.0,)),))
 _COUNT = SweepGrid(CENTRAL, (("n_small", (1,)),))
+_SHAPE = "rows: must be a list of tuples of 4 numbers"
+_FINITE = "rows: throughput_bps: every cell must be a finite number"
+_INTEGER = "rows: n_small: every cell must be an integer"
 
 
 @pytest.mark.parametrize("write", [rows_to_csv, rows_to_json])
 @pytest.mark.parametrize("grid,rows,message", [
-    (_ALPHA, [(3.0, 1.0, 2.0, 0.5, 4.0)], "rows: must be a list of tuples of 4 numbers"),
-    (_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.0, 1.0, 2.0)], "rows: must be a list of tuples of 4 numbers"),
-    (_ALPHA, None, "rows: must be a list of tuples of 4 numbers"),
-    (_ALPHA, [5], "rows: must be a list of tuples of 4 numbers"),
-    (_ALPHA, [(3.0, "x", 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
-    (_ALPHA, [(3.0, "1", 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
-    (_ALPHA, [(3.0, 10**400, 2.0, 0.5)], "rows: throughput_bps: every cell must be a finite number"),
-    (_COUNT, [(2.5, 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
-    (_COUNT, [(math.inf, 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
-    (_COUNT, [("1", 1.0, 2.0, 0.5)], "rows: n_small: every cell must be an integer"),
+    (_ALPHA, [(3.0, 1.0, 2.0, 0.5, 4.0)], _SHAPE),
+    (_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.0, 1.0, 2.0)], _SHAPE),
+    (_ALPHA, None, _SHAPE),
+    (_ALPHA, [5], _SHAPE),
+    (_ALPHA, [(3.0, "x", 2.0, 0.5)], _FINITE),
+    (_ALPHA, [(3.0, "1", 2.0, 0.5)], _FINITE),
+    (_ALPHA, [(3.0, 10**400, 2.0, 0.5)], _FINITE),
+    (_COUNT, [(2.5, 1.0, 2.0, 0.5)], _INTEGER),
+    (_COUNT, [(math.inf, 1.0, 2.0, 0.5)], _INTEGER),
+    (_COUNT, [("1", 1.0, 2.0, 0.5)], _INTEGER),
 ], ids=["extra-value", "short-row", "none", "not-a-row", "string", "numeric-string",
         "huge-int", "fractional-count", "infinite-count", "string-count"])
 def test_row_writers_reject_rows_that_are_not_one_number_per_column(write, grid, rows, message):
