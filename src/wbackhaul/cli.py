@@ -5,10 +5,15 @@ summaries go to stdout; machine-readable output goes to a file (--out),
 to stdout (--stdout), or both.  Exit codes: 0 success, 1 validation or
 parse error (also a failed verify-table1), 2 I/O error.  Only sweep,
 figures and topology import numpy.
+
+main(argv) may be called any number of times in one process: it builds
+the argument parser on its first call and reuses it on every later one.
+build_parser() returns a new parser on each call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -202,10 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args keeps no
+    state in it, each call filling a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # usage problems (unknown flags, missing args) exit 1, not argparse's 2
         return 1 if e.code else 0

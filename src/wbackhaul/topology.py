@@ -14,7 +14,6 @@ a JSON-ready dict, and export_json as the JSON text of that dict.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -198,10 +197,12 @@ def export_topology(placement: Placement, tree: RelayTree) -> dict:
     """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
     if tree.n != placement.n:
         raise ValidationError(f"tree: has {tree.n} nodes, the placement {placement.n}")
+    parent = tree.parent.tolist()
+    parent[tree.gateway_index] = None   # the one -1 a RelayTree holds
     return {
         "positions": placement.positions.tolist(),
         "gateway_index": int(tree.gateway_index),
-        "parent": [None if p == -1 else p for p in tree.parent.tolist()],
+        "parent": parent,
         "link_load_bps": tree.link_load_bps.astype(np.float64, copy=False).tolist(),
         "seed": int(placement.seed),
         "rng": RNG_ALGORITHM,
@@ -212,22 +213,35 @@ def export_json(placement: Placement, tree: RelayTree) -> str:
     """JSON text of export_topology(placement, tree): the bytes json_text
     writes for it, formatted from %-templates of the array elements, since
     json.dumps with an indent runs CPython's pure-Python encoder."""
-    doc = export_topology(placement, tree)
-    # positions are finite by the Placement bounds; a hand-built tree's loads may not be
-    if not np.isfinite(tree.link_load_bps).all():
-        return json_text(doc)   # raises json_text's error for the non-finite load
-    n = tree.n    # at least 1, so no array is the empty one json_text writes as []
-    arrays = {
-        "positions": (_array(["    [\n      %r,\n      %r\n    ]"] * n)
-                      % tuple(itertools.chain.from_iterable(doc["positions"]))),
-        "parent": _array(["    null" if p is None else "    %d" % p for p in doc["parent"]]),
-        "link_load_bps": _array(["    %r"] * n) % tuple(doc["link_load_bps"]),
-    }
+    loads = tree.link_load_bps.astype(np.float64, copy=False)
+    # positions are finite by the Placement bounds; a hand-built tree's loads may
+    # not be, nor need its size be the placement's: export_topology or json_text
+    # raises the error
+    if tree.n != placement.n or not np.isfinite(loads).all():
+        return json_text(export_topology(placement, tree))
+    n, g = tree.n, tree.gateway_index   # n >= 1: no array is the empty one, written []
+    parent = tree.parent.tolist()
+    del parent[g]
+    parent_templates = ["    %d"] * n
+    parent_templates[g] = "    null"
+    # a tree's loads are subtree sizes times one rate, so few are distinct: each
+    # is formatted once, keyed by its bits so that 0.0 and -0.0 stay apart
+    bits, inverse = np.unique(loads.view(np.int64), return_inverse=True)
+    load_texts = np.array(["    %r" % v for v in bits.view(np.float64).tolist()],
+                          dtype=object)
+    fields = (
+        ("positions", _array(["    [\n      %r,\n      %r\n    ]"] * n)
+         % tuple(placement.positions.ravel().tolist())),
+        ("gateway_index", json.dumps(int(g))),
+        ("parent", _array(parent_templates) % tuple(parent)),
+        ("link_load_bps", _array(load_texts[inverse].tolist())),
+        ("seed", json.dumps(int(placement.seed))),
+        ("rng", json.dumps(RNG_ALGORITHM)),
+    )
     # one join of all the pieces, so that the text is copied once
     pieces = ["{\n"]
-    for key, value in doc.items():
-        pieces += ("  ", json.dumps(key), ": ",
-                   arrays[key] if key in arrays else json.dumps(value), ",\n")
+    for key, text in fields:
+        pieces += ("  ", json.dumps(key), ": ", text, ",\n")
     pieces[-1] = "\n}\n"
     return "".join(pieces)
 

@@ -408,13 +408,13 @@ def test_topology_bad_input_names_field(flag, value, field, capsys):
     assert out == "" and field in err
 
 
-def _child(*argv):
+def _child(*argv, text=True):
     """Run python with argv in a fresh process that imports the same wbackhaul
     as this one, installed or not."""
     src = str(Path(wbackhaul.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=text, env=env)
 
 
 def test_console_script_matches_library(tmp_path):
@@ -461,6 +461,52 @@ def test_gateway_default_is_the_topology_rule():
     from wbackhaul.cli import build_parser
     args = build_parser().parse_args(["topology", "--n", "5"])
     assert args.gateway == topology.NEAREST_TO_CENTER
+
+
+def test_main_builds_its_parser_on_the_first_call_alone(central_cfg, monkeypatch, capsys):
+    from wbackhaul import cli
+    built = []
+
+    real = cli.build_parser
+
+    def counting_build_parser():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert main(["verify-table1"]) == 0
+        assert main(["eval", "--config", str(central_cfg), "--stdout"]) == 0
+        assert main(["frobnicate"]) == 1
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()   # the next parser is built by the real build_parser
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    from wbackhaul.cli import build_parser
+    assert build_parser() is not build_parser()
+
+
+def test_repeated_main_calls_share_no_state(central_cfg, capsys):
+    two_axes = ["sweep", "--config", str(central_cfg), "--axis", "n_small=0:10:5",
+                "--axis", "alpha=2:3:1", "--stdout"]
+    assert main(two_axes) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("n_small,alpha,")
+    # the --axis list of the first call must not carry over
+    assert main(["sweep", "--config", str(central_cfg), "--axis", "alpha=2:3:1",
+                 "--stdout"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("alpha,throughput_bps,") and len(lines) == 3
+    assert main(["sweep", "--axis", "alpha=2:3:1", "--stdout"]) == 1   # no --config
+    assert "--config" in capsys.readouterr().err
+    assert main(two_axes) == 0
+    again = capsys.readouterr().out
+    proc = _child("-m", "wbackhaul.cli", *two_axes, text=False)
+    assert proc.returncode == 0, proc.stderr
+    assert again.encode() == first.encode() == proc.stdout
 
 
 _AXIS_NAMES = ("n_small", "k_cluster", "alpha", "small_se", "band", "small_radius",

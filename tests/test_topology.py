@@ -330,6 +330,7 @@ def _writer_cases():
     yield "coincident", _placement([[3.5, -1.25]] * 5), "nearest-to-center", 5.9e8
     yield "explicit-gateway", place_uniform(500, 750.0, seed=2), 123, 1e9
     yield "zero-traffic", place_uniform(300, 500.0, seed=3), "nearest-to-center", 0.0
+    yield "negative-zero-rate", place_uniform(300, 500.0, seed=3), 7, -0.0
     yield ("extreme-values", _placement([[0.0, -0.0], [5e-324, 1e150], [-1e150, 1e-7]]),
            "nearest-to-center", 1e300)
     chain = np.column_stack((np.arange(10**4, dtype=float), np.zeros(10**4)))
@@ -346,6 +347,22 @@ def _writer_cases():
                          ids=[case[0] for case in _writer_cases()])
 def test_export_json_writes_the_bytes_of_json_text(name, placement, gateway, bps):
     tree = link_loads(build_relay_tree(placement, gateway), bps)
+    assert export_json(placement, tree) == json_text(export_topology(placement, tree))
+
+
+def _hand_built_loads(n):
+    rng = np.random.default_rng(12)
+    yield "signed-zeros", rng.choice([0.0, -0.0, 5.9e8, -5.9e8], n)
+    yield "float32", rng.choice(rng.random(40, dtype=np.float32) * 1e9, n)
+    yield "all-distinct", rng.permutation(n) * np.pi + rng.random(n)
+
+
+@pytest.mark.parametrize("name,loads", list(_hand_built_loads(2000)),
+                         ids=[name for name, _ in _hand_built_loads(2000)])
+def test_export_json_writes_hand_built_loads_as_json_text_does(name, loads):
+    placement = place_uniform(2000, 500.0, seed=5)
+    tree = build_relay_tree(placement, 9)
+    tree = RelayTree(tree.gateway_index, tree.parent, loads)
     assert export_json(placement, tree) == json_text(export_topology(placement, tree))
 
 
