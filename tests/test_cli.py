@@ -465,9 +465,7 @@ def test_gateway_default_is_the_topology_rule():
 
 def test_main_builds_its_parser_on_the_first_call_alone(central_cfg, monkeypatch, capsys):
     from wbackhaul import cli
-    built = []
-
-    real = cli.build_parser
+    built, real = [], cli.build_parser
 
     def counting_build_parser():
         built.append(None)
