@@ -91,7 +91,7 @@ def _tx_overflow(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor
 # The per-station helpers below take values of checked records (and the
 # published calibration powers), so they check nothing themselves; those
 # that return floats return columns of them when given columns (see
-# sweep_report.run_sweep).
+# sweep_report._grid_columns).
 def _operating_power(curve: PowerCurve, tx_w: float) -> float:
     """Operating power draw (W) at the given transmit power."""
     return curve.slope_a * tx_w + curve.offset_b_w

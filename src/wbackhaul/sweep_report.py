@@ -8,24 +8,22 @@ checks each axis value once, not once per point, and evaluates the whole
 grid as float64 columns, bit for bit as efficiency() evaluates each
 point.  A grid with a bad point ends in the error of the first one in row
 order, which the checks and the columns locate: that one point is built
-and evaluated by efficiency() to raise it.  One writer turns columns into
-CSV or JSON text, the JSON in the bytes json_text writes: a column with a
+and evaluated by efficiency() to raise it.  One writer, sweep_text, turns
+the columns into CSV or JSON text: the bytes of a %d/%.17e template per
+row, or those json_text writes for the rows as objects.  A column with a
 value per row goes through the row template, and a column the grid holds
-once per combination of fewer axes is formatted once per value, so
-sweep_text formats each computed value once.  rows_to_csv and
-rows_to_json are its case where every column is full, and reject a row
-that is not one number per column.  Only the sweep and these writers
-import numpy, on their first call, so the calibration report and
-json_text load without it.  The presets reproduce the qualitative curves the
-model is known for: throughput vs. cell count, efficiency vs. cell count
-per band, and efficiency vs. path loss exponent per small-cell radius.
+once per combination of fewer axes is formatted once per value, so each
+computed value is formatted once.  Only run_sweep and sweep_text import
+numpy, on their first call, so the calibration report and json_text load
+without it.  The presets reproduce the qualitative curves the model is
+known for: throughput vs. cell count, efficiency vs. cell count per
+band, and efficiency vs. path loss exponent per small-cell radius.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -380,74 +378,28 @@ def json_text(doc) -> str:
         raise ValidationError(f"output: {e}") from e
 
 
-def _columns(grid: SweepGrid) -> tuple[tuple[str, ...], list[type]]:
-    """Output column names and types: int for a station-count axis, else float."""
-    types = [float if AXES[name].arch is None else int for name in grid.axis_names]
-    return grid.axis_names + VALUE_COLUMNS, types + [float] * len(VALUE_COLUMNS)
-
-
-def rows_to_csv(grid: SweepGrid, rows: list[tuple]) -> str:
-    """CSV text: axis columns then the three value columns, LF line endings;
-    counts as integers, every other number in full-precision %.17e."""
-    return _text("csv", grid, *_row_columns("csv", grid, rows))
-
-
-def rows_to_json(grid: SweepGrid, rows: list[tuple]) -> str:
-    """JSON text mirroring the CSV rows as an array of objects: the bytes
-    json_text writes for them."""
-    return _text("json", grid, *_row_columns("json", grid, rows))
-
-
 def sweep_text(grid: SweepGrid, fmt: str) -> str:
-    """The bytes of rows_to_csv or rows_to_json (fmt "csv" or "json") of
-    run_sweep(grid), written from the grid's columns without building rows."""
+    """The text of run_sweep(grid) (fmt "csv" or "json"), written from the
+    grid's columns without building rows.  CSV: the header, then a line per
+    row, a count in %d and every other number in full-precision %.17e, LF
+    line endings.  JSON: the bytes json_text writes for the rows as an array
+    of objects, a count as an integer and every other number as a float.
+
+    A column with one value per row goes into the row template; a shorter
+    one is formatted once per value, and its strings are spread to the grid.
+    """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")
-    return _text(fmt, grid, *_sweep_columns(grid))
-
-
-def _row_columns(fmt: str, grid: SweepGrid, rows) -> tuple[list, list]:
-    """The shape and column arrays of rows, each a tuple of one cell
-    per output column: an integer in a count column, else a finite number.
-    Anything else is a ValidationError naming rows, but a non-finite number
-    in JSON is json_text's."""
     import numpy as np
 
-    names, kinds = _columns(grid)
-    try:
-        rows = list(map(tuple, rows))
-        if set(map(len, rows)) - {len(names)}:
-            raise TypeError
-    except TypeError:
-        raise ValidationError(f"rows: must be a list of tuples of {len(names)} numbers") from None
-    columns = [list(map(operator.itemgetter(i), rows)) for i in range(len(names))]
-    for i, (name, kind) in enumerate(zip(names, kinds)):
-        try:
-            if kind is int:
-                columns[i] = list(map(operator.index, columns[i]))
-            elif not all(map(math.isfinite, columns[i])):
-                if fmt == "json":   # json_text's error for a non-finite number
-                    json_text(list(map(float, columns[i])))
-                raise TypeError
-        except (TypeError, OverflowError):
-            what = "an integer" if kind is int else "a finite number"
-            raise ValidationError(f"rows: {name}: every cell must be {what}") from None
-    return [len(rows)], [np.array(values, dtype=object) for values in columns]
-
-
-def _text(fmt: str, grid: SweepGrid, shape: list, columns: list) -> str:
-    """The CSV or JSON text of column arrays that broadcast to a grid of the
-    given shape (see _sweep_columns).  A column with one value per row goes
-    into the row template; a shorter one is formatted once per value, and
-    its strings are spread to the grid."""
-    import numpy as np
-
-    names, kinds = _columns(grid)
+    shape, columns = _sweep_columns(grid)
+    names = grid.axis_names + VALUE_COLUMNS
     size, cells, fields = math.prod(shape), [], []
-    for kind, column in zip(kinds, columns):
-        if fmt == "json" and kind is float:
+    for name, column in zip(names, columns):
+        count = name in AXES and AXES[name].arch is not None   # a station-count axis
+        if fmt == "json" and not count:
             column = column.astype(float)   # an int on a float axis is written 2.0
-        cell = "%r" if fmt == "json" else "%d" if kind is int else "%.17e"
+        cell = "%r" if fmt == "json" else "%d" if count else "%.17e"
         if column.size < size:
             column, cell = np.frompyfunc(cell.__mod__, 1, 1)(column), "%s"
         cells.append(cell)
@@ -456,7 +408,7 @@ def _text(fmt: str, grid: SweepGrid, shape: list, columns: list) -> str:
         template = ",".join(cells)
         return "\n".join([",".join(names)] + [template % row for row in zip(*fields)]) + "\n"
     template = "  {\n" + ",\n".join(f'    "{n}": {c}' for n, c in zip(names, cells)) + "\n  }"
-    return "[\n" + ",\n".join([template % row for row in zip(*fields)]) + "\n]\n" if size else "[]\n"
+    return "[\n" + ",\n".join([template % row for row in zip(*fields)]) + "\n]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _terms(cfg: ScenarioConfig, small: tuple, macro: tuple | None) -> tuple:
     cell; down_factor is None.  Distribution: a member relays at its full
     downlink in both directions, and down_factor * SE is its downlink at
     the cooperative SE that _sums sets; there is no macro cell.  Each term
-    is a float, or a column of them (see sweep_report.run_sweep).
+    is a float, or a column of them (see sweep_report._grid_columns).
     """
     small_se, small_up, small_down = small
     if macro is None:

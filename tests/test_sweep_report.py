@@ -28,8 +28,6 @@ from wbackhaul.sweep_report import (
     MAX_POINTS,
     SweepGrid,
     figure_grid,
-    rows_to_csv,
-    rows_to_json,
     run_sweep,
     sweep_text,
     table1_report,
@@ -250,7 +248,8 @@ def test_fig5_reference_radius_throughput_alpha_invariant():
 def test_csv_output_format():
     grid = SweepGrid(DIST, (("k_cluster", (1, 2, 3)),))
     rows = run_sweep(grid)
-    text = rows_to_csv(grid, rows)
+    text = sweep_text(grid, "csv")
+    assert text == _csv_oracle(grid, rows)
     lines = text.split("\n")
     assert lines[0] == "k_cluster,throughput_bps,system_energy_j,efficiency_bps_per_j"
     assert text.endswith("\n") and "\r" not in text
@@ -264,7 +263,9 @@ def test_csv_output_format():
 def test_json_output_mirrors_rows():
     grid = SweepGrid(DIST, (("alpha", (2.5, 3.2)),))
     rows = run_sweep(grid)
-    data = json.loads(rows_to_json(grid, rows))
+    text = sweep_text(grid, "json")
+    assert text == _json_oracle(grid, rows)
+    data = json.loads(text)
     assert len(data) == 2
     assert data[0]["alpha"] == 2.5
     assert data[0]["efficiency_bps_per_j"] == rows[0][3]
@@ -573,52 +574,23 @@ def test_hostile_grids_of_hundreds_of_points_match_standalone_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# JSON writer: the bytes json_text writes
+# Sweep writer: sweep_text against plain row writers over run_sweep's rows,
+# which share no code with it
 # ---------------------------------------------------------------------------
 
+def _csv_oracle(grid, rows):
+    """The CSV of rows: a %d template per count cell, %.17e per other cell."""
+    cells = ["%d" if AXES[n].arch else "%.17e" for n in grid.axis_names] + ["%.17e"] * 3
+    lines = [",".join(grid.axis_names + sweep_report.VALUE_COLUMNS)]
+    return "\n".join(lines + [",".join(c % v for c, v in zip(cells, row)) for row in rows]) + "\n"
+
+
 def _json_oracle(grid, rows):
+    """The JSON of rows: json_text of one object per row, a count as an int."""
     names = grid.axis_names + sweep_report.VALUE_COLUMNS
     types = [int if AXES[n].arch else float for n in grid.axis_names] + [float] * 3
     return sweep_report.json_text([{n: t(v) for n, t, v in zip(names, types, row)}
                                    for row in rows])
-
-
-@pytest.mark.parametrize("grid,rows", [
-    (SweepGrid(CENTRAL, (("small_se", (-0.0, 1.0)), ("n_small", (0, 2**53 + 1)))), None),
-    (SweepGrid(DIST, (("alpha", (2, 3)), ("k_cluster", (1, 10**30)))), None),
-    (SweepGrid(CENTRAL, (("band", (5.8e9,)),)), [(6000000000, 1, 2, 3)]),
-    (SweepGrid(CENTRAL, (("n_small", (1,)),)), [(2**60 + 1, 1e-320, 5e-324, 1.7976931348623157e308)]),
-    (SweepGrid(CENTRAL, (("n_small", (1,)),)), []),
-], ids=["neg-zero-and-2**53+1", "int-floats-and-1e30", "ints-on-float-columns",
-        "extremes", "empty"])
-def test_rows_to_json_bytes_equal_json_text(grid, rows):
-    rows = run_sweep(grid) if rows is None else rows
-    assert rows_to_json(grid, rows) == _json_oracle(grid, rows)
-
-
-def test_rows_to_json_of_no_rows():
-    assert rows_to_json(SweepGrid(CENTRAL, (("n_small", (1,)),)), []) == "[]\n"
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_rows_to_json_rejects_non_finite_numbers_like_json_text(bad):
-    grid = SweepGrid(CENTRAL, (("alpha", (3.0,)),))
-    rows = [(3.0, 1.0, 2.0, 0.5), (3.5, 1.0, bad, 0.5)]
-    with pytest.raises(ValidationError, match="^output: ") as got:
-        rows_to_json(grid, rows)
-    with pytest.raises(ValidationError) as want:
-        _json_oracle(grid, rows)
-    assert str(got.value) == str(want.value)
-
-
-# ---------------------------------------------------------------------------
-# Column writer: sweep_text formats each computed value once
-# ---------------------------------------------------------------------------
-
-def _csv_oracle(grid, rows):
-    cells = ["%d" if AXES[n].arch else "%.17e" for n in grid.axis_names] + ["%.17e"] * 3
-    lines = [",".join(grid.axis_names + sweep_report.VALUE_COLUMNS)]
-    return "\n".join(lines + [",".join(c % v for c, v in zip(cells, row)) for row in rows]) + "\n"
 
 
 def _text_or_error(write):
@@ -628,13 +600,44 @@ def _text_or_error(write):
         return f"error: {e}"
 
 
+@pytest.mark.parametrize("grid", [
+    SweepGrid(CENTRAL, (("small_se", (-0.0, 1.0)), ("n_small", (0, 2**53 + 1)))),
+    SweepGrid(DIST, (("alpha", (2, 3)), ("k_cluster", (1, 10**30)))),
+    *map(figure_grid, FIGURES),
+], ids=["neg-zero-and-2**53+1", "int-floats-and-1e30", *FIGURES])
+def test_sweep_text_bytes_equal_the_plain_row_writers(grid):
+    rows = run_sweep(grid)
+    assert sweep_text(grid, "csv") == _csv_oracle(grid, rows)
+    assert sweep_text(grid, "json") == _json_oracle(grid, rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_grids())
-def test_sweep_text_equals_the_row_writers_of_run_sweep(grid):
+def test_sweep_text_equals_the_plain_row_writers_of_run_sweep(grid):
     # a grid with a bad point raises the same error through both paths
-    for fmt, write in (("csv", rows_to_csv), ("json", rows_to_json)):
-        want = _text_or_error(lambda: write(grid, run_sweep(grid)))
+    for fmt, oracle in (("csv", _csv_oracle), ("json", _json_oracle)):
+        want = _text_or_error(lambda: oracle(grid, run_sweep(grid)))
         assert _text_or_error(lambda: sweep_text(grid, fmt)) == want
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_text_of_each_sweep_case_equals_the_plain_row_writer(fmt, case):
+    # a hostile case raises the first error of standalone evaluation
+    grid = SweepGrid(*SWEEP_CASES[case])
+    oracle = {"csv": _csv_oracle, "json": _json_oracle}[fmt]
+    want = _text_or_error(lambda: oracle(grid, run_sweep(grid)))
+    assert _text_or_error(lambda: sweep_text(grid, fmt)) == want
+    standalone = _standalone(grid)
+    if isinstance(standalone, str):
+        assert want == f"error: {standalone}"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_json_text_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValidationError, match="^output: Out of range float values are not "
+                                              "JSON compliant"):
+        sweep_report.json_text([{"alpha": 3.0, "system_energy_j": bad}])
 
 
 # (grid, the sizes of its value columns: throughput, energy, efficiency)
@@ -661,8 +664,8 @@ def test_sweep_text_of_compact_columns_equals_the_row_bytes(case):
     shape, columns = sweep_report._sweep_columns(grid)
     assert tuple(c.size for c in columns[len(shape):]) == sizes
     rows = run_sweep(grid)
-    assert sweep_text(grid, "csv") == rows_to_csv(grid, rows) == _csv_oracle(grid, rows)
-    assert sweep_text(grid, "json") == rows_to_json(grid, rows) == _json_oracle(grid, rows)
+    assert sweep_text(grid, "csv") == _csv_oracle(grid, rows)
+    assert sweep_text(grid, "json") == _json_oracle(grid, rows)
 
 
 def test_sweep_text_writes_each_case_of_an_axis_value():
@@ -687,9 +690,9 @@ def test_the_cli_writes_sweeps_and_figures_without_building_rows(tmp_path, capsy
     config.write_text(serialize_scenario(CENTRAL))
     grid = SweepGrid(CENTRAL, (sweep_report.parse_axis("small_se=1:3:0.5"),
                                sweep_report.parse_axis("n_small=0:40:8")))
-    want = {fmt: write(grid, run_sweep(grid)) for fmt, write in (("csv", rows_to_csv),
-                                                                 ("json", rows_to_json))}
-    figure = rows_to_json(figure_grid("fig4a"), run_sweep(figure_grid("fig4a")))
+    rows = run_sweep(grid)
+    want = {"csv": _csv_oracle(grid, rows), "json": _json_oracle(grid, rows)}
+    figure = _json_oracle(figure_grid("fig4a"), run_sweep(figure_grid("fig4a")))
 
     def unexpected(grid):
         raise AssertionError("the CLI built the rows of a sweep")
@@ -708,50 +711,3 @@ def test_the_cli_writes_sweeps_and_figures_without_building_rows(tmp_path, capsy
     assert out.read_text() == want["csv"]
     assert cli.main(["figures", "--which", "fig4a", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith(" (123 rows)\n")
-
-
-# ---------------------------------------------------------------------------
-# Row writers: rows that are not one number per column
-# ---------------------------------------------------------------------------
-
-_ALPHA = SweepGrid(CENTRAL, (("alpha", (3.0,)),))
-_COUNT = SweepGrid(CENTRAL, (("n_small", (1,)),))
-_SHAPE = "rows: must be a list of tuples of 4 numbers"
-_FINITE = "rows: throughput_bps: every cell must be a finite number"
-_INTEGER = "rows: n_small: every cell must be an integer"
-
-
-@pytest.mark.parametrize("write", [rows_to_csv, rows_to_json])
-@pytest.mark.parametrize("grid,rows,message", [
-    (_ALPHA, [(3.0, 1.0, 2.0, 0.5, 4.0)], _SHAPE),
-    (_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.0, 1.0, 2.0)], _SHAPE),
-    (_ALPHA, None, _SHAPE),
-    (_ALPHA, [5], _SHAPE),
-    (_ALPHA, [(3.0, "x", 2.0, 0.5)], _FINITE),
-    (_ALPHA, [(3.0, "1", 2.0, 0.5)], _FINITE),
-    (_ALPHA, [(3.0, 10**400, 2.0, 0.5)], _FINITE),
-    (_COUNT, [(2.5, 1.0, 2.0, 0.5)], _INTEGER),
-    (_COUNT, [(math.inf, 1.0, 2.0, 0.5)], _INTEGER),
-    (_COUNT, [("1", 1.0, 2.0, 0.5)], _INTEGER),
-], ids=["extra-value", "short-row", "none", "not-a-row", "string", "numeric-string",
-        "huge-int", "fractional-count", "infinite-count", "string-count"])
-def test_row_writers_reject_rows_that_are_not_one_number_per_column(write, grid, rows, message):
-    with pytest.raises(ValidationError) as got:
-        write(grid, rows)
-    assert str(got.value) == message
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_rows_to_csv_rejects_non_finite_numbers(bad):
-    with pytest.raises(ValidationError) as got:
-        rows_to_csv(_ALPHA, [(3.0, 1.0, 2.0, 0.5), (3.5, 1.0, bad, 0.5)])
-    assert str(got.value) == "rows: system_energy_j: every cell must be a finite number"
-
-
-def test_row_writers_take_any_iterable_of_number_tuples():
-    rows = [(3.0, 1, np.float64(2.0), True)]
-    want = "alpha,throughput_bps,system_energy_j,efficiency_bps_per_j\n" + ",".join(
-        ["3.00000000000000000e+00", "1.00000000000000000e+00",
-         "2.00000000000000000e+00", "1.00000000000000000e+00"]) + "\n"
-    assert rows_to_csv(_ALPHA, iter(rows)) == rows_to_csv(_ALPHA, rows) == want
-    assert rows_to_json(_ALPHA, (list(row) for row in rows)) == _json_oracle(_ALPHA, rows)

@@ -343,11 +343,23 @@ def _writer_cases():
            int(rng.integers(n)), float(rng.uniform(0.0, 1e10)))
 
 
+def _assert_same_text(got, want):
+    """got == want, exactly.  A mismatch reports both lengths and the first
+    differing index with 80 characters around it, where a bare == between
+    texts of a megabyte sets pytest diffing them for minutes."""
+    if got == want:
+        return
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(i - 40, 0)
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first at index {i}:\n"
+                f"got  {got[lo:i + 40]!r}\nwant {want[lo:i + 40]!r}")
+
+
 @pytest.mark.parametrize("name,placement,gateway,bps", list(_writer_cases()),
                          ids=[case[0] for case in _writer_cases()])
 def test_export_json_writes_the_bytes_of_json_text(name, placement, gateway, bps):
     tree = link_loads(build_relay_tree(placement, gateway), bps)
-    assert export_json(placement, tree) == json_text(export_topology(placement, tree))
+    _assert_same_text(export_json(placement, tree), json_text(export_topology(placement, tree)))
 
 
 def _hand_built_loads(n):
@@ -363,7 +375,7 @@ def test_export_json_writes_hand_built_loads_as_json_text_does(name, loads):
     placement = place_uniform(2000, 500.0, seed=5)
     tree = build_relay_tree(placement, 9)
     tree = RelayTree(tree.gateway_index, tree.parent, loads)
-    assert export_json(placement, tree) == json_text(export_topology(placement, tree))
+    _assert_same_text(export_json(placement, tree), json_text(export_topology(placement, tree)))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
