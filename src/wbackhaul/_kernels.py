@@ -9,7 +9,19 @@ cell width, since every node outside the block is at least that far
 away.  Rows that find no such candidate retry on a grid of twice the
 cell size, up to a grid whose every block holds all nodes.  Distances
 use the same IEEE operations and tie-break as the brute-force rule, so
-the parents are bit-identical to it.
+the parents are bit-identical to it.  The ranks are build_relay_tree's
+gateway-distance order: one unstable sort, then a tie pass that puts each
+run of equal distances in node-index order with one integer sort.
+
+Each grid level lays the nodes out in cell order, cells by key and ranks
+ascending within a cell, and gathers their coordinates in that order, so
+a row's lower-ranked candidates in a cell are consecutive slots from the
+cell's first.  A dense level (side^2 at most a few times n) reads each
+cell's first slot from a table, the running sum of the cell counts (the
+cell list of Allen and Tildesley, "Computer Simulation of Liquids", OUP
+1987); a sparse level finds it by binary search in the sorted cell codes.
+Either way the end of a neighbouring cell's run is searched, and a row's
+own cell needs no search: its candidates there are the slots before it.
 
 subtree_sizes counts the nodes below each node, for the link loads, by
 pointer doubling (Wyllie's list ranking, "The complexity of parallel
@@ -36,6 +48,8 @@ _MAX_CELLS = 1 << 16
 _H2_RANGE = (1e-290, 1e290)
 # Refine the finest grid while sum(occupancy^2) > _OCCUPANCY * n.
 _OCCUPANCY = 4
+# A level takes its cell starts from a table when side^2 <= _DENSE * n.
+_DENSE = 4
 
 
 def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
@@ -51,19 +65,20 @@ def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
     return c[:, 0] * side + c[:, 1], side, top <= 2
 
 
-def _finest_cell(pos: np.ndarray, lo: np.ndarray, span: float) -> float:
-    """Finest cell size: about two nodes per cell, halved while clustered
-    nodes crowd into a few cells."""
+def _finest_level(pos: np.ndarray, lo: np.ndarray, span: float):
+    """Finest grid level as (h, keys, side, complete): cells of about two
+    nodes each, halved while clustered nodes crowd into a few cells."""
     n = pos.shape[0]
-    h = span / max(1, isqrt(n // 2))
-    # below the h^2 range no grid level can accept a candidate
-    while h * h > 4 * _H2_RANGE[0]:
-        keys, side, _ = _cell_keys(pos, lo, h)
-        occupancy = np.unique(keys, return_counts=True)[1]
-        if 2 * side > _MAX_CELLS or int(occupancy @ occupancy) <= _OCCUPANCY * n:
-            break
+    # a span of a few subnormals can divide to 0; coincident nodes (span 0)
+    # share a cell of any size, so that their one level is complete
+    h = span / max(1, isqrt(n // 2)) or span or 1.0
+    while True:
+        keys, side, complete = _cell_keys(pos, lo, h)
+        # below the h^2 range no grid level can accept a candidate
+        if (complete or h * h <= 4 * _H2_RANGE[0] or 2 * side > _MAX_CELLS
+                or np.square(np.unique(keys, return_counts=True)[1]).sum() <= _OCCUPANCY * n):
+            return h, keys, side, complete
         h /= 2
-    return h if h > 0 else span
 
 
 def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
@@ -81,77 +96,93 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(pos[:, 0])
     y = np.ascontiguousarray(pos[:, 1])
     lo = pos.min(axis=0)
-    span = float((pos.max(axis=0) - lo).max())
-    # coincident nodes share a cell of any size, so every row then resolves
-    h = _finest_cell(pos, lo, span) if span > 0.0 else 1.0
+    h, keys, side, complete = _finest_level(pos, lo, float((pos.max(axis=0) - lo).max()))
     rows = np.arange(1, n, dtype=np.int64)
-    while rows.size:
-        keys, side, complete = _cell_keys(pos, lo, h)
-        # cells in key order, ranks ascending within each cell, so a row's
-        # lower-ranked candidates in a cell are a prefix of that cell
+    while True:
+        # slots: cells in key order, ranks ascending within each cell, so a
+        # row's lower-ranked candidates in a cell are a prefix of that cell
         packed = np.sort(keys * n + np.arange(n, dtype=np.int64))
+        order = packed % n
+        level = (order, x[order], y[order], node_idx[order])
+        starts = _cell_starts(keys, side)
         pending = np.zeros(n, dtype=bool)
         pending[rows] = True
-        # rows in the same order, so that each of the 9 query runs of a
-        # batch is ascending, which searchsorted answers much faster
-        rows_packed = packed[pending[packed % n]]
-        block = (np.arange(-1, 2, dtype=np.int64)[:, None] * side
-                 + np.arange(-1, 2, dtype=np.int64)[None, :]).reshape(9, 1) * n
+        # the rows' slots ascend, so each offset's run of queries does too,
+        # which searchsorted answers much faster
+        slots = np.flatnonzero(pending[order])
+        block = np.array([0, -side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1],
+                         dtype=np.int64)[:, None]
         if complete:
             threshold = None
         elif _H2_RANGE[0] < h * h < _H2_RANGE[1]:
             threshold = h * h * _MARGIN
         else:
             threshold = -np.inf
-        rows = np.concatenate([
-            _resolve(x, y, node_idx, packed, rows_packed[s:s + _CHUNK_ROWS], block,
-                     threshold, out)
-            for s in range(0, rows_packed.size, _CHUNK_ROWS)])
+        rest = []
+        for s in range(0, slots.size, _CHUNK_ROWS):
+            chunk = slots[s:s + _CHUNK_ROWS]
+            code = packed[chunk]
+            cells = code // n + block
+            first = (np.searchsorted(packed, cells * n) if starts is None
+                     else starts[cells])
+            # the row's own cell (offset 0) holds its candidates just before it
+            end = np.empty_like(first)
+            end[0] = chunk
+            end[1:] = np.searchsorted(packed, code + block[1:] * n)
+            rest.append(_resolve(level, chunk, first, end - first, threshold, out))
+        rows = np.concatenate(rest)
+        if not rows.size:
+            return out
         h *= 2
-    return out
+        keys, side, complete = _cell_keys(pos, lo, h)
 
 
-def _resolve(x, y, node_idx, packed, rows_packed, block, threshold, out):
+def _cell_starts(keys: np.ndarray, side: int):
+    """First slot of every cell by key, then n: the table of a dense level.
+    None for a sparse level, whose table would outgrow a few arrays of n."""
+    if side * side > _DENSE * keys.shape[0]:
+        return None
+    starts = np.zeros(side * side + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=side * side), out=starts[1:])
+    return starts
+
+
+def _resolve(level, slots, first, count, threshold, out):
     """Write the parent's node index of every row whose best candidate is
-    accepted; return the rows left for the next, coarser grid.
+    accepted; return the ranks of the rows left for the next, coarser grid.
 
-    packed holds key * n + rank of every node, sorted; rows_packed the
-    same for the rows to resolve, and block the offsets of a 3x3 block
-    of cells in that packing.  threshold None accepts every row that has
-    a candidate.
+    level holds the rank, x, y and node index at each slot; slots are the
+    rows' own slots, and first and count, (9, rows), the first slot and
+    the number of each row's lower-ranked candidates in each cell of its
+    3x3 block.  threshold None accepts every row that has a candidate.
     """
-    n = x.shape[0]
-    rows = rows_packed % n
-    cells = rows_packed - rows + block
-    first = np.searchsorted(packed, cells)
-    count = (np.searchsorted(packed, cells + rows) - first).T
-    first = first.T
+    order, xs, ys, ids = level
+    first, count = first.T, count.T
     per_row = count.sum(axis=1)
     has = per_row > 0
-    rest = [rows[~has]]
-    rows, first, count, per_row = rows[has], first[has], count[has], per_row[has]
+    rest = [order[slots[~has]]]
+    slots, first, count, per_row = slots[has], first[has], count[has], per_row[has]
     bounds = np.cumsum(per_row)
     a = 0
-    while a < rows.size:
+    while a < slots.size:
         done = int(bounds[a - 1]) if a else 0
         b = max(a + 1, int(np.searchsorted(bounds, done + _CHUNK_PAIRS, side="right")))
         c = count[a:b].ravel()
         seg_start = np.cumsum(c) - c
-        cand = packed[np.arange(int(c.sum()), dtype=np.int64)
-                      + np.repeat(first[a:b].ravel() - seg_start, c)] % n
+        cand = (np.arange(int(c.sum()), dtype=np.int64)
+                + np.repeat(first[a:b].ravel() - seg_start, c))
         m = per_row[a:b]
-        r = np.repeat(rows[a:b], m)
-        dx = x[cand] - x[r]
-        dy = y[cand] - y[r]
+        dx = xs[cand] - np.repeat(xs[slots[a:b]], m)
+        dy = ys[cand] - np.repeat(ys[slots[a:b]], m)
         d2 = dx * dx + dy * dy
         row_start = np.cumsum(m) - m
         best = np.minimum.reduceat(d2, row_start)
-        nid = np.where(d2 == np.repeat(best, m), node_idx[cand],
-                       np.iinfo(np.int64).max)
+        nid = np.where(d2 == np.repeat(best, m), ids[cand], np.iinfo(np.int64).max)
         least = np.minimum.reduceat(nid, row_start)
         ok = np.full(b - a, True) if threshold is None else best < threshold
-        out[rows[a:b][ok]] = least[ok]
-        rest.append(rows[a:b][~ok])
+        ranks = order[slots[a:b]]
+        out[ranks[ok]] = least[ok]
+        rest.append(ranks[~ok])
         a = b
     return np.concatenate(rest)
 

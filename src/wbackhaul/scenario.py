@@ -131,12 +131,18 @@ def _plain(value):
     return float(value) if isinstance(value, float) else int(value)
 
 
+def _checked(cls, **fields):
+    """A frozen record of cls holding fields that are already checked, built
+    without running __post_init__."""
+    new = object.__new__(cls)
+    new.__dict__.update(fields)
+    return new
+
+
 def _with_checked(record, **fields):
     """A copy of a frozen record with fields set to values that are already
     checked, without running __post_init__ again."""
-    new = object.__new__(type(record))
-    new.__dict__.update(vars(record), **fields)
-    return new
+    return _checked(type(record), **{**vars(record), **fields})
 
 
 @_record

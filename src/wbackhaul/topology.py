@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .scenario import ValidationError, _check_number, _with_checked
+from .scenario import ValidationError, _check_number, _checked, _with_checked
 from .sweep_report import json_text
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -156,15 +156,25 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     """
     if placement.n == 0:
         raise ValidationError("placement: must contain at least one node")
-    g = _gateway_index(placement, gateway)
+    g, n = _gateway_index(placement, gateway), placement.n
     pts = placement.positions
     d_gw = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
     d_gw[g] = -1.0  # gateway sorts first even if another node shares its position
-    order = np.lexsort((np.arange(placement.n), d_gw))
-    parent = np.empty(placement.n, dtype=np.int64)
-    parent[order] = _kernels.parent_ranks(pts[order], order.astype(np.int64))
-    return RelayTree(gateway_index=g, parent=parent,
-                     link_load_bps=np.zeros(placement.n))
+    order = np.argsort(d_gw)
+    # argsort leaves each run of equal distances in no set order: one sort by
+    # (run, index) puts every run in index order
+    tied = d_gw[order[1:]] == d_gw[order[:-1]]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        order = np.sort(run * n + order) % n
+    parent = np.empty(n, dtype=np.int64)
+    parent[order] = _kernels.parent_ranks(pts[order], order)
+    loads = np.zeros(n)
+    parent.setflags(write=False)
+    loads.setflags(write=False)
+    # each parent has a lower rank than its child, so no cycle can form: the
+    # tree is built without RelayTree's checks, which would prove that again
+    return _checked(RelayTree, gateway_index=g, parent=parent, link_load_bps=loads)
 
 
 def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:

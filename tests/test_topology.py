@@ -219,18 +219,99 @@ def test_parent_ranks_match_brute_force_oracle(name, points):
             assert np.array_equal(_kernels.parent_ranks(points, node_idx), expected)
 
 
+def _brute_tree(pts, g):
+    """Parents by the brute-force rule over the lexsort order of gateway
+    distance, the gateway first and equal distances by node index."""
+    n = pts.shape[0]
+    d = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
+    d[g] = -1.0
+    order = np.lexsort((np.arange(n), d))
+    expected = np.full(n, -1, dtype=np.int64)
+    expected[order[1:]] = order[_brute_parent_ranks(pts[order], order)[1:]]
+    return expected
+
+
+def _assert_passes_the_checks(tree):
+    """The tree as the checking constructor would build it: it raises a
+    ValidationError for a parent array that is not a tree."""
+    RelayTree(tree.gateway_index, tree.parent.copy(), tree.link_load_bps.copy())
+
+
 @pytest.mark.parametrize("gateway", ["nearest-to-center", 0, 1234])
 def test_relay_tree_matches_brute_force_rule(gateway):
     pts = _hotspots_with_duplicates(np.random.default_rng(5), 2000)
-    pl = _placement(pts)
-    tree = build_relay_tree(pl, gateway)
+    tree = build_relay_tree(_placement(pts), gateway)
+    assert np.array_equal(tree.parent, _brute_tree(pts, tree.gateway_index))
+
+
+def _tie_cases():
+    """Placements whose distinct positions share gateway distances, each
+    with its gateway and the kinds of grid level its tree must run through:
+    dense ones take their cell starts from a table, sparse ones search."""
+    rng = np.random.default_rng(23)
+    a = 7.5 * np.arange(-20, 21, dtype=float)
+    lattice = np.stack(np.meshgrid(a, a), axis=-1).reshape(-1, 2)
+    yield "lattice", rng.permutation(lattice), "nearest-to-center", {"dense"}
+    # the 8 images of a point under the square's symmetries are one distance
+    # from the gateway at the origin
+    ab = rng.uniform(0.0, 300.0, size=(150, 2))
+    images = [ab * sign for sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    rings = np.concatenate([[[0.0, 0.0]]] + images + [p[:, ::-1] for p in images])
+    yield "rings", rng.permutation(rings), "nearest-to-center", {"dense"}
+    # 40 more nodes at the origin; the gateway is one of them, not the first
+    dups = np.concatenate([lattice, np.zeros((40, 2))])
+    yield "gateway-duplicates", dups, lattice.shape[0] + 17, {"dense"}
+    # a tight hotspot makes the finest levels sparse; the lattice rows find
+    # their parents on coarser, dense ones
+    hot = a[3] + 1e-3 * rng.normal(size=(3000, 2))
+    yield ("lattice-and-hotspot", rng.permutation(np.concatenate([lattice, hot])),
+           "nearest-to-center", {"dense", "sparse"})
+
+
+@pytest.mark.parametrize("name,points,gateway,kinds", list(_tie_cases()),
+                         ids=[case[0] for case in _tie_cases()])
+def test_relay_tree_with_gateway_distance_ties_matches_brute_force_rule(
+        name, points, gateway, kinds, monkeypatch):
+    seen = set()
+    cell_starts = _kernels._cell_starts
+
+    def spy(keys, side):
+        starts = cell_starts(keys, side)
+        seen.add("sparse" if starts is None else "dense")
+        return starts
+    monkeypatch.setattr(_kernels, "_cell_starts", spy)
+    tree = build_relay_tree(_placement(points), gateway)
     g = tree.gateway_index
-    d = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
-    d[g] = -1.0
-    order = np.lexsort((np.arange(pl.n), d))
-    expected = np.full(pl.n, -1, dtype=np.int64)
-    expected[order[1:]] = order[_brute_parent_ranks(pts[order], order)[1:]]
-    assert np.array_equal(tree.parent, expected)
+    d = np.hypot(points[:, 0] - points[g, 0], points[:, 1] - points[g, 1])
+    # the case holds distinct positions at one gateway distance
+    assert np.unique(d).size < np.unique(points, axis=0).shape[0]
+    assert kinds <= seen
+    assert np.array_equal(tree.parent, _brute_tree(points, g))
+    _assert_passes_the_checks(tree)
+
+
+@pytest.mark.parametrize("name,points", [case for case in _oracle_cases()
+                                         if (np.abs(case[1]) <= 1e150).all()],
+                         ids=[name for name, p in _oracle_cases() if (np.abs(p) <= 1e150).all()])
+def test_built_trees_pass_the_checking_constructor(name, points):
+    for gateway in ("nearest-to-center", len(points) - 1):
+        _assert_passes_the_checks(build_relay_tree(_placement(points), gateway))
+
+
+def test_build_trusts_the_kernel_and_does_not_check_the_tree(monkeypatch):
+    checks = []
+    post_init = RelayTree.__post_init__
+    monkeypatch.setattr(RelayTree, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    tree = build_relay_tree(place_uniform(300, 500.0, seed=4))
+    assert checks == []
+    assert tree.link_load_bps.dtype == np.float64 and not tree.link_load_bps.any()
+    for array in (tree.parent, tree.link_load_bps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    monkeypatch.undo()
+    _assert_passes_the_checks(tree)
 
 
 @pytest.mark.parametrize("placement", [
@@ -239,6 +320,7 @@ def test_relay_tree_matches_brute_force_rule(gateway):
 ], ids=["uniform", "hotspots"])
 def test_relay_tree_of_1e5_nodes_matches_brute_force_rule_on_a_sample(placement):
     tree = build_relay_tree(placement)
+    _assert_passes_the_checks(tree)
     pts, g = placement.positions, tree.gateway_index
     d = np.hypot(pts[:, 0] - pts[g, 0], pts[:, 1] - pts[g, 1])
     d[g] = -1.0
