@@ -7,11 +7,17 @@ Williams, "The complexity of finding fixed-radius near neighbors", IPL
 block of cells around it is accepted only when it lies nearer than one
 cell width, since every node outside the block is at least that far
 away.  Rows that find no such candidate retry on a grid of twice the
-cell size, up to a grid whose every block holds all nodes.  Distances
-use the same IEEE operations and tie-break as the brute-force rule, so
-the parents are bit-identical to it.  The ranks are build_relay_tree's
-gateway-distance order: one unstable sort, then a tie pass that puts each
-run of equal distances in node-index order with one integer sort.
+cell size, up to a grid whose every block holds all nodes.  Each row
+starts on the level its own neighbourhood needs: the base grid has about
+two nodes a cell, and where it is crowded a row starts as many halvings
+finer as would thin its 3x3 block to _OCCUPANCY nodes a cell; each level
+queries the rows that start on it and those the finer levels left.
+Acceptance is exact on any level, so the start level changes only the
+cost.  Distances use the same IEEE operations and tie-break as the
+brute-force rule, so the parents are bit-identical to it.  The ranks are
+build_relay_tree's gateway-distance order: one unstable sort, then a tie
+pass that puts each run of equal distances in node-index order with one
+integer sort.
 
 Each grid level lays the nodes out in cell order, cells by key and ranks
 ascending within a cell, and gathers their coordinates in that order, so
@@ -22,6 +28,8 @@ cell list of Allen and Tildesley, "Computer Simulation of Liquids", OUP
 1987); a sparse level finds it by binary search in the sorted cell codes.
 Either way the end of a neighbouring cell's run is searched, and a row's
 own cell needs no search: its candidates there are the slots before it.
+A dense level that does not query every row lays out only the nodes in
+the 3x3 blocks of the rows it queries, which hold all of their candidates.
 
 subtree_sizes counts the nodes below each node, for the link loads, by
 pointer doubling (Wyllie's list ranking, "The complexity of parallel
@@ -46,7 +54,9 @@ _MARGIN = 1.0 - 1e-9
 _MAX_CELLS = 1 << 16
 # The margin argument needs h^2 well inside the normal float range.
 _H2_RANGE = (1e-290, 1e290)
-# Refine the finest grid while sum(occupancy^2) > _OCCUPANCY * n.
+# Ranks start below the base grid when its sum(occupancy^2) > _OCCUPANCY * n,
+# each on the first level whose cells would hold about _OCCUPANCY of the
+# nodes of its 3x3 block.
 _OCCUPANCY = 4
 # A level takes its cell starts from a table when side^2 <= _DENSE * n.
 _DENSE = 4
@@ -65,22 +75,6 @@ def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
     return c[:, 0] * side + c[:, 1], side, top <= 2
 
 
-def _finest_level(pos: np.ndarray, lo: np.ndarray, span: float):
-    """Finest grid level as (h, keys, side, complete): cells of about two
-    nodes each, halved while clustered nodes crowd into a few cells."""
-    n = pos.shape[0]
-    # a span of a few subnormals can divide to 0; coincident nodes (span 0)
-    # share a cell of any size, so that their one level is complete
-    h = span / max(1, isqrt(n // 2)) or span or 1.0
-    while True:
-        keys, side, complete = _cell_keys(pos, lo, h)
-        # below the h^2 range no grid level can accept a candidate
-        if (complete or h * h <= 4 * _H2_RANGE[0] or 2 * side > _MAX_CELLS
-                or np.square(np.unique(keys, return_counts=True)[1]).sum() <= _OCCUPANCY * n):
-            return h, keys, side, complete
-        h /= 2
-
-
 def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     """Node index of each rank's parent: its nearest strictly-lower-ranked node.
 
@@ -93,54 +87,82 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     out = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return out
-    x = np.ascontiguousarray(pos[:, 0])
-    y = np.ascontiguousarray(pos[:, 1])
+    z = np.ascontiguousarray(pos).view(np.complex128)[:, 0]
     lo = pos.min(axis=0)
-    h, keys, side, complete = _finest_level(pos, lo, float((pos.max(axis=0) - lo).max()))
-    rows = np.arange(1, n, dtype=np.int64)
+    span = float((pos.max(axis=0) - lo).max())
+    # a span of a few subnormals can divide to 0; coincident nodes (span 0)
+    # share a cell of any size, so that their one level is complete
+    h = span / max(1, isqrt(n // 2)) or span or 1.0
+    base = keys, side, complete = _cell_keys(pos, lo, h)
+    table = _cell_starts(keys, side, n)
+    depth = 0
+    if not (complete or table is None or (np.diff(table) ** 2).sum() <= _OCCUPANCY * n):
+        # a rank starts the fewest halvings of the base cell that would thin
+        # its 3x3 block to _OCCUPANCY nodes a cell, and no more than the h^2
+        # range and _MAX_CELLS allow (a level's side is span // h + 3)
+        limits, fine = [], h
+        while fine * fine > 4 * _H2_RANGE[0] and 2 * (int(span / fine) + 3) <= _MAX_CELLS:
+            limits.append(9 * _OCCUPANCY * 4 ** len(limits))
+            fine /= 2
+        # the nodes of each 3x3 block, as three runs of three cells
+        count = sum(table[keys + d + 2] - table[keys + d - 1] for d in (-side, 0, side))
+        depth = np.searchsorted(limits, count)
+    k = int(np.max(depth))
+    h /= 2 ** k
     while True:
-        # slots: cells in key order, ranks ascending within each cell, so a
-        # row's lower-ranked candidates in a cell are a prefix of that cell
-        packed = np.sort(keys * n + np.arange(n, dtype=np.int64))
-        order = packed % n
-        level = (order, x[order], y[order], node_idx[order])
-        starts = _cell_starts(keys, side)
-        pending = np.zeros(n, dtype=bool)
-        pending[rows] = True
-        # the rows' slots ascend, so each offset's run of queries does too,
-        # which searchsorted answers much faster
-        slots = np.flatnonzero(pending[order])
-        block = np.array([0, -side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1],
-                         dtype=np.int64)[:, None]
-        if complete:
-            threshold = None
-        elif _H2_RANGE[0] < h * h < _H2_RANGE[1]:
-            threshold = h * h * _MARGIN
-        else:
-            threshold = -np.inf
-        rest = []
-        for s in range(0, slots.size, _CHUNK_ROWS):
-            chunk = slots[s:s + _CHUNK_ROWS]
-            code = packed[chunk]
-            cells = code // n + block
-            first = (np.searchsorted(packed, cells * n) if starts is None
-                     else starts[cells])
-            # the row's own cell (offset 0) holds its candidates just before it
-            end = np.empty_like(first)
-            end[0] = chunk
-            end[1:] = np.searchsorted(packed, code + block[1:] * n)
-            rest.append(_resolve(level, chunk, first, end - first, threshold, out))
-        rows = np.concatenate(rest)
-        if not rows.size:
+        # the ranks that start on this level and those the finer ones left
+        todo = (out < 0) & (depth >= k)
+        todo[0] = False
+        rows = np.flatnonzero(todo)
+        if rows.size:
+            keys, side, complete = base if k == 0 else _cell_keys(pos, lo, h)
+            block = np.array([0, -side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1],
+                             dtype=np.int64)[:, None]
+            # no node ranked above the last row is a candidate, and a level
+            # that queries only some of the ranks below it takes only the
+            # nodes in their rows' 3x3 blocks, which hold all their candidates
+            top = rows[-1] + 1
+            marks = (_cell_starts((keys[rows] + block).ravel(), side, n)
+                     if rows.size < top - 1 else None)
+            nodes = (np.arange(top) if marks is None
+                     else np.flatnonzero(marks[keys[:top] + 1] > marks[keys[:top]]))
+            # slots: cells in key order, ranks ascending within each cell, so
+            # a row's lower-ranked candidates in a cell are a prefix of that cell
+            packed = np.sort(keys[nodes] * n + nodes)
+            order = packed % n
+            level = (order, z[order], node_idx[order])
+            starts = _cell_starts(keys[nodes], side, n)
+            # the rows' slots ascend, so each offset's run of queries does
+            # too, which searchsorted answers much faster
+            slots = np.flatnonzero(todo[order])
+            if complete:
+                threshold = None
+            elif _H2_RANGE[0] < h * h < _H2_RANGE[1]:
+                threshold = h * h * _MARGIN
+            else:
+                threshold = -np.inf
+            for s in range(0, slots.size, _CHUNK_ROWS):
+                chunk = slots[s:s + _CHUNK_ROWS]
+                code = packed[chunk]
+                cells = code // n + block
+                first = (np.searchsorted(packed, cells * n) if starts is None
+                         else starts[cells])
+                # the row's own cell (offset 0) holds its candidates just before it
+                end = np.empty_like(first)
+                end[0] = chunk
+                end[1:] = np.searchsorted(packed, code + block[1:] * n)
+                _resolve(level, chunk, first, end - first, threshold, out)
+        elif k <= 0:
             return out
         h *= 2
-        keys, side, complete = _cell_keys(pos, lo, h)
+        k -= 1
 
 
-def _cell_starts(keys: np.ndarray, side: int):
-    """First slot of every cell by key, then n: the table of a dense level.
-    None for a sparse level, whose table would outgrow a few arrays of n."""
-    if side * side > _DENSE * keys.shape[0]:
+def _cell_starts(keys: np.ndarray, side: int, n: int):
+    """Running sum of the cell counts of keys, from 0: each cell's first slot
+    when keys are a level's nodes in cell order.  None for a sparse level
+    (side^2 > _DENSE * n), whose table would outgrow a few arrays of n."""
+    if side * side > _DENSE * n:
         return None
     starts = np.zeros(side * side + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=side * side), out=starts[1:])
@@ -149,18 +171,18 @@ def _cell_starts(keys: np.ndarray, side: int):
 
 def _resolve(level, slots, first, count, threshold, out):
     """Write the parent's node index of every row whose best candidate is
-    accepted; return the ranks of the rows left for the next, coarser grid.
+    accepted; the other rows are left for the next, coarser grid.
 
-    level holds the rank, x, y and node index at each slot; slots are the
-    rows' own slots, and first and count, (9, rows), the first slot and
-    the number of each row's lower-ranked candidates in each cell of its
-    3x3 block.  threshold None accepts every row that has a candidate.
+    level holds the rank, position (as x + iy) and node index at each slot;
+    slots are the rows' own slots, and first and count, (9, rows), the
+    first slot and the number of each row's lower-ranked candidates in each
+    cell of its 3x3 block.  threshold None accepts every row that has a
+    candidate.
     """
-    order, xs, ys, ids = level
+    order, zs, ids = level
     first, count = first.T, count.T
     per_row = count.sum(axis=1)
     has = per_row > 0
-    rest = [order[slots[~has]]]
     slots, first, count, per_row = slots[has], first[has], count[has], per_row[has]
     bounds = np.cumsum(per_row)
     a = 0
@@ -172,19 +194,17 @@ def _resolve(level, slots, first, count, threshold, out):
         cand = (np.arange(int(c.sum()), dtype=np.int64)
                 + np.repeat(first[a:b].ravel() - seg_start, c))
         m = per_row[a:b]
-        dx = xs[cand] - np.repeat(xs[slots[a:b]], m)
-        dy = ys[cand] - np.repeat(ys[slots[a:b]], m)
-        d2 = dx * dx + dy * dy
+        dz = zs[cand] - np.repeat(zs[slots[a:b]], m)
+        d2 = dz.real * dz.real + dz.imag * dz.imag
         row_start = np.cumsum(m) - m
         best = np.minimum.reduceat(d2, row_start)
-        nid = np.where(d2 == np.repeat(best, m), ids[cand], np.iinfo(np.int64).max)
-        least = np.minimum.reduceat(nid, row_start)
-        ok = np.full(b - a, True) if threshold is None else best < threshold
-        ranks = order[slots[a:b]]
-        out[ranks[ok]] = least[ok]
-        rest.append(ranks[~ok])
+        hit = np.flatnonzero(d2 == np.repeat(best, m))
+        least = ids[cand[hit]]
+        if hit.size > b - a:  # a tie: the least node index among each row's hits
+            least = np.minimum.reduceat(least, np.searchsorted(hit, row_start))
+        ok = slice(None) if threshold is None else best < threshold
+        out[order[slots[a:b]][ok]] = least[ok]
         a = b
-    return np.concatenate(rest)
 
 
 def subtree_sizes(parent: np.ndarray) -> np.ndarray:

@@ -50,10 +50,14 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-def _emit(args, text: str) -> None:
-    """Write machine output to --out and to stdout, whichever are given."""
+def _require_destination(args) -> None:
+    """Fail before any work when a command that must write has nowhere to."""
     if not (args.out or args.stdout):
         raise ValidationError(f"{args.command}: --out <path> or --stdout required")
+
+
+def _emit(args, text: str) -> None:
+    """Write machine output to --out and to stdout, whichever are given."""
     if args.out:
         _write_text(args.out, text)
     if args.stdout:
@@ -92,6 +96,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _require_destination(args)
     cfg = load_scenario(_read_text(args.config))
     grid = sweep_report.SweepGrid(
         cfg, tuple(sweep_report.parse_axis(spec) for spec in args.axis))
@@ -133,6 +138,7 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_topology(args) -> int:
+    _require_destination(args)
     from . import topology   # here, not at the top: the other commands never load numpy
 
     try:

@@ -179,10 +179,21 @@ def test_sweep_two_axes_and_list_values(tmp_path):
     assert rows[0]["n_small"] == 0 and rows[0]["band"] == 5.8e9
 
 
-def test_sweep_requires_out_or_stdout(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sweep", "topology"])
+def test_sweep_requires_out_or_stdout(command, tmp_path, capsys, monkeypatch):
+    """Without a destination the command fails before it computes anything."""
+    from wbackhaul import topology
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed output that has nowhere to go")
+    monkeypatch.setattr(topology, "place_uniform", never)
+    monkeypatch.setattr(sweep_report, "sweep_text", never)
     cfg = tmp_path / "dist.json"
     cfg.write_text(DIST_10)
-    assert main(["sweep", "--config", str(cfg), "--axis", "k_cluster=1:3:1"]) == 1
+    argv = {"sweep": ["sweep", "--config", str(cfg), "--axis", "k_cluster=1:3:1"],
+            "topology": ["topology", "--n", "1000"]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {command}: --out <path> or --stdout required\n"
 
 
 def test_sweep_bad_axis_name_exits_1(tmp_path, capsys):

@@ -189,6 +189,22 @@ def _hotspots_with_duplicates(rng, n):
     return rng.permutation(np.concatenate([pts, dups]))
 
 
+def _multi_density(rng, n):
+    """A uniform background, tight hotspots, exact duplicates, a collinear
+    row and a few far isolated stations: blocks of very different counts."""
+    far = rng.uniform(-1.0, 1.0, size=(4, 2)) * 2e3
+    row = np.column_stack((np.linspace(-450, 450, n // 10),
+                           np.full(n // 10, rng.uniform(-400, 400))))
+    centers = rng.uniform(-400, 400, size=(4, 2))
+    sigma = np.array([0.01, 0.3, 3.0, 30.0])
+    k = rng.integers(0, 4, size=n // 3)
+    hot = centers[k] + rng.normal(size=(k.size, 2)) * sigma[k, None]
+    flat = rng.uniform(-500, 500, size=(n - 4 - row.shape[0] - k.size - n // 8, 2))
+    pts = np.concatenate([far, row, hot, flat])
+    dups = pts[rng.integers(0, pts.shape[0], size=n // 8)]  # exact copies
+    return rng.permutation(np.concatenate([pts, dups]))
+
+
 def _oracle_cases():
     rng = np.random.default_rng(31)
     for seed in range(3):
@@ -198,6 +214,7 @@ def _oracle_cases():
     yield "collinear-row", np.column_stack((np.linspace(-450, 450, 700), np.full(700, 3.0)))
     for seed in range(3):
         yield f"hotspots-{seed}", _hotspots_with_duplicates(rng, 3000)
+    yield "multi-density", _multi_density(rng, 3000)
     # d2 underflows to 0 or a few subnormal steps: the index tie-break decides
     yield "tiny-1e-160", 1e-160 * rng.integers(0, 30, size=(400, 2)).astype(float)
     yield "tiny-1e-162", 1e-162 * rng.uniform(0, 30, size=(400, 2))
@@ -217,6 +234,48 @@ def test_parent_ranks_match_brute_force_oracle(name, points):
             ranks = _brute_parent_ranks(points, node_idx)
             expected = np.where(ranks < 0, -1, node_idx[ranks])
             assert np.array_equal(_kernels.parent_ranks(points, node_idx), expected)
+
+
+def _oracle_case(name):
+    return next(points for case, points in _oracle_cases() if case == name)
+
+
+def test_ranks_start_on_the_levels_their_blocks_need(monkeypatch):
+    """Ranks of a multi-density placement start on several grid levels,
+    and a level that queries few ranks sorts only some of the nodes."""
+    points = _oracle_case("multi-density")
+    n = len(points)
+    calls = []
+    resolve = _kernels._resolve
+
+    def spy(level, slots, *args):
+        calls.append((level, level[0][slots]))
+        return resolve(level, slots, *args)
+    monkeypatch.setattr(_kernels, "_resolve", spy)
+    node_idx = np.arange(n, dtype=np.int64)
+    parents = _kernels.parent_ranks(points, node_idx)
+    assert np.array_equal(parents, _brute_parent_ranks(points, node_idx))
+    levels = {id(level): i for i, (level, _) in reversed(list(enumerate(calls)))}
+    start = {}
+    for level, ranks in calls:
+        for rank in ranks.tolist():
+            start.setdefault(rank, levels[id(level)])
+    assert len(start) == n - 1
+    assert len(set(start.values())) >= 3
+    assert min(level[0].size for level, _ in calls) < n
+
+
+@pytest.mark.parametrize("name", ["multi-density", "all-duplicates", "hotspots-0"])
+def test_parent_ranks_match_brute_force_oracle_in_tiny_chunks(name, monkeypatch):
+    """Chunk edges of rows and of candidate pairs fall inside runs of tied
+    candidates, and the oracle still holds."""
+    monkeypatch.setattr(_kernels, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", 7)
+    points = _oracle_case(name)
+    node_idx = np.random.default_rng(3).permutation(len(points)).astype(np.int64)
+    ranks = _brute_parent_ranks(points, node_idx)
+    assert np.array_equal(_kernels.parent_ranks(points, node_idx),
+                          np.where(ranks < 0, -1, node_idx[ranks]))
 
 
 def _brute_tree(pts, g):
@@ -275,8 +334,8 @@ def test_relay_tree_with_gateway_distance_ties_matches_brute_force_rule(
     seen = set()
     cell_starts = _kernels._cell_starts
 
-    def spy(keys, side):
-        starts = cell_starts(keys, side)
+    def spy(*args):
+        starts = cell_starts(*args)
         seen.add("sparse" if starts is None else "dense")
         return starts
     monkeypatch.setattr(_kernels, "_cell_starts", spy)
