@@ -75,6 +75,26 @@ def _cell_keys(pos: np.ndarray, lo: np.ndarray, h: float):
     return c[:, 0] * side + c[:, 1], side, top <= 2
 
 
+def _start_levels(keys: np.ndarray, side: int, complete: bool, h: float, span: float):
+    """How many halvings of the base cell h, whose grid keys and side are
+    given, each rank starts below it.  0 for every rank unless the base grid
+    is crowded (sum(occupancy^2) > _OCCUPANCY * n); else the fewest that
+    would thin the rank's 3x3 block to _OCCUPANCY nodes a cell, and no more
+    than the h^2 range and _MAX_CELLS allow (a level's side is span // h + 3).
+    """
+    n = keys.shape[0]
+    table = _cell_starts(keys, side, n)
+    if complete or table is None or (np.diff(table) ** 2).sum() <= _OCCUPANCY * n:
+        return 0
+    limits = []
+    while h * h > 4 * _H2_RANGE[0] and 2 * (int(span / h) + 3) <= _MAX_CELLS:
+        limits.append(9 * _OCCUPANCY * 4 ** len(limits))
+        h /= 2
+    # the nodes of each 3x3 block, as three runs of three cells
+    count = sum(table[keys + d + 2] - table[keys + d - 1] for d in (-side, 0, side))
+    return np.searchsorted(limits, count).astype(np.int8)
+
+
 def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     """Node index of each rank's parent: its nearest strictly-lower-ranked node.
 
@@ -93,20 +113,8 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
     # a span of a few subnormals can divide to 0; coincident nodes (span 0)
     # share a cell of any size, so that their one level is complete
     h = span / max(1, isqrt(n // 2)) or span or 1.0
-    base = keys, side, complete = _cell_keys(pos, lo, h)
-    table = _cell_starts(keys, side, n)
-    depth = 0
-    if not (complete or table is None or (np.diff(table) ** 2).sum() <= _OCCUPANCY * n):
-        # a rank starts the fewest halvings of the base cell that would thin
-        # its 3x3 block to _OCCUPANCY nodes a cell, and no more than the h^2
-        # range and _MAX_CELLS allow (a level's side is span // h + 3)
-        limits, fine = [], h
-        while fine * fine > 4 * _H2_RANGE[0] and 2 * (int(span / fine) + 3) <= _MAX_CELLS:
-            limits.append(9 * _OCCUPANCY * 4 ** len(limits))
-            fine /= 2
-        # the nodes of each 3x3 block, as three runs of three cells
-        count = sum(table[keys + d + 2] - table[keys + d - 1] for d in (-side, 0, side))
-        depth = np.searchsorted(limits, count)
+    base = _cell_keys(pos, lo, h)
+    depth = _start_levels(*base, h, span)
     k = int(np.max(depth))
     h /= 2 ** k
     while True:
@@ -191,11 +199,13 @@ def _resolve(level, slots, first, count, threshold, out):
         b = max(a + 1, int(np.searchsorted(bounds, done + _CHUNK_PAIRS, side="right")))
         c = count[a:b].ravel()
         seg_start = np.cumsum(c) - c
-        cand = (np.arange(int(c.sum()), dtype=np.int64)
-                + np.repeat(first[a:b].ravel() - seg_start, c))
+        cand = np.repeat(first[a:b].ravel() - seg_start, c)
+        cand += np.arange(cand.size)
         m = per_row[a:b]
-        dz = zs[cand] - np.repeat(zs[slots[a:b]], m)
-        d2 = dz.real * dz.real + dz.imag * dz.imag
+        dz = zs[cand]
+        dz -= np.repeat(zs[slots[a:b]], m)
+        d2 = dz.real * dz.real
+        d2 += dz.imag * dz.imag
         row_start = np.cumsum(m) - m
         best = np.minimum.reduceat(d2, row_start)
         hit = np.flatnonzero(d2 == np.repeat(best, m))
