@@ -2,7 +2,8 @@
 
 Subcommands: eval, sweep, figures, verify-table1, topology.  Human
 summaries go to stdout; machine-readable output goes to a file (--out),
-to stdout (--stdout), or both.  Exit codes: 0 success, 1 validation or
+to stdout (--stdout), or both; sweep and topology, given neither, exit 1
+before they compute anything.  Exit codes: 0 success, 1 validation or
 parse error (also a failed verify-table1), 2 I/O error.  Only sweep,
 figures and topology import numpy.
 
