@@ -28,8 +28,6 @@ cell list of Allen and Tildesley, "Computer Simulation of Liquids", OUP
 1987); a sparse level finds it by binary search in the sorted cell codes.
 Either way the end of a neighbouring cell's run is searched, and a row's
 own cell needs no search: its candidates there are the slots before it.
-A dense level that does not query every row lays out only the nodes in
-the 3x3 blocks of the rows it queries, which hold all of their candidates.
 
 subtree_sizes counts the nodes below each node, for the link loads, by
 pointer doubling (Wyllie's list ranking, "The complexity of parallel
@@ -83,7 +81,7 @@ def _start_levels(keys: np.ndarray, side: int, complete: bool, h: float, span: f
     than the h^2 range and _MAX_CELLS allow (a level's side is span // h + 3).
     """
     n = keys.shape[0]
-    table = _cell_starts(keys, side, n)
+    table = _cell_starts(keys, side)
     if complete or table is None or (np.diff(table) ** 2).sum() <= _OCCUPANCY * n:
         return 0
     limits = []
@@ -124,22 +122,14 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(todo)
         if rows.size:
             keys, side, complete = base if k == 0 else _cell_keys(pos, lo, h)
-            block = np.array([0, -side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1],
-                             dtype=np.int64)[:, None]
-            # no node ranked above the last row is a candidate, and a level
-            # that queries only some of the ranks below it takes only the
-            # nodes in their rows' 3x3 blocks, which hold all their candidates
-            top = rows[-1] + 1
-            marks = (_cell_starts((keys[rows] + block).ravel(), side, n)
-                     if rows.size < top - 1 else None)
-            nodes = (np.arange(top) if marks is None
-                     else np.flatnonzero(marks[keys[:top] + 1] > marks[keys[:top]]))
             # slots: cells in key order, ranks ascending within each cell, so
             # a row's lower-ranked candidates in a cell are a prefix of that cell
-            packed = np.sort(keys[nodes] * n + nodes)
+            packed = np.sort(keys * n + np.arange(n, dtype=np.int64))
             order = packed % n
             level = (order, z[order], node_idx[order])
-            starts = _cell_starts(keys[nodes], side, n)
+            starts = _cell_starts(keys, side)
+            block = np.array([0, -side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1],
+                             dtype=np.int64)[:, None]
             # the rows' slots ascend, so each offset's run of queries does
             # too, which searchsorted answers much faster
             slots = np.flatnonzero(todo[order])
@@ -166,11 +156,10 @@ def parent_ranks(pos: np.ndarray, node_idx: np.ndarray) -> np.ndarray:
         k -= 1
 
 
-def _cell_starts(keys: np.ndarray, side: int, n: int):
-    """Running sum of the cell counts of keys, from 0: each cell's first slot
-    when keys are a level's nodes in cell order.  None for a sparse level
-    (side^2 > _DENSE * n), whose table would outgrow a few arrays of n."""
-    if side * side > _DENSE * n:
+def _cell_starts(keys: np.ndarray, side: int):
+    """First slot of every cell by key, then n: the table of a dense level.
+    None for a sparse level, whose table would outgrow a few arrays of n."""
+    if side * side > _DENSE * keys.shape[0]:
         return None
     starts = np.zeros(side * side + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=side * side), out=starts[1:])

