@@ -29,8 +29,9 @@ cell list of Allen and Tildesley, "Computer Simulation of Liquids", OUP
 Either way the end of a neighbouring cell's run is searched, and a row's
 own cell needs no search: its candidates there are the slots before it.
 
-subtree_sizes counts the nodes below each node, for the link loads, by
-pointer doubling (Wyllie's list ranking, "The complexity of parallel
+subtree_sizes counts the nodes below each node, for the link loads and
+for RelayTree's proof that a hand-built tree is acyclic, by pointer
+doubling (Wyllie's list ranking, "The complexity of parallel
 computations", Cornell 1979): each of about log2(depth) rounds is one
 bincount and one gather over all nodes, so a 10^5-node chain takes 17
 numpy passes, not 10^5 Python steps.
@@ -216,9 +217,16 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
     is, and about log2(depth) numpy passes suffice for any acyclic parent
     array.  The counts are sums of whole numbers below 2^53 in float64,
     so they are exact.
+
+    It also proves a hand-built tree acyclic: a node on a cycle, or whose
+    chain runs into one, never reaches a root, so after the n.bit_length()
+    rounds that cover any depth below n a root counts exactly the nodes
+    whose chain ends at it, whatever the rest of the array holds.  A tree
+    whose gateway is its only root is acyclic iff the gateway counts n.
     """
     n = parent.shape[0]
-    anc = np.append(np.where(parent == -1, n, parent), n)
+    # in int64: a narrower parent dtype may not hold the sentinel n
+    anc = np.append(np.where(parent == -1, n, parent.astype(np.int64, copy=False)), n)
     g = np.ones(n + 1)
     g[n] = 0.0
     # a depth below n takes at most n.bit_length() rounds; a cycle stops there

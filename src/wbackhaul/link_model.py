@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 
 from .scenario import (FixedSE, ShannonEdgeSE, SpectrumEffSource, ValidationError,
-                       _check_positive)
+                       _check_positive, _check_type)
 
 
 def resolve_se(source: SpectrumEffSource, radius_m: float, alpha: float) -> float:
     """Numeric spectrum efficiency (bit/s/Hz) for a cell, whatever its configured source."""
     radius_m, alpha = _check_positive(radius_m=radius_m, alpha=alpha)
-    if not isinstance(source, (FixedSE, ShannonEdgeSE)):
-        raise ValidationError(f"spectrum_eff: unsupported source {type(source).__name__}")
+    _check_type("spectrum_eff", source, (FixedSE, ShannonEdgeSE), "FixedSE or ShannonEdgeSE")
     se = _se(source, radius_m, alpha)
     if not math.isfinite(se):
         raise _se_overflow(source, radius_m, alpha, "")

@@ -23,8 +23,8 @@ from .scenario import (
     TxAnchor,
     ValidationError,
     _check_positive,
+    _check_type,
     _finite_total,
-    _not_a,
 )
 
 
@@ -55,10 +55,8 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     anchor's own radius and carrier it returns the anchor power exactly.
     """
     radius_m, band_hz, alpha = _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
-    try:
-        p_tx = _tx(radius_m, band_hz, alpha, anchor)
-    except (TypeError, AttributeError):
-        raise ValidationError("anchor: must be a TxAnchor") from None
+    _check_type("anchor", anchor, TxAnchor, "a TxAnchor")
+    p_tx = _tx(radius_m, band_hz, alpha, anchor)
     if not math.isfinite(p_tx):
         raise _tx_overflow(radius_m, band_hz, alpha, anchor, "")
     return p_tx
@@ -180,8 +178,7 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     Central: one macro station plus n_small small stations.
     Distribution: a cooperative cluster of k_cluster identical small stations.
     """
-    if not isinstance(cfg, ScenarioConfig):
-        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     return _energy(_station_terms(cfg), cfg.architecture)
 
 
@@ -192,8 +189,7 @@ def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     an overflowing station names its own field even where a station count
     would overflow the totals as well.
     """
-    if not isinstance(cfg, ScenarioConfig):
-        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     cells, stations = traffic._cell_terms(cfg), _station_terms(cfg)
     th = traffic._throughput(cells, cfg.architecture)
     en = _energy(stations, cfg.architecture)

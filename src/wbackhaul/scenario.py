@@ -43,12 +43,22 @@ class ValidationError(ConfigError):
 # inside it, which is exact for ints and floats alike.  topology checks
 # its library arguments with the same test.
 def _check_number(name: str, value, rule: tuple):
-    """value, or a ValidationError naming name unless it passes the number rule."""
+    """value as the Python int or float it equals, or a ValidationError naming
+    name unless it passes the number rule.  numpy's float64 is a float, but its
+    arithmetic runs in numpy, and an overflow there warns instead of giving
+    the inf or OverflowError that the checks catch."""
     types, low, high, message = rule
     if not (isinstance(value, types) and not isinstance(value, bool)
             and low <= value <= high):
         raise ValidationError(f"{name}: {message}")
-    return value
+    return float(value) if isinstance(value, float) else int(value)
+
+
+def _check_type(name: str, value, types, what: str):
+    """A ValidationError naming the argument name unless value is an instance
+    of types, which what describes."""
+    if not isinstance(value, types):
+        raise ValidationError(f"{name}: must be {what}, got {value!r}")
 
 
 _ABOVE_0 = math.nextafter(0.0, 1.0)
@@ -64,7 +74,7 @@ _COUNT_1 = (int, 1, _FLOAT_MAX, "must be an integer >= 1")
 def _check_positive(**args) -> list:
     """The values of args as the Python numbers they equal, or a
     ValidationError naming the first that is not a number > 0."""
-    return [_plain(_check_number(name, value, _POSITIVE)) for name, value in args.items()]
+    return [_check_number(name, value, _POSITIVE) for name, value in args.items()]
 
 
 def _rule(rule, default=MISSING):
@@ -121,14 +131,7 @@ class _Checked:
             # a plain int or float of the rule's types passes here; anything
             # else is checked in full and stored as the plain number it equals
             if type(value) not in types or not low <= value <= high:
-                values[name] = _plain(_check_number(name, value, rule))
-
-
-def _plain(value):
-    """A checked number as the Python int or float it equals.  numpy's float64
-    is a float, but its arithmetic runs in numpy, and an overflow there warns
-    instead of giving the inf or OverflowError that the checks catch."""
-    return float(value) if isinstance(value, float) else int(value)
+                values[name] = _check_number(name, value, rule)
 
 
 def _checked(cls, **fields):
@@ -429,11 +432,6 @@ def _text(record, tag, pad: str) -> str:
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
-def _not_a(name: str, value, what: str) -> ValidationError:
-    """The error for an argument name whose value is not what it must be."""
-    return ValidationError(f"{name}: must be {what}, got {value!r}")
-
-
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON document."""
     return _read(ScenarioConfig, doc, "")
@@ -447,8 +445,7 @@ def load_scenario(source: str) -> ScenarioConfig:
     literal too long to convert, and ValidationError (naming the field's
     JSON path) for any invariant violation or unknown key.
     """
-    if not isinstance(source, (str, bytes, bytearray)):
-        raise _not_a("source", source, "str, bytes or bytearray")
+    _check_type("source", source, (str, bytes, bytearray), "str, bytes or bytearray")
     try:
         doc = json.loads(source)
     except (ValueError, RecursionError) as e:
@@ -461,14 +458,12 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """The JSON document of a config; serialize_scenario writes it as text."""
-    if not isinstance(cfg, ScenarioConfig):
-        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     return _write(cfg)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Serialize to JSON text, exactly the bytes of
     json.dumps(scenario_to_dict(cfg), indent=2); load_scenario() round-trips it."""
-    if not isinstance(cfg, ScenarioConfig):
-        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     return _text(cfg, None, "\n")

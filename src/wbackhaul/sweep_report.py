@@ -38,8 +38,7 @@ from .scenario import (
     ShannonEdgeSE,
     ValidationError,
     _check_number,
-    _not_a,
-    _plain,
+    _check_type,
     _with_checked,
     default_table1,
 )
@@ -57,11 +56,7 @@ def _number(record: type, field: str) -> Callable:
     """The part of a number field: the value, checked by the field's own rule,
     as the Python number it equals, as a record stores it."""
     rule = record._rules[field]
-
-    def part(value):
-        value = _check_number(field, value, rule)
-        return value if type(value) is float or type(value) is int else _plain(value)
-    return part
+    return lambda value: _check_number(field, value, rule)
 
 
 AXES = {
@@ -81,6 +76,7 @@ def parse_axis(spec: str) -> tuple[str, tuple]:
     """(name, values) of one axis spec: name=start:stop:step, a range that
     includes stop, or name=v1,v2,...  A station-count axis takes integers;
     every other name takes finite floats."""
+    _check_type("spec", spec, str, "a str")
     if "=" not in spec:
         raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
     name, _, rhs = spec.partition("=")
@@ -131,8 +127,7 @@ class SweepGrid:
     axes: tuple
 
     def __post_init__(self):
-        if not isinstance(self.base, ScenarioConfig):
-            raise _not_a("base", self.base, "a ScenarioConfig")
+        _check_type("base", self.base, ScenarioConfig, "a ScenarioConfig")
         try:
             axes = iter(self.axes)
         except TypeError:
@@ -213,6 +208,7 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     """
     import numpy as np   # here, not at the top: eval and verify-table1 never load numpy
 
+    _check_type("grid", grid, SweepGrid, "a SweepGrid")
     axes = [AXES[name] for name in grid.axis_names]
     parts = [_parts(axis, values) for axis, (_, values) in zip(axes, grid.axes)]
     shape, good = [len(values) for _, values in grid.axes], [len(p) for p in parts]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .scenario import ValidationError, _check_number, _checked, _with_checked
+from .scenario import ValidationError, _check_number, _check_type, _checked, _with_checked
 from .sweep_report import json_text
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -103,12 +103,9 @@ class RelayTree:
                 or np.flatnonzero(parent == -1).tolist() != [self.gateway_index]):
             raise ValidationError(f"parent: must hold node indices in [0, {n}), and -1 "
                                   f"for the gateway {self.gateway_index} alone")
-        # pointer doubling: after k rounds anc[i] is i's 2^k-th ancestor,
-        # with the gateway its own ancestor
-        anc = np.where(parent == -1, self.gateway_index, parent)
-        for _ in range(n.bit_length()):
-            anc = anc[anc]
-        if (anc != self.gateway_index).any():
+        # the gateway is the only root, so it lies on no cycle, and its subtree
+        # counts exactly the nodes whose parent chain ends there
+        if _kernels.subtree_sizes(parent)[self.gateway_index] != n:
             raise ValidationError("parent: has a cycle, so some nodes never reach the gateway")
         parent.setflags(write=False)
         loads.setflags(write=False)
@@ -141,10 +138,9 @@ def _gateway_index(placement: Placement, gateway) -> int:
     if isinstance(gateway, str) and gateway == NEAREST_TO_CENTER:
         d2 = (placement.positions ** 2).sum(axis=1)
         return int(np.argmin(d2))  # first occurrence: smallest index on ties
-    _check_number("gateway", gateway, (
+    return _check_number("gateway", gateway, (
         (int, np.integer), 0, placement.n - 1,
         f"must be '{NEAREST_TO_CENTER}' or an integer index in [0, {placement.n})"))
-    return int(gateway)
 
 
 def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTree:
@@ -154,6 +150,7 @@ def build_relay_tree(placement: Placement, gateway=NEAREST_TO_CENTER) -> RelayTr
     index.  Deterministic: duplicate positions are resolved by node
     index, never an error.
     """
+    _check_type("placement", placement, Placement, "a Placement")
     if placement.n == 0:
         raise ValidationError("placement: must contain at least one node")
     g, n = _gateway_index(placement, gateway), placement.n
@@ -184,6 +181,7 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     routed through it, so the gateway's incident edges together carry
     (n - 1) * per_cell_bps.
     """
+    _check_type("tree", tree, RelayTree, "a RelayTree")
     per_cell_bps = _check_real("per_cell_bps", per_cell_bps, _BPS)
     sizes = _kernels.subtree_sizes(tree.parent).astype(np.float64)
     sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
@@ -200,11 +198,14 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
 
 def gateway_ingress_bps(tree: RelayTree) -> float:
     """Total traffic arriving at the gateway over its incident edges."""
+    _check_type("tree", tree, RelayTree, "a RelayTree")
     return float(tree.link_load_bps[tree.parent == tree.gateway_index].sum())
 
 
 def export_topology(placement: Placement, tree: RelayTree) -> dict:
     """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
+    _check_type("placement", placement, Placement, "a Placement")
+    _check_type("tree", tree, RelayTree, "a RelayTree")
     if tree.n != placement.n:
         raise ValidationError(f"tree: has {tree.n} nodes, the placement {placement.n}")
     parent = tree.parent.tolist()
@@ -223,6 +224,8 @@ def export_json(placement: Placement, tree: RelayTree) -> str:
     """JSON text of export_topology(placement, tree): the bytes json_text
     writes for it, formatted from %-templates of the array elements, since
     json.dumps with an indent runs CPython's pure-Python encoder."""
+    _check_type("placement", placement, Placement, "a Placement")
+    _check_type("tree", tree, RelayTree, "a RelayTree")
     loads = tree.link_load_bps.astype(np.float64, copy=False)
     # positions are finite by the Placement bounds; a hand-built tree's loads may
     # not be, nor need its size be the placement's: export_topology or json_text

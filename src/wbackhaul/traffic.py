@@ -18,8 +18,8 @@ from .scenario import (
     ScenarioConfig,
     ThroughputBreakdown,
     ValidationError,
+    _check_type,
     _finite_total,
-    _not_a,
 )
 
 
@@ -108,6 +108,5 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     downlink also carries the cooperative traffic of its K-1 neighbours,
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
-    if not isinstance(cfg, ScenarioConfig):
-        raise _not_a("cfg", cfg, "a ScenarioConfig")
+    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     return _throughput(_cell_terms(cfg), cfg.architecture)

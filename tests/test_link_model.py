@@ -67,7 +67,8 @@ def test_model_invariants():
         resolve_se(SHANNON_5, 0.0, 3.2)
     with pytest.raises(ValidationError):
         resolve_se(SHANNON_5, 50.0, 0.0)
-    with pytest.raises(ValidationError, match="^spectrum_eff: unsupported source str"):
+    with pytest.raises(ValidationError,
+                       match="^spectrum_eff: must be FixedSE or ShannonEdgeSE, got 'x'$"):
         resolve_se("x", 50.0, 3.2)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,6 +84,8 @@ def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
     (lambda: tx_power(50.0, B58, 0.0, TxAnchor()), "alpha"),
     (lambda: tx_power(50.0, B58, math.nan, TxAnchor()), "alpha"),
     (lambda: tx_power(50, B58, 3.2, "a"), "anchor"),
+    # an object with the anchor's fields is not an anchor
+    (lambda: tx_power(50, B58, 3.2, SimpleNamespace(**vars(TxAnchor()))), "anchor"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), "50", 3.2), "radius_m"),
     (lambda: resolve_se(ShannonEdgeSE(5.0), 50.0, [3.2]), "alpha"),
     (lambda: tx_power(True, B58, 3.2, TxAnchor()), "radius_m"),
@@ -92,8 +95,9 @@ def test_tx_power_rejects_a_band_that_is_not_positive(band_hz):
     (lambda: resolve_se(FixedSE(5.0), "x", 3.2), "radius_m"),
     (lambda: resolve_se(FixedSE(5.0), 50.0, None), "alpha"),
 ], ids=["tx-radius-str", "tx-radius-0", "tx-alpha-0", "tx-alpha-nan", "tx-anchor-str",
-        "se-radius-str", "se-alpha-list", "tx-radius-bool", "tx-radius-array",
-        "se-radius-bool", "se-radius-array", "fixed-se-radius-str", "fixed-se-alpha-none"])
+        "tx-anchor-lookalike", "se-radius-str", "se-alpha-list", "tx-radius-bool",
+        "tx-radius-array", "se-radius-bool", "se-radius-array", "fixed-se-radius-str",
+        "fixed-se-alpha-none"])
 def test_loose_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: must be "):
         call()

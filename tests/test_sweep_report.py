@@ -28,6 +28,7 @@ from wbackhaul.sweep_report import (
     MAX_POINTS,
     SweepGrid,
     figure_grid,
+    parse_axis,
     run_sweep,
     sweep_text,
     table1_report,
@@ -96,6 +97,16 @@ def test_malformed_axes_are_validation_errors_naming_the_axis(axes, message):
 def test_a_base_that_is_not_a_scenario_is_a_validation_error(base, axis):
     with pytest.raises(ValidationError, match="^base: must be a ScenarioConfig, got "):
         SweepGrid(base, (axis,))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: run_sweep("x"), "grid"),
+    (lambda: sweep_text("x", "csv"), "grid"),
+    (lambda: parse_axis(5), "spec"),
+], ids=["run-grid-str", "text-grid-str", "axis-spec-int"])
+def test_arguments_of_the_wrong_type_name_the_argument(call, name):
+    with pytest.raises(ValidationError, match=f"^{name}: must be a "):
+        call()
 
 
 def test_grid_point_errors_are_tagged():

@@ -667,11 +667,18 @@ _TEN = place_uniform(10, 500.0, seed=0)
     (lambda: Placement(np.zeros((1, 2)), "x", 0), "macro_radius_m"),
     (lambda: export_topology(place_uniform(3, 500.0, 0),
                              build_relay_tree(place_uniform(5, 500.0, 0))), "tree"),
+    (lambda: build_relay_tree("x"), "placement"),
+    (lambda: link_loads("x", 1.0), "tree"),
+    (lambda: gateway_ingress_bps(None), "tree"),
+    (lambda: export_topology("x", build_relay_tree(_TEN)), "placement"),
+    (lambda: export_json(_TEN, "x"), "tree"),
 ], ids=["radius-str", "seed-bool", "bps-str", "bps-bool", "gateway-str", "gateway-none",
         "gateway-float", "gateway-bool", "gateway-range", "radius-float32-inf",
         "bps-float32-inf", "placement-seed-str", "parent-list", "loads-list",
         "tree-gateway-str", "tree-gateway-float", "tree-gateway-range", "loads-length",
-        "loads-int", "placement-radius-nan", "placement-radius-str", "export-n-mismatch"])
+        "loads-int", "placement-radius-nan", "placement-radius-str", "export-n-mismatch",
+        "build-placement-str", "loads-tree-str", "ingress-tree-none",
+        "export-placement-str", "json-tree-str"])
 def test_arguments_that_are_not_numbers_name_the_argument(call, name):
     with pytest.raises(ValidationError, match=f"^{name}: "):
         call()
@@ -690,9 +697,25 @@ def test_gateway_takes_numpy_integers():
     assert build_relay_tree(_TEN, gateway=np.int64(3)).gateway_index == 3
 
 
+def _chain(n: int, rewire: tuple = ()) -> np.ndarray:
+    """Parents of an n-node chain hanging from gateway 0, depth n - 1, with
+    node rewire[0] pointed at rewire[1] if given."""
+    parent = np.arange(-1, n - 1, dtype=np.int64)
+    if rewire:
+        parent[rewire[0]] = rewire[1]
+    return parent
+
+
+# n.bit_length() pointer-doubling rounds reach 2^18 - 1 hops at this size, and
+# one round fewer only 2^17 - 1: one short of the chain's depth n - 1
+_LONG = 2**17 + 1
+
+
 @pytest.mark.parametrize("parent,gateway", [
     ([-1, 2, 1], 0),    # a cycle away from the gateway
     ([-1, 0, 3, 4, 2, 4], 0),  # a chain ending in a cycle
+    (_chain(_LONG, (1, _LONG - 1)), 0),  # the last link closes a cycle
+    (_chain(_LONG, (1, 3)), 0),          # a long tail ending in a 3-cycle
     ([-1, -1, 0], 0),   # a second root
     ([0, -1, 1], 0),    # the root is not the gateway
     ([-1, 0, -2], 0),   # an index below -1
@@ -700,13 +723,24 @@ def test_gateway_takes_numpy_integers():
     ([], 0),            # no root at all
     ([[-1, 0]], 0),     # not 1-D
     (np.array([-1.0, 0.0]), 0),   # float parents
-], ids=["cycle", "tail-into-cycle", "two-roots", "root-not-gateway", "below-minus-1",
-        "past-n", "empty", "2-d", "float"])
+], ids=["cycle", "tail-into-cycle", "long-cycle", "long-tail-into-3-cycle", "two-roots",
+        "root-not-gateway", "below-minus-1", "past-n", "empty", "2-d", "float"])
 def test_link_loads_reject_hand_built_trees_that_are_not_trees(parent, gateway):
     # every case fails when the tree is built, before link_loads could see it
     parent = parent if isinstance(parent, np.ndarray) else np.array(parent, dtype=np.int64)
     with pytest.raises(ValidationError, match="^parent: "):
         RelayTree(gateway, parent, np.zeros(parent.shape[-1]))
+
+
+@pytest.mark.parametrize("parent,sizes", [
+    (_chain(_LONG), list(range(_LONG, 0, -1))),
+    # a parent dtype too narrow for the node count: 101 nodes in a chain, 99 below its end
+    (np.minimum(_chain(200), 100).astype(np.int8), list(range(200, 99, -1)) + [1] * 99),
+], ids=["depth-n-minus-1", "int8"])
+def test_hand_built_trees_are_accepted_and_loaded(parent, sizes):
+    tree = link_loads(RelayTree(0, parent, np.zeros(parent.shape[0])), 1.0)
+    assert tree.link_load_bps.tolist() == [0.0] + sizes[1:]
+    assert gateway_ingress_bps(tree) == sizes[1]
 
 
 def test_link_loads_keep_the_tree_and_do_not_check_it_again(monkeypatch):
