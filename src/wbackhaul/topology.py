@@ -187,7 +187,7 @@ def link_loads(tree: RelayTree, per_cell_bps: float) -> RelayTree:
     sizes[tree.gateway_index] = 0.0  # the gateway has no edge above it
     # checked in Python floats: numpy's multiply would overflow with a warning
     largest = float(sizes.max())
-    if not math.isfinite(float(per_cell_bps) * largest):
+    if not math.isfinite(per_cell_bps * largest):
         raise ValidationError(f"per_cell_bps: {per_cell_bps!r} bit/s on an edge "
                               f"carrying {largest:.0f} stations overflows a float")
     loads = per_cell_bps * sizes
