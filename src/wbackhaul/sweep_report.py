@@ -4,11 +4,14 @@ A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
 axes' cross product, the first axis varying slowest.  parse_axis reads
 an axis from its spec, for the CLI and the figure presets alike.  A sweep
-checks each axis value once, not once per point, and evaluates the whole
-grid as float64 columns, bit for bit as efficiency() evaluates each
-point.  A grid with a bad point ends in the error of the first one in row
-order, which the checks and the columns locate: that one point is built
-and evaluated by efficiency() to raise it.  One writer, sweep_text, turns
+checks each axis once, not once per point: a tuple of plain ints and
+floats in one test of the whole column, any other value by value.  It
+evaluates the whole grid as float64 columns, bit for bit as efficiency()
+evaluates each point: the transmit power and edge SNR take each power
+and logarithm from libm, element by element, as the scalar kernels do.
+A grid with a bad point ends in the error of the first one in row order,
+which the checks and the columns locate: that one point is built and
+evaluated by efficiency() to raise it.  One writer, sweep_text, turns
 the columns into CSV or JSON text: the bytes of a %d/%.17e template per
 row, or those json_text writes for the rows as objects.  A column with a
 value per row goes through the row template, and a column the grid holds
@@ -21,7 +24,6 @@ band, and efficiency vs. path loss exponent per small-cell radius.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,6 +38,7 @@ from .scenario import (
     FixedSE,
     ScenarioConfig,
     ShannonEdgeSE,
+    TxAnchor,
     ValidationError,
     _check_number,
     _check_type,
@@ -50,22 +53,26 @@ class Axis(NamedTuple):
     arch: type | None   # base architecture required: set on the integer count axes only
     field: tuple        # path of the scenario field the axis sets
     part: Callable      # an axis value -> the checked field value, or a ValidationError
+    rule: tuple         # the number rule that part checks a value by
 
 
-def _number(record: type, field: str) -> Callable:
-    """The part of a number field: the value, checked by the field's own rule,
-    as the Python number it equals, as a record stores it."""
-    rule = record._rules[field]
-    return lambda value: _check_number(field, value, rule)
+def _axis(arch: type | None, field: tuple, record: type, key: str) -> Axis:
+    """The axis whose values are the number field key of record.  Its part
+    is that record of the value where the scenario field holds the record,
+    else the value, checked by the field's own rule, as the Python number it
+    equals, as a record stores it."""
+    rule = record._rules[key]
+    part = record if field[-1] != key else lambda value: _check_number(key, value, rule)
+    return Axis(arch, field, part, rule)
 
 
 AXES = {
-    "n_small": Axis(Central, ("architecture",), Central),
-    "k_cluster": Axis(Distribution, ("architecture",), Distribution),
-    "alpha": Axis(None, ("alpha",), _number(ScenarioConfig, "alpha")),
-    "small_se": Axis(None, ("small", "spectrum_eff"), FixedSE),
-    "band": Axis(None, ("band_hz",), _number(ScenarioConfig, "band_hz")),
-    "small_radius": Axis(None, ("small", "radius_m"), _number(CellParams, "radius_m")),
+    "n_small": _axis(Central, ("architecture",), Central, "n_small"),
+    "k_cluster": _axis(Distribution, ("architecture",), Distribution, "k_cluster"),
+    "alpha": _axis(None, ("alpha",), ScenarioConfig, "alpha"),
+    "small_se": _axis(None, ("small", "spectrum_eff"), FixedSE, "bit_per_s_per_hz"),
+    "band": _axis(None, ("band_hz",), ScenarioConfig, "band_hz"),
+    "small_radius": _axis(None, ("small", "radius_m"), CellParams, "radius_m"),
 }
 
 # Largest grid a sweep builds, per axis and over the whole cross product.
@@ -197,28 +204,29 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     column has length 1 where it does not depend on the axis, as
     _grid_columns computes it.
 
-    Each axis value is checked once, and the whole grid is evaluated at
-    once, bit for bit as efficiency() evaluates each point: see
-    _grid_columns.  A grid with a bad row, one that holds a value failing
-    its check or a point efficiency() cannot evaluate, raises the error of
-    the first one: the earlier of the first row that holds a failing value
-    and the first row whose energy or efficiency is not finite, of the grid
-    of each axis's values before its first failing one, which holds every
-    row before the former.  See _raise_point_error.
+    Each axis is checked once, as one column where it can be (see
+    _numbers), and the whole grid is evaluated at once, bit for bit as
+    efficiency() evaluates each point: see _grid_columns.  A grid with a bad
+    row, one that holds a value failing its check or a point efficiency()
+    cannot evaluate, raises the error of the first one: the earlier of the
+    first row that holds a failing value and the first row whose energy or
+    efficiency is not finite, of the grid of each axis's values before its
+    first failing one, which holds every row before the former.  See
+    _raise_point_error.
     """
     import numpy as np   # here, not at the top: eval and verify-table1 never load numpy
 
     _check_type("grid", grid, SweepGrid, "a SweepGrid")
     axes = [AXES[name] for name in grid.axis_names]
-    parts = [_parts(axis, values) for axis, (_, values) in zip(axes, grid.axes)]
-    shape, good = [len(values) for _, values in grid.axes], [len(p) for p in parts]
+    numbers = [_numbers(name, axis, values) for axis, (name, values) in zip(axes, grid.axes)]
+    shape, good = [len(values) for _, values in grid.axes], [len(n) for n in numbers]
     size = math.prod(shape)
     # value j of an axis first appears at row j times the points of the axes after it
     bad = min((j * math.prod(shape[place + 1:]) for place, j in enumerate(good)
                if j < shape[place]), default=size)
     try:
         with np.errstate(all="ignore"):
-            columns = _grid_columns(grid.base, axes, parts)
+            columns = _grid_columns(grid.base, axes, numbers)
     except ArithmeticError:   # raised by the base scenario's integer Joules alone: at row 0
         bad = 0
     else:
@@ -231,14 +239,33 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     return shape, points + [np.array(c, ndmin=len(shape)) for c in columns]
 
 
-def _parts(axis: Axis, values: tuple) -> list:
-    """The checked parts of values, up to the first value that fails its check."""
-    parts = []
-    try:
-        parts.extend(map(axis.part, values))   # keeps the parts made before a part raises
+def _numbers(name: str, axis: Axis, values: tuple):
+    """values as the plain Python numbers they equal, up to the first that
+    fails the axis's number rule.  A value fails exactly where the axis's
+    part raises, but no record is built here.
+
+    A tuple of plain ints and floats is checked as one column, in one test:
+    each value's exact type is int or float, and one the rule takes (so a
+    bool or a numpy float goes value by value), and min and max lie within
+    the rule's bounds.  They compare an int exactly, as the rule does, but
+    pass over a NaN that is not first, so a float axis is tested for NaN in
+    float64 as well.  Any other tuple is checked by _check_number, value by
+    value, up to the first that fails.
+    """
+    import numpy as np
+
+    types, low, high, _ = axis.rule
+    kinds = set(map(type, values))
+    if (kinds <= {int, float} and all(issubclass(k, types) for k in kinds)
+            and low <= min(values) and max(values) <= high
+            and (float not in kinds or not np.isnan(np.array(values, dtype=float)).any())):
+        return values
+    numbers = []
+    try:   # keeps the numbers checked before one raises
+        numbers.extend(_check_number(name, value, axis.rule) for value in values)
     except ConfigError:
         pass
-    return parts
+    return numbers
 
 
 def _raise_point_error(grid: SweepGrid, index: tuple):
@@ -257,27 +284,30 @@ def _raise_point_error(grid: SweepGrid, index: tuple):
     raise RuntimeError(f"{where}: evaluates, but its grid columns are not finite")
 
 
-def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
+def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     """The throughput, energy and efficiency of every point of the grid of
-    parts.  The energy or the efficiency is not finite at exactly the
-    points where efficiency() raises: energies are never < 0, so one of 0,
-    or a throughput that is not finite, makes the efficiency not finite.
+    the axes' checked numbers.  The energy or the efficiency is not finite
+    at exactly the points where efficiency() raises: energies are never
+    < 0, so one of 0, or a throughput that is not finite, makes the
+    efficiency not finite.
 
     Each quantity is a float, or a float64 array with one dimension per
     axis, of length 1 where it does not depend on the axis, so it is
-    computed once per combination of the axis values it reads.  The
-    transmit power and spectrum efficiency are computed by their scalar
-    kernels in Python floats, as efficiency() computes them; every other
-    term by the same helpers as efficiency(), which compute a column as
-    they compute a float, in the same order of operations.
+    computed once per combination of the axis values it reads.  An axis's
+    numbers lie along its dimension in an object array, so that numpy
+    divides and subtracts them as Python does: an int by an int, say, is
+    rounded once.  The transmit power and edge-SNR spectrum efficiency are
+    computed by _kernel_grid, with the libm calls of their scalar kernels;
+    every other term by the same helpers as efficiency(), which compute a
+    column as they compute a float, in the same order of operations.
     """
     import numpy as np
 
-    swept = {axis.field: _along(values, place, len(parts))
-             for place, (axis, values) in enumerate(zip(axes, parts))}
+    swept = {axis.field: _along(values, place, len(numbers))
+             for place, (axis, values) in enumerate(zip(axes, numbers))}
 
     def field(*path):
-        """The swept values of the field at path, or the base scenario's value."""
+        """The swept numbers of the field at path, or the base scenario's value."""
         if path in swept:
             return swept[path]
         value = base
@@ -285,27 +315,18 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
             value = getattr(value, name)
         return value
 
-    def each(kernel, *args):
-        """kernel at every combination of the swept values among args, the
-        other args passed as they are."""
-        reads = [a.shape for a in args if isinstance(a, np.ndarray)]
-        if not reads:
-            return kernel(*args)
-        dims = np.broadcast_shapes(*reads)
-        out = map(kernel, *(np.broadcast_to(a, dims).ravel().tolist() if isinstance(a, np.ndarray)
-                            else itertools.repeat(a) for a in args))
-        return np.array(list(out), dtype=float).reshape(dims)
-
     alpha, band, overheads = field("alpha"), field("band_hz"), base.overheads
 
     def cell(params, radius, source):
-        # a fixed SE reads neither the radius nor alpha
-        se = each(link_model._se, source,
-                  *((radius, alpha) if isinstance(source, ShannonEdgeSE) else (None, None)))
+        if isinstance(source, np.ndarray):   # the numbers of the small_se axis's FixedSE
+            se = source.astype(float)
+        else:   # a fixed SE reads neither the radius nor alpha
+            se = _kernel_grid(link_model._se, _se_column, source, *(
+                (radius, alpha) if isinstance(source, ShannonEdgeSE) else (None, None)))
         return (se, *traffic._cell_backhaul(params.bandwidth_hz, se, overheads.s1, overheads.x2))
 
     def station(params, radius):
-        p_tx = each(power_energy._tx, radius, band, alpha, base.tx_anchor)
+        p_tx = _kernel_grid(power_energy._tx, _tx_column, radius, band, alpha, base.tx_anchor)
         return power_energy._lifetime_energy(params, p_tx)[1:]
 
     small_radius, macro = field("small", "radius_m"), base.macro
@@ -316,11 +337,56 @@ def _grid_columns(base: ScenarioConfig, axes: list, parts: list) -> tuple:
     stations = (*(station(macro, macro.radius_m) if central else (0.0, 0.0)),
                 *station(base.small, small_radius))
     arch = field("architecture")
-    count = each(lambda a: traffic._counts(a)[0], arch)
-    neighbours = each(lambda a: traffic._counts(a)[1], arch)
+    # the count and count - 1 of traffic._counts, the latter taken on the integer
+    count, neighbours = ((arch.astype(float), (arch - 1).astype(float))
+                         if isinstance(arch, np.ndarray) else traffic._counts(arch))
     bps = traffic._sums(cells, count, neighbours)[6]
     energy = power_energy._energy_total(stations, count)
     return bps, energy, bps / energy
+
+
+def _kernel_grid(kernel: Callable, column: Callable, *args):
+    """kernel(*args) at every combination of the numbers in the object
+    arrays among args, as a float64 array of their broadcast shape; where
+    no arg is an array, kernel(*args) itself.  column(*args) computes it
+    with the same operations in the same order, but raises OverflowError
+    where a power overflows, and kernel gives inf at just those points: then
+    kernel is called at each combination instead."""
+    import numpy as np
+
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return kernel(*args)
+    try:
+        return column(*args)
+    except OverflowError:
+        return _per_element(kernel, *args)
+
+
+def _tx_column(radius, band, alpha, anchor: TxAnchor):
+    """power_energy._tx, its divisions and products in numpy, in its order,
+    and each power by Python's pow."""
+    return (anchor.power_w * _per_element(pow, radius / anchor.radius_m, alpha)
+            * _per_element(pow, band / anchor.carrier_hz, anchor.freq_exponent))
+
+
+def _se_column(source: ShannonEdgeSE, radius, alpha):
+    """link_model._se of an edge-SNR source, its arithmetic in numpy, in its
+    order, and each power and logarithm by Python's pow and math.log2."""
+    gain = _per_element(pow, source.ref_radius_m / radius, alpha)
+    return _per_element(math.log2, 1.0 + (2.0 ** source.calibration_se - 1.0) * gain)
+
+
+def _per_element(function: Callable, *args):
+    """function at each element of the broadcast args, as a float64 array.
+    Each element is passed as the array holds it: a Python number, or a
+    record, which makes a 0-d object array.  pow and math.log2 make one
+    libm call per element, as the scalar kernels do; numpy's own power and
+    log2 differ from them in the last bit of some elements."""
+    import numpy as np
+
+    arrays = np.broadcast_arrays(*args)
+    out = map(function, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(out, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 # ---------------------------------------------------------------------------

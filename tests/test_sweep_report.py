@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbackhaul import cli, power_energy, sweep_report
+from wbackhaul import cli, link_model, power_energy, sweep_report
 from wbackhaul.scenario import (
     Central,
     Distribution,
@@ -180,23 +180,61 @@ def test_grid_larger_than_max_points_rejected():
 
 
 def test_each_axis_value_checked_once(monkeypatch):
-    checked = []
+    # every check the sweep runs: one column test per axis, and one
+    # _check_number per value of an axis the column test does not pass
+    # (every part of an axis value checks through _check_number too)
+    tested, checked = [], []
+    numbers, check = sweep_report._numbers, sweep_report._check_number
 
-    def counting(name):
-        part = AXES[name].part
+    def counted_test(name, axis, values):
+        tested.append(name)
+        return numbers(name, axis, values)
 
-        def counted(value):
-            checked.append(name)
-            return part(value)
-        return AXES[name]._replace(part=counted)
+    def counted_check(name, value, rule):
+        checked.append((name, value))
+        return check(name, value, rule)
 
-    for name in ("n_small", "band"):
-        monkeypatch.setitem(sweep_report.AXES, name, counting(name))
-    bands = (5.8e9, 28e9, 38e9, 60e9)
+    monkeypatch.setattr(sweep_report, "_numbers", counted_test)
+    monkeypatch.setattr(sweep_report, "_check_number", counted_check)
+    # a numpy float sends the band axis value by value
+    bands = (5.8e9, 28e9, 38e9, np.float64(60e9))
     rows = run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", bands))))
     assert len(rows) == 3 * 4
-    # each distinct value once, not once per point of the axes before it
-    assert checked.count("n_small") == 3 and checked.count("band") == 4
+    # each distinct value once, not once per point of the axes before it:
+    # the counts by their column test alone, the bands one by one
+    assert tested == ["n_small", "band"]
+    assert checked == [("band", b) for b in bands]
+    tested.clear()
+    with pytest.raises(ValidationError, match=r"^grid point band=-1\.0: band_hz: must be a number > 0$"):
+        run_sweep(SweepGrid(CENTRAL, (("n_small", (1, 2, 3)), ("band", (-1.0, 5.8e9)))))
+    assert tested == ["n_small", "band"]
+
+
+def test_a_good_axis_builds_no_record_per_value(monkeypatch):
+    built, axes = [], dict(AXES)
+
+    def spying(name, finite):
+        def spy(value):
+            if finite:
+                raise AssertionError(f"a part of {name} was built on a finite grid")
+            built.append((name, value))
+            return axes[name].part(value)
+        return axes[name]._replace(part=spy)
+
+    for name in AXES:
+        monkeypatch.setitem(sweep_report.AXES, name, spying(name, True))
+    for grid in [SweepGrid(*SWEEP_CASES[case]) for case in FINITE_CASES] + [
+            figure_grid(name) for name in FIGURES]:
+        run_sweep(grid)
+    for name in AXES:
+        monkeypatch.setitem(sweep_report.AXES, name, spying(name, False))
+    # a grid whose one bad value is the third of the outer axis, a NaN that
+    # min and max pass over: only the point that raises is built, and of it
+    # only that value's part
+    grid = SweepGrid(CENTRAL, (("small_se", (0.5, 1.0, math.nan, 2.0)), ("n_small", (0, 1))))
+    with pytest.raises(ValidationError, match="^grid point small_se=nan: bit_per_s_per_hz: "):
+        run_sweep(grid)
+    assert len(built) == 1 and built[0][0] == "small_se" and math.isnan(built[0][1])
 
 
 def test_energy_underflow_grid_point_names_lifetime():
@@ -390,6 +428,23 @@ SWEEP_CASES = {
     "count-and-energy-overflow": (replace(CENTRAL, macro=replace(
         CENTRAL.small, power_curve=PowerCurve(1e308, 1.0))),
         (("alpha", (3.0,)), ("n_small", (10**300,)))),
+    # ints and floats on one float axis, checked as one column
+    "mixed-int-float-alpha": (replace(CENTRAL, small=SHANNON),
+                              (("alpha", (2, 2.5, 3, 3.7, 4)), ("n_small", (0, 9)))),
+    # a numpy float and a bool, checked value by value: the bool is the bad value
+    "numpy-float-and-bool": (CENTRAL, (("n_small", (1, 2)),
+                                       ("small_se", (np.float64(0.5), True, 7.5)))),
+    # ints past 2**53 divided by ints: Python rounds such a quotient once,
+    # where float64 would round the dividend first, as in (2**60 + 32) / 3
+    "int-by-int-quotients": (replace(CENTRAL, tx_anchor=TxAnchor(radius_m=3, carrier_hz=3),
+                                     small=replace(SHANNON, spectrum_eff=ShannonEdgeSE(
+                                         5.0, 2**60 + 32))),
+                             (("small_radius", (3, 2**60 + 32, 2**61 + 259)),
+                              ("band", (5.8e9, 2**60 + 32)))),
+    # a NaN alpha on stations at the anchor's radius: every power of the NaN
+    # is 1.0, so its check alone finds it
+    "nan-alpha-at-the-anchor-radius": (replace(DIST, small=replace(DIST.small, radius_m=500.0)),
+                                       (("alpha", (2.0, math.nan, 3.0)), ("k_cluster", (1, 2)))),
 }
 
 
@@ -582,6 +637,93 @@ def test_hostile_grids_of_hundreds_of_points_match_standalone_evaluation():
     for _ in range(150):
         grid = _hostile_grid(rng)
         assert _swept(grid) == _standalone(grid), grid
+
+
+# ---------------------------------------------------------------------------
+# The column kernels against the scalar ones, bit for bit
+# ---------------------------------------------------------------------------
+
+# ints past 2**53, which a float64 rounds, and floats, on the float axes
+_NUMBERS = st.one_of(st.integers(1, 2**70), st.floats(1e-3, 1e12))
+
+
+def _kernel_axis(values, place, swept):
+    """The object array of values along dimension place of 3, as a sweep
+    holds an axis's numbers, or the first value alone where not swept."""
+    return sweep_report._along(values, place, 3) if swept else values[0]
+
+
+def _expect(kernel, args, dims):
+    """kernel at each point of dims, from the Python numbers of args."""
+    def at(index, a):
+        return a[tuple(i if n > 1 else 0 for i, n in zip(index, a.shape))] \
+            if isinstance(a, np.ndarray) else a
+    return [kernel(*(at(index, a) for a in args)) for index in np.ndindex(*dims)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_column_kernels_equal_the_scalar_kernels_bit_for_bit(data):
+    draw = data.draw
+    anchor = TxAnchor(draw(_NUMBERS), draw(_NUMBERS), draw(_NUMBERS),
+                      draw(st.sampled_from((0, 2, 2.0, 3.7, 1e4))))
+    # a calibration of 5e-324 makes 2**c - 1 == 0, and 0 * inf a NaN
+    source = ShannonEdgeSE(draw(st.sampled_from((5e-324, 1.0, 5, 30.0))), draw(_NUMBERS))
+    radius, band = draw(st.lists(_NUMBERS, min_size=1, max_size=4)), draw(
+        st.lists(_NUMBERS, min_size=1, max_size=4))
+    alpha = draw(st.lists(st.one_of(st.integers(1, 6), st.floats(0.5, 6.0)), min_size=1,
+                          max_size=4))
+    swept = [draw(st.booleans()) for _ in range(3)]
+    overflow = draw(st.booleans())
+    if overflow:
+        # an exponent whose powers overflow, at a random place, with a radius
+        # twice the anchor's and half the reference radius; a band half the
+        # anchor's, whose power may underflow to 0
+        alpha.insert(draw(st.integers(0, len(alpha))), 1e4)
+        radius += [anchor.radius_m * 2, source.ref_radius_m / 2]
+        band.insert(draw(st.integers(0, len(band))), anchor.carrier_hz / 2)
+        swept[0] = swept[2] = True
+    r, f, a = (_kernel_axis(v, place, on)
+               for place, (v, on) in enumerate(zip((radius, band, alpha), swept)))
+    dims = tuple(len(v) if on else 1 for v, on in zip((radius, band, alpha), swept))
+    for kernel, column, args in ((power_energy._tx, sweep_report._tx_column, (r, f, a, anchor)),
+                                 (link_model._se, sweep_report._se_column, (source, r, a))):
+        with np.errstate(all="ignore"):
+            got = sweep_report._kernel_grid(kernel, column, *args)
+        got = np.broadcast_to(got, dims).ravel().tolist()
+        want = _expect(kernel, args, dims)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+        if overflow:
+            assert math.inf in want
+
+
+def test_the_column_kernels_equal_the_scalar_kernels_on_many_points():
+    # pow and log2 by numpy's float64 loops differ from libm's in the last
+    # bit of a few elements in 10**5 on some hosts
+    rng = np.random.default_rng(25)
+    n = 2 * 10**5
+    radius, alpha = rng.uniform(1.0, 400.0, n), rng.uniform(2.0, 4.5, n)
+    along = [sweep_report._along(v.tolist(), 0, 1) for v in (radius, alpha)]
+    anchor, source = TxAnchor(), ShannonEdgeSE(5.0, 50.0)
+    for kernel, column, args, scalar in (
+            (power_energy._tx, sweep_report._tx_column, (along[0], 5.8e9, along[1], anchor),
+             lambda r, a: power_energy._tx(r, 5.8e9, a, anchor)),
+            (link_model._se, sweep_report._se_column, (source, *along),
+             lambda r, a: link_model._se(source, r, a))):
+        got = sweep_report._kernel_grid(kernel, column, *args).tolist()
+        want = list(map(scalar, radius.tolist(), alpha.tolist()))
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((-0.0, 0.25, 1, 2, 7.5, 2**60 + 1)), min_size=1, max_size=4),
+       st.lists(_NUMBERS, min_size=1, max_size=4))
+def test_number_axes_of_ints_and_floats_match_standalone_evaluation(se, bands):
+    # an int carrier, so that an int band is divided by it as an int by an int
+    base = replace(CENTRAL, tx_anchor=TxAnchor(carrier_hz=3))
+    grid = SweepGrid(base, (("small_se", tuple(sorted(set(se)))),
+                            ("band", tuple(sorted(set(bands))))))
+    assert _swept(grid) == _standalone(grid)
 
 
 # ---------------------------------------------------------------------------
