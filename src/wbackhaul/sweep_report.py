@@ -38,7 +38,6 @@ from .scenario import (
     FixedSE,
     ScenarioConfig,
     ShannonEdgeSE,
-    TxAnchor,
     ValidationError,
     _check_number,
     _check_type,
@@ -362,7 +361,7 @@ def _kernel_grid(kernel: Callable, column: Callable, *args):
         return _per_element(kernel, *args)
 
 
-def _tx_column(radius, band, alpha, anchor: TxAnchor):
+def _tx_column(radius, band, alpha, anchor):
     """power_energy._tx, its divisions and products in numpy, in its order,
     and each power by Python's pow."""
     return (anchor.power_w * _per_element(pow, radius / anchor.radius_m, alpha)

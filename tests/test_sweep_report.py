@@ -656,8 +656,9 @@ def _kernel_axis(values, place, swept):
 def _expect(kernel, args, dims):
     """kernel at each point of dims, from the Python numbers of args."""
     def at(index, a):
-        return a[tuple(i if n > 1 else 0 for i, n in zip(index, a.shape))] \
-            if isinstance(a, np.ndarray) else a
+        if not isinstance(a, np.ndarray):
+            return a
+        return a[tuple(i if n > 1 else 0 for i, n in zip(index, a.shape))]
     return [kernel(*(at(index, a) for a in args)) for index in np.ndindex(*dims)]
 
 
