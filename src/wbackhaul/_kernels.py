@@ -35,9 +35,20 @@ doubling (Wyllie's list ranking, "The complexity of parallel
 computations", Cornell 1979): each of about log2(depth) rounds is one
 bincount and one gather over all nodes, so a 10^5-node chain takes 17
 numpy passes, not 10^5 Python steps.
+
+repr_fields gives the repr text of every element of a float64 array with
+no Python call per element.  Its digits are the shortest that read back as
+the float, the nearest of that length, by Schubfach (Giulietti, "The
+Schubfach way to render doubles", 2020), which, like Ryu (Adams, "Ryu: fast
+float-to-string conversion", PLDI 2018), needs no bignums: a table of 617
+126-bit powers of ten, built once from Python ints, and for each float
+three 64 x 126-bit products, assembled from 32-bit halves in uint64.  The
+rows lay the digits out as repr does, in fixed columns with NUL bytes in
+the gaps, which one bytes.translate deletes.
 """
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 
 import numpy as np
@@ -237,6 +248,138 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
         g[n] = 0.0
         anc = anc[anc]
     return g[:n].astype(np.int64)
+
+
+# Shortest round-trip digits.  For each decimal exponent k in [_K_MIN, _K_MAX],
+# g = floor(10^-k 2^-r) + 1 with r = floor(-k log2 10) - 125, so that
+# 2^125 <= g <= 2^126; _G holds its 63-bit halves g1, g0 and their 32-bit halves.
+_K_MIN, _K_MAX = -324, 292
+_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+
+
+def _pow10_table() -> np.ndarray:
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = (-k * 913124641741 >> 38) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        g1, g0 = g >> 63, g & _M63
+        rows.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+_G = _pow10_table()
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
+# _BELOW[v]: 0xFF in the first v of 17 columns
+_BELOW = np.tril(np.full((18, 17), 0xFF, dtype=np.uint8), -1)
+# repr_fields' fixed bytes by sign + 2 middle + 12 zero + 24 exponent sign: the
+# sign, 16 digits before the point, the middle, 17 after it, "0", "e+" or "e-"
+_FIELDS = np.frombuffer("".join(
+    (sign + "\0" * 16 + middle.ljust(5, "\0") + "\0" * 17 + zero + form).ljust(45, "\0")
+    for form, zero, middle, sign in itertools.product(
+        ("", "e+", "e-"), "\0" "0", ("\0", "\0.", "0.", "0.0", "0.00", "0.000"), "\0-")
+).encode(), dtype=np.uint8).reshape(-1, 45)
+
+
+def _mulhi(a1, a0, b1, b0):
+    """High 64 bits of a * b, from the 32-bit halves of each."""
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _shortest(bits: np.ndarray):
+    """(d, k): for each normal float of the given bits, the shortest decimal
+    d * 10^k that reads back as it, the nearest of that length, ties to even d.
+
+    Schubfach, as in its Java implementation: the float c 2^q and the bounds
+    of the interval that rounds to it are scaled by 10^-k, 10^k the largest
+    power of ten within the gap between floats (three quarters of it at a
+    power of two), each with one 64 x 126-bit product rounded to odd; then
+    the candidates on the grids of 10^(k+1) and 10^k are tested.
+    """
+    be = (bits >> 52).astype(np.int64) & 0x7FF
+    t = bits & ((1 << 52) - 1)
+    q = be - 1075
+    irregular = (t == 0) & (be > 1)   # 2^q: the gap below it is half the gap above
+    k = (q * 661971961083 - irregular * 274743187321) >> 41   # floor(log10 of 2^q or 3/4 2^q)
+    h = q + (-k * 913124641741 >> 38) + 2                     # in [1, 4]
+    m = bits.shape[0]
+    # the three products at once: 4 times the lower bound, the float, the upper bound
+    g1, g1a, g1b, g0a, g0b = np.tile(_G.take(k - _K_MIN, axis=1), 3)
+    cb = (t | (1 << 52)) << 2
+    cp = np.concatenate((cb - 2 + irregular, cb, cb + 2)) << np.tile(h, 3).astype(np.uint64)
+    cpa, cpb = cp >> 32, cp & _M32
+    z = ((g1 * cp) >> 1) + _mulhi(g0a, g0b, cpa, cpb)
+    v = _mulhi(g1a, g1b, cpa, cpb) + (z >> 63) | ((z & _M63) != 0)
+    vbl, vb, vbr = v[:m], v[m:2 * m], v[2 * m:]
+    out = t & 1   # an odd c leaves out the interval's ends
+    s = vb >> 2
+    s10 = s // 10
+    # exactly one multiple of 10 in the interval: it is the shortest
+    upin, wpin = vbl + out <= s10 * 40, s10 * 40 + 40 + out <= vbr
+    # else s or s + 1: the one in the interval, or the nearer, s on a tie if even
+    uin, win = vbl + out <= s << 2, (s << 2) + 4 + out <= vbr
+    d = s + np.where(uin == win, (vb & 3) + (s & 1) > 2, win)
+    return np.where(upin != wpin, s10 + wpin, d), k + (upin != wpin)
+
+
+def repr_fields(x: np.ndarray) -> np.ndarray:
+    """(x.size, 45) uint8: row i holds the ASCII text of repr(float(x.flat[i])),
+    with NUL bytes in its gaps, so that deleting the NULs of the rows
+    (bytes.translate(None, b"\\0")) gives the texts one after another.
+
+    The digits are the shortest that read back as the float (_shortest), laid
+    out as repr lays them out: positional when the decimal point falls after
+    digit p in (-4, 16], else d.ddde+XX.  The columns are the sign, the
+    digits before the point, "0.000" or ".", the digits after it, "0" (of
+    "1.0") and the exponent.  Zeros, subnormals and non-finite values take
+    their text from repr: Schubfach's two-digit rule for the smallest
+    subnormals gives 4.9e-324 where repr gives 5e-324.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    bits, m = x.view(np.uint64), x.shape[0]
+    d, k = _shortest(bits)
+    # strip trailing zeros where there are any, in halving steps
+    i = np.flatnonzero(d - d // 10 * 10 == 0)
+    if i.size:
+        di, ki = d[i], k[i]
+        for p in (16, 8, 4, 2, 1):
+            step = di // _POW10[p]
+            zero = step * _POW10[p] == di
+            di, ki = np.where(zero, step, di), ki + p * zero
+        d[i], k[i] = di, ki
+    n = np.searchsorted(_POW10, d, side="right")   # digits
+    point = k + n                                   # the value is 0.ddd 10^point
+    # the digits left-aligned in 18, as ASCII pairs, from two halves of 10 digits
+    rest = d * _POW10[18 - n]
+    rest = np.stack((rest // 10 ** 10, rest - rest // 10 ** 10 * 10 ** 10))
+    pairs = np.empty((m, 2, 5), dtype=np.intp)
+    for j in range(4, -1, -1):
+        step = rest // 100
+        pairs[:, :, j] = (rest - step * 100).T
+        rest = step
+    digits = _PAIRS.take(pairs.reshape(m, 10)).view(np.uint8)[:, 2:]
+    fixed = (point > -4) & (point <= 16)
+    middle = np.where(fixed & (point <= 0), 2 - point, fixed | (n > 1))
+    form = np.where(fixed, 0, 1 + (point <= 0))
+    out = _FIELDS.take((bits >> 63).astype(np.intp) + 2 * middle + 12 * (fixed & (point >= n))
+                       + 24 * form, axis=0)
+    before = np.where(fixed, np.maximum(point, 0), 1)   # digits before the point
+    mask = _BELOW.take(before, axis=0)
+    np.bitwise_and(digits[:, :16], mask[:, :16], out=out[:, 1:17])
+    mask ^= _BELOW.take(np.maximum(n, before * fixed), axis=0)
+    np.bitwise_and(digits[:, :17], mask, out=out[:, 22:39])
+    if not fixed.all():
+        e = np.abs(point - 1)
+        out[:, 42:45] = np.column_stack(((e >= 100) * (e // 100 + 48), e // 10 % 10 + 48,
+                                         e % 10 + 48))
+        out[fixed, 42:45] = 0
+    for i in np.flatnonzero((bits >> 52 & 0x7FF) % 0x7FF == 0).tolist():
+        text = repr(float(x[i])).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
 
 
 def backend() -> str:

@@ -10,7 +10,12 @@ relation is acyclic, and every node reaches the gateway.
 
 Placement uses numpy's default_rng (PCG64); identical (n, radius, seed)
 inputs reproduce positions bit for bit.  export_topology gives a tree as
-a JSON-ready dict, and export_json as the JSON text of that dict.
+a JSON-ready dict, and export_json as the JSON text of that dict.  The
+positions are written without a Python call per coordinate: their digits
+are the shortest round-trip digits of repr, found in numpy by Schubfach
+(Giulietti, "The Schubfach way to render doubles", 2020), which, like Ryu
+(Adams, "Ryu: fast float-to-string conversion", PLDI 2018), needs no
+bignums (_kernels.repr_fields).
 """
 from __future__ import annotations
 
@@ -46,9 +51,15 @@ _RADIUS = (_REAL, math.nextafter(0.0, 1.0), _MAX_COORD_M,
 _BPS = (_REAL, 0, sys.float_info.max, "must be a finite number >= 0")
 
 
-@dataclass(frozen=True)
+# eq=False: records holding arrays compare and hash by identity, as ndarrays
+# have no truth value to compare by
+@dataclass(frozen=True, eq=False)
 class Placement:
-    """n station positions (meters, (n, 2) float64 array) in a disk around the origin."""
+    """n station positions (meters, (n, 2) float64 array) in a disk around the origin.
+
+    The positions are a read-only copy of the array given, so that no view
+    of the caller's array can change them once checked.
+    """
 
     positions: np.ndarray
     macro_radius_m: float
@@ -59,21 +70,22 @@ class Placement:
         if not (isinstance(pts, np.ndarray) and pts.dtype.kind in "iuf"
                 and pts.ndim == 2 and pts.shape[1] == 2):
             raise ValidationError("positions: must be a real-valued (n, 2) ndarray")
-        pts = pts.astype(np.float64, copy=False)
+        pts = pts.astype(np.float64)
         if not (np.abs(pts) <= _MAX_COORD_M).all():
             raise ValidationError(f"positions: coordinates must be finite, at most "
                                   f"{_MAX_COORD_M:g} m in magnitude")
-        _check_number("seed", self.seed, _INDEX)
         pts.setflags(write=False)
         object.__setattr__(self, "positions", pts)
-        _check_real("macro_radius_m", self.macro_radius_m, _RADIUS)
+        object.__setattr__(self, "seed", _check_number("seed", self.seed, _INDEX))
+        object.__setattr__(self, "macro_radius_m",
+                           _check_real("macro_radius_m", self.macro_radius_m, _RADIUS))
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelayTree:
     """Spanning tree of a placement, rooted at the gateway station.
 
@@ -81,7 +93,8 @@ class RelayTree:
     gateway itself); link_load_bps[i] is the traffic on the edge
     i -> parent[i] (0 until link_loads() fills it, and 0 for the gateway).
     A hand-built tree must be one: each parent -1 or a node index, the
-    gateway the only root, and every node's parent chain ending there.
+    gateway the only root, and every node's parent chain ending there.  It
+    keeps read-only copies of the arrays given, checked after copying.
     """
 
     gateway_index: int
@@ -97,6 +110,9 @@ class RelayTree:
         if not (isinstance(loads, np.ndarray) and loads.dtype.kind == "f"
                 and loads.shape == (n,)):
             raise ValidationError(f"link_load_bps: must be a float ndarray of length {n}")
+        parent, loads = parent.copy(), loads.copy()
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "link_load_bps", loads)
         _check_number("gateway_index", self.gateway_index,
                       ((int, np.integer), 0, n - 1, f"must be an integer in [0, {n})"))
         if (((parent < -1) | (parent >= n)).any()
@@ -125,13 +141,15 @@ def place_uniform(n: int, macro_radius_m: float, seed: int) -> Placement:
     """Sample n positions i.i.d. uniform over the disk of the given radius."""
     _check_number("n", n, _N)
     macro_radius_m = _check_real("macro_radius_m", macro_radius_m, _RADIUS)
-    _check_number("seed", seed, _INDEX)
+    seed = _check_number("seed", seed, _INDEX)
     rng = np.random.default_rng(seed)
     # Uniform over the disk: radius is R*sqrt(u), angle uniform.
     r = macro_radius_m * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
     positions = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return Placement(positions=positions, macro_radius_m=macro_radius_m, seed=seed)
+    positions.setflags(write=False)
+    # fresh and within the disk, so neither copied nor checked again
+    return _checked(Placement, positions=positions, macro_radius_m=macro_radius_m, seed=seed)
 
 
 def _gateway_index(placement: Placement, gateway) -> int:
@@ -222,8 +240,10 @@ def export_topology(placement: Placement, tree: RelayTree) -> dict:
 
 def export_json(placement: Placement, tree: RelayTree) -> str:
     """JSON text of export_topology(placement, tree): the bytes json_text
-    writes for it, formatted from %-templates of the array elements, since
-    json.dumps with an indent runs CPython's pure-Python encoder."""
+    writes for it, from the arrays, since json.dumps with an indent runs
+    CPython's pure-Python encoder.  Positions come from the shortest
+    round-trip kernel _kernels.repr_fields, the other arrays from
+    %-templates of their elements."""
     _check_type("placement", placement, Placement, "a Placement")
     _check_type("tree", tree, RelayTree, "a RelayTree")
     loads = tree.link_load_bps.astype(np.float64, copy=False)
@@ -243,18 +263,17 @@ def export_json(placement: Placement, tree: RelayTree) -> str:
     load_texts = np.array(["    %r" % v for v in bits.view(np.float64).tolist()],
                           dtype=object)
     fields = (
-        ("positions", _array(["    [\n      %r,\n      %r\n    ]"] * n)
-         % tuple(placement.positions.ravel().tolist())),
-        ("gateway_index", json.dumps(int(g))),
-        ("parent", _array(parent_templates) % tuple(parent)),
-        ("link_load_bps", _array(load_texts[inverse].tolist())),
-        ("seed", json.dumps(int(placement.seed))),
-        ("rng", json.dumps(RNG_ALGORITHM)),
+        ("positions", ["[\n", *_positions(placement.positions), "\n  ]"]),
+        ("gateway_index", [json.dumps(int(g))]),
+        ("parent", [_array(parent_templates) % tuple(parent)]),
+        ("link_load_bps", [_array(load_texts[inverse].tolist())]),
+        ("seed", [json.dumps(int(placement.seed))]),
+        ("rng", [json.dumps(RNG_ALGORITHM)]),
     )
     # one join of all the pieces, so that the text is copied once
     pieces = ["{\n"]
-    for key, text in fields:
-        pieces += ("  ", json.dumps(key), ": ", text, ",\n")
+    for key, texts in fields:
+        pieces += ("  ", json.dumps(key), ": ", *texts, ",\n")
     pieces[-1] = "\n}\n"
     return "".join(pieces)
 
@@ -263,3 +282,27 @@ def _array(elements: list) -> str:
     """A JSON array as json_text indents it at the second level, from the
     text of its elements."""
     return "[\n" + ",\n".join(elements) + "\n  ]"
+
+
+# The bytes around a station's two coordinates, at the third and fourth levels
+_STATION = tuple(np.frombuffer(s, dtype=np.uint8)
+                 for s in (b"    [\n      ", b",\n      ", b"\n    ],\n"))
+# Stations written at once: bounds the kernel's scratch memory (about 1 MB)
+_PIECE = 1 << 10
+
+
+def _positions(positions: np.ndarray) -> list:
+    """The elements of the positions array as json_text writes them, in
+    pieces of _PIECE stations: each piece is one byte matrix, a station a
+    row, the separators its constant columns and each coordinate the
+    NUL-padded field of repr_fields, whose NULs one translate deletes."""
+    pieces = []
+    for s in range(0, positions.shape[0], _PIECE):
+        fields = _kernels.repr_fields(positions[s:s + _PIECE])
+        rows, width = fields.shape[0] // 2, fields.shape[1]
+        fields = fields.reshape(rows, 2 * width)
+        head, mid, tail = (np.broadcast_to(sep, (rows, sep.size)) for sep in _STATION)
+        block = np.concatenate((head, fields[:, :width], mid, fields[:, width:], tail), axis=1)
+        pieces.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    pieces[-1] = pieces[-1][:-2]   # no comma after the last station
+    return pieces

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wbackhaul import _kernels
+from wbackhaul import _kernels, topology
 from wbackhaul.scenario import ValidationError
 from wbackhaul.sweep_report import json_text
 from wbackhaul.topology import (
@@ -484,6 +486,14 @@ def _writer_cases():
     n = int(rng.integers(1, 2 * 10**4 + 1))
     yield ("random", place_uniform(n, float(rng.uniform(1.0, 1e4)), seed=int(rng.integers(1000))),
            int(rng.integers(n)), float(rng.uniform(0.0, 1e10)))
+    # subnormal, exponent-form and mixed-form coordinates
+    for radius in (1e-310, 3e-5, 2e16, 1e150):
+        yield f"radius-{radius:g}", place_uniform(300, radius, seed=4), "nearest-to-center", 5.9e8
+    yield ("signed-zero-coordinates",
+           _placement([[0.0, -0.0], [-0.0, 0.0], [0.0, 2.5], [-0.0, 1.0]]), "nearest-to-center", 5.9e8)
+    # the positions are written in pieces of topology._PIECE stations
+    for n in (topology._PIECE - 1, topology._PIECE, topology._PIECE + 1):
+        yield f"piece{n - topology._PIECE:+d}", place_uniform(n, 500.0, seed=n), 3, 5.9e8
 
 
 def _assert_same_text(got, want):
@@ -531,6 +541,63 @@ def test_export_json_rejects_a_non_finite_load_as_json_text_does(bad):
     with pytest.raises(ValidationError) as got:
         export_json(placement, tree)
     assert str(got.value) == str(want.value)
+
+
+def _repr_texts(x):
+    """The texts of repr_fields' rows, with their NULs deleted."""
+    fields = _kernels.repr_fields(x)
+    rows = np.concatenate((fields, np.full((fields.shape[0], 1), ord("\n"), np.uint8)), axis=1)
+    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _assert_reprs(x):
+    x = np.asarray(x, dtype=np.float64)
+    got, want = _repr_texts(x), [repr(v) for v in x.tolist()]
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def _finite(bits):
+    return bits[(bits >> 52 & 0x7FF) != 0x7FF].view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+def test_repr_fields_equal_repr_on_finite_bit_patterns(patterns):
+    x = _finite(np.array(patterns, dtype=np.uint64))
+    if x.size:
+        _assert_reprs(x)
+
+
+def test_repr_fields_equal_repr_on_a_million_random_bit_patterns():
+    _assert_reprs(_finite(np.random.default_rng(26).integers(0, 2**64, 10**6, dtype=np.uint64)))
+
+
+def _edge_floats():
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        above = np.nextafter(powers, np.inf)
+    integers = ([float(2**53 + 2 * i) for i in range(1, 40)]
+                + [float(2**e + 2**(e - 52) * i) for e in range(53, 90) for i in (1, 3, 7)])
+    edges = np.concatenate((
+        [0.0, 1e-322], np.nextafter(0.0, 1.0) * np.arange(1, 30),   # 5e-324, 1e-323, ...
+        [2.2250738585072014e-308, 2.225073858507201e-308],
+        powers, above[np.isfinite(above)], np.nextafter(powers, 0.0),
+        [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1.7976931348623157e308],
+        integers,
+    ), axis=None)
+    return np.concatenate((edges, -edges))
+
+
+def test_repr_fields_equal_repr_on_the_edges_of_each_form():
+    _assert_reprs(_edge_floats())
+
+
+def test_repr_fields_take_any_shape_and_non_finite_values():
+    x = np.array([[1.5, -2.0], [3e-5, 7e22], [np.inf, -np.nan]])
+    assert _repr_texts(x) == [repr(v) for v in x.ravel().tolist()]
+    assert _repr_texts(x.T) == [repr(v) for v in x.T.ravel().tolist()]
 
 
 def _export_per_element(placement, tree):
@@ -691,6 +758,40 @@ def test_numpy_floats_act_as_python_floats():
     tree = build_relay_tree(b)
     assert np.array_equal(link_loads(tree, np.float32(2.5)).link_load_bps,
                           link_loads(tree, 2.5).link_load_bps)
+
+
+def test_placement_keeps_a_copy_that_no_view_of_the_callers_array_changes():
+    base = place_uniform(50, 500.0, seed=2).positions.copy()
+    view = base[:]
+    pl = Placement(base, 500.0, 0)
+    assert base.flags.writeable and not pl.positions.flags.writeable
+    view[17, 1] = float("nan")   # after the check: the placement keeps its own copy
+    want = build_relay_tree(place_uniform(50, 500.0, seed=2))
+    assert np.array_equal(build_relay_tree(pl).parent, want.parent)
+
+
+def test_relay_tree_keeps_copies_that_no_view_of_the_callers_arrays_changes():
+    parent, loads = np.array([-1, 0, 1, 2]), np.zeros(4)
+    tree = RelayTree(0, parent[:], loads[:])
+    assert parent.flags.writeable and not tree.parent.flags.writeable
+    parent[1:] = [2, 3, 1]   # a cycle, after the check
+    loads[:] = float("nan")
+    assert link_loads(tree, 1.0).link_load_bps.tolist() == [0.0, 3.0, 2.0, 1.0]
+    assert tree.link_load_bps.tolist() == [0.0] * 4
+
+
+def test_placement_keeps_the_plain_numbers_it_checked():
+    for pl in (Placement(np.zeros((2, 2)), np.float64(500.0), np.int64(3)),
+               place_uniform(np.int64(2), np.float64(500.0), np.int64(3))):
+        assert (type(pl.macro_radius_m), type(pl.seed)) == (float, int)
+
+
+def test_records_compare_and_hash_by_identity():
+    pl = place_uniform(10, 500.0, seed=1)
+    tree = build_relay_tree(pl)
+    assert pl == pl and pl != place_uniform(10, 500.0, seed=1)
+    assert tree == tree and tree != build_relay_tree(pl)
+    assert len({pl, pl, tree, tree}) == 2
 
 
 def test_gateway_takes_numpy_integers():
