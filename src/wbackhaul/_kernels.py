@@ -258,24 +258,35 @@ _M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
 
 
 def _pow10_table() -> np.ndarray:
-    rows = []
+    table = np.empty((5, _K_MAX - _K_MIN + 1), dtype=np.uint64)
     for k in range(_K_MIN, _K_MAX + 1):
         r = (-k * 913124641741 >> 38) - 125
         g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
         g1, g0 = g >> 63, g & _M63
-        rows.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
-    return np.array(rows, dtype=np.uint64).T.copy()
+        table[:, k - _K_MIN] = (g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
+    return table
 
 
 _G = _pow10_table()
-_POW10 = 10 ** np.arange(19, dtype=np.uint64)
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
-# _BELOW[v]: 0xFF in the first v of 17 columns
-_BELOW = np.tril(np.full((18, 17), 0xFF, dtype=np.uint8), -1)
-# repr_fields' fixed bytes by sign + 2 middle + 12 zero + 24 exponent sign: the
-# sign, 16 digits before the point, the middle, 17 after it, "0", "e+" or "e-"
+# The tables below are built without a ufunc call: the first ufunc call sets up
+# state that stays resident, and an import should not be the one to pay it
+_POW10 = np.array([10 ** i for i in range(19)], dtype=np.uint64)
+# _QUADS[i]: the four ASCII digits of i < 10^4, as one little-endian word
+_PAIRS = np.frombuffer(b"%02d" * 100 % tuple(range(100)), dtype=np.uint8).reshape(100, 2)
+_QUADS = np.empty((100, 100, 4), dtype=np.uint8)
+_QUADS[:, :, :2], _QUADS[:, :, 2:] = _PAIRS[:, None], _PAIRS
+_QUADS = _QUADS.view("<u4").reshape(-1)
+# _MASKS[18 b + l]: 0xFF in the digit columns of a repr_fields row that shows b
+# digits before the point and l >= b in all: 2 to 2 + b and 22 + b to 22 + l
+_MASKS = np.frombuffer(b"".join(
+    bytes(2) + b"\xff" * b + bytes(20) + b"\xff" * (max(l, b) - b) + bytes(18 - max(l, b))
+    for b in range(18) for l in range(18)), dtype=np.uint8).reshape(-1, 40)
+# repr_fields' fixed bytes, by sign + 2 middle + 12 zero + 24 exponent sign: the
+# sign, the "0" of "0.", 16 digits before the point, "." and up to three zeros,
+# 17 digits after it, the "0" of "1.0", and "e+" or "e-"
 _FIELDS = np.frombuffer("".join(
-    (sign + "\0" * 16 + middle.ljust(5, "\0") + "\0" * 17 + zero + form).ljust(45, "\0")
+    (sign + middle[0] + "\0" * 16 + middle[1:].ljust(4, "\0") + "\0" * 17 + zero
+     + form).ljust(45, "\0")
     for form, zero, middle, sign in itertools.product(
         ("", "e+", "e-"), "\0" "0", ("\0", "\0.", "0.", "0.0", "0.00", "0.000"), "\0-")
 ).encode(), dtype=np.uint8).reshape(-1, 45)
@@ -325,52 +336,53 @@ def _shortest(bits: np.ndarray):
 
 
 def repr_fields(x: np.ndarray) -> np.ndarray:
-    """(x.size, 45) uint8: row i holds the ASCII text of repr(float(x.flat[i])),
-    with NUL bytes in its gaps, so that deleting the NULs of the rows
-    (bytes.translate(None, b"\\0")) gives the texts one after another.
+    """(x.size, 40 or 45) uint8: row i holds the ASCII text of
+    repr(float(x.flat[i])) with NUL bytes in its gaps, so that deleting the
+    NULs of the rows (bytes.translate(None, b"\\0")) gives the texts one
+    after another.
 
     The digits are the shortest that read back as the float (_shortest), laid
     out as repr lays them out: positional when the decimal point falls after
-    digit p in (-4, 16], else d.ddde+XX.  The columns are the sign, the
-    digits before the point, "0.000" or ".", the digits after it, "0" (of
-    "1.0") and the exponent.  Zeros, subnormals and non-finite values take
-    their text from repr: Schubfach's two-digit rule for the smallest
-    subnormals gives 4.9e-324 where repr gives 5e-324.
+    digit p in (-4, 16], else d.ddde+XX.  Each column holds one part or is
+    NUL: the sign, the "0" of "0.", the 16 digits before the point, the point
+    and the zeros after it, 17 digits after them, the "0" of "1.0", and the
+    exponent, whose 5 columns are left out unless some element needs them.
+    Zeros, subnormals and non-finite values take their text from repr:
+    Schubfach's two-digit rule for the smallest subnormals gives 4.9e-324
+    where repr gives 5e-324.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     bits, m = x.view(np.uint64), x.shape[0]
     d, k = _shortest(bits)
-    # strip trailing zeros where there are any, in halving steps
-    i = np.flatnonzero(d - d // 10 * 10 == 0)
-    if i.size:
-        di, ki = d[i], k[i]
-        for p in (16, 8, 4, 2, 1):
-            step = di // _POW10[p]
-            zero = step * _POW10[p] == di
-            di, ki = np.where(zero, step, di), ki + p * zero
-        d[i], k[i] = di, ki
+    # strip trailing zeros, a digit a pass, from the values that still end in one
+    i = np.flatnonzero(d % 10 == 0)
+    while i.size:
+        d[i] //= 10
+        k[i] += 1
+        i = i[d[i] % 10 == 0]
     n = np.searchsorted(_POW10, d, side="right")   # digits
     point = k + n                                   # the value is 0.ddd 10^point
-    # the digits left-aligned in 18, as ASCII pairs, from two halves of 10 digits
+    # the digits left-aligned in 18, in groups of four from the right
     rest = d * _POW10[18 - n]
-    rest = np.stack((rest // 10 ** 10, rest - rest // 10 ** 10 * 10 ** 10))
-    pairs = np.empty((m, 2, 5), dtype=np.intp)
-    for j in range(4, -1, -1):
-        step = rest // 100
-        pairs[:, :, j] = (rest - step * 100).T
+    quads = np.empty((m, 5), dtype=np.intp)
+    for j in range(4, 0, -1):
+        step = rest // 10000
+        quads[:, j] = rest - step * 10000
         rest = step
-    digits = _PAIRS.take(pairs.reshape(m, 10)).view(np.uint8)[:, 2:]
+    quads[:, 0] = rest
     fixed = (point > -4) & (point <= 16)
+    wide = not fixed.all()
     middle = np.where(fixed & (point <= 0), 2 - point, fixed | (n > 1))
     form = np.where(fixed, 0, 1 + (point <= 0))
-    out = _FIELDS.take((bits >> 63).astype(np.intp) + 2 * middle + 12 * (fixed & (point >= n))
-                       + 24 * form, axis=0)
-    before = np.where(fixed, np.maximum(point, 0), 1)   # digits before the point
-    mask = _BELOW.take(before, axis=0)
-    np.bitwise_and(digits[:, :16], mask[:, :16], out=out[:, 1:17])
-    mask ^= _BELOW.take(np.maximum(n, before * fixed), axis=0)
-    np.bitwise_and(digits[:, :17], mask, out=out[:, 22:39])
-    if not fixed.all():
+    out = _FIELDS[:, :45 if wide else 40].take(
+        (bits >> 63).astype(np.intp) + 2 * middle + 12 * (fixed & (point >= n)) + 24 * form,
+        axis=0)
+    # the digits twice, masked to those before the point and those after it
+    before = np.where(fixed, np.maximum(point, 0), 1)
+    mask = _MASKS.take(18 * before + np.maximum(n, before * fixed), axis=0)
+    mask &= _QUADS.take(np.broadcast_to(quads[:, None], (m, 2, 5))).view(np.uint8).reshape(m, 40)
+    out[:, :40] |= mask
+    if wide:
         e = np.abs(point - 1)
         out[:, 42:45] = np.column_stack(((e >= 100) * (e // 100 + 48), e // 10 % 10 + 48,
                                          e % 10 + 48))

@@ -287,8 +287,8 @@ def _array(elements: list) -> str:
 # The bytes around a station's two coordinates, at the third and fourth levels
 _STATION = tuple(np.frombuffer(s, dtype=np.uint8)
                  for s in (b"    [\n      ", b",\n      ", b"\n    ],\n"))
-# Stations written at once: bounds the kernel's scratch memory (about 1 MB)
-_PIECE = 1 << 10
+# Stations written at once: bounds the kernel's scratch memory, about 1.8 MB
+_PIECE = 1 << 11
 
 
 def _positions(positions: np.ndarray) -> list:

@@ -489,8 +489,8 @@ def _writer_cases():
     # subnormal, exponent-form and mixed-form coordinates
     for radius in (1e-310, 3e-5, 2e16, 1e150):
         yield f"radius-{radius:g}", place_uniform(300, radius, seed=4), "nearest-to-center", 5.9e8
-    yield ("signed-zero-coordinates",
-           _placement([[0.0, -0.0], [-0.0, 0.0], [0.0, 2.5], [-0.0, 1.0]]), "nearest-to-center", 5.9e8)
+    signed_zeros = [[0.0, -0.0], [-0.0, 0.0], [0.0, 2.5], [-0.0, 1.0]]
+    yield "signed-zero-coordinates", _placement(signed_zeros), "nearest-to-center", 5.9e8
     # the positions are written in pieces of topology._PIECE stations
     for n in (topology._PIECE - 1, topology._PIECE, topology._PIECE + 1):
         yield f"piece{n - topology._PIECE:+d}", place_uniform(n, 500.0, seed=n), 3, 5.9e8
