@@ -5,8 +5,9 @@ Every type is a frozen dataclass and safe to share between threads.
 An input record's fields are its JSON keys, and each field carries the
 rule that checks its value, reads it from a document and writes it back.
 A record's one check is its __post_init__, run by its constructor and by
-the reader alike.  serialize_scenario writes exactly the bytes of
-json.dumps(scenario_to_dict(cfg), indent=2).  Text that is not JSON, or
+the reader alike.  One walk over the records, _text, writes a config as
+the bytes json.dumps(indent=2) gives for its document, and
+scenario_to_dict parses that text.  Text that is not JSON, or
 holds an integer literal longer than the interpreter converts, is a
 ParseError.
 """
@@ -91,7 +92,7 @@ def _record(cls):
     cls = dataclass(frozen=True)(cls)
     # _rules: {field: rule} in declaration order;
     # _fields: (field, record rule or None, default, a union's {class: tag}
-    #   or None) in declaration order, for the reader and the writers;
+    #   or None) in declaration order, for the reader and the writer;
     # _records: (field, types, message);
     # _numbers: (field, the rule's types as a tuple, low, high, number rule);
     # _keys_with_type: a union member's JSON keys.
@@ -401,25 +402,12 @@ def _read(kind, obj, prefix: str, defaults=None):
     return record
 
 
-def _write(record, tag=None) -> dict:
-    """JSON object of a record: its "type" tag if it is a tagged union member,
-    then its fields in declaration order, leaving out a None record."""
-    doc = {} if tag is None else {"type": tag}
-    values = record.__dict__
-    for key, nested, _, tags in record._fields:
-        value = values[key]
-        if nested is None:
-            doc[key] = value
-        elif value is not None:
-            doc[key] = _write(value, tags and tags[type(value)])
-    return doc
-
-
 def _text(record, tag, pad: str) -> str:
-    """The text json.dumps(_write(record, tag), indent=2) gives, for an
-    object whose fields are indented by pad (a newline and spaces).  Every
-    number field holds a checked Python int or float, finite, whose repr
-    is its JSON text."""
+    """JSON text of a record, as json.dumps(indent=2) writes an object whose
+    fields are indented by pad (a newline and spaces): its "type" tag if it
+    is a tagged union member, then its fields in declaration order, leaving
+    out a None record.  Every number field holds a checked Python int or
+    float, finite, whose repr is its JSON text."""
     inner = pad + "  "
     items = [] if tag is None else ['"type": "%s"' % tag]
     values = record.__dict__
@@ -457,13 +445,12 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """The JSON document of a config; serialize_scenario writes it as text."""
-    _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
-    return _write(cfg)
+    """The JSON document of a config: serialize_scenario's text, parsed."""
+    return json.loads(serialize_scenario(cfg))
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
-    """Serialize to JSON text, exactly the bytes of
-    json.dumps(scenario_to_dict(cfg), indent=2); load_scenario() round-trips it."""
+    """Serialize to JSON text, the bytes json.dumps(indent=2) writes for the
+    config's document; load_scenario() round-trips it."""
     _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
     return _text(cfg, None, "\n")

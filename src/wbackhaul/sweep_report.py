@@ -199,9 +199,9 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
 def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     """The grid's shape and one array per output column, in the order of
     the CSV header, with a dimension per axis, each the axis's length or 1:
-    an axis's values, as they are, lie along its own dimension, and a value
-    column has length 1 where it does not depend on the axis, as
-    _grid_columns computes it.
+    an axis's values, as the plain Python numbers _numbers checked them to
+    be, lie along its own dimension, and a value column has length 1 where
+    it does not depend on the axis, as _grid_columns computes it.
 
     Each axis is checked once, as one column where it can be (see
     _numbers), and the whole grid is evaluated at once, bit for bit as
@@ -234,7 +234,7 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
             bad = min(bad, int(np.ravel_multi_index(np.unravel_index(ok.argmin(), good), shape)))
     if bad < size:
         _raise_point_error(grid, np.unravel_index(bad, shape))
-    points = [_along(values, place, len(shape)) for place, (_, values) in enumerate(grid.axes)]
+    points = [_along(values, place, len(shape)) for place, values in enumerate(numbers)]
     return shape, points + [np.array(c, ndmin=len(shape)) for c in columns]
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import _kernels
 from .scenario import ValidationError, _check_number, _check_type, _checked, _with_checked
-from .sweep_report import json_text
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
@@ -93,8 +92,10 @@ class RelayTree:
     gateway itself); link_load_bps[i] is the traffic on the edge
     i -> parent[i] (0 until link_loads() fills it, and 0 for the gateway).
     A hand-built tree must be one: each parent -1 or a node index, the
-    gateway the only root, and every node's parent chain ending there.  It
-    keeps read-only copies of the arrays given, checked after copying.
+    gateway the only root, and every node's parent chain ending there; its
+    loads must be finite.  It keeps read-only copies of the arrays given,
+    the loads as float64, checked after copying, and the gateway index as
+    the plain int it equals.
     """
 
     gateway_index: int
@@ -110,18 +111,21 @@ class RelayTree:
         if not (isinstance(loads, np.ndarray) and loads.dtype.kind == "f"
                 and loads.shape == (n,)):
             raise ValidationError(f"link_load_bps: must be a float ndarray of length {n}")
-        parent, loads = parent.copy(), loads.copy()
+        parent, loads = parent.copy(), loads.astype(np.float64)
+        if not np.isfinite(loads).all():
+            raise ValidationError("link_load_bps: must hold finite numbers")
+        g = _check_number("gateway_index", self.gateway_index,
+                          ((int, np.integer), 0, n - 1, f"must be an integer in [0, {n})"))
+        object.__setattr__(self, "gateway_index", g)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "link_load_bps", loads)
-        _check_number("gateway_index", self.gateway_index,
-                      ((int, np.integer), 0, n - 1, f"must be an integer in [0, {n})"))
         if (((parent < -1) | (parent >= n)).any()
-                or np.flatnonzero(parent == -1).tolist() != [self.gateway_index]):
+                or np.flatnonzero(parent == -1).tolist() != [g]):
             raise ValidationError(f"parent: must hold node indices in [0, {n}), and -1 "
-                                  f"for the gateway {self.gateway_index} alone")
+                                  f"for the gateway {g} alone")
         # the gateway is the only root, so it lies on no cycle, and its subtree
         # counts exactly the nodes whose parent chain ends there
-        if _kernels.subtree_sizes(parent)[self.gateway_index] != n:
+        if _kernels.subtree_sizes(parent)[g] != n:
             raise ValidationError("parent: has a cycle, so some nodes never reach the gateway")
         parent.setflags(write=False)
         loads.setflags(write=False)
@@ -220,38 +224,38 @@ def gateway_ingress_bps(tree: RelayTree) -> float:
     return float(tree.link_load_bps[tree.parent == tree.gateway_index].sum())
 
 
-def export_topology(placement: Placement, tree: RelayTree) -> dict:
-    """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
+def _check_export(placement: Placement, tree: RelayTree):
+    """A ValidationError unless placement is a Placement and tree a RelayTree
+    of as many nodes."""
     _check_type("placement", placement, Placement, "a Placement")
     _check_type("tree", tree, RelayTree, "a RelayTree")
     if tree.n != placement.n:
         raise ValidationError(f"tree: has {tree.n} nodes, the placement {placement.n}")
+
+
+def export_topology(placement: Placement, tree: RelayTree) -> dict:
+    """JSON-ready dict: positions, gateway_index, parent, link_load_bps, seed."""
+    _check_export(placement, tree)
     parent = tree.parent.tolist()
     parent[tree.gateway_index] = None   # the one -1 a RelayTree holds
     return {
         "positions": placement.positions.tolist(),
-        "gateway_index": int(tree.gateway_index),
+        "gateway_index": tree.gateway_index,
         "parent": parent,
-        "link_load_bps": tree.link_load_bps.astype(np.float64, copy=False).tolist(),
-        "seed": int(placement.seed),
+        "link_load_bps": tree.link_load_bps.tolist(),
+        "seed": placement.seed,
         "rng": RNG_ALGORITHM,
     }
 
 
 def export_json(placement: Placement, tree: RelayTree) -> str:
-    """JSON text of export_topology(placement, tree): the bytes json_text
-    writes for it, from the arrays, since json.dumps with an indent runs
-    CPython's pure-Python encoder.  Positions come from the shortest
-    round-trip kernel _kernels.repr_fields, the other arrays from
-    %-templates of their elements."""
-    _check_type("placement", placement, Placement, "a Placement")
-    _check_type("tree", tree, RelayTree, "a RelayTree")
-    loads = tree.link_load_bps.astype(np.float64, copy=False)
-    # positions are finite by the Placement bounds; a hand-built tree's loads may
-    # not be, nor need its size be the placement's: export_topology or json_text
-    # raises the error
-    if tree.n != placement.n or not np.isfinite(loads).all():
-        return json_text(export_topology(placement, tree))
+    """JSON text of export_topology(placement, tree), written from the arrays:
+    the bytes json.dumps(indent=2) gives for that dict, and a final newline,
+    since json.dumps with an indent runs CPython's pure-Python encoder.  Every
+    number is finite, by the Placement and RelayTree checks.  Positions come
+    from the shortest round-trip kernel _kernels.repr_fields, the other arrays
+    from %-templates of their elements."""
+    _check_export(placement, tree)
     n, g = tree.n, tree.gateway_index   # n >= 1: no array is the empty one, written []
     parent = tree.parent.tolist()
     del parent[g]
@@ -259,15 +263,15 @@ def export_json(placement: Placement, tree: RelayTree) -> str:
     parent_templates[g] = "    null"
     # a tree's loads are subtree sizes times one rate, so few are distinct: each
     # is formatted once, keyed by its bits so that 0.0 and -0.0 stay apart
-    bits, inverse = np.unique(loads.view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(tree.link_load_bps.view(np.int64), return_inverse=True)
     load_texts = np.array(["    %r" % v for v in bits.view(np.float64).tolist()],
                           dtype=object)
     fields = (
         ("positions", ["[\n", *_positions(placement.positions), "\n  ]"]),
-        ("gateway_index", [json.dumps(int(g))]),
+        ("gateway_index", [json.dumps(g)]),
         ("parent", [_array(parent_templates) % tuple(parent)]),
         ("link_load_bps", [_array(load_texts[inverse].tolist())]),
-        ("seed", [json.dumps(int(placement.seed))]),
+        ("seed", [json.dumps(placement.seed)]),
         ("rng", [json.dumps(RNG_ALGORITHM)]),
     )
     # one join of all the pieces, so that the text is copied once
@@ -279,8 +283,8 @@ def export_json(placement: Placement, tree: RelayTree) -> str:
 
 
 def _array(elements: list) -> str:
-    """A JSON array as json_text indents it at the second level, from the
-    text of its elements."""
+    """A JSON array as json.dumps(indent=2) indents it at the second level,
+    from the text of its elements."""
     return "[\n" + ",\n".join(elements) + "\n  ]"
 
 
@@ -292,7 +296,7 @@ _PIECE = 1 << 11
 
 
 def _positions(positions: np.ndarray) -> list:
-    """The elements of the positions array as json_text writes them, in
+    """The elements of the positions array as json.dumps(indent=2) writes them, in
     pieces of _PIECE stations: each piece is one byte matrix, a station a
     row, the separators its constant columns and each coordinate the
     NUL-padded field of repr_fields, whose NULs one translate deletes."""

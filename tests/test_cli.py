@@ -53,6 +53,14 @@ def test_eval_human_summary(central_cfg, capsys):
     assert "backhaul throughput: 0 bit/s (" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value,text", [
+    (1e-9, "1 nbit/s/J"), (5e-10, "5e-10 bit/s/J"), (-5e-10, "-5e-10 bit/s/J"),
+    (1e-300, "1e-300 bit/s/J"),
+])
+def test_a_value_below_the_smallest_prefix_prints_without_one(value, text):
+    assert wbackhaul.cli._eng(value, "bit/s/J") == text
+
+
 def test_eval_stdout_machine_values_exact(central_cfg, capsys):
     assert main(["eval", "--config", str(central_cfg), "--stdout"]) == 0
     doc = json.loads(capsys.readouterr().out)

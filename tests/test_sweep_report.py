@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import math
@@ -763,6 +764,44 @@ def test_sweep_text_bytes_equal_the_plain_row_writers(grid):
     rows = run_sweep(grid)
     assert sweep_text(grid, "csv") == _csv_oracle(grid, rows)
     assert sweep_text(grid, "json") == _json_oracle(grid, rows)
+
+
+class _Count(enum.IntEnum):
+    A = 3
+    B = 5
+
+
+class _Alpha(float):
+    def __repr__(self):
+        return f"_Alpha({float(self)!r})"
+
+
+# axis values of int and float subclasses, and the plain numbers they equal
+_SUBCLASS_AXES = (("n_small", (_Count.A, _Count.B)), ("alpha", (_Alpha(3.0), 3.1)))
+_PLAIN_AXES = (("n_small", (3, 5)), ("alpha", (3.0, 3.1)))
+
+
+def test_sweep_json_of_an_int_enum_count_holds_plain_ints():
+    grid = SweepGrid(CENTRAL, _SUBCLASS_AXES[:1] + _PLAIN_AXES[1:])
+    text = sweep_text(grid, "json")
+    assert text == sweep_text(SweepGrid(CENTRAL, _PLAIN_AXES), "json")
+    assert [row["n_small"] for row in json.loads(text)] == [3, 3, 5, 5]
+
+
+def test_sweep_rows_of_an_int_enum_count_hold_plain_ints():
+    rows = run_sweep(SweepGrid(CENTRAL, _SUBCLASS_AXES[:1]))
+    assert rows == run_sweep(SweepGrid(CENTRAL, _PLAIN_AXES[:1]))
+    assert [type(row[0]) for row in rows] == [int, int]
+
+
+def test_sweep_rows_and_text_of_a_float_subclass_hold_plain_floats():
+    grid = SweepGrid(CENTRAL, _PLAIN_AXES[:1] + _SUBCLASS_AXES[1:])
+    plain = SweepGrid(CENTRAL, _PLAIN_AXES)
+    rows = run_sweep(grid)
+    assert [tuple(map(type, row[:2])) for row in rows] == [(int, float)] * 4
+    assert rows == run_sweep(plain)
+    assert [sweep_text(grid, fmt) for fmt in ("csv", "json")] \
+        == [sweep_text(plain, fmt) for fmt in ("csv", "json")]
 
 
 @settings(max_examples=100, deadline=None)

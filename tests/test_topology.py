@@ -532,15 +532,26 @@ def test_export_json_writes_hand_built_loads_as_json_text_does(name, loads):
 
 
 @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
-def test_export_json_rejects_a_non_finite_load_as_json_text_does(bad):
-    placement = place_uniform(4, 500.0, seed=0)
-    loads = np.array([0.0, 1.0, bad, 2.0])
-    tree = RelayTree(0, np.array([-1, 0, 0, 1]), loads)
-    with pytest.raises(ValidationError) as want:
-        json_text(export_topology(placement, tree))
-    with pytest.raises(ValidationError) as got:
-        export_json(placement, tree)
-    assert str(got.value) == str(want.value)
+def test_relay_tree_rejects_a_non_finite_load(bad):
+    # so no tree reaches gateway_ingress_bps or a writer with a load JSON cannot hold
+    with pytest.raises(ValidationError, match="^link_load_bps: "):
+        RelayTree(0, np.array([-1, 0, 0, 1]), np.array([0.0, 1.0, bad, 2.0]))
+
+
+def test_both_writers_raise_the_same_size_error():
+    placement, tree = place_uniform(3, 500.0, 0), build_relay_tree(place_uniform(5, 500.0, 0))
+    errors = []
+    for write in (export_topology, export_json):
+        with pytest.raises(ValidationError, match="^tree: ") as info:
+            write(placement, tree)
+        errors.append(str(info.value))
+    assert errors == ["tree: has 5 nodes, the placement 3"] * 2
+
+
+def test_relay_tree_keeps_a_plain_gateway_index_and_float64_loads():
+    tree = RelayTree(np.int64(1), np.array([1, -1]), np.array([2.5, 0.0], dtype=np.float32))
+    assert type(tree.gateway_index) is int and tree.gateway_index == 1
+    assert tree.link_load_bps.dtype == np.float64 and tree.link_load_bps.tolist() == [2.5, 0.0]
 
 
 def _repr_texts(x):
