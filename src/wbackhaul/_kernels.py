@@ -1,4 +1,4 @@
-"""Hot numeric kernels for relay-tree construction.
+"""Hot numeric kernels: relay-tree construction and float-to-text.
 
 parent_ranks answers, for every node, "nearest node closer to the
 gateway" with an exact fixed-radius cell search (Bentley, Stanat and
@@ -44,7 +44,12 @@ float-to-string conversion", PLDI 2018), needs no bignums: a table of 617
 126-bit powers of ten, built once from Python ints, and for each float
 three 64 x 126-bit products, assembled from 32-bit halves in uint64.  The
 rows lay the digits out as repr does, in fixed columns with NUL bytes in
-the gaps, which one bytes.translate deletes.
+the gaps, which one bytes.translate deletes.  e17_fields gives the text of
+"%.17e" the same way: its 18 digits, correctly rounded, are the
+fixed-precision case of Ryu (Adams, "Ryu revisited: printf floating point
+conversion", OOPSLA 2019), from one 53 x 126-bit product with the same
+table.  rows_text lays out the rows of a table, constant separators and
+such fields, as byte matrices, for the topology and sweep writers.
 """
 from __future__ import annotations
 
@@ -335,6 +340,18 @@ def _shortest(bits: np.ndarray):
     return np.where(upin != wpin, s10 + wpin, d), k + (upin != wpin)
 
 
+def _quads(d: np.ndarray) -> np.ndarray:
+    """(d.size, 5) intp: the 18-digit numbers d < 10^18 in groups of four
+    digits from the right, the indices of their _QUADS words."""
+    quads = np.empty((d.shape[0], 5), dtype=np.intp)
+    for j in range(4, 0, -1):
+        step = d // 10000
+        quads[:, j] = d - step * 10000
+        d = step
+    quads[:, 0] = d
+    return quads
+
+
 def repr_fields(x: np.ndarray) -> np.ndarray:
     """(x.size, 40 or 45) uint8: row i holds the ASCII text of
     repr(float(x.flat[i])) with NUL bytes in its gaps, so that deleting the
@@ -362,14 +379,7 @@ def repr_fields(x: np.ndarray) -> np.ndarray:
         i = i[d[i] % 10 == 0]
     n = np.searchsorted(_POW10, d, side="right")   # digits
     point = k + n                                   # the value is 0.ddd 10^point
-    # the digits left-aligned in 18, in groups of four from the right
-    rest = d * _POW10[18 - n]
-    quads = np.empty((m, 5), dtype=np.intp)
-    for j in range(4, 0, -1):
-        step = rest // 10000
-        quads[:, j] = rest - step * 10000
-        rest = step
-    quads[:, 0] = rest
+    quads = _quads(d * _POW10[18 - n])   # the digits left-aligned in 18
     fixed = (point > -4) & (point <= 16)
     wide = not fixed.all()
     middle = np.where(fixed & (point <= 0), 2 - point, fixed | (n > 1))
@@ -392,6 +402,96 @@ def repr_fields(x: np.ndarray) -> np.ndarray:
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
+
+
+def e17_fields(x: np.ndarray) -> np.ndarray:
+    """(x.size, 24 or 25) uint8: row i holds the ASCII text of
+    "%.17e" % float(x.flat[i]) with NUL bytes in its gaps, as in repr_fields.
+
+    The 18 digits are x's, correctly rounded: the fixed-precision case of Ryu
+    (Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019),
+    on repr_fields' table.  A normal x = c 2^q lies in [10^e0, 2 10^(e0+1)) for
+    e0 = floor((q + 52) log10 2), and one 53 x 126-bit product c g, with g
+    the table's 10^-k for k = e0 - 17, gives V = x 10^-k in [10^17, 2 10^18)
+    as a 64-bit integer part and 64 bits of fraction, within 2^-64 of V.
+    V's integer part is the digits, or holds one more, which goes into the
+    remainder; a remainder clearly above or below half rounds up or down.
+    The rows lay the text out in fixed columns: the sign, a digit, the
+    point, 17 digits, "e", the exponent's sign and its 2 digits, or 3 in
+    every row when some element needs them.  Zeros, subnormals, non-finite
+    values, the smallest normals (beyond the table) and the elements within
+    the error bound of half, exact ties among them, take their text from
+    Python's "%.17e".
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    bits, m = x.view(np.uint64), x.shape[0]
+    be = (bits >> 52).astype(np.int64) & 0x7FF
+    q = be - 1075
+    e0 = (q + 52) * 661971961083 >> 41   # floor((q + 52) log10 2)
+    k = np.maximum(e0 - 17, _K_MIN)
+    c = bits & ((1 << 52) - 1) | (1 << 52)
+    g1, g1a, g1b, g0a, g0b = _G.take(k - _K_MIN, axis=1)
+    ca, cb = c >> 32, c & _M32
+    # c g = (c g1) 2^63 + c g0 = V 2^(64 + 63 - t), t = q + r + 127 in [6, 9]
+    t = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    lo1, lo0 = g1 * c, ((g0a << 32) | g0b) * c
+    low = lo1 << t
+    frac = low + ((_mulhi(g0a, g0b, ca, cb) << t + 1) | lo0 >> 63 - t)
+    whole = (_mulhi(g1a, g1b, ca, cb) << t | lo1 >> 64 - t) + (frac < low)
+    # 18 digits in whole, or 19 with the last one in the remainder; the rounding
+    # is clear when whole.frac lies more than 8 / 2^64 from half a unit
+    big = whole >= _POW10[18]
+    d = np.where(big, whole // 10, whole)
+    rem = whole - d * 10
+    up = np.where(big, (rem > 5) | (rem == 5) & (frac >= 8), frac >= (1 << 63) + 8)
+    down = np.where(big, (rem < 4) | (rem == 4) & (frac <= 2**64 - 8), frac <= (1 << 63) - 8)
+    d += up
+    carry = d == _POW10[18]   # 9.99...95 and up rounds to 10.0: 1.0 at e + 1
+    d[carry] = _POW10[17]
+    e = e0 + big + carry
+    digits = _QUADS.take(_quads(d)).view(np.uint8).reshape(m, 20)   # "00" and the 18
+    ae = np.abs(e)
+    slow = (be == 0) | (be == 0x7FF) | (e0 - 17 < _K_MIN) | ~(up | down)
+    texts = [b"%.17e" % v for v in x[slow].tolist()]
+    wide = (ae[~slow] >= 100).any() or any(len(text) > 24 for text in texts)
+    out = np.empty((m, 24 + wide), dtype=np.uint8)
+    out[:, 0] = (bits >> 63) * ord("-")
+    out[:, 1] = digits[:, 2]
+    out[:, 2] = ord(".")
+    out[:, 3:20] = digits[:, 3:]
+    out[:, 20] = ord("e")
+    out[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    exponent = _QUADS.take(ae).view(np.uint8).reshape(m, 4)   # "0" and 3 digits
+    out[:, 22:] = exponent[:, 1:] if wide else exponent[:, 2:]
+    if wide:
+        out[ae < 100, 22] = 0
+    for i, text in zip(np.flatnonzero(slow).tolist(), texts):
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+# Rows rows_text lays out at once: bounds a writer's scratch memory, about
+# 2 MB for the widest rows
+_PIECE = 1 << 11
+
+
+def rows_text(rows: int, parts) -> list:
+    """The text of a table of rows laid out alike, as a list of pieces of
+    _PIECE rows.  parts(start, stop) gives those of rows start to stop, left
+    to right: bytes, the same in every row, or (stop - start, width) uint8
+    fields with NUL bytes in their gaps, as repr_fields and e17_fields give
+    them.  Each piece is one uint8 matrix, whose NULs one translate deletes.
+    """
+    pieces = []
+    for start in range(0, rows, _PIECE):
+        stop = min(start + _PIECE, rows)
+        block = [p if isinstance(p, np.ndarray) else
+                 np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (stop - start, len(p)))
+                 for p in parts(start, stop)]
+        pieces.append(np.concatenate(block, axis=1).tobytes().translate(None, b"\0")
+                      .decode("ascii"))
+    return pieces
 
 
 def backend() -> str:

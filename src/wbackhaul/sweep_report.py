@@ -12,13 +12,15 @@ and logarithm from libm, element by element, as the scalar kernels do.
 A grid with a bad point ends in the error of the first one in row order,
 which the checks and the columns locate: that one point is built and
 evaluated by efficiency() to raise it.  One writer, sweep_text, turns
-the columns into CSV or JSON text: the bytes of a %d/%.17e template per
-row, or those json_text writes for the rows as objects.  A column with a
-value per row goes through the row template, and a column the grid holds
-once per combination of fewer axes is formatted once per value, so each
-computed value is formatted once.  Only run_sweep and sweep_text import
-numpy, on their first call, so the calibration report and json_text load
-without it.  The presets reproduce the qualitative curves the model is
+the columns into CSV or JSON text: the bytes of %d and %.17e per cell, or
+those json_text writes for the rows as objects.  It lays the rows out as
+byte matrices, each float cell the field of a numpy kernel (_kernels:
+e17_fields for %.17e, repr_fields for JSON), with no Python call per
+float cell.  A column with a value per row is formatted piece by piece,
+and a column the grid holds once per combination of fewer axes once per
+value, so each computed value is formatted once.  Only run_sweep and
+sweep_text import numpy and _kernels, on their first call, so the
+calibration report and json_text load without them.  The presets reproduce the qualitative curves the model is
 known for: throughput vs. cell count, efficiency vs. cell count per
 band, and efficiency vs. path loss exponent per small-cell radius.
 """
@@ -446,30 +448,59 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
     line endings.  JSON: the bytes json_text writes for the rows as an array
     of objects, a count as an integer and every other number as a float.
 
-    A column with one value per row goes into the row template; a shorter
-    one is formatted once per value, and its strings are spread to the grid.
+    The rows are laid out as byte matrices by _kernels.rows_text: the
+    separators are constant columns and each cell the NUL-padded field of a
+    kernel, e17_fields for a CSV float and repr_fields for a JSON one, so
+    no float cell makes a Python call.  A float column with a value per row
+    is formatted piece by piece.  A shorter one, and a count column, whose
+    cells keep %d, are formatted once per value, and each row gathers its
+    field by a broadcast index.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")
     import numpy as np
+    from . import _kernels
 
     shape, columns = _sweep_columns(grid)
     names = grid.axis_names + VALUE_COLUMNS
-    size, cells, fields = math.prod(shape), [], []
+    size = math.prod(shape)
+    kernel = _kernels.e17_fields if fmt == "csv" else _kernels.repr_fields
+    # per column: its float64 values, one per row, or its fields, one per
+    # value, and the index of each row's field
+    cells = []
     for name, column in zip(names, columns):
-        count = name in AXES and AXES[name].arch is not None   # a station-count axis
-        if fmt == "json" and not count:
-            column = column.astype(float)   # an int on a float axis is written 2.0
-        cell = "%r" if fmt == "json" else "%d" if count else "%.17e"
-        if column.size < size:
-            column, cell = np.frompyfunc(cell.__mod__, 1, 1)(column), "%s"
-        cells.append(cell)
-        fields.append(np.broadcast_to(column, shape).ravel().tolist())
+        if name in AXES and AXES[name].arch is not None:   # a station-count axis
+            texts = np.array(["%d" % v for v in column.ravel().tolist()], dtype=bytes)
+            fields = texts.view(np.uint8).reshape(texts.size, -1)
+        elif column.size == size:
+            cells.append(column.astype(float).ravel())
+            continue
+        else:
+            fields = kernel(column.astype(float))   # an int on a float axis is a float
+        cells.append((fields, np.broadcast_to(np.arange(column.size).reshape(column.shape),
+                                              shape)))
+    full = [cell for cell in cells if isinstance(cell, np.ndarray)]
     if fmt == "csv":
-        template = ",".join(cells)
-        return "\n".join([",".join(names)] + [template % row for row in zip(*fields)]) + "\n"
-    template = "  {\n" + ",\n".join(f'    "{n}": {c}' for n, c in zip(names, cells)) + "\n  }"
-    return "[\n" + ",\n".join([template % row for row in zip(*fields)]) + "\n]\n"
+        separators = [b""] + [b","] * (len(names) - 1) + [b"\n"]
+    else:
+        separators = [b'%s    "%s": ' % (b"  {\n" if i == 0 else b",\n", name.encode())
+                      for i, name in enumerate(names)] + [b"\n  },\n"]
+
+    def rows(start, stop):
+        # the float columns with a value per row, through one kernel call
+        values = iter(kernel(np.array([cell[start:stop] for cell in full])).reshape(
+            len(full), stop - start, -1) if full else ())
+        parts = [separators[0]]
+        for cell, separator in zip(cells, separators[1:]):
+            parts += (next(values) if isinstance(cell, np.ndarray)
+                      else cell[0].take(cell[1].flat[start:stop], axis=0), separator)
+        return parts
+
+    pieces = _kernels.rows_text(size, rows)
+    if fmt == "csv":
+        return "".join([",".join(names) + "\n", *pieces])
+    pieces[-1] = pieces[-1][:-2]   # no comma after the last row
+    return "".join(["[\n", *pieces, "\n]\n"])
 
 
 # ---------------------------------------------------------------------------

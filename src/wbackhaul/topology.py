@@ -69,7 +69,8 @@ class Placement:
         if not (isinstance(pts, np.ndarray) and pts.dtype.kind in "iuf"
                 and pts.ndim == 2 and pts.shape[1] == 2):
             raise ValidationError("positions: must be a real-valued (n, 2) ndarray")
-        pts = pts.astype(np.float64)
+        with np.errstate(over="ignore"):   # a wider float beyond float64's range: inf
+            pts = pts.astype(np.float64)
         if not (np.abs(pts) <= _MAX_COORD_M).all():
             raise ValidationError(f"positions: coordinates must be finite, at most "
                                   f"{_MAX_COORD_M:g} m in magnitude")
@@ -111,7 +112,8 @@ class RelayTree:
         if not (isinstance(loads, np.ndarray) and loads.dtype.kind == "f"
                 and loads.shape == (n,)):
             raise ValidationError(f"link_load_bps: must be a float ndarray of length {n}")
-        parent, loads = parent.copy(), loads.astype(np.float64)
+        with np.errstate(over="ignore"):   # a wider float beyond float64's range: inf
+            parent, loads = parent.copy(), loads.astype(np.float64)
         if not np.isfinite(loads).all():
             raise ValidationError("link_load_bps: must hold finite numbers")
         g = _check_number("gateway_index", self.gateway_index,
@@ -288,25 +290,17 @@ def _array(elements: list) -> str:
     return "[\n" + ",\n".join(elements) + "\n  ]"
 
 
-# The bytes around a station's two coordinates, at the third and fourth levels
-_STATION = tuple(np.frombuffer(s, dtype=np.uint8)
-                 for s in (b"    [\n      ", b",\n      ", b"\n    ],\n"))
-# Stations written at once: bounds the kernel's scratch memory, about 1.8 MB
-_PIECE = 1 << 11
-
-
 def _positions(positions: np.ndarray) -> list:
-    """The elements of the positions array as json.dumps(indent=2) writes them, in
-    pieces of _PIECE stations: each piece is one byte matrix, a station a
-    row, the separators its constant columns and each coordinate the
-    NUL-padded field of repr_fields, whose NULs one translate deletes."""
-    pieces = []
-    for s in range(0, positions.shape[0], _PIECE):
-        fields = _kernels.repr_fields(positions[s:s + _PIECE])
-        rows, width = fields.shape[0] // 2, fields.shape[1]
-        fields = fields.reshape(rows, 2 * width)
-        head, mid, tail = (np.broadcast_to(sep, (rows, sep.size)) for sep in _STATION)
-        block = np.concatenate((head, fields[:, :width], mid, fields[:, width:], tail), axis=1)
-        pieces.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    """The elements of the positions array as json.dumps(indent=2) writes them,
+    in the pieces of _kernels.rows_text: a station a row, the separators its
+    constant columns and each coordinate the NUL-padded field of repr_fields."""
+    def stations(start, stop):
+        fields = _kernels.repr_fields(positions[start:stop])
+        width = fields.shape[1]
+        fields = fields.reshape(stop - start, 2 * width)
+        return (b"    [\n      ", fields[:, :width], b",\n      ", fields[:, width:],
+                b"\n    ],\n")
+
+    pieces = _kernels.rows_text(positions.shape[0], stations)
     pieces[-1] = pieces[-1][:-2]   # no comma after the last station
     return pieces

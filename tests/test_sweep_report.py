@@ -755,11 +755,34 @@ def _text_or_error(write):
         return f"error: {e}"
 
 
+def _piece_edge_grids():
+    """(id, grid): grids of 1, 2047, 2048, 2049 and 4097 points around the
+    writer's pieces of 2048 rows, with one float axis, and with two whose
+    product they are, so that the throughput reads small_se alone, the
+    energy alpha alone and the efficiency both."""
+    for points, outer in ((1, 1), (2047, 23), (2048, 32), (2049, 3), (4097, 17)):
+        yield f"{points}-points", SweepGrid(CENTRAL, (("alpha", _spaced(2.0, points)),))
+        yield f"{points}-points-two-axes", SweepGrid(CENTRAL, (
+            ("small_se", _spaced(0.5, outer)), ("alpha", _spaced(2.0, points // outer))))
+    # a count column with a value per row
+    yield "2049-counts", SweepGrid(CENTRAL, (("n_small", tuple(range(2049))),))
+    # 682142176573.0546875 and (2**52 + 1) / 16 are exact ties at digit 18 of %.17e
+    yield "ties-and-neg-zero", SweepGrid(DIST, (
+        ("small_se", (-0.0, 0.5, 682142176573.0546875, (2**52 + 1) / 16)),
+        ("band", (5.8e9, (2**52 + 1) / 16))))
+
+
+def _spaced(start, n):
+    return tuple(start + i / 1024 for i in range(n))
+
+
 @pytest.mark.parametrize("grid", [
     SweepGrid(CENTRAL, (("small_se", (-0.0, 1.0)), ("n_small", (0, 2**53 + 1)))),
     SweepGrid(DIST, (("alpha", (2, 3)), ("k_cluster", (1, 10**30)))),
     *map(figure_grid, FIGURES),
-], ids=["neg-zero-and-2**53+1", "int-floats-and-1e30", *FIGURES])
+    *(grid for _, grid in _piece_edge_grids()),
+], ids=["neg-zero-and-2**53+1", "int-floats-and-1e30", *FIGURES,
+        *(name for name, _ in _piece_edge_grids())])
 def test_sweep_text_bytes_equal_the_plain_row_writers(grid):
     rows = run_sweep(grid)
     assert sweep_text(grid, "csv") == _csv_oracle(grid, rows)

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -491,9 +492,9 @@ def _writer_cases():
         yield f"radius-{radius:g}", place_uniform(300, radius, seed=4), "nearest-to-center", 5.9e8
     signed_zeros = [[0.0, -0.0], [-0.0, 0.0], [0.0, 2.5], [-0.0, 1.0]]
     yield "signed-zero-coordinates", _placement(signed_zeros), "nearest-to-center", 5.9e8
-    # the positions are written in pieces of topology._PIECE stations
-    for n in (topology._PIECE - 1, topology._PIECE, topology._PIECE + 1):
-        yield f"piece{n - topology._PIECE:+d}", place_uniform(n, 500.0, seed=n), 3, 5.9e8
+    # the positions are written in pieces of _kernels._PIECE stations
+    for n in (_kernels._PIECE - 1, _kernels._PIECE, _kernels._PIECE + 1):
+        yield f"piece{n - _kernels._PIECE:+d}", place_uniform(n, 500.0, seed=n), 3, 5.9e8
 
 
 def _assert_same_text(got, want):
@@ -531,11 +532,19 @@ def test_export_json_writes_hand_built_loads_as_json_text_does(name, loads):
     _assert_same_text(export_json(placement, tree), json_text(export_topology(placement, tree)))
 
 
-@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+# a long double beyond float64's range, where numpy's long double is wider
+_LONG_MAX = pytest.param(np.finfo(np.longdouble).max, marks=pytest.mark.skipif(
+    np.finfo(np.longdouble).max <= np.finfo(np.float64).max, reason="no wider long double"))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), _LONG_MAX],
+                         ids=["inf", "-inf", "nan", "longdouble-max"])
 def test_relay_tree_rejects_a_non_finite_load(bad):
-    # so no tree reaches gateway_ingress_bps or a writer with a load JSON cannot hold
+    # so no tree reaches gateway_ingress_bps or a writer with a load JSON cannot hold;
+    # a long double load is cast to float64 first, to inf, with no overflow warning
     with pytest.raises(ValidationError, match="^link_load_bps: "):
-        RelayTree(0, np.array([-1, 0, 0, 1]), np.array([0.0, 1.0, bad, 2.0]))
+        RelayTree(0, np.array([-1, 0, 0, 1]),
+                  np.array([0.0, 1.0, bad, 2.0], dtype=np.asarray(bad).dtype))
 
 
 def test_both_writers_raise_the_same_size_error():
@@ -554,18 +563,33 @@ def test_relay_tree_keeps_a_plain_gateway_index_and_float64_loads():
     assert tree.link_load_bps.dtype == np.float64 and tree.link_load_bps.tolist() == [2.5, 0.0]
 
 
-def _repr_texts(x):
-    """The texts of repr_fields' rows, with their NULs deleted."""
-    fields = _kernels.repr_fields(x)
+def _texts(fields):
+    """The texts of a kernel's rows, with their NULs deleted."""
     rows = np.concatenate((fields, np.full((fields.shape[0], 1), ord("\n"), np.uint8)), axis=1)
     return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
-def _assert_reprs(x):
+def _repr_texts(x):
+    return _texts(_kernels.repr_fields(x))
+
+
+def _e17_texts(x):
+    return _texts(_kernels.e17_fields(x))
+
+
+def _assert_texts(kernel_texts, oracle, x):
     x = np.asarray(x, dtype=np.float64)
-    got, want = _repr_texts(x), [repr(v) for v in x.tolist()]
+    got, want = kernel_texts(x), [oracle(v) for v in x.ravel().tolist()]
     wrong = [(g, w) for g, w in zip(got, want) if g != w]
     assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def _assert_reprs(x):
+    _assert_texts(_repr_texts, repr, x)
+
+
+def _assert_e17s(x):
+    _assert_texts(_e17_texts, "%.17e".__mod__, x)
 
 
 def _finite(bits):
@@ -609,6 +633,71 @@ def test_repr_fields_take_any_shape_and_non_finite_values():
     x = np.array([[1.5, -2.0], [3e-5, 7e22], [np.inf, -np.nan]])
     assert _repr_texts(x) == [repr(v) for v in x.ravel().tolist()]
     assert _repr_texts(x.T) == [repr(v) for v in x.T.ravel().tolist()]
+
+
+def _digit_18_ties():
+    """Floats whose exact decimal value has 19 significant digits, the last a
+    5: m / 2^p for odd m < 2^53 with m 5^p of 19 digits, a few per p."""
+    rng = np.random.default_rng(28)
+    ties = [682142176573.0546875]
+    for p in range(1, 27):
+        lo, hi = -(-10**18 // 5**p), min(10**19 // 5**p, 2**53)
+        ties += [(int(m) | 1) / 2**p for m in rng.integers(lo, hi, 40)] if lo < hi - 1 else []
+    return ties
+
+
+def test_the_digit_18_ties_are_exact_ties():
+    ties = _digit_18_ties()
+    assert len(ties) > 900
+    for v in ties:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 19 and digits[-1] == 5, v
+
+
+def _e17_edge_floats():
+    """Every power of ten, its neighbours and 9.99999999999999999e(p - 1), which
+    rounds up into the exponent p, and the floats next to it; ties at digit
+    18; integers near 2^60; the ends of the normal range; subnormals and
+    zeros; all with their negatives."""
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    nines = np.array([float(f"9.99999999999999999e{e}") for e in range(-324, 308)])
+    with np.errstate(over="ignore"):
+        around = [np.nextafter(x, y) for x in (powers, nines) for y in (0.0, np.inf)]
+    edges = np.concatenate((
+        powers, nines, *around, _digit_18_ties(),
+        [float(2**60 + i * 2**8) for i in range(-200, 200)],
+        [2.2250738585072014e-308, 2.225073858507201e-308, 2.2250738585072014e-307,
+         1.7976931348623157e308, 1e100, 9.5e-100, 1e-99, 0.0],
+        np.nextafter(0.0, 1.0) * np.array([1, 2, 3, 7, 2**20, 2**51, 2**52 - 1]),
+    ), axis=None)
+    edges = edges[np.isfinite(edges)]
+    return np.concatenate((edges, -edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+def test_e17_fields_equal_percent_e17_on_finite_bit_patterns(patterns):
+    x = _finite(np.array(patterns, dtype=np.uint64))
+    if x.size:
+        _assert_e17s(x)
+
+
+def test_e17_fields_equal_percent_e17_on_a_million_random_bit_patterns():
+    _assert_e17s(_finite(np.random.default_rng(28).integers(0, 2**64, 10**6, dtype=np.uint64)))
+
+
+def test_e17_fields_equal_percent_e17_on_the_edges():
+    _assert_e17s(_e17_edge_floats())
+
+
+def test_e17_fields_take_any_shape_and_non_finite_values():
+    x = np.array([[1.5, -2.0], [3e-5, 7e222], [np.inf, -np.nan], [-0.0, 5e-324]])
+    for y in (x, x.T, x[1:2, :1], np.float64(0.1), x[:0]):
+        y = np.asarray(y)
+        assert _e17_texts(y) == ["%.17e" % v for v in y.ravel().tolist()]
+    # two exponent digits in every row unless some element needs three
+    assert _kernels.e17_fields(np.array([1e99, -1e-99])).shape == (2, 24)
+    assert _kernels.e17_fields(np.array([1.0, 1e100])).shape == (2, 25)
 
 
 def _export_per_element(placement, tree):
@@ -674,7 +763,11 @@ def _with_coordinate(value):
     np.zeros((4, 2), dtype=complex),
     np.zeros((4, 2), dtype=bool),
     np.zeros((4, 2), dtype=object),
-], ids=["nan", "inf", "-inf", "list", "1-D", "3-columns", "complex", "bool", "object"])
+    # cast to float64 first, to inf, with no overflow warning
+    pytest.param(np.array([[0.0, 0.0], [np.finfo(np.longdouble).max, 1.0]], dtype=np.longdouble),
+                 marks=_LONG_MAX.marks),
+], ids=["nan", "inf", "-inf", "list", "1-D", "3-columns", "complex", "bool", "object",
+        "longdouble-max"])
 def test_tree_rejects_non_finite_positions(positions):
     with pytest.raises(ValidationError, match="^positions: "):
         build_relay_tree(Placement(positions, 500.0, 0))
