@@ -48,7 +48,7 @@ the gaps, which one bytes.translate deletes.  e17_fields gives the text of
 "%.17e" the same way: its 18 digits, correctly rounded, are the
 fixed-precision case of Ryu (Adams, "Ryu revisited: printf floating point
 conversion", OOPSLA 2019), from one 53 x 126-bit product with the same
-table.  rows_text lays out the rows of a table, constant separators and
+table.  table_text lays out the rows of a table, constant separators and
 such fields, as byte matrices, for the topology and sweep writers.
 """
 from __future__ import annotations
@@ -471,24 +471,46 @@ def e17_fields(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows rows_text lays out at once: bounds a writer's scratch memory, about
-# 2 MB for the widest rows
+# Rows table_text lays out at once: bounds a writer's scratch memory
 _PIECE = 1 << 11
 
 
-def rows_text(rows: int, parts) -> list:
-    """The text of a table of rows laid out alike, as a list of pieces of
-    _PIECE rows.  parts(start, stop) gives those of rows start to stop, left
-    to right: bytes, the same in every row, or (stop - start, width) uint8
-    fields with NUL bytes in their gaps, as repr_fields and e17_fields give
-    them.  Each piece is one uint8 matrix, whose NULs one translate deletes.
+def table_text(shape: tuple, columns: list, separators: list, kernel) -> list:
+    """The text of a table with a row per element of an array of the given
+    shape, in C order, as a list of pieces of _PIECE rows.  A row is
+    separators[0], then each column's cell followed by the next separator.
+
+    A column is an array that broadcasts to shape: float64, whose cells are
+    the NUL-padded fields of kernel (repr_fields or e17_fields), or bytes,
+    whose cells are its NUL-padded elements.  A float column with an element
+    per row is formatted a piece at a time, with the others like it in one
+    kernel call; any other column once, and each row gathers its field by a
+    broadcast index.  Each piece is one uint8 matrix, the separators its
+    constant columns, whose NULs one bytes.translate deletes.
     """
+    size = int(np.prod(shape))
+    full, cells = [], []
+    for column in columns:
+        if column.dtype.kind == "f" and column.size == size:
+            full.append(column.reshape(-1))
+            cells.append(None)
+            continue
+        fields = (column.reshape(-1).view(np.uint8).reshape(column.size, -1)
+                  if column.dtype.kind == "S" else kernel(column))
+        cells.append((fields, np.broadcast_to(np.arange(column.size).reshape(column.shape),
+                                              shape)))
+    separators = [np.frombuffer(separator, dtype=np.uint8) for separator in separators]
     pieces = []
-    for start in range(0, rows, _PIECE):
-        stop = min(start + _PIECE, rows)
-        block = [p if isinstance(p, np.ndarray) else
-                 np.broadcast_to(np.frombuffer(p, dtype=np.uint8), (stop - start, len(p)))
-                 for p in parts(start, stop)]
+    for start in range(0, size, _PIECE):
+        stop = min(start + _PIECE, size)
+        values = iter(kernel(np.array([c[start:stop] for c in full])).reshape(
+            len(full), stop - start, -1) if full else ())
+        block = [separators[0]]
+        for cell, separator in zip(cells, separators[1:]):
+            block += (next(values) if cell is None
+                      else cell[0].take(cell[1].flat[start:stop], axis=0), separator)
+        block = [part if part.ndim == 2 else np.broadcast_to(part, (stop - start, part.size))
+                 for part in block]
         pieces.append(np.concatenate(block, axis=1).tobytes().translate(None, b"\0")
                       .decode("ascii"))
     return pieces

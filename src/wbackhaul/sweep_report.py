@@ -448,13 +448,10 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
     line endings.  JSON: the bytes json_text writes for the rows as an array
     of objects, a count as an integer and every other number as a float.
 
-    The rows are laid out as byte matrices by _kernels.rows_text: the
-    separators are constant columns and each cell the NUL-padded field of a
-    kernel, e17_fields for a CSV float and repr_fields for a JSON one, so
-    no float cell makes a Python call.  A float column with a value per row
-    is formatted piece by piece.  A shorter one, and a count column, whose
-    cells keep %d, are formatted once per value, and each row gathers its
-    field by a broadcast index.
+    The rows are laid out by _kernels.table_text, each float cell the field
+    of a numpy kernel, e17_fields for CSV and repr_fields for JSON, so no
+    float cell makes a Python call; a count cell keeps %d.  A column with a
+    value per row is formatted piece by piece, any other once per value.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")
@@ -463,42 +460,18 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
 
     shape, columns = _sweep_columns(grid)
     names = grid.axis_names + VALUE_COLUMNS
-    size = math.prod(shape)
-    kernel = _kernels.e17_fields if fmt == "csv" else _kernels.repr_fields
-    # per column: its float64 values, one per row, or its fields, one per
-    # value, and the index of each row's field
-    cells = []
-    for name, column in zip(names, columns):
-        if name in AXES and AXES[name].arch is not None:   # a station-count axis
-            texts = np.array(["%d" % v for v in column.ravel().tolist()], dtype=bytes)
-            fields = texts.view(np.uint8).reshape(texts.size, -1)
-        elif column.size == size:
-            cells.append(column.astype(float).ravel())
-            continue
-        else:
-            fields = kernel(column.astype(float))   # an int on a float axis is a float
-        cells.append((fields, np.broadcast_to(np.arange(column.size).reshape(column.shape),
-                                              shape)))
-    full = [cell for cell in cells if isinstance(cell, np.ndarray)]
+    # a station-count axis as %d text; an int on a float axis is a float
+    cells = [np.array(["%d" % v for v in c.ravel().tolist()], dtype=bytes).reshape(c.shape)
+             if name in AXES and AXES[name].arch is not None else c.astype(float)
+             for name, c in zip(names, columns)]
     if fmt == "csv":
-        separators = [b""] + [b","] * (len(names) - 1) + [b"\n"]
-    else:
-        separators = [b'%s    "%s": ' % (b"  {\n" if i == 0 else b",\n", name.encode())
-                      for i, name in enumerate(names)] + [b"\n  },\n"]
-
-    def rows(start, stop):
-        # the float columns with a value per row, through one kernel call
-        values = iter(kernel(np.array([cell[start:stop] for cell in full])).reshape(
-            len(full), stop - start, -1) if full else ())
-        parts = [separators[0]]
-        for cell, separator in zip(cells, separators[1:]):
-            parts += (next(values) if isinstance(cell, np.ndarray)
-                      else cell[0].take(cell[1].flat[start:stop], axis=0), separator)
-        return parts
-
-    pieces = _kernels.rows_text(size, rows)
-    if fmt == "csv":
+        pieces = _kernels.table_text(shape, cells, [b""] + [b","] * (len(names) - 1) + [b"\n"],
+                                     _kernels.e17_fields)
         return "".join([",".join(names) + "\n", *pieces])
+    keys = [b'    "%s": ' % name.encode() for name in names]
+    pieces = _kernels.table_text(
+        shape, cells, [b"  {\n" + keys[0], *(b",\n" + key for key in keys[1:]), b"\n  },\n"],
+        _kernels.repr_fields)
     pieces[-1] = pieces[-1][:-2]   # no comma after the last row
     return "".join(["[\n", *pieces, "\n]\n"])
 

@@ -292,15 +292,10 @@ def _array(elements: list) -> str:
 
 def _positions(positions: np.ndarray) -> list:
     """The elements of the positions array as json.dumps(indent=2) writes them,
-    in the pieces of _kernels.rows_text: a station a row, the separators its
-    constant columns and each coordinate the NUL-padded field of repr_fields."""
-    def stations(start, stop):
-        fields = _kernels.repr_fields(positions[start:stop])
-        width = fields.shape[1]
-        fields = fields.reshape(stop - start, 2 * width)
-        return (b"    [\n      ", fields[:, :width], b",\n      ", fields[:, width:],
-                b"\n    ],\n")
-
-    pieces = _kernels.rows_text(positions.shape[0], stations)
+    in the pieces of _kernels.table_text: a station a row, each coordinate
+    the field of repr_fields."""
+    pieces = _kernels.table_text(positions.shape[:1], [positions[:, 0], positions[:, 1]],
+                                 [b"    [\n      ", b",\n      ", b"\n    ],\n"],
+                                 _kernels.repr_fields)
     pieces[-1] = pieces[-1][:-2]   # no comma after the last station
     return pieces
