@@ -38,18 +38,20 @@ numpy passes, not 10^5 Python steps.
 
 repr_fields gives the repr text of every element of a float64 array with
 no Python call per element.  Its digits are the shortest that read back as
-the float, the nearest of that length, by Schubfach (Giulietti, "The
-Schubfach way to render doubles", 2020), which, like Ryu (Adams, "Ryu: fast
-float-to-string conversion", PLDI 2018), needs no bignums: a table of 617
-126-bit powers of ten, built once from Python ints, and for each float
-three 64 x 126-bit products, assembled from 32-bit halves in uint64.  The
-rows lay the digits out as repr does, in fixed columns with NUL bytes in
-the gaps, which one bytes.translate deletes.  e17_fields gives the text of
-"%.17e" the same way: its 18 digits, correctly rounded, are the
-fixed-precision case of Ryu (Adams, "Ryu revisited: printf floating point
-conversion", OOPSLA 2019), from one 53 x 126-bit product with the same
-table.  table_text lays out the rows of a table, constant separators and
-such fields, as byte matrices, for the topology and sweep writers.
+the float, the nearest of that length, by Dragonbox (Jeon, "Dragonbox: A New
+Floating-Point Binary-to-Decimal Conversion Algorithm", 2020), which, like
+Schubfach (Giulietti, "The Schubfach way to render doubles", 2020) and Ryu
+(Adams, "Ryu: fast float-to-string conversion", PLDI 2018), needs no
+bignums: a table of 619 128-bit powers of ten, built once from Python ints,
+and for each float one 64 x 128-bit product, assembled from 32-bit halves
+in uint64, with a parity product more on about 1% of floats.  The rows lay
+the digits out as repr does, in fixed columns with NUL bytes in the gaps,
+which one bytes.translate deletes.  e17_fields gives the text of "%.17e" the
+same way: its 18 digits, correctly rounded, are the fixed-precision case of
+Ryu (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
+2019), from one 53 x 128-bit product with the same table.  table_text lays
+out the rows of a table, constant separators and such fields, as byte
+matrices, for the topology and sweep writers.
 """
 from __future__ import annotations
 
@@ -255,26 +257,27 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
     return g[:n].astype(np.int64)
 
 
-# Shortest round-trip digits.  For each decimal exponent k in [_K_MIN, _K_MAX],
-# g = floor(10^-k 2^-r) + 1 with r = floor(-k log2 10) - 125, so that
-# 2^125 <= g <= 2^126; _G holds its 63-bit halves g1, g0 and their 32-bit halves.
-_K_MIN, _K_MAX = -324, 292
-_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
-
-
-def _pow10_table() -> np.ndarray:
-    table = np.empty((5, _K_MAX - _K_MIN + 1), dtype=np.uint64)
-    for k in range(_K_MIN, _K_MAX + 1):
-        r = (-k * 913124641741 >> 38) - 125
-        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
-        g1, g0 = g >> 63, g & _M63
-        table[:, k - _K_MIN] = (g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
-    return table
-
-
-_G = _pow10_table()
 # The tables below are built without a ufunc call: the first ufunc call sets up
-# state that stays resident, and an import should not be the one to pay it
+# state that stays resident, and an import should not be the one to pay it.
+# One table of powers of ten serves both digit kernels: for each decimal
+# exponent k in [_K_MIN, _K_MAX], phi = ceil(10^k 2^(127 - floor(k log2 10))), so
+# that 2^127 <= phi < 2^128.  _PHI holds, per k, its 64-bit halves hi and lo as
+# (hi, hi >> 32, hi & _M32, lo >> 32, lo & _M32, lo).
+_K_MIN, _K_MAX = -292, 326
+_M32, _M52 = (1 << 32) - 1, (1 << 52) - 1
+
+
+def _phi_table() -> np.ndarray:
+    rows = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        shift = 127 - (k * 913124641741 >> 38)   # 127 - floor(k log2 10)
+        phi = -(-(10 ** max(k, 0) << max(shift, 0)) // (10 ** max(-k, 0) << max(-shift, 0)))
+        hi, lo = phi >> 64, phi & ((1 << 64) - 1)
+        rows.append((hi, hi >> 32, hi & _M32, lo >> 32, lo & _M32, lo))
+    return np.array(list(zip(*rows)), dtype=np.uint64)
+
+
+_PHI = _phi_table()
 _POW10 = np.array([10 ** i for i in range(19)], dtype=np.uint64)
 # _QUADS[i]: the four ASCII digits of i < 10^4, as one little-endian word
 _PAIRS = np.frombuffer(b"%02d" * 100 % tuple(range(100)), dtype=np.uint8).reshape(100, 2)
@@ -304,40 +307,66 @@ def _mulhi(a1, a0, b1, b0):
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _shortest(bits: np.ndarray):
-    """(d, k): for each normal float of the given bits, the shortest decimal
-    d * 10^k that reads back as it, the nearest of that length, ties to even d.
+def _dragonbox(bits: np.ndarray):
+    """(d, e): for each normal float of the given bits but a power of two, the
+    shortest decimal d 10^e that reads back as it, the nearest of that length,
+    ties to even d.
 
-    Schubfach, as in its Java implementation: the float c 2^q and the bounds
-    of the interval that rounds to it are scaled by 10^-k, 10^k the largest
-    power of ten within the gap between floats (three quarters of it at a
-    power of two), each with one 64 x 126-bit product rounded to odd; then
-    the candidates on the grids of 10^(k+1) and 10^k are tested.
+    Dragonbox (Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal
+    Conversion Algorithm", 2020), with kappa = 2.  For x = c 2^q, k = 2 -
+    floor(q log10 2) and beta = q + floor(k log2 10), one 64 x 128-bit
+    product of (2c + 1) 2^beta and phi_k gives z = floor((c + 1/2) 2^q 10^k),
+    the upper end of the interval that rounds to x, scaled by 10^k, and
+    delta, the interval's width so scaled, is phi_k's top bits.  When z's
+    remainder r by 1000 is below delta, z // 1000 lies in the interval and is
+    the shortest, at e = 3 - k.  Otherwise the nearest multiple of 10^(2 - k)
+    is 10 (z // 1000) + (r - delta / 2 + 50) // 100 or one less, and where
+    that quotient is exact the parity of floor(x 10^k), a second product on
+    those rows only, settles which.  An r equal to delta is settled by the
+    parity of the lower end's product, an r of 0 by whether the upper end is
+    exact and in the interval.
     """
-    be = (bits >> 52).astype(np.int64) & 0x7FF
-    t = bits & ((1 << 52) - 1)
-    q = be - 1075
-    irregular = (t == 0) & (be > 1)   # 2^q: the gap below it is half the gap above
-    k = (q * 661971961083 - irregular * 274743187321) >> 41   # floor(log10 of 2^q or 3/4 2^q)
-    h = q + (-k * 913124641741 >> 38) + 2                     # in [1, 4]
-    m = bits.shape[0]
-    # the three products at once: 4 times the lower bound, the float, the upper bound
-    g1, g1a, g1b, g0a, g0b = np.tile(_G.take(k - _K_MIN, axis=1), 3)
-    cb = (t | (1 << 52)) << 2
-    cp = np.concatenate((cb - 2 + irregular, cb, cb + 2)) << np.tile(h, 3).astype(np.uint64)
-    cpa, cpb = cp >> 32, cp & _M32
-    z = ((g1 * cp) >> 1) + _mulhi(g0a, g0b, cpa, cpb)
-    v = _mulhi(g1a, g1b, cpa, cpb) + (z >> 63) | ((z & _M63) != 0)
-    vbl, vb, vbr = v[:m], v[m:2 * m], v[2 * m:]
-    out = t & 1   # an odd c leaves out the interval's ends
-    s = vb >> 2
-    s10 = s // 10
-    # exactly one multiple of 10 in the interval: it is the shortest
-    upin, wpin = vbl + out <= s10 * 40, s10 * 40 + 40 + out <= vbr
-    # else s or s + 1: the one in the interval, or the nearer, s on a tie if even
-    uin, win = vbl + out <= s << 2, (s << 2) + 4 + out <= vbr
-    d = s + np.where(uin == win, (vb & 3) + (s & 1) > 2, win)
-    return np.where(upin != wpin, s10 + wpin, d), k + (upin != wpin)
+    q = ((bits >> 52).astype(np.int64) & 0x7FF) - 1075
+    k = 2 - (q * 661971961083 >> 41)                                # 2 - floor(q log10 2)
+    beta = (q + (k * 913124641741 >> 38)).astype(np.uint64)         # in [6, 9]
+    hi, hia, hib, loa, lob = _PHI[:5].take(k - _K_MIN, axis=1)
+    two_c = (bits & _M52 | 1 << 52) << 1
+    u = (two_c | 1) << beta
+    ua, ub = u >> 32, u & _M32
+    part = u * hi   # u phi's middle word is part + the top word of u lo
+    mid = part + _mulhi(loa, lob, ua, ub)
+    z = _mulhi(hia, hib, ua, ub) + (mid < part)
+    delta = hi >> 63 - beta   # in [100, 1000)
+    s = z // 1000
+    r = z - s * 1000
+    small = r > delta
+    end = np.flatnonzero(r == 0)
+    if end.size:   # an odd c leaves out the upper end, which z // 1000 may be
+        end = end[(mid[end] == 0) & (bits[end] & 1 == 1)]
+        s[end] -= 1
+        r[end] = 1000
+        small[end] = True
+    tie = np.flatnonzero(r == delta)
+    if tie.size:   # at the lower end: in the interval if the end is, for an even c
+        parity, integer = _parity(two_c[tie] - 1, k[tie], beta[tie])
+        small[tie] = ~(parity | integer & (bits[tie] & 1 == 0))
+    dist = r - (delta >> 1) + 50
+    step = dist // 100
+    d = np.where(small, s * 10 + step, s)
+    exact = np.flatnonzero(small & (dist == step * 100))
+    if exact.size:   # d or d - 1, by the parity of x 10^k; a tie to even d
+        parity, integer = _parity(two_c[exact], k[exact], beta[exact])
+        d[exact] -= parity | integer & (d[exact] & 1 == 1)
+    return d, 3 - small - k
+
+
+def _parity(f, k, beta):
+    """The parity of floor(f 2^beta phi_k / 2^128), and whether that quotient is
+    an integer, judged by the product's 64 bits below it."""
+    hi, _, _, loa, lob, lo = _PHI.take(k - _K_MIN, axis=1)
+    high = f * hi + _mulhi(loa, lob, f >> 32, f & _M32)
+    low = f * lo
+    return (high >> 64 - beta & 1) == 1, (high << beta | low >> 64 - beta) == 0
 
 
 def _quads(d: np.ndarray) -> np.ndarray:
@@ -358,19 +387,21 @@ def repr_fields(x: np.ndarray) -> np.ndarray:
     NULs of the rows (bytes.translate(None, b"\\0")) gives the texts one
     after another.
 
-    The digits are the shortest that read back as the float (_shortest), laid
-    out as repr lays them out: positional when the decimal point falls after
-    digit p in (-4, 16], else d.ddde+XX.  Each column holds one part or is
-    NUL: the sign, the "0" of "0.", the 16 digits before the point, the point
-    and the zeros after it, 17 digits after them, the "0" of "1.0", and the
-    exponent, whose 5 columns are left out unless some element needs them.
-    Zeros, subnormals and non-finite values take their text from repr:
-    Schubfach's two-digit rule for the smallest subnormals gives 4.9e-324
-    where repr gives 5e-324.
+    The digits are the shortest that read back as the float, by Dragonbox
+    (_dragonbox): one 64 x 128-bit product per float, and a parity product
+    on the few rows that need one.  They are laid out as repr lays them out:
+    positional when the decimal point falls after digit p in (-4, 16], else
+    d.ddde+XX.  Each column holds one part or is NUL: the sign, the "0" of
+    "0.", the 16 digits before the point, the point and the zeros after it,
+    17 digits after them, the "0" of "1.0", and the exponent, whose 5 columns
+    are left out unless some element needs them.  Zeros, subnormals,
+    non-finite values and powers of two, which _dragonbox does not take,
+    get their text from repr, one call each: a power of two would need
+    Dragonbox's shorter-interval case, as its gap below is half that above.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     bits, m = x.view(np.uint64), x.shape[0]
-    d, k = _shortest(bits)
+    d, k = _dragonbox(bits)
     # strip trailing zeros, a digit a pass, from the values that still end in one
     i = np.flatnonzero(d % 10 == 0)
     while i.size:
@@ -397,7 +428,7 @@ def repr_fields(x: np.ndarray) -> np.ndarray:
         out[:, 42:45] = np.column_stack(((e >= 100) * (e // 100 + 48), e // 10 % 10 + 48,
                                          e % 10 + 48))
         out[fixed, 42:45] = 0
-    for i in np.flatnonzero((bits >> 52 & 0x7FF) % 0x7FF == 0).tolist():
+    for i in np.flatnonzero(((bits >> 52 & 0x7FF) % 0x7FF == 0) | (bits & _M52 == 0)).tolist():
         text = repr(float(x[i])).encode()
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
@@ -411,33 +442,37 @@ def e17_fields(x: np.ndarray) -> np.ndarray:
     The 18 digits are x's, correctly rounded: the fixed-precision case of Ryu
     (Adams, "Ryu revisited: printf floating point conversion", OOPSLA 2019),
     on repr_fields' table.  A normal x = c 2^q lies in [10^e0, 2 10^(e0+1)) for
-    e0 = floor((q + 52) log10 2), and one 53 x 126-bit product c g, with g
-    the table's 10^-k for k = e0 - 17, gives V = x 10^-k in [10^17, 2 10^18)
-    as a 64-bit integer part and 64 bits of fraction, within 2^-64 of V.
-    V's integer part is the digits, or holds one more, which goes into the
-    remainder; a remainder clearly above or below half rounds up or down.
-    The rows lay the text out in fixed columns: the sign, a digit, the
-    point, 17 digits, "e", the exponent's sign and its 2 digits, or 3 in
+    e0 = floor((q + 52) log10 2), and one 53 x 128-bit product c phi, phi the
+    table's entry for p = 17 - e0, is V 2^(128 - v) for V = x 10^p in
+    [10^17, 2 10^18) and v = q + floor(p log2 10) + 1 in [5, 8].  Its bits
+    from 128 - v up are V's integer part and the 64 below them its fraction,
+    with V - 2^-64 < whole.frac < V + 2^-67: phi exceeds the exact power of
+    ten by less than 1, so c phi exceeds V 2^(128 - v) by less than c < 2^53,
+    2^-67 of a unit of V, and cutting the fraction to 64 bits loses less than
+    2^-64.  V's integer part is the digits, or holds one more, which goes into the
+    remainder; a remainder more than 8 / 2^64 above or below half rounds up
+    or down.  The rows lay the text out in fixed columns: the sign, a digit,
+    the point, 17 digits, "e", the exponent's sign and its 2 digits, or 3 in
     every row when some element needs them.  Zeros, subnormals, non-finite
-    values, the smallest normals (beyond the table) and the elements within
-    the error bound of half, exact ties among them, take their text from
-    Python's "%.17e".
+    values and the elements within 8 / 2^64 of half, exact ties among them,
+    take their text from Python's "%.17e".
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     bits, m = x.view(np.uint64), x.shape[0]
     be = (bits >> 52).astype(np.int64) & 0x7FF
     q = be - 1075
     e0 = (q + 52) * 661971961083 >> 41   # floor((q + 52) log10 2)
-    k = np.maximum(e0 - 17, _K_MIN)
-    c = bits & ((1 << 52) - 1) | (1 << 52)
-    g1, g1a, g1b, g0a, g0b = _G.take(k - _K_MIN, axis=1)
+    p = 17 - e0
+    hi, hia, hib, loa, lob, lo = _PHI.take(p - _K_MIN, axis=1)
+    c = bits & _M52 | 1 << 52
     ca, cb = c >> 32, c & _M32
-    # c g = (c g1) 2^63 + c g0 = V 2^(64 + 63 - t), t = q + r + 127 in [6, 9]
-    t = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
-    lo1, lo0 = g1 * c, ((g0a << 32) | g0b) * c
-    low = lo1 << t
-    frac = low + ((_mulhi(g0a, g0b, ca, cb) << t + 1) | lo0 >> 63 - t)
-    whole = (_mulhi(g1a, g1b, ca, cb) << t | lo1 >> 64 - t) + (frac < low)
+    # c phi, in 64-bit words top, mid and c lo, is V 2^(128 - v)
+    v = (q + (p * 913124641741 >> 38) + 1).astype(np.uint64)   # in [5, 8]
+    part = c * hi
+    mid = part + _mulhi(loa, lob, ca, cb)
+    top = _mulhi(hia, hib, ca, cb) + (mid < part)
+    whole = top << v | mid >> 64 - v
+    frac = mid << v | c * lo >> 64 - v
     # 18 digits in whole, or 19 with the last one in the remainder; the rounding
     # is clear when whole.frac lies more than 8 / 2^64 from half a unit
     big = whole >= _POW10[18]
@@ -451,7 +486,7 @@ def e17_fields(x: np.ndarray) -> np.ndarray:
     e = e0 + big + carry
     digits = _QUADS.take(_quads(d)).view(np.uint8).reshape(m, 20)   # "00" and the 18
     ae = np.abs(e)
-    slow = (be == 0) | (be == 0x7FF) | (e0 - 17 < _K_MIN) | ~(up | down)
+    slow = (be == 0) | (be == 0x7FF) | ~(up | down)
     texts = [b"%.17e" % v for v in x[slow].tolist()]
     wide = (ae[~slow] >= 100).any() or any(len(text) > 24 for text in texts)
     out = np.empty((m, 24 + wide), dtype=np.uint8)

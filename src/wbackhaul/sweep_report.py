@@ -8,7 +8,8 @@ checks each axis once, not once per point: a tuple of plain ints and
 floats in one test of the whole column, any other value by value.  It
 evaluates the whole grid as float64 columns, bit for bit as efficiency()
 evaluates each point: the transmit power and edge SNR take each power
-and logarithm from libm, element by element, as the scalar kernels do.
+from libm's pow, through np.float_power's loop, and each logarithm from
+math.log2, element by element, as the scalar kernels do.
 A grid with a bad point ends in the error of the first one in row order,
 which the checks and the columns locate: that one point is built and
 evaluated by efficiency() to raise it.  One writer, sweep_text, turns
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -152,7 +154,7 @@ class SweepGrid:
             if len(values) == 0:
                 raise ValidationError(f"axis {name}: values must be non-empty")
             try:
-                unordered = any(b <= a for a, b in zip(values, values[1:]))
+                unordered = any(map(operator.le, values[1:], values))
             except TypeError:   # values of types that do not compare
                 raise ValidationError(f"axis {name}: values must be numbers") from None
             if unordered:
@@ -365,24 +367,36 @@ def _kernel_grid(kernel: Callable, column: Callable, *args):
 
 def _tx_column(radius, band, alpha, anchor):
     """power_energy._tx, its divisions and products in numpy, in its order,
-    and each power by Python's pow."""
-    return (anchor.power_w * _per_element(pow, radius / anchor.radius_m, alpha)
-            * _per_element(pow, band / anchor.carrier_hz, anchor.freq_exponent))
+    and each power by libm's pow (_power)."""
+    return (anchor.power_w * _power(radius / anchor.radius_m, alpha)
+            * _power(band / anchor.carrier_hz, anchor.freq_exponent))
 
 
 def _se_column(source: ShannonEdgeSE, radius, alpha):
     """link_model._se of an edge-SNR source, its arithmetic in numpy, in its
-    order, and each power and logarithm by Python's pow and math.log2."""
-    gain = _per_element(pow, source.ref_radius_m / radius, alpha)
+    order, its power by libm's pow (_power) and each logarithm by math.log2."""
+    gain = _power(source.ref_radius_m / radius, alpha)
     return _per_element(math.log2, 1.0 + (2.0 ** source.calibration_se - 1.0) * gain)
+
+
+def _power(base, exponent):
+    """pow(base, exponent) at each element of the broadcast args, as float64:
+    np.float_power's float64 loop calls libm's pow, as Python's pow does
+    (np.power does not).  OverflowError where a power is not finite."""
+    import numpy as np
+
+    out = np.float_power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
+    if not np.isfinite(out).all():
+        raise OverflowError("power overflows a float")
+    return out
 
 
 def _per_element(function: Callable, *args):
     """function at each element of the broadcast args, as a float64 array.
     Each element is passed as the array holds it: a Python number, or a
-    record, which makes a 0-d object array.  pow and math.log2 make one
-    libm call per element, as the scalar kernels do; numpy's own power and
-    log2 differ from them in the last bit of some elements."""
+    record, which makes a 0-d object array.  math.log2 makes one libm call
+    per element, as the scalar kernel does; numpy's own log2 differs from it
+    in the last bit of some elements."""
     import numpy as np
 
     arrays = np.broadcast_arrays(*args)

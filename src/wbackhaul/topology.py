@@ -12,10 +12,10 @@ Placement uses numpy's default_rng (PCG64); identical (n, radius, seed)
 inputs reproduce positions bit for bit.  export_topology gives a tree as
 a JSON-ready dict, and export_json as the JSON text of that dict.  The
 positions are written without a Python call per coordinate: their digits
-are the shortest round-trip digits of repr, found in numpy by Schubfach
-(Giulietti, "The Schubfach way to render doubles", 2020), which, like Ryu
-(Adams, "Ryu: fast float-to-string conversion", PLDI 2018), needs no
-bignums (_kernels.repr_fields).
+are the shortest round-trip digits of repr, found in numpy by Dragonbox
+(Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
+Algorithm", 2020), which, like Ryu (Adams, "Ryu: fast float-to-string
+conversion", PLDI 2018), needs no bignums (_kernels.repr_fields).
 """
 from __future__ import annotations
 

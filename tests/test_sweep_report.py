@@ -717,6 +717,32 @@ def test_the_column_kernels_equal_the_scalar_kernels_on_many_points():
         assert got == want
 
 
+def _pow_or_inf(base, exponent):
+    try:
+        return pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def test_float_power_is_python_pow_bit_for_bit():
+    # the column kernels take their powers from np.float_power, whose float64
+    # loop calls libm's pow, as Python's pow does; a numpy that vectorizes it
+    # fails here by name, not only as a sweep row that differs in its last bit
+    rng = np.random.default_rng(29)
+    n, m = 2 * 10**5, 2 * 10**4
+    base, exponent = 10.0 ** rng.uniform(-3, 3, n), rng.uniform(0, 30, n)
+    # and pairs around the edges where a power overflows or underflows
+    edge = 10.0 ** rng.choice((-1, 1), m) * 10.0 ** rng.uniform(0, 2, m)
+    target = np.where(edge > 1, 1024, -1074) * math.log(2) / np.log(edge)
+    base = np.concatenate((base, edge))
+    exponent = np.concatenate((exponent, target * rng.uniform(0.98, 1.02, m)))
+    with np.errstate(over="ignore"):
+        got = np.float_power(base, exponent).tolist()
+    want = list(map(_pow_or_inf, base.tolist(), exponent.tolist()))
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert 1000 < want.count(math.inf) < m and got.count(0.0) > 1000
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from((-0.0, 0.25, 1, 2, 7.5, 2**60 + 1)), min_size=1, max_size=4),
        st.lists(_NUMBERS, min_size=1, max_size=4))

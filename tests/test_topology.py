@@ -608,6 +608,25 @@ def test_repr_fields_equal_repr_on_a_million_random_bit_patterns():
     _assert_reprs(_finite(np.random.default_rng(26).integers(0, 2**64, 10**6, dtype=np.uint64)))
 
 
+def _workload_floats(rng, n):
+    """n floats, a sixth from each kind of value that sweeps and topologies
+    write: uniform on [0, 1e4), log-uniform on [1e-3, 1e12], uniform rounded
+    to 0-14 decimals, multiples of 1/1024, integers below 2^53 and the axis
+    values 2.5 + 0.05 i.  Random bit patterns almost never take the short
+    decimals and exact integers, or the parity tests they lead to."""
+    k = n // 6
+    decimals = 10.0 ** rng.integers(0, 15, k)
+    return np.concatenate((
+        rng.uniform(0, 1e4, k), 10.0 ** rng.uniform(-3, 12, k),
+        np.rint(rng.uniform(0, 1e4, k) * decimals) / decimals,
+        rng.integers(0, 2**24, k) / 1024, np.floor(2.0 ** rng.uniform(0, 53, k)),
+        2.5 + 0.05 * np.arange(n - 5 * k)))
+
+
+def test_repr_fields_equal_repr_on_the_values_sweeps_and_topologies_write():
+    _assert_reprs(_workload_floats(np.random.default_rng(29), 6 * 10**5))
+
+
 def _edge_floats():
     powers = np.array([2.0 ** e for e in range(-1074, 1024)]
                       + [float(f"1e{e}") for e in range(-323, 309)])
