@@ -612,8 +612,8 @@ def _workload_floats(rng, n):
     """n floats, a sixth from each kind of value that sweeps and topologies
     write: uniform on [0, 1e4), log-uniform on [1e-3, 1e12], uniform rounded
     to 0-14 decimals, multiples of 1/1024, integers below 2^53 and the axis
-    values 2.5 + 0.05 i.  Random bit patterns almost never take the short
-    decimals and exact integers, or the parity tests they lead to."""
+    values 2.5 + 0.05 i.  Random bit patterns are almost never short
+    decimals or whole numbers."""
     k = n // 6
     decimals = 10.0 ** rng.integers(0, 15, k)
     return np.concatenate((
