@@ -307,6 +307,16 @@ def _mulhi(a1, a0, b1, b0):
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
+def _product(f: np.ndarray, k: np.ndarray):
+    """(top, mid, low): the three 64-bit words of the 192-bit product f phi_k,
+    for each uint64 f and decimal exponent k."""
+    hi, hia, hib, loa, lob, lo = _PHI.take(k - _K_MIN, axis=1)
+    fa, fb = f >> 32, f & _M32
+    part = f * hi   # f phi's middle word is part + the top word of f lo
+    mid = part + _mulhi(loa, lob, fa, fb)
+    return _mulhi(hia, hib, fa, fb) + (mid < part), mid, f * lo
+
+
 def _dragonbox(bits: np.ndarray):
     """(d, e): for each normal float of the given bits but a power of two, the
     shortest decimal d 10^e that reads back as it, the nearest of that length,
@@ -329,14 +339,9 @@ def _dragonbox(bits: np.ndarray):
     q = ((bits >> 52).astype(np.int64) & 0x7FF) - 1075
     k = 2 - (q * 661971961083 >> 41)                                # 2 - floor(q log10 2)
     beta = (q + (k * 913124641741 >> 38)).astype(np.uint64)         # in [6, 9]
-    hi, hia, hib, loa, lob = _PHI[:5].take(k - _K_MIN, axis=1)
     two_c = (bits & _M52 | 1 << 52) << 1
-    u = (two_c | 1) << beta
-    ua, ub = u >> 32, u & _M32
-    part = u * hi   # u phi's middle word is part + the top word of u lo
-    mid = part + _mulhi(loa, lob, ua, ub)
-    z = _mulhi(hia, hib, ua, ub) + (mid < part)
-    delta = hi >> 63 - beta   # in [100, 1000)
+    z, mid, _ = _product((two_c | 1) << beta, k)
+    delta = _PHI[0].take(k - _K_MIN) >> 63 - beta   # in [100, 1000)
     s = z // 1000
     r = z - s * 1000
     small = r > delta
@@ -363,9 +368,7 @@ def _dragonbox(bits: np.ndarray):
 def _parity(f, k, beta):
     """The parity of floor(f 2^beta phi_k / 2^128), and whether that quotient is
     an integer, judged by the product's 64 bits below it."""
-    hi, _, _, loa, lob, lo = _PHI.take(k - _K_MIN, axis=1)
-    high = f * hi + _mulhi(loa, lob, f >> 32, f & _M32)
-    low = f * lo
+    _, high, low = _product(f, k)
     return (high >> 64 - beta & 1) == 1, (high << beta | low >> 64 - beta) == 0
 
 
@@ -463,16 +466,11 @@ def e17_fields(x: np.ndarray) -> np.ndarray:
     q = be - 1075
     e0 = (q + 52) * 661971961083 >> 41   # floor((q + 52) log10 2)
     p = 17 - e0
-    hi, hia, hib, loa, lob, lo = _PHI.take(p - _K_MIN, axis=1)
-    c = bits & _M52 | 1 << 52
-    ca, cb = c >> 32, c & _M32
-    # c phi, in 64-bit words top, mid and c lo, is V 2^(128 - v)
+    # c phi, in 64-bit words top, mid and low, is V 2^(128 - v)
+    top, mid, low = _product(bits & _M52 | 1 << 52, p)
     v = (q + (p * 913124641741 >> 38) + 1).astype(np.uint64)   # in [5, 8]
-    part = c * hi
-    mid = part + _mulhi(loa, lob, ca, cb)
-    top = _mulhi(hia, hib, ca, cb) + (mid < part)
     whole = top << v | mid >> 64 - v
-    frac = mid << v | c * lo >> 64 - v
+    frac = mid << v | low >> 64 - v
     # 18 digits in whole, or 19 with the last one in the remainder; the rounding
     # is clear when whole.frac lies more than 8 / 2^64 from half a unit
     big = whole >= _POW10[18]

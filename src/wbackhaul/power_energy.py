@@ -25,6 +25,7 @@ from .scenario import (
     _check_positive,
     _check_type,
     _finite_total,
+    _pow,
 )
 
 
@@ -56,32 +57,31 @@ def tx_power(radius_m: float, band_hz: float, alpha: float,
     """
     radius_m, band_hz, alpha = _check_positive(radius_m=radius_m, band_hz=band_hz, alpha=alpha)
     _check_type("anchor", anchor, TxAnchor, "a TxAnchor")
+    return _finite_tx(radius_m, band_hz, alpha, anchor, "")
+
+
+def _tx(radius_m, band_hz, alpha, anchor: TxAnchor, power=_pow):
+    """The anchored transmit power, W, of checked arguments, with each power
+    taken by power: _pow gives a float, inf or NaN where a power overflows
+    a float; sweep_report._power gives the float64 column of the numbers
+    in the object arrays among the arguments, equal to _pow's at each point."""
+    return (anchor.power_w * power(radius_m / anchor.radius_m, alpha)
+            * power(band_hz / anchor.carrier_hz, anchor.freq_exponent))
+
+
+def _finite_tx(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor,
+               cell: str) -> float:
+    """_tx of checked arguments, or the error of a transmit power that
+    overflows a float.  It names band_hz when the band factor is the larger
+    one, else the radius_m of cell: "" for the library call, else the cell's
+    JSON path and a dot.  The factors are compared by their logarithms,
+    which never overflow."""
     p_tx = _tx(radius_m, band_hz, alpha, anchor)
-    if not math.isfinite(p_tx):
-        raise _tx_overflow(radius_m, band_hz, alpha, anchor, "")
-    return p_tx
-
-
-def _tx(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor) -> float:
-    """The anchored transmit power, W, of checked arguments; inf where it
-    overflows a float."""
-    try:
-        return (anchor.power_w
-                * (radius_m / anchor.radius_m) ** alpha
-                * (band_hz / anchor.carrier_hz) ** anchor.freq_exponent)
-    except OverflowError:
-        return math.inf
-
-
-def _tx_overflow(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor,
-                 cell: str) -> ValidationError:
-    """The error of a transmit power that overflows a float.  It names band_hz
-    when the band factor is the larger one, else the radius_m of cell: "" for
-    the library call, else the cell's JSON path and a dot.  The factors are
-    compared by their logarithms, which never overflow."""
+    if math.isfinite(p_tx):
+        return p_tx
     band = (anchor.freq_exponent * (math.log(band_hz) - math.log(anchor.carrier_hz))
             >= alpha * (math.log(radius_m) - math.log(anchor.radius_m)))
-    return ValidationError(
+    raise ValidationError(
         f"{'band_hz' if band else cell + 'radius_m'}: transmit power overflows a float at "
         f"radius_m={radius_m!r}, alpha={alpha!r}, band_hz={band_hz!r}")
 
@@ -117,9 +117,7 @@ def _lifetime_energy(cell: CellParams, tx_w: float) -> tuple[float, float, float
 def _station_energy(cell: CellParams, cfg: ScenarioConfig,
                     name: str) -> tuple[float, float]:
     """(operating_j, embodied_j) of one base station of the class name."""
-    p_tx = _tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor)
-    if not math.isfinite(p_tx):
-        raise _tx_overflow(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}.")
+    p_tx = _finite_tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}.")
     p_op, e_op, e_em = _lifetime_energy(cell, p_tx)
     if not math.isfinite(e_op):
         # name the larger factor: a power that overflows on its own is the curve's

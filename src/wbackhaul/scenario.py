@@ -256,6 +256,15 @@ class Distribution(_Checked):
 Architecture = Union[Central, Distribution]
 
 
+def _pow(base: float, exponent: float) -> float:
+    """pow(base, exponent), inf where it overflows a float: the power of the
+    scalar kernels, power_energy._tx and link_model._se."""
+    try:
+        return pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _finite_total(total: float, arch: Architecture, what: str) -> float:
     """A scenario total, or a ValidationError naming the station count if it overflowed.
 

@@ -7,9 +7,10 @@ an axis from its spec, for the CLI and the figure presets alike.  A sweep
 checks each axis once, not once per point: a tuple of plain ints and
 floats in one test of the whole column, any other value by value.  It
 evaluates the whole grid as float64 columns, bit for bit as efficiency()
-evaluates each point: the transmit power and edge SNR take each power
-from libm's pow, through np.float_power's loop, and each logarithm from
-math.log2, element by element, as the scalar kernels do.
+evaluates each point: the transmit power and the edge SNR are each one
+function, power_energy._tx and link_model._se, given the point's pow and
+math.log2 or the grid's _power, np.float_power's loop over libm's pow,
+and _log2, math.log2 element by element.
 A grid with a bad point ends in the error of the first one in row order,
 which the checks and the columns locate: that one point is built and
 evaluated by efficiency() to raise it.  One writer, sweep_text, turns
@@ -299,10 +300,11 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     computed once per combination of the axis values it reads.  An axis's
     numbers lie along its dimension in an object array, so that numpy
     divides and subtracts them as Python does: an int by an int, say, is
-    rounded once.  The transmit power and edge-SNR spectrum efficiency are
-    computed by _kernel_grid, with the libm calls of their scalar kernels;
-    every other term by the same helpers as efficiency(), which compute a
-    column as they compute a float, in the same order of operations.
+    rounded once.  Every term is computed by the same functions as
+    efficiency(), which compute a column as they compute a float, in the
+    same order of operations: the transmit power and edge-SNR spectrum
+    efficiency with _power and _log2, whose libm calls are those of the
+    point's pow and math.log2.
     """
     import numpy as np
 
@@ -323,13 +325,12 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     def cell(params, radius, source):
         if isinstance(source, np.ndarray):   # the numbers of the small_se axis's FixedSE
             se = source.astype(float)
-        else:   # a fixed SE reads neither the radius nor alpha
-            se = _kernel_grid(link_model._se, _se_column, source, *(
-                (radius, alpha) if isinstance(source, ShannonEdgeSE) else (None, None)))
+        else:
+            se = link_model._se(source, radius, alpha, _power, _log2)
         return (se, *traffic._cell_backhaul(params.bandwidth_hz, se, overheads.s1, overheads.x2))
 
     def station(params, radius):
-        p_tx = _kernel_grid(power_energy._tx, _tx_column, radius, band, alpha, base.tx_anchor)
+        p_tx = power_energy._tx(radius, band, alpha, base.tx_anchor, _power)
         return power_energy._lifetime_energy(params, p_tx)[1:]
 
     small_radius, macro = field("small", "radius_m"), base.macro
@@ -348,60 +349,24 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     return bps, energy, bps / energy
 
 
-def _kernel_grid(kernel: Callable, column: Callable, *args):
-    """kernel(*args) at every combination of the numbers in the object
-    arrays among args, as a float64 array of their broadcast shape; where
-    no arg is an array, kernel(*args) itself.  column(*args) computes it
-    with the same operations in the same order, but raises OverflowError
-    where a power overflows, and kernel gives inf at just those points: then
-    kernel is called at each combination instead."""
-    import numpy as np
-
-    if not any(isinstance(a, np.ndarray) for a in args):
-        return kernel(*args)
-    try:
-        return column(*args)
-    except OverflowError:
-        return _per_element(kernel, *args)
-
-
-def _tx_column(radius, band, alpha, anchor):
-    """power_energy._tx, its divisions and products in numpy, in its order,
-    and each power by libm's pow (_power)."""
-    return (anchor.power_w * _power(radius / anchor.radius_m, alpha)
-            * _power(band / anchor.carrier_hz, anchor.freq_exponent))
-
-
-def _se_column(source: ShannonEdgeSE, radius, alpha):
-    """link_model._se of an edge-SNR source, its arithmetic in numpy, in its
-    order, its power by libm's pow (_power) and each logarithm by math.log2."""
-    gain = _power(source.ref_radius_m / radius, alpha)
-    return _per_element(math.log2, 1.0 + (2.0 ** source.calibration_se - 1.0) * gain)
-
-
 def _power(base, exponent):
     """pow(base, exponent) at each element of the broadcast args, as float64:
     np.float_power's float64 loop calls libm's pow, as Python's pow does
-    (np.power does not).  OverflowError where a power is not finite."""
+    (np.power does not), and gives inf exactly where pow raises
+    OverflowError, so it equals scenario._pow at each element."""
     import numpy as np
 
-    out = np.float_power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
-    if not np.isfinite(out).all():
-        raise OverflowError("power overflows a float")
-    return out
+    return np.float_power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
 
 
-def _per_element(function: Callable, *args):
-    """function at each element of the broadcast args, as a float64 array.
-    Each element is passed as the array holds it: a Python number, or a
-    record, which makes a 0-d object array.  math.log2 makes one libm call
-    per element, as the scalar kernel does; numpy's own log2 differs from it
-    in the last bit of some elements."""
+def _log2(x):
+    """math.log2 at each element of x, as a float64 array of its shape: one
+    libm call per element, as the scalar kernel makes; numpy's own log2
+    differs from it in the last bit of some elements."""
     import numpy as np
 
-    arrays = np.broadcast_arrays(*args)
-    out = map(function, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(out, float, arrays[0].size).reshape(arrays[0].shape)
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ def _cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
 def _cell(cfg: ScenarioConfig, cell: CellParams, name: str) -> tuple[float, float, float]:
     """(se, up, down) of one cell of the class name; a cell's downlink is its
     largest term, so it overflows whenever the uplink does."""
-    se = link_model._se(cell.spectrum_eff, cell.radius_m, cfg.alpha)
-    if not math.isfinite(se):
-        raise link_model._se_overflow(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
+    se = link_model._finite_se(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
     up, down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)
     if not math.isfinite(down):
         raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "

@@ -414,6 +414,14 @@ SWEEP_CASES = {
     "huge-counts-fit": (DIST, (("k_cluster", HUGE_COUNTS),)),
     "shannon-edge-overflow": (replace(DIST, small=SHANNON),
                               (("alpha", (2.5, 50.0, 60.0)), ("small_radius", (1e-6, 50.0)))),
+    # 2**calibration_se overflows at every point
+    "edge-calibration-overflow": (replace(DIST, small=replace(
+        SHANNON, spectrum_eff=ShannonEdgeSE(1100.0))),
+        (("alpha", (2.5, 3.2)), ("small_radius", (20.0, 50.0)))),
+    # the radius factor overflows where the band factor underflows to 0
+    "tx-inf-times-zero": (replace(CENTRAL, tx_anchor=TxAnchor(freq_exponent=1e4)),
+                          (("band", (1e9, 5.8e9)), ("alpha", (3.0, 400.0)),
+                           ("small_radius", (50.0, 1e6)))),
     "tiny-lifetimes": (replace(DIST, small=TINY), (("alpha", (2.0, 3.0)), ("k_cluster", (1, 2)))),
     "bad-inner-value": (CENTRAL, (("n_small", (1, 2)), ("small_se", (1.0, math.inf)))),
     "bad-outer-value": (CENTRAL, (("alpha", (3.0, math.inf)), ("n_small", (1, 2)))),
@@ -641,7 +649,7 @@ def test_hostile_grids_of_hundreds_of_points_match_standalone_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# The column kernels against the scalar ones, bit for bit
+# The kernels on the grid's columns against the kernels on points, bit for bit
 # ---------------------------------------------------------------------------
 
 # ints past 2**53, which a float64 rounds, and floats, on the float axes
@@ -669,8 +677,10 @@ def test_the_column_kernels_equal_the_scalar_kernels_bit_for_bit(data):
     draw = data.draw
     anchor = TxAnchor(draw(_NUMBERS), draw(_NUMBERS), draw(_NUMBERS),
                       draw(st.sampled_from((0, 2, 2.0, 3.7, 1e4))))
-    # a calibration of 5e-324 makes 2**c - 1 == 0, and 0 * inf a NaN
-    source = ShannonEdgeSE(draw(st.sampled_from((5e-324, 1.0, 5, 30.0))), draw(_NUMBERS))
+    # a calibration of 5e-324 makes 2**c - 1 == 0, and 0 * inf a NaN; one
+    # of 1100 makes 2**c overflow
+    source = ShannonEdgeSE(draw(st.sampled_from((5e-324, 1.0, 5, 30.0, 1100.0))),
+                           draw(_NUMBERS))
     radius, band = draw(st.lists(_NUMBERS, min_size=1, max_size=4)), draw(
         st.lists(_NUMBERS, min_size=1, max_size=4))
     alpha = draw(st.lists(st.one_of(st.integers(1, 6), st.floats(0.5, 6.0)), min_size=1,
@@ -688,15 +698,18 @@ def test_the_column_kernels_equal_the_scalar_kernels_bit_for_bit(data):
     r, f, a = (_kernel_axis(v, place, on)
                for place, (v, on) in enumerate(zip((radius, band, alpha), swept)))
     dims = tuple(len(v) if on else 1 for v, on in zip((radius, band, alpha), swept))
-    for kernel, column, args in ((power_energy._tx, sweep_report._tx_column, (r, f, a, anchor)),
-                                 (link_model._se, sweep_report._se_column, (source, r, a))):
+    # each kernel with the grid's power and logarithm, against itself with
+    # the scalar defaults at each point
+    for kernel, args, column in (
+            (power_energy._tx, (r, f, a, anchor), (sweep_report._power,)),
+            (link_model._se, (source, r, a), (sweep_report._power, sweep_report._log2))):
         with np.errstate(all="ignore"):
-            got = sweep_report._kernel_grid(kernel, column, *args)
+            got = kernel(*args, *column)
         got = np.broadcast_to(got, dims).ravel().tolist()
         want = _expect(kernel, args, dims)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
         if overflow:
-            assert math.inf in want
+            assert not all(map(math.isfinite, want))
 
 
 def test_the_column_kernels_equal_the_scalar_kernels_on_many_points():
@@ -707,14 +720,12 @@ def test_the_column_kernels_equal_the_scalar_kernels_on_many_points():
     radius, alpha = rng.uniform(1.0, 400.0, n), rng.uniform(2.0, 4.5, n)
     along = [sweep_report._along(v.tolist(), 0, 1) for v in (radius, alpha)]
     anchor, source = TxAnchor(), ShannonEdgeSE(5.0, 50.0)
-    for kernel, column, args, scalar in (
-            (power_energy._tx, sweep_report._tx_column, (along[0], 5.8e9, along[1], anchor),
-             lambda r, a: power_energy._tx(r, 5.8e9, a, anchor)),
-            (link_model._se, sweep_report._se_column, (source, *along),
-             lambda r, a: link_model._se(source, r, a))):
-        got = sweep_report._kernel_grid(kernel, column, *args).tolist()
-        want = list(map(scalar, radius.tolist(), alpha.tolist()))
-        assert got == want
+    columns = (power_energy._tx(along[0], 5.8e9, along[1], anchor, sweep_report._power),
+               link_model._se(source, *along, sweep_report._power, sweep_report._log2))
+    scalars = (lambda r, a: power_energy._tx(r, 5.8e9, a, anchor),
+               lambda r, a: link_model._se(source, r, a))
+    for got, scalar in zip(columns, scalars):
+        assert got.tolist() == list(map(scalar, radius.tolist(), alpha.tolist()))
 
 
 def _pow_or_inf(base, exponent):
@@ -725,7 +736,7 @@ def _pow_or_inf(base, exponent):
 
 
 def test_float_power_is_python_pow_bit_for_bit():
-    # the column kernels take their powers from np.float_power, whose float64
+    # the sweep's kernels take their powers from np.float_power, whose float64
     # loop calls libm's pow, as Python's pow does; a numpy that vectorizes it
     # fails here by name, not only as a sweep row that differs in its last bit
     rng = np.random.default_rng(29)
