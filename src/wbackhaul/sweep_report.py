@@ -8,9 +8,9 @@ checks each axis once, not once per point: a tuple of plain ints and
 floats in one test of the whole column, any other value by value.  It
 evaluates the whole grid as float64 columns, bit for bit as efficiency()
 evaluates each point: the transmit power and the edge SNR are each one
-function, power_energy._tx and link_model._se, given the point's pow and
-math.log2 or the grid's _power, np.float_power's loop over libm's pow,
-and _log2, math.log2 element by element.
+function, power_energy._tx and link_model._se, which a point calls with
+pow and math.log2, and the grid with _power (np.float_power, whose loop
+calls libm's pow) and _log2 (math.log2 element by element).
 A grid with a bad point ends in the error of the first one in row order,
 which the checks and the columns locate: that one point is built and
 evaluated by efficiency() to raise it.  One writer, sweep_text, turns
