@@ -51,7 +51,9 @@ same way: its 18 digits, correctly rounded, are the fixed-precision case of
 Ryu (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
 2019), from one 53 x 128-bit product with the same table.  table_text lays
 out the rows of a table, constant separators and such fields, as byte
-matrices, for the topology and sweep writers.
+matrices, for the topology and sweep writers, with one kernel call per
+piece of rows for all its float columns: a column with fewer values than
+rows formats its next values in the same call, and its rows gather them.
 """
 from __future__ import annotations
 
@@ -515,33 +517,43 @@ def table_text(shape: tuple, columns: list, separators: list, kernel) -> list:
 
     A column is an array that broadcasts to shape: float64, whose cells are
     the NUL-padded fields of kernel (repr_fields or e17_fields), or bytes,
-    whose cells are its NUL-padded elements.  A float column with an element
-    per row is formatted a piece at a time, with the others like it in one
-    kernel call; any other column once, and each row gathers its field by a
-    broadcast index.  Each piece is one uint8 matrix, the separators its
-    constant columns, whose NULs one bytes.translate deletes.
+    whose cells are its NUL-padded elements; at least one is float64.  Each
+    piece makes one kernel call, on the piece's values of each float column
+    with an element per row and on the next values, up to the piece's last
+    row index, of each shorter float column: no row reads an element of a
+    shorter column past its own index, so each value is formatted once,
+    before any row reads it, and a call takes at most _PIECE values a
+    column.  A shorter column keeps the fields formatted so far, and each
+    row gathers its field by a broadcast index.  Each piece is one uint8
+    matrix, the separators its constant columns, whose NULs one
+    bytes.translate deletes.
     """
     size = int(np.prod(shape))
-    full, cells = [], []
-    for column in columns:
-        if column.dtype.kind == "f" and column.size == size:
-            full.append(column.reshape(-1))
-            cells.append(None)
-            continue
-        fields = (column.reshape(-1).view(np.uint8).reshape(column.size, -1)
-                  if column.dtype.kind == "S" else kernel(column))
-        cells.append((fields, np.broadcast_to(np.arange(column.size).reshape(column.shape),
-                                              shape)))
+    floats = [column.reshape(-1) for column in columns if column.dtype.kind == "f"]
+    # column number -> [its fields (so far, for a float column), each row's element index]
+    kept = {i: [column.reshape(-1).view(np.uint8).reshape(column.size, -1)
+                if column.dtype.kind == "S" else np.zeros((column.size, 0), dtype=np.uint8),
+                np.broadcast_to(np.arange(column.size).reshape(column.shape), shape)]
+            for i, column in enumerate(columns) if column.dtype.kind == "S" or column.size < size}
     separators = [np.frombuffer(separator, dtype=np.uint8) for separator in separators]
     pieces = []
     for start in range(0, size, _PIECE):
         stop = min(start + _PIECE, size)
-        values = iter(kernel(np.array([c[start:stop] for c in full])).reshape(
-            len(full), stop - start, -1) if full else ())
+        values = [column[start:stop] for column in floats]
+        parts = iter(np.split(kernel(np.concatenate(values)),
+                              np.cumsum([v.size for v in values[:-1]])))
         block = [separators[0]]
-        for cell, separator in zip(cells, separators[1:]):
-            block += (next(values) if cell is None
-                      else cell[0].take(cell[1].flat[start:stop], axis=0), separator)
+        for i, (column, separator) in enumerate(zip(columns, separators[1:])):
+            new = next(parts) if column.dtype.kind == "f" else None
+            if i in kept:
+                fields, index = kept[i]
+                if new is not None and new.shape[1] > fields.shape[1]:   # widen the fields kept
+                    fields = kept[i][0] = np.hstack(
+                        (fields, np.zeros((column.size, new.shape[1] - fields.shape[1]), np.uint8)))
+                if new is not None:
+                    fields[start:start + new.shape[0], :new.shape[1]] = new
+                new = fields.take(index.flat[start:stop], axis=0)
+            block += (new, separator)
         block = [part if part.ndim == 2 else np.broadcast_to(part, (stop - start, part.size))
                  for part in block]
         pieces.append(np.concatenate(block, axis=1).tobytes().translate(None, b"\0")

@@ -3,31 +3,39 @@
 A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
 axes' cross product, the first axis varying slowest.  parse_axis reads
-an axis from its spec, for the CLI and the figure presets alike.  A sweep
-checks each axis once, not once per point: a tuple of plain ints and
-floats in one test of the whole column, any other value by value.  It
-evaluates the whole grid as float64 columns, bit for bit as efficiency()
-evaluates each point: the transmit power and the edge SNR are each one
-function, power_energy._tx and link_model._se, which a point calls with
-pow and math.log2, and the grid with _power (np.float_power, whose loop
-calls libm's pow) and _log2 (math.log2 element by element).
-A grid with a bad point ends in the error of the first one in row order,
-which the checks and the columns locate: that one point is built and
-evaluated by efficiency() to raise it.  One writer, sweep_text, turns
-the columns into CSV or JSON text: the bytes of %d and %.17e per cell, or
-those json_text writes for the rows as objects.  It lays the rows out as
-byte matrices, each float cell the field of a numpy kernel (_kernels:
-e17_fields for %.17e, repr_fields for JSON), with no Python call per
-float cell.  A column with a value per row is formatted piece by piece,
-and a column the grid holds once per combination of fewer axes once per
-value, so each computed value is formatted once.  Only run_sweep and
-sweep_text import numpy and _kernels, on their first call, so the
-calibration report and json_text load without them.  The presets reproduce the qualitative curves the model is
-known for: throughput vs. cell count, efficiency vs. cell count per
-band, and efficiency vs. path loss exponent per small-cell radius.
+an axis from its spec, for the CLI and the figure presets alike: a range
+as a read-only numpy array, a list as a tuple.  A sweep checks each axis
+once, not once per point: an array by its dtype, its ends and one NaN
+test, a tuple of plain ints and floats in one test of the whole column,
+any other value by value.  A float64 or int64 axis is computed with as
+it is; a tuple's numbers go in an object array, where an int meets an
+int as in Python.  It evaluates the whole grid as float64 columns, bit
+for bit as efficiency() evaluates each point: the transmit power and the
+edge SNR are each one function, power_energy._tx and link_model._se,
+which a point calls with pow and math.log2, and the grid with _power
+(np.float_power, whose loop calls libm's pow) and _log2 (math.log2
+element by element).  A grid with a bad point ends in the error of the
+first one in row order, which the checks and the columns locate: that
+one point is built and evaluated by efficiency() to raise it.  One
+writer, sweep_text, turns the columns into CSV or JSON text: the bytes
+of %d and %.17e per cell, or those json_text writes for the rows as
+objects.  It lays the rows out as byte matrices, each float cell the
+field of a numpy kernel (_kernels: e17_fields for %.17e, repr_fields for
+JSON), with no Python call per float cell and one kernel call per piece
+of rows: it formats the piece's values of each column with a value per
+row, and the next values of each column the grid holds once per
+combination of fewer axes, so each computed value is formatted once.
+Only parse_axis (for a range), SweepGrid (for an array), run_sweep and
+sweep_text import numpy, and the last two _kernels, on their first call,
+so the calibration report and json_text load without them, and the
+figure presets are built on first use.  The presets reproduce the
+qualitative curves the model is known for: throughput vs. cell count,
+efficiency vs. cell count per band, and efficiency vs. path loss
+exponent per small-cell radius.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -86,7 +94,9 @@ MAX_POINTS = 10**6
 def parse_axis(spec: str) -> tuple[str, tuple]:
     """(name, values) of one axis spec: name=start:stop:step, a range that
     includes stop, or name=v1,v2,...  A station-count axis takes integers;
-    every other name takes finite floats."""
+    every other name takes finite floats.  A list's values are a tuple.  A
+    range's are a read-only numpy array: float64, or int64 for a count axis,
+    whose values past int64 are a tuple of Python ints instead."""
     _check_type("spec", spec, str, "a str")
     if "=" not in spec:
         raise ValidationError(f"axis {spec!r}: expected <name>=<start>:<stop>:<step>")
@@ -117,22 +127,43 @@ def parse_axis(spec: str) -> tuple[str, tuple]:
     count = math.floor(min(steps, MAX_POINTS)) + 1 if steps >= 0 else 0
     if count > MAX_POINTS:
         raise ValidationError(f"axis {name}: more than {MAX_POINTS} values")
-    # i == 0 is start itself, so a start of -0.0 keeps its sign
-    return name, tuple(start + i * step if i else start for i in range(count))
+    # value i is start + i * step, one product and one sum, each rounded as
+    # Python rounds them; i == 0 is start itself, so a start of -0.0 keeps its sign
+    ends = (start, step, (count - 1) * step, start + (count - 1) * step)
+    if integer and not (-2**63 <= min(ends) and max(ends) < 2**63):
+        return name, tuple(start + i * step for i in range(count))
+    import numpy as np
+
+    with np.errstate(over="ignore"):   # a float past the range is inf, as in Python
+        values = np.append(np.array([start][:count], dtype=np.int64 if integer else float),
+                           start + np.arange(1, count) * step)
+    values.flags.writeable = False
+    return name, values
 
 
 def _axis_pair(axis) -> tuple:
-    """(name, tuple of values) of one axis, or a ValidationError naming it."""
+    """(name, values) of one axis, or a ValidationError naming it.  values
+    are kept as they are where they are a tuple, or a read-only 1-d float64
+    or int64 array that owns its data, as parse_axis gives; else as a tuple."""
     try:
         name, values = axis
+        if type(values) is tuple:
+            return name, values
+        import numpy as np
+
+        if (isinstance(values, np.ndarray) and values.ndim == 1 and values.base is None
+                and not values.flags.writeable and values.dtype in (np.float64, np.int64)):
+            return name, values
         return name, tuple(values)
     except (TypeError, ValueError):
         raise ValidationError(f"axis {axis!r}: must be a (name, values) pair") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """A base scenario and the (name, values) axes swept over it, first slowest."""
+    """A base scenario and the (name, values) axes swept over it, first
+    slowest.  An axis's values are a tuple or a read-only numpy array (see
+    _axis_pair), so a grid compares and hashes by identity."""
 
     base: ScenarioConfig
     axes: tuple
@@ -154,8 +185,9 @@ class SweepGrid:
                     f"axis: unknown axis {name!r}, expected one of {tuple(AXES)}")
             if len(values) == 0:
                 raise ValidationError(f"axis {name}: values must be non-empty")
-            try:
-                unordered = any(map(operator.le, values[1:], values))
+            try:   # a NaN passes, as neither comparison with it holds: _numbers finds it
+                unordered = (any(map(operator.le, values[1:], values))
+                             if isinstance(values, tuple) else (values[1:] <= values[:-1]).any())
             except TypeError:   # values of types that do not compare
                 raise ValidationError(f"axis {name}: values must be numbers") from None
             if unordered:
@@ -182,11 +214,15 @@ def _set(record, path: tuple, part):
 
 
 def _along(values, place: int, ndim: int):
-    """values, as they are, in an object array of ndim dimensions that lies
-    along the one at place: of length 1 on every other."""
+    """values in an array of ndim dimensions that lies along the one at
+    place: of length 1 on every other.  A float64 or int64 array is
+    reshaped as it is; other values, as they are, go in an object array,
+    where numpy computes with a Python int as Python does: an int past 2**53
+    divided by an int, say, is rounded once."""
     import numpy as np
 
-    return np.array(values, dtype=object).reshape([-1 if p == place else 1 for p in range(ndim)])
+    values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    return values.reshape([-1 if p == place else 1 for p in range(ndim)])
 
 
 def run_sweep(grid: SweepGrid) -> list[tuple]:
@@ -204,9 +240,9 @@ def run_sweep(grid: SweepGrid) -> list[tuple]:
 def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     """The grid's shape and one array per output column, in the order of
     the CSV header, with a dimension per axis, each the axis's length or 1:
-    an axis's values, as the plain Python numbers _numbers checked them to
-    be, lie along its own dimension, and a value column has length 1 where
-    it does not depend on the axis, as _grid_columns computes it.
+    an axis's values, as _numbers checked them to be, lie along its own
+    dimension (see _along), and a value column has length 1 where it does
+    not depend on the axis, as _grid_columns computes it.
 
     Each axis is checked once, as one column where it can be (see
     _numbers), and the whole grid is evaluated at once, bit for bit as
@@ -243,22 +279,34 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
     return shape, points + [np.array(c, ndmin=len(shape)) for c in columns]
 
 
-def _numbers(name: str, axis: Axis, values: tuple):
+def _numbers(name: str, axis: Axis, values):
     """values as the plain Python numbers they equal, up to the first that
     fails the axis's number rule.  A value fails exactly where the axis's
     part raises, but no record is built here.
 
-    A tuple of plain ints and floats is checked as one column, in one test:
-    each value's exact type is int or float, and one the rule takes (so a
-    bool or a numpy float goes value by value), and min and max lie within
-    the rule's bounds.  They compare an int exactly, as the rule does, but
-    pass over a NaN that is not first, so a float axis is tested for NaN in
-    float64 as well.  Any other tuple is checked by _check_number, value by
-    value, up to the first that fails.
+    An array (see _axis_pair) is checked as a whole: float64 on a float
+    axis or int64 on a count axis, its two ends within the rule's bounds
+    (SweepGrid saw it ascend), and no NaN, which the order check passes
+    over.  It is returned as it is, its elements standing for the Python
+    numbers they equal.  Any other array goes on as the list of those
+    numbers: int64 on a float axis, say, whose ints, passed as a list, are
+    computed with as Python computes with them (see _along).  A tuple or list
+    of plain ints and floats is checked as one column, in one test: each
+    value's exact type is int or float, and one the rule takes (so a bool or
+    a numpy float goes value by value), and min and max lie within the
+    rule's bounds.  They compare an int exactly, as the rule does, but pass
+    over a NaN that is not first, so a float axis is tested for NaN in
+    float64 as well.  Any other values are checked by _check_number, value
+    by value, up to the first that fails.
     """
     import numpy as np
 
     types, low, high, _ = axis.rule
+    if isinstance(values, np.ndarray):
+        if ((values.dtype == np.int64) == (axis.arch is not None) and low <= values[0].item()
+                and values[-1].item() <= high and not np.isnan(values).any()):
+            return values
+        values = values.tolist()
     kinds = set(map(type, values))
     if (kinds <= {int, float} and all(issubclass(k, types) for k in kinds)
             and low <= min(values) and max(values) <= high
@@ -280,8 +328,10 @@ def _raise_point_error(grid: SweepGrid, index: tuple):
     cfg = grid.base
     try:
         for (name, values), i in zip(grid.axes, index):
-            where = f"grid point {name}={values[i]!r}"
-            cfg = _set(cfg, AXES[name].field, AXES[name].part(values[i]))
+            # an array's element as the Python number it stands for
+            value = values[i] if isinstance(values, tuple) else values[i].item()
+            where = f"grid point {name}={value!r}"
+            cfg = _set(cfg, AXES[name].field, AXES[name].part(value))
         power_energy.efficiency(cfg)
     except ConfigError as e:
         raise ValidationError(f"{where}: {e}") from e
@@ -298,13 +348,15 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     Each quantity is a float, or a float64 array with one dimension per
     axis, of length 1 where it does not depend on the axis, so it is
     computed once per combination of the axis values it reads.  An axis's
-    numbers lie along its dimension in an object array, so that numpy
-    divides and subtracts them as Python does: an int by an int, say, is
-    rounded once.  Every term is computed by the same functions as
-    efficiency(), which compute a column as they compute a float, in the
-    same order of operations: the transmit power and edge-SNR spectrum
-    efficiency with _power and _log2, whose libm calls are those of the
-    point's pow and math.log2.
+    numbers lie along its dimension (see _along): a float64 array, whose
+    arithmetic is Python's for floats; an int64 array of counts, which are
+    only converted to float and decremented; or an object array of a
+    tuple's numbers, so that numpy divides and subtracts them as Python
+    does: an int by an int, say, is rounded once.  Every term is computed
+    by the same functions as efficiency(), which compute a column as they
+    compute a float, in the same order of operations: the transmit power
+    and edge-SNR spectrum efficiency with _power and _log2, whose libm
+    calls are those of the point's pow and math.log2.
     """
     import numpy as np
 
@@ -378,30 +430,36 @@ _DISTRIBUTION = ScenarioConfig(architecture=Distribution(10))
 _SHANNON_SMALL = replace(_CENTRAL.small, spectrum_eff=ShannonEdgeSE(
     calibration_se=5.0, ref_radius_m=50.0))
 
-
-def _preset(base: ScenarioConfig, *specs: str) -> SweepGrid:
-    return SweepGrid(base, tuple(parse_axis(spec) for spec in specs))
-
-
-_FIGURE_GRIDS = {
-    "fig3a": _preset(_CENTRAL, "n_small=0:1000:25", "small_se=1,2.5,5,7.5,10"),
-    "fig3b": _preset(_DISTRIBUTION, "k_cluster=1:100:1", "small_se=1,2.5,5,7.5,10"),
-    "fig4a": _preset(_CENTRAL, "n_small=0:1000:25", "band=5.8e9,28e9,60e9"),
-    "fig4b": _preset(_DISTRIBUTION, "k_cluster=1:100:1", "band=5.8e9,28e9,60e9"),
-    "fig5a": _preset(replace(_CENTRAL, small=_SHANNON_SMALL),
-                     "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
-    "fig5b": _preset(replace(_DISTRIBUTION, small=_SHANNON_SMALL),
-                     "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
+# each preset's base scenario and axis specs; its grid is built on first use,
+# since parse_axis loads numpy for a range
+_FIGURE_SPECS = {
+    "fig3a": (_CENTRAL, "n_small=0:1000:25", "small_se=1,2.5,5,7.5,10"),
+    "fig3b": (_DISTRIBUTION, "k_cluster=1:100:1", "small_se=1,2.5,5,7.5,10"),
+    "fig4a": (_CENTRAL, "n_small=0:1000:25", "band=5.8e9,28e9,60e9"),
+    "fig4b": (_DISTRIBUTION, "k_cluster=1:100:1", "band=5.8e9,28e9,60e9"),
+    "fig5a": (replace(_CENTRAL, small=_SHANNON_SMALL),
+              "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
+    "fig5b": (replace(_DISTRIBUTION, small=_SHANNON_SMALL),
+              "alpha=2.5:4:0.05", "small_radius=20,30,40,50,75,100"),
 }
 
-FIGURES = tuple(_FIGURE_GRIDS)
+FIGURES = tuple(_FIGURE_SPECS)
 
 
 def figure_grid(which: str) -> SweepGrid:
     """Preset sweep grid behind one of the named figure datasets."""
     if which not in FIGURES:
         raise ValidationError(f"figure: unknown dataset {which!r}, expected {FIGURES}")
-    return _FIGURE_GRIDS[which]
+    return _figure_grid(which)
+
+
+@functools.cache
+def _figure_grid(which: str) -> SweepGrid:
+    """The preset's grid, each axis the tuple of its values as the Python
+    numbers they are, as a caller would give them, not parse_axis's array."""
+    base, *specs = _FIGURE_SPECS[which]
+    return SweepGrid(base, tuple((name, tuple(v.tolist() if hasattr(v, "tolist") else v))
+                                 for name, v in map(parse_axis, specs)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +487,9 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
 
     The rows are laid out by _kernels.table_text, each float cell the field
     of a numpy kernel, e17_fields for CSV and repr_fields for JSON, so no
-    float cell makes a Python call; a count cell keeps %d.  A column with a
-    value per row is formatted piece by piece, any other once per value.
+    float cell makes a Python call; a count cell keeps %d.  Each piece of
+    rows makes one kernel call, which formats each value once, whether its
+    column has a value per row or fewer.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")

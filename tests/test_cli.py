@@ -270,9 +270,10 @@ def test_range_axis_matches_stepping_loop():
         start, step = rng.uniform(-50, 50), 10 ** rng.uniform(-3, 1)
         stop = start + rng.randint(0, 60) * step + rng.choice((0.0, 0.5 * step))
         spec = f"alpha={start!r}:{stop!r}:{step!r}"
-        assert parse_axis(spec) == ("alpha", _loop_values(start, stop, step)), spec
+        name, values = parse_axis(spec)
+        assert (name, tuple(values.tolist())) == ("alpha", _loop_values(start, stop, step)), spec
     for start, stop, step in ((0, 100, 25), (3, 50, 7), (5, 4, 1), (1, 1, 3)):
-        assert parse_axis(f"k_cluster={start}:{stop}:{step}")[1] == tuple(
+        assert tuple(parse_axis(f"k_cluster={start}:{stop}:{step}")[1].tolist()) == tuple(
             range(start, stop + 1, step))
 
 

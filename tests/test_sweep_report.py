@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbackhaul import cli, link_model, power_energy, sweep_report
+from wbackhaul import _kernels, cli, link_model, power_energy, sweep_report
 from wbackhaul.scenario import (
     Central,
     Distribution,
@@ -366,7 +366,9 @@ def _standalone(grid):
     """Hex rows, or the first error message, from building each point's
     scenario with replace() and evaluating it with efficiency(), in row order."""
     rows = []
-    for point in itertools.product(*(values for _, values in grid.axes)):
+    # an array's elements as the Python numbers they stand for
+    for point in itertools.product(*(values if isinstance(values, tuple) else values.tolist()
+                                     for _, values in grid.axes)):
         cfg = grid.base
         try:
             for (name, _), v in zip(grid.axes, point):
@@ -454,6 +456,14 @@ SWEEP_CASES = {
     # is 1.0, so its check alone finds it
     "nan-alpha-at-the-anchor-radius": (replace(DIST, small=replace(DIST.small, radius_m=500.0)),
                                        (("alpha", (2.0, math.nan, 3.0)), ("k_cluster", (1, 2)))),
+    # range axes as parse_axis gives them, int64 and float64 arrays, each with
+    # a bad point: see test_a_range_axis_ends_in_the_error_of_its_tuple
+    "int-range-tiny-lifetimes": (replace(DIST, small=TINY),
+                                 (("alpha", (2.0, 3.0)), parse_axis("k_cluster=1:40:1"))),
+    "int-range-bad-count": (CENTRAL, (parse_axis("n_small=-3:30:3"), ("alpha", (3.0, 4.0)))),
+    "float-range-bad-value": (CENTRAL, (("n_small", (1, 2)), parse_axis("small_se=-1:2:0.25"))),
+    "float-range-edge-overflow": (replace(CENTRAL, small=replace(SHANNON, radius_m=1e-6)),
+                                  (("n_small", (0, 3)), parse_axis("alpha=2:80:0.5"))),
 }
 
 
@@ -481,6 +491,27 @@ def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
 ])
 def test_hostile_grids_end_in_their_first_error(case, message):
     assert _swept(SweepGrid(*SWEEP_CASES[case])) == message
+
+
+@pytest.mark.parametrize("case,message", [
+    ("int-range-tiny-lifetimes", "grid point k_cluster=1: lifetime_s: "),
+    ("int-range-bad-count", "grid point n_small=-3: n_small: must be an integer >= 0"),
+    ("float-range-bad-value", "grid point small_se=-1.0: bit_per_s_per_hz: "),
+    ("float-range-edge-overflow", "grid point alpha=40.0: small.spectrum_eff: edge SNR "),
+])
+def test_a_range_axis_ends_in_the_error_of_its_tuple(case, message):
+    # an array's element is named as the Python number it stands for, never
+    # as a numpy scalar such as np.int64(1), in the run and in both writers
+    base, axes = SWEEP_CASES[case]
+    plain = SweepGrid(base, tuple((name, tuple(values.tolist()) if isinstance(values, np.ndarray)
+                                   else values) for name, values in axes))
+    grid = SweepGrid(base, axes)
+    assert any(isinstance(values, np.ndarray) for _, values in grid.axes)
+    want = _swept(plain)
+    assert want.startswith(message) and "np." not in want
+    assert _swept(grid) == want
+    for fmt in ("csv", "json"):
+        assert _text_or_error(lambda: sweep_text(grid, fmt)) == f"error: {want}"
 
 
 def test_numpy_float_axis_values_overflow_into_a_validation_error():
@@ -826,6 +857,25 @@ def test_sweep_text_bytes_equal_the_plain_row_writers(grid):
     assert sweep_text(grid, "json") == _json_oracle(grid, rows)
 
 
+@pytest.mark.parametrize("fmt,kernel", [("csv", "e17_fields"), ("json", "repr_fields")])
+def test_sweep_text_makes_one_kernel_call_per_piece(fmt, kernel, monkeypatch):
+    # 27 000 rows, whose throughput reads n_small and small_se, and whose
+    # energy n_small and band: 9 000 values each, which spread over the
+    # first calls, beside the efficiency's value per row
+    grid = SweepGrid(CENTRAL, (parse_axis("n_small=0:2999:1"), ("small_se", (1.0, 2.5, 7.5)),
+                               ("band", (5.8e9, 28e9, 60e9))))
+    sizes, real = [], getattr(_kernels, kernel)
+    monkeypatch.setattr(_kernels, kernel, lambda x: sizes.append(x.size) or real(x))
+    text = sweep_text(grid, fmt)
+    floats = [c.size for c in sweep_report._sweep_columns(grid)[1][1:]]   # n_small is %d text
+    assert floats == [3, 3, 9000, 9000, 27000]
+    assert len(sizes) == -(-27000 // _kernels._PIECE)
+    # at most a piece of values a column, and each value formatted once
+    assert max(sizes) <= len(floats) * _kernels._PIECE
+    assert sum(sizes) == sum(floats)
+    assert text == {"csv": _csv_oracle, "json": _json_oracle}[fmt](grid, run_sweep(grid))
+
+
 class _Count(enum.IntEnum):
     A = 3
     B = 5
@@ -891,6 +941,92 @@ def test_json_text_rejects_non_finite_numbers(bad):
     with pytest.raises(ValidationError, match="^output: Out of range float values are not "
                                               "JSON compliant"):
         sweep_report.json_text([{"alpha": 3.0, "system_energy_j": bad}])
+
+
+# ---------------------------------------------------------------------------
+# Range axes: parse_axis's arrays against the values of one Python step each
+# ---------------------------------------------------------------------------
+
+_MAX_FLOAT = 1.7976931348623157e308
+
+
+def _stepped(spec):
+    """The values of a range spec as a Python step each gives them: start,
+    then start + i * step, over the count that parse_axis takes."""
+    name, _, rhs = spec.partition("=")
+    integer = AXES[name].arch is not None
+    start, stop, step = (int(t) if integer else float(t) for t in rhs.split(":"))
+    steps = (stop - start) // step if integer else (stop - start) / step + 1e-9
+    count = math.floor(min(steps, MAX_POINTS)) + 1 if steps >= 0 else 0
+    return tuple(start + i * step if i else start for i in range(count))
+
+
+def _range_specs(rng):
+    """Random range specs, then fixed ones at the edges: values that round to
+    inf or repeat near 1e308, MAX_POINTS and one more, ints past int64."""
+    for _ in range(500):
+        if rng.random() < 0.2:
+            start, step = rng.randint(-50, 50), rng.randint(1, 30)
+            yield f"n_small={start}:{start + rng.randint(-1, 3000) * step}:{step}"
+            continue
+        name = rng.choice(("alpha", "small_se", "band", "small_radius"))
+        start = rng.choice((-0.0, 0.0, rng.uniform(-1e3, 1e3),
+                            rng.choice((-1, 1)) * rng.uniform(0.9, 1.79) * 1e308))
+        step = 10 ** rng.uniform(-8, 3) if abs(start) < 1e300 or rng.random() < 0.5 \
+            else 10 ** rng.uniform(285, 307)
+        stop = start + rng.randint(0, 3000) * step + rng.choice((0.0, 0.5 * step))
+        yield f"{name}={start!r}:{min(stop, _MAX_FLOAT)!r}:{step!r}"
+    yield f"small_se={_MAX_FLOAT - 3e307 + 1e297!r}:{_MAX_FLOAT!r}:1e307"
+    yield f"alpha=1e308:{math.nextafter(1e308, math.inf)!r}:1e290"
+    yield "alpha=-0.0:1:0.25"
+    for name in ("alpha", "n_small"):
+        yield f"{name}=0:{MAX_POINTS - 1}:1"
+        yield f"{name}=0:{MAX_POINTS}:1"
+    yield f"n_small={2**63 - 1000}:{2**63 + 3000}:100"
+    yield f"n_small={-2**63 - 900}:{-2**63 + 99}:100"
+    yield f"n_small=0:{2**64}:{2**64}"
+    yield "n_small=5:4:1"
+
+
+def _grid_or_error(axes):
+    try:
+        return SweepGrid(CENTRAL, axes)
+    except ValidationError as e:
+        return str(e)
+
+
+def test_range_axes_equal_the_values_of_a_python_step_each():
+    seen = set()
+    for spec in _range_specs(random.Random(31)):
+        want = _stepped(spec)
+        if len(want) > MAX_POINTS:
+            with pytest.raises(ValidationError, match=f"more than {MAX_POINTS} values"):
+                parse_axis(spec)
+            continue
+        name, values = parse_axis(spec)
+        if isinstance(values, tuple):   # a count axis past int64: exact ints
+            assert not -2**63 <= min(want) <= max(want) < 2**63, spec
+            assert values == want and {type(v) for v in values} == {int}, spec
+            seen.add("past-int64")
+            continue
+        integer = AXES[name].arch is not None
+        assert values.dtype == (np.int64 if integer else np.float64) and not values.flags.writeable
+        got = values.tolist()
+        assert [v if integer else v.hex() for v in got] == \
+            [v if integer else v.hex() for v in want], spec
+        if len(want) > 3000:
+            continue
+        # the grid and its sweep take the array as they take the tuple
+        grid, plain = _grid_or_error(((name, values),)), _grid_or_error(((name, want),))
+        if isinstance(plain, str):
+            assert grid == plain, spec
+            seen.add(plain.partition(": ")[2])
+        else:
+            assert _swept(grid) == _swept(plain), spec
+            seen.update(("-0.0" if math.copysign(1.0, want[0]) < 0 else "values",
+                         "inf" if math.inf in want else "finite"))
+    assert {"past-int64", "-0.0", "inf", "values must be strictly increasing",
+            "values must be non-empty"} <= seen
 
 
 # (grid, the sizes of its value columns: throughput, energy, efficiency)
