@@ -7,7 +7,6 @@ curve a * P_tx + b; energies are lifetime integrals plus embodied terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import traffic
 from .scenario import (
@@ -26,11 +25,11 @@ from .scenario import (
     _check_type,
     _finite_total,
     _pow,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class EfficiencyResult:
+class EfficiencyResult(_Value):
     """Backhaul throughput per Joule of lifetime system energy, with the
     throughput and energy breakdowns it was computed from."""
 

@@ -2,6 +2,14 @@
 
 All quantities are SI: Hz, meters, Watts, Joules, seconds, bit/s.
 Every type is a frozen dataclass and safe to share between threads.
+Its methods are not generated per class but shared, from _Frozen: a
+record's constructor is Record(*fields, **fields), each field given by
+position or keyword once, and those left out taking their defaults.  A
+wrong call is a TypeError naming the record: "Record() takes N positional
+arguments but M were given", "Record() missing required argument 'f'",
+"Record() got multiple values for argument 'f'" or "Record() got an
+unexpected keyword argument 'f'".  dataclasses.fields, replace and asdict
+work on every record.
 An input record's fields are its JSON keys, and each field carries the
 rule that checks its value, reads it from a document and writes it back.
 A record's one check is its __post_init__, run by its constructor and by
@@ -16,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from itertools import islice
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
@@ -85,42 +94,105 @@ def _rule(rule, default=MISSING):
     return field(default=default, metadata={"rule": rule})
 
 
-def _record(cls):
-    """The frozen dataclass of an input record, with the rule tables of its
-    fields built once per class: every record built runs __post_init__,
-    every object of a document runs _read and every record written runs _text."""
-    cls = dataclass(frozen=True)(cls)
-    # _rules: {field: rule} in declaration order;
-    # _fields: (field, record rule or None, default, a union's {class: tag}
-    #   or None) in declaration order, for the reader and the writer;
-    # _records: (field, types, message);
-    # _numbers: (field, the rule's types as a tuple, low, high, number rule);
-    # _keys_with_type: a union member's JSON keys.
-    cls._rules = {f.name: f.metadata["rule"] for f in fields(cls)}
-    cls._keys_with_type = frozenset(cls._rules) | {"type"}
-    read, records, numbers = [], [], []
-    for f in fields(cls):
-        name, rule, default = f.name, f.metadata["rule"], f.default
-        if isinstance(rule, tuple):
-            read.append((name, None, default, None))
-            types = rule[0] if isinstance(rule[0], tuple) else (rule[0],)
-            numbers.append((name, types, rule[1], rule[2], rule))
-            continue
-        union = isinstance(rule, dict)
-        types = tuple(rule.values()) if union else (rule,)
-        message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
-        if default is None:
-            types, message = types + (type(None),), message + " or None"
-        read.append((name, rule, default, {c: tag for tag, c in rule.items()} if union else None))
-        records.append((name, types, message))
-    cls._fields, cls._records, cls._numbers = tuple(read), tuple(records), tuple(numbers)
-    return cls
+class _Frozen:
+    """Base of every record.  A subclass that declares fields becomes a
+    dataclass of them, with no method generated: dataclasses.fields,
+    replace and asdict work on it, and its methods are these, shared.  The
+    constructor takes the fields by position or keyword, fills defaults,
+    then runs __post_init__; an argument too many, missing, repeated or
+    unknown is a TypeError.  The repr is the dataclass one, and a field can
+    be neither assigned nor deleted (dataclasses.FrozenInstanceError).  A
+    record compares and hashes by identity, or by its fields' values where
+    it is a _Value."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__annotations__" in vars(cls):   # a record, not a base such as _Value
+            dataclass(init=False, repr=False, eq=False)(cls)
+            cls._defaults = {f.name: f.default for f in fields(cls)}
+
+    def __init__(self, *args, **kwargs):
+        defaults = self._defaults   # {field: default or MISSING}, in declaration order
+        if len(args) > len(defaults):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(defaults)} "
+                            f"positional arguments but {len(args)} were given")
+        values = self.__dict__
+        values.update(zip(defaults, args))
+        for name, default in islice(defaults.items(), len(args), None):
+            values[name] = kwargs.pop(name, default)
+            if values[name] is MISSING:
+                raise TypeError(f"{type(self).__qualname__}() missing required argument {name!r}")
+        for name in kwargs:
+            raise TypeError(f"{type(self).__qualname__}() got "
+                            + (f"multiple values for argument {name!r}" if name in values
+                               else f"an unexpected keyword argument {name!r}"))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        values = self.__dict__
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join(f"{name}={values[name]!r}" for name in self._defaults))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class _Checked:
-    """Base of the input records, each built by _record: every field carries
-    its rule (see _rule), and a record checks its fields by them when built,
-    whether by its constructor or by _read."""
+class _Value(_Frozen):
+    """A record that compares and hashes by the tuple of its fields' values,
+    as a frozen dataclass does."""
+
+    def __eq__(self, other):
+        # a record's __dict__ holds its fields alone
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        values = self.__dict__
+        return hash(tuple([values[name] for name in self._defaults]))
+
+
+class _Checked(_Value):
+    """Base of the input records: every field carries its rule (see _rule),
+    and a record checks its fields by them when built, whether by its
+    constructor or by _read."""
+
+    def __init_subclass__(cls, **kwargs):
+        """The rule tables of the record's fields, built once per class: every
+        record built runs __post_init__, every object of a document runs
+        _read and every record written runs _text."""
+        super().__init_subclass__(**kwargs)
+        # _rules: {field: rule} in declaration order;
+        # _fields: (field, record rule or None, default, a union's {class: tag}
+        #   or None) in declaration order, for the reader and the writer;
+        # _records: (field, types, message);
+        # _numbers: (field, the rule's types as a tuple, low, high, number rule);
+        # _keys_with_type: a union member's JSON keys.
+        cls._rules = {f.name: f.metadata["rule"] for f in fields(cls)}
+        cls._keys_with_type = frozenset(cls._rules) | {"type"}
+        read, records, numbers = [], [], []
+        for f in fields(cls):
+            name, rule, default = f.name, f.metadata["rule"], f.default
+            if isinstance(rule, tuple):
+                read.append((name, None, default, None))
+                types = rule[0] if isinstance(rule[0], tuple) else (rule[0],)
+                numbers.append((name, types, rule[1], rule[2], rule))
+                continue
+            union = isinstance(rule, dict)
+            types = tuple(rule.values()) if union else (rule,)
+            message = f"{name}: must be {' or '.join(t.__name__ for t in types)}"
+            if default is None:
+                types, message = types + (type(None),), message + " or None"
+            tags = {c: tag for tag, c in rule.items()} if union else None
+            read.append((name, rule, default, tags))
+            records.append((name, types, message))
+        cls._fields, cls._records, cls._numbers = tuple(read), tuple(records), tuple(numbers)
 
     def __post_init__(self):
         values = self.__dict__
@@ -149,7 +221,6 @@ def _with_checked(record, **fields):
     return _checked(type(record), **{**vars(record), **fields})
 
 
-@_record
 class PowerCurve(_Checked):
     """Linear operating-power model: P_op = slope_a * P_tx + offset_b_w."""
 
@@ -157,7 +228,6 @@ class PowerCurve(_Checked):
     offset_b_w: float = _rule(_POSITIVE)    # Watt, draw at zero transmit power
 
 
-@_record
 class TxAnchor(_Checked):
     """Reference point that pins the transmit-power scaling law.
 
@@ -174,7 +244,6 @@ class TxAnchor(_Checked):
     freq_exponent: float = _rule(_NON_NEGATIVE, 2.0)
 
 
-@_record
 class Overheads(_Checked):
     """S1 feeder protocol overhead and X2 handover overhead, as fractions
     of the user-plane cell throughput."""
@@ -183,7 +252,6 @@ class Overheads(_Checked):
     x2: float = _rule(_UNIT, 0.04)
 
 
-@_record
 class EmbodiedAbsolute(_Checked):
     """Embodied energy given directly as initial + maintenance Joules."""
 
@@ -191,7 +259,6 @@ class EmbodiedAbsolute(_Checked):
     maint_j: float = _rule(_NON_NEGATIVE)
 
 
-@_record
 class EmbodiedFraction(_Checked):
     """Embodied energy specified as a fraction of total lifetime energy.
 
@@ -204,14 +271,12 @@ class EmbodiedFraction(_Checked):
 EmbodiedRule = Union[EmbodiedAbsolute, EmbodiedFraction]
 
 
-@_record
 class FixedSE(_Checked):
     """Constant average spectrum efficiency, bit/s/Hz."""
 
     bit_per_s_per_hz: float = _rule(_NON_NEGATIVE)
 
 
-@_record
 class ShannonEdgeSE(_Checked):
     """Cell-edge Shannon capacity model, calibrated at a reference radius.
 
@@ -226,7 +291,6 @@ class ShannonEdgeSE(_Checked):
 SpectrumEffSource = Union[FixedSE, ShannonEdgeSE]
 
 
-@_record
 class CellParams(_Checked):
     """Per-class (macro or small) base station parameters."""
 
@@ -239,14 +303,12 @@ class CellParams(_Checked):
                                     "fraction_of_total": EmbodiedFraction})
 
 
-@_record
 class Central(_Checked):
     """All small cells backhaul into one macro base station."""
 
     n_small: int = _rule(_COUNT)
 
 
-@_record
 class Distribution(_Checked):
     """A cooperative cluster of small cells relays toward a gateway cell."""
 
@@ -309,7 +371,6 @@ def default_table1(cell_class: str) -> CellParams:
     return cell
 
 
-@_record
 class ScenarioConfig(_Checked):
     """Complete description of one backhaul evaluation."""
 
@@ -333,8 +394,7 @@ class ScenarioConfig(_Checked):
                 "macro: not allowed for the distribution architecture")
 
 
-@dataclass(frozen=True)
-class ThroughputBreakdown:
+class ThroughputBreakdown(_Value):
     """Backhaul throughput split by direction and cell class, bit/s.
 
     small_* and macro_* are per-cell values; total_* aggregates over the
@@ -350,8 +410,7 @@ class ThroughputBreakdown:
     total_bps: float
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(_Value):
     """Lifetime energy split by cell class, Joule.
 
     per_* fields are for one base station of that class; system_total_j

@@ -39,7 +39,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from . import link_model, power_energy, traffic
@@ -54,6 +54,8 @@ from .scenario import (
     ValidationError,
     _check_number,
     _check_type,
+    _Frozen,
+    _Value,
     _with_checked,
     default_table1,
 )
@@ -144,23 +146,28 @@ def parse_axis(spec: str) -> tuple[str, tuple]:
 def _axis_pair(axis) -> tuple:
     """(name, values) of one axis, or a ValidationError naming it.  values
     are kept as they are where they are a tuple, or a read-only 1-d float64
-    or int64 array that owns its data, as parse_axis gives; else as a tuple."""
+    or int64 array that owns its data, as parse_axis gives.  Any other 1-d
+    float64 or int64 array, writable or a view, is kept as a read-only copy,
+    so that no write through the caller's array can change it; other values
+    as a tuple."""
     try:
         name, values = axis
         if type(values) is tuple:
             return name, values
         import numpy as np
 
-        if (isinstance(values, np.ndarray) and values.ndim == 1 and values.base is None
-                and not values.flags.writeable and values.dtype in (np.float64, np.int64)):
-            return name, values
-        return name, tuple(values)
+        if not (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype in (np.float64, np.int64)):
+            return name, tuple(values)
+        if values.base is not None or values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
+        return name, values
     except (TypeError, ValueError):
         raise ValidationError(f"axis {axis!r}: must be a (name, values) pair") from None
 
 
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
+class SweepGrid(_Frozen):
     """A base scenario and the (name, values) axes swept over it, first
     slowest.  An axis's values are a tuple or a read-only numpy array (see
     _axis_pair), so a grid compares and hashes by identity."""
@@ -188,7 +195,7 @@ class SweepGrid:
             try:   # a NaN passes, as neither comparison with it holds: _numbers finds it
                 unordered = (any(map(operator.le, values[1:], values))
                              if isinstance(values, tuple) else (values[1:] <= values[:-1]).any())
-            except TypeError:   # values of types that do not compare
+            except (TypeError, ValueError):   # values that do not compare, or give arrays
                 raise ValidationError(f"axis {name}: values must be numbers") from None
             if unordered:
                 raise ValidationError(f"axis {name}: values must be strictly increasing")
@@ -487,7 +494,8 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
 
     The rows are laid out by _kernels.table_text, each float cell the field
     of a numpy kernel, e17_fields for CSV and repr_fields for JSON, so no
-    float cell makes a Python call; a count cell keeps %d.  Each piece of
+    float cell makes a Python call; an int64 count column is one astype
+    to bytes, and only a tuple's counts take a %d each.  Each piece of
     rows makes one kernel call, which formats each value once, whether its
     column has a value per row or fewer.
     """
@@ -499,7 +507,8 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
     shape, columns = _sweep_columns(grid)
     names = grid.axis_names + VALUE_COLUMNS
     # a station-count axis as %d text; an int on a float axis is a float
-    cells = [np.array(["%d" % v for v in c.ravel().tolist()], dtype=bytes).reshape(c.shape)
+    cells = [(c.astype(bytes) if c.dtype == np.int64 else
+              np.array(["%d" % v for v in c.ravel().tolist()], dtype=bytes).reshape(c.shape))
              if name in AXES and AXES[name].arch is not None else c.astype(float)
              for name, c in zip(names, columns)]
     if fmt == "csv":
@@ -533,8 +542,7 @@ _TABLE_OP_W = {
 TX_REL_TOL = 0.005
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(_Value):
     """One verified calibration cell."""
 
     label: str

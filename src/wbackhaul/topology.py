@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .scenario import ValidationError, _check_number, _check_type, _checked, _with_checked
+from .scenario import ValidationError, _check_number, _check_type, _checked, _Frozen, _with_checked
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
 
@@ -50,10 +49,9 @@ _RADIUS = (_REAL, math.nextafter(0.0, 1.0), _MAX_COORD_M,
 _BPS = (_REAL, 0, sys.float_info.max, "must be a finite number >= 0")
 
 
-# eq=False: records holding arrays compare and hash by identity, as ndarrays
-# have no truth value to compare by
-@dataclass(frozen=True, eq=False)
-class Placement:
+# _Frozen, not _Value: records holding arrays compare and hash by identity,
+# as ndarrays have no truth value to compare by
+class Placement(_Frozen):
     """n station positions (meters, (n, 2) float64 array) in a disk around the origin.
 
     The positions are a read-only copy of the array given, so that no view
@@ -85,8 +83,7 @@ class Placement:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RelayTree:
+class RelayTree(_Frozen):
     """Spanning tree of a placement, rooted at the gateway station.
 
     parent[i] is the next hop of node i toward the gateway (-1 for the

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import functools
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -648,3 +651,151 @@ def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(int_digit_limi
     text = '{"architecture": {"type": "central", "n_small": %s}}' % ("9" * 5000)
     with pytest.raises(ParseError, match="^invalid JSON: Exceeds the limit"):
         load_scenario(text)
+
+
+# ---------------------------------------------------------------------------
+# records: one shared set of methods, as a frozen dataclass would generate
+# ---------------------------------------------------------------------------
+
+def _record_classes() -> list:
+    """Every dataclass the package defines, numpy's topology module included."""
+    from wbackhaul import power_energy, sweep_report, topology
+    return [cls for module in (scenario, power_energy, sweep_report, topology)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__]
+
+
+def _identity_classes() -> set:
+    from wbackhaul import sweep_report, topology
+    return {sweep_report.SweepGrid, topology.Placement, topology.RelayTree}
+
+
+def test_no_record_class_generates_its_own_methods():
+    # generating these methods per class was most of the package's import time
+    classes = _record_classes()
+    assert len(classes) == 18 and _identity_classes() <= set(classes)
+    for cls in classes:
+        assert issubclass(cls, scenario._Frozen), cls
+        own = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
+               "__delattr__"} & vars(cls).keys()
+        assert not own, (cls, own)
+        by_value = cls not in _identity_classes()
+        assert issubclass(cls, scenario._Value) == by_value, cls
+        assert (cls.__eq__ is object.__eq__) != by_value
+        assert (cls.__hash__ is object.__hash__) != by_value
+
+
+@functools.cache
+def _twin(cls):
+    """A frozen dataclass generated as dataclasses does, with cls's name and fields."""
+    return dataclasses.make_dataclass(
+        cls.__qualname__, [(f.name, object, dataclasses.field(default=f.default))
+                           for f in dataclasses.fields(cls)], frozen=True)
+
+
+def _records_in(value) -> list:
+    """value and every record it holds, depth first."""
+    if not dataclasses.is_dataclass(value):
+        return []
+    return [value, *(r for f in dataclasses.fields(value)
+                     for r in _records_in(getattr(value, f.name)))]
+
+
+def _values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def _check_record(record, other):
+    """record behaves as the frozen dataclass of its fields: repr, ==, hash,
+    copies, the constructor's argument errors and frozen fields."""
+    cls = type(record)
+    twin = _twin(cls)
+    values = _values(record)
+    assert repr(record) == repr(twin(*values))
+    assert hash(record) == hash(twin(*values)) == hash(values)
+    assert (record == other) == (twin(*values) == twin(*_values(other)) if type(other) is cls
+                                 else False)
+    assert record.__eq__(values) is NotImplemented and record != values
+    for again in (dataclasses.replace(record), copy.deepcopy(record), copy.copy(record),
+                  pickle.loads(pickle.dumps(record)), cls(*values),
+                  cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), values)})):
+        assert type(again) is cls and again == record and not again != record
+        assert hash(again) == hash(record) and repr(again) == repr(record)
+        assert list(vars(again)) == [f.name for f in dataclasses.fields(cls)]
+    assert dataclasses.asdict(record) == dataclasses.asdict(twin(*values))
+    assert dataclasses.astuple(record) == dataclasses.astuple(twin(*values))
+    name = dataclasses.fields(cls)[0].name
+    for bad_args, bad_kwargs in (((*values, values[0]), {}), ((values[0],), {name: values[0]}),
+                                 (values, {"unknown_field": 1})):
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+        with pytest.raises(TypeError):
+            twin(*bad_args, **bad_kwargs)
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            with pytest.raises(TypeError, match=f"^{cls.__qualname__}[(][)] missing required "
+                                                f"argument '{f.name}'$"):
+                cls(**{n: v for n, v in zip(vars(record), values) if n != f.name})
+    for change in (lambda: setattr(record, name, values[0]), lambda: delattr(record, name),
+                   lambda: setattr(record, "other", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    assert _values(record) == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_CONFIGS, other=_CONFIGS)
+def test_records_behave_as_frozen_dataclasses(cfg, other):
+    # built by their constructors, and by the reader, which runs none
+    records = _records_in(cfg) + _records_in(load_scenario(serialize_scenario(cfg)))
+    try:
+        records += _records_in(efficiency(cfg))
+    except ConfigError:   # a drawn config whose totals overflow
+        pass
+    others = {type(r): r for r in _records_in(other) + records[::-1]}
+    for record in records:
+        _check_record(record, others[type(record)])
+
+
+def test_the_table1_report_records_behave_as_frozen_dataclasses():
+    from wbackhaul.sweep_report import table1_report
+    checks = table1_report()
+    for check, other in zip(checks, checks[1:] + checks[:1]):
+        _check_record(check, other)
+
+
+def test_the_constructor_names_a_wrong_argument():
+    for call, message in [
+        (lambda: PowerCurve(1.0, 2.0, 3.0),
+         "PowerCurve() takes 2 positional arguments but 3 were given"),
+        (lambda: PowerCurve(1.0), "PowerCurve() missing required argument 'offset_b_w'"),
+        (lambda: PowerCurve(1.0, slope_a=2.0),
+         "PowerCurve() missing required argument 'offset_b_w'"),
+        (lambda: PowerCurve(1.0, 2.0, slope_a=2.0),
+         "PowerCurve() got multiple values for argument 'slope_a'"),
+        (lambda: TxAnchor(watts=1.0), "TxAnchor() got an unexpected keyword argument 'watts'"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_records_with_arrays_compare_and_hash_by_identity():
+    from wbackhaul.sweep_report import SweepGrid
+    from wbackhaul.topology import RelayTree, build_relay_tree, place_uniform
+    pl = place_uniform(20, 500.0, seed=3)
+    tree = build_relay_tree(pl)
+    grid = SweepGrid(ScenarioConfig(architecture=Central(3)), (("alpha", (3.0, 3.5)),))
+    twins = [(pl, type(pl)(pl.positions, pl.macro_radius_m, pl.seed)),
+             (tree, RelayTree(tree.gateway_index, tree.parent, tree.link_load_bps)),
+             (grid, SweepGrid(grid.base, grid.axes))]
+    for record, twin in twins:
+        for again in (twin, copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                      dataclasses.replace(record)):
+            assert again != record and not again == record and again == again
+            assert repr(again) == repr(record)
+        assert hash(record) == object.__hash__(record) and record == record
+        assert repr(record).startswith(f"{type(record).__qualname__}(")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)

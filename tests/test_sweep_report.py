@@ -84,8 +84,9 @@ def test_unknown_axis_rejected():
     ((([1], (1,)),), r"axis.*\[1\]"),            # a name that is not a string
     (5, "^axes: .*got 5$"),                      # axes not iterable
     (None, "^axes: .*got None$"),
+    ((("alpha", np.ones((2, 2))),), "^axis alpha: values must be numbers$"),   # rows of arrays
 ], ids=["values-not-iterable", "no-values", "string", "non-numeric", "name-not-str",
-        "axes-int", "axes-none"])
+        "axes-int", "axes-none", "2-d-array"])
 def test_malformed_axes_are_validation_errors_naming_the_axis(axes, message):
     with pytest.raises(ValidationError, match=message):
         SweepGrid(CENTRAL, axes)
@@ -1100,3 +1101,87 @@ def test_the_cli_writes_sweeps_and_figures_without_building_rows(tmp_path, capsy
     assert out.read_text() == want["csv"]
     assert cli.main(["figures", "--which", "fig4a", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith(" (123 rows)\n")
+
+
+# ---------------------------------------------------------------------------
+# A caller's own arrays: kept as read-only copies, on the array path
+# ---------------------------------------------------------------------------
+
+def _writable(values):
+    """values as a writable float64 or int64 array where they are an array, or
+    plain floats, or plain ints that fit int64; else None."""
+    kinds = set(map(type, values.tolist() if isinstance(values, np.ndarray) else values))
+    if kinds == {float} or kinds == {int} and -2**63 <= min(values) <= max(values) < 2**63:
+        return np.array(values, dtype=float if kinds == {float} else np.int64)
+    return None
+
+
+def _texts(base, axes):
+    """The CSV and JSON of the grid, or the error that ends either."""
+    try:
+        grid = SweepGrid(base, axes)
+    except ValidationError as e:
+        return f"error: {e}"
+    return [_text_or_error(lambda: sweep_text(grid, fmt)) for fmt in ("csv", "json")]
+
+
+_HOSTILE_ARRAYS = {
+    "nan": (CENTRAL, (("alpha", (3.0, math.nan, 3.5)),)),
+    "nan-first": (CENTRAL, (("alpha", (math.nan, 3.0)),)),
+    "unordered": (CENTRAL, (("alpha", (3.5, 3.0)),)),
+    "repeated": (CENTRAL, (("small_se", (1.0, 1.0)),)),
+    "negative-count": (CENTRAL, (("n_small", (-3, 4)),)),
+    "zero-cluster": (DIST, (("k_cluster", (0, 1)),)),
+    "float-count": (CENTRAL, (("n_small", (1.0, 2.0)),)),
+    "int-alpha": (CENTRAL, (("alpha", (2, 3, 2**62)),)),
+}
+
+
+@pytest.mark.parametrize("case", [case for case, (_, axes) in {**SWEEP_CASES, **_HOSTILE_ARRAYS}
+                                  .items() if any(_writable(v) is not None for _, v in axes)])
+def test_a_writable_array_axis_ends_as_its_read_only_twin(case):
+    base, axes = SWEEP_CASES.get(case) or _HOSTILE_ARRAYS[case]
+    arrays = {name: _writable(values) for name, values in axes}
+
+    def given(make):
+        return tuple((name, values if arrays[name] is None else make(arrays[name]))
+                     for name, values in axes)
+
+    def read_only(array):
+        array = array.copy()
+        array.flags.writeable = False
+        return array
+
+    want = _texts(base, given(read_only))
+    # the caller's array, and a view of a longer one, as a caller's slice is
+    for mine in (given(np.copy), given(lambda a: np.concatenate((a[:1], a))[1:])):
+        assert _texts(base, mine) == want, case
+        if isinstance(want, str):
+            continue
+        grid = SweepGrid(base, mine)
+        for (_, kept), (_, values) in zip(grid.axes, mine):
+            if isinstance(values, np.ndarray):   # a read-only copy, on the array path
+                assert isinstance(kept, np.ndarray) and not kept.flags.writeable
+                assert kept.base is None and np.array_equal(kept, values, equal_nan=True)
+                values[...] = values[::-1]   # a later write to the caller's array
+        assert [_text_or_error(lambda: sweep_text(grid, fmt)) for fmt in ("csv", "json")] \
+            == want, case
+    assert "np." not in str(want)
+
+
+@pytest.mark.parametrize("spec", [
+    "n_small=0:1000:25",
+    f"n_small={2**63 - 2049}:{2**63 - 1}:1",          # up to the int64 limit
+    f"n_small={2**63 - 1000}:{2**63 + 3000}:100",     # past it: a tuple of ints
+    f"k_cluster=1:{2**63 - 1}:{2**62}",
+])
+def test_a_count_range_writes_the_bytes_of_its_tuple(spec):
+    name, values = parse_axis(spec)
+    base = CENTRAL if name == "n_small" else DIST
+    grid = SweepGrid(base, ((name, values), ("small_se", (1.0, 2.5))))
+    plain = SweepGrid(base, ((name, tuple(values.tolist()) if isinstance(values, np.ndarray)
+                              else values), ("small_se", (1.0, 2.5))))
+    assert isinstance(values, np.ndarray) == (max(_stepped(spec)) < 2**63)
+    rows = run_sweep(plain)
+    for fmt, oracle in (("csv", _csv_oracle), ("json", _json_oracle)):
+        assert sweep_text(grid, fmt) == sweep_text(plain, fmt) == oracle(plain, rows)
