@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from itertools import islice
+from inspect import Parameter, Signature
 from typing import Union
 
 SECONDS_PER_YEAR = 3.1536e7  # 365 days
@@ -110,22 +110,31 @@ class _Frozen:
         if "__annotations__" in vars(cls):   # a record, not a base such as _Value
             dataclass(init=False, repr=False, eq=False)(cls)
             cls._defaults = {f.name: f.default for f in fields(cls)}
+            # the signature that help() and inspect show for the constructor
+            cls.__signature__ = Signature([Parameter(
+                f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                default=Parameter.empty if f.default is MISSING else f.default)
+                for f in fields(cls)], return_annotation=None)
 
     def __init__(self, *args, **kwargs):
         defaults = self._defaults   # {field: default or MISSING}, in declaration order
-        if len(args) > len(defaults):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(defaults)} "
-                            f"positional arguments but {len(args)} were given")
-        values = self.__dict__
-        values.update(zip(defaults, args))
-        for name, default in islice(defaults.items(), len(args), None):
-            values[name] = kwargs.pop(name, default)
-            if values[name] is MISSING:
-                raise TypeError(f"{type(self).__qualname__}() missing required argument {name!r}")
-        for name in kwargs:
-            raise TypeError(f"{type(self).__qualname__}() got "
-                            + (f"multiple values for argument {name!r}" if name in values
-                               else f"an unexpected keyword argument {name!r}"))
+        if kwargs or len(args) != len(defaults):   # else each field by position
+            name = type(self).__qualname__
+            if len(args) > len(defaults):
+                raise TypeError(f"{name}() takes {len(defaults)} positional arguments "
+                                f"but {len(args)} were given")
+            given = dict(zip(defaults, args))
+            for key in kwargs:
+                if key in given or key not in defaults:
+                    raise TypeError(f"{name}() got " + (
+                        f"multiple values for argument {key!r}" if key in given
+                        else f"an unexpected keyword argument {key!r}"))
+            given.update(kwargs)
+            args = [given.get(key, default) for key, default in defaults.items()]
+            for key, value in zip(defaults, args):
+                if value is MISSING:
+                    raise TypeError(f"{name}() missing required argument {key!r}")
+        self.__dict__.update(zip(defaults, args))
         self.__post_init__()
 
     def __post_init__(self):

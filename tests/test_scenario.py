@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import pickle
@@ -690,7 +691,7 @@ def test_no_record_class_generates_its_own_methods():
 def _twin(cls):
     """A frozen dataclass generated as dataclasses does, with cls's name and fields."""
     return dataclasses.make_dataclass(
-        cls.__qualname__, [(f.name, object, dataclasses.field(default=f.default))
+        cls.__qualname__, [(f.name, f.type, dataclasses.field(default=f.default))
                            for f in dataclasses.fields(cls)], frozen=True)
 
 
@@ -712,6 +713,7 @@ def _check_record(record, other):
     cls = type(record)
     twin = _twin(cls)
     values = _values(record)
+    assert inspect.signature(cls) == inspect.signature(twin)
     assert repr(record) == repr(twin(*values))
     assert hash(record) == hash(twin(*values)) == hash(values)
     assert (record == other) == (twin(*values) == twin(*_values(other)) if type(other) is cls
@@ -771,7 +773,8 @@ def test_the_constructor_names_a_wrong_argument():
          "PowerCurve() takes 2 positional arguments but 3 were given"),
         (lambda: PowerCurve(1.0), "PowerCurve() missing required argument 'offset_b_w'"),
         (lambda: PowerCurve(1.0, slope_a=2.0),
-         "PowerCurve() missing required argument 'offset_b_w'"),
+         "PowerCurve() got multiple values for argument 'slope_a'"),
+        (lambda: PowerCurve(offset_b_w=2.0), "PowerCurve() missing required argument 'slope_a'"),
         (lambda: PowerCurve(1.0, 2.0, slope_a=2.0),
          "PowerCurve() got multiple values for argument 'slope_a'"),
         (lambda: TxAnchor(watts=1.0), "TxAnchor() got an unexpected keyword argument 'watts'"),
