@@ -9,7 +9,7 @@ wrong call is a TypeError naming the record: "Record() takes N positional
 arguments but M were given", "Record() missing required argument 'f'",
 "Record() got multiple values for argument 'f'" or "Record() got an
 unexpected keyword argument 'f'".  dataclasses.fields, replace and asdict
-work on every record.
+work on every record, and copy and pickle rebuild one by its constructor.
 An input record's fields are its JSON keys, and each field carries the
 rule that checks its value, reads it from a document and writes it back.
 A record's one check is its __post_init__, run by its constructor and by
@@ -119,22 +119,24 @@ class _Frozen:
     def __init__(self, *args, **kwargs):
         defaults = self._defaults   # {field: default or MISSING}, in declaration order
         if kwargs or len(args) != len(defaults):   # else each field by position
-            name = type(self).__qualname__
+            record = type(self).__qualname__
             if len(args) > len(defaults):
-                raise TypeError(f"{name}() takes {len(defaults)} positional arguments "
+                raise TypeError(f"{record}() takes {len(defaults)} positional arguments "
                                 f"but {len(args)} were given")
             given = dict(zip(defaults, args))
-            for key in kwargs:
-                if key in given or key not in defaults:
-                    raise TypeError(f"{name}() got " + (
-                        f"multiple values for argument {key!r}" if key in given
-                        else f"an unexpected keyword argument {key!r}"))
+            for name in kwargs:
+                if name in given or name not in defaults:
+                    raise TypeError(f"{record}() got " + (
+                        f"multiple values for argument {name!r}" if name in given
+                        else f"an unexpected keyword argument {name!r}"))
             given.update(kwargs)
-            args = [given.get(key, default) for key, default in defaults.items()]
-            for key, value in zip(defaults, args):
+            args = [given.get(name, default) for name, default in defaults.items()]
+            for name, value in zip(defaults, args):
                 if value is MISSING:
-                    raise TypeError(f"{name}() missing required argument {key!r}")
-        self.__dict__.update(zip(defaults, args))
+                    raise TypeError(f"{record}() missing required argument {name!r}")
+        values = self.__dict__
+        for name, value in zip(defaults, args):
+            values[name] = value
         self.__post_init__()
 
     def __post_init__(self):
@@ -144,6 +146,11 @@ class _Frozen:
         values = self.__dict__
         return "%s(%s)" % (type(self).__qualname__,
                            ", ".join(f"{name}={values[name]!r}" for name in self._defaults))
+
+    def __reduce__(self):
+        # a copy, deep or not, and an unpickled record are built by the
+        # constructor, so they are checked and hold read-only arrays of their own
+        return type(self), tuple(map(self.__dict__.__getitem__, self._defaults))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -163,8 +170,7 @@ class _Value(_Frozen):
         return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        values = self.__dict__
-        return hash(tuple([values[name] for name in self._defaults]))
+        return hash(tuple(map(self.__dict__.__getitem__, self._defaults)))
 
 
 class _Checked(_Value):

@@ -784,12 +784,13 @@ def test_the_constructor_names_a_wrong_argument():
         assert str(info.value) == message
 
 
-def test_records_with_arrays_compare_and_hash_by_identity():
+def test_records_with_arrays_compare_by_identity_and_copy_read_only():
     from wbackhaul.sweep_report import SweepGrid
     from wbackhaul.topology import RelayTree, build_relay_tree, place_uniform
     pl = place_uniform(20, 500.0, seed=3)
     tree = build_relay_tree(pl)
-    grid = SweepGrid(ScenarioConfig(architecture=Central(3)), (("alpha", (3.0, 3.5)),))
+    grid = SweepGrid(ScenarioConfig(architecture=Central(3)),
+                     (("alpha", (3.0, 3.5)), ("small_se", np.array([1.0, 2.0]))))
     twins = [(pl, type(pl)(pl.positions, pl.macro_radius_m, pl.seed)),
              (tree, RelayTree(tree.gateway_index, tree.parent, tree.link_load_bps)),
              (grid, SweepGrid(grid.base, grid.axes))]
@@ -799,6 +800,14 @@ def test_records_with_arrays_compare_and_hash_by_identity():
             assert again != record and not again == record and again == again
             assert repr(again) == repr(record)
         assert hash(record) == object.__hash__(record) and record == record
+        for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            # a copy holds read-only arrays of its own, checked as the original was
+            for field in dataclasses.fields(record):
+                value = getattr(again, field.name)
+                arrays = [v for _, v in value] if field.name == "axes" else [value]
+                for array in arrays:
+                    if isinstance(array, np.ndarray):
+                        assert not array.flags.writeable and array.base is None
         assert repr(record).startswith(f"{type(record).__qualname__}(")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, dataclasses.fields(record)[0].name, None)
