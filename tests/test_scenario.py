@@ -738,7 +738,7 @@ def _check_record(record, other):
         if f.default is dataclasses.MISSING:
             with pytest.raises(TypeError, match=f"^{cls.__qualname__}[(][)] missing required "
                                                 f"argument '{f.name}'$"):
-                cls(**{n: v for n, v in zip(vars(record), values) if n != f.name})
+                cls(**{g.name: v for g, v in zip(dataclasses.fields(cls), values) if g is not f})
     for change in (lambda: setattr(record, name, values[0]), lambda: delattr(record, name),
                    lambda: setattr(record, "other", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
