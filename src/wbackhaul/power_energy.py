@@ -3,6 +3,13 @@
 Transmit power is anchored: P_tx(r, f) = P0 * (r/r0)^alpha * (f/f0)^e
 with (P0, r0, f0, e) from a TxAnchor.  Operating power is the linear
 curve a * P_tx + b; energies are lifetime integrals plus embodied terms.
+
+The energy of a scenario is one function, _energy_fields, for a point
+and a grid alike, as its throughput is traffic._throughput_fields; they
+check nothing.  scenario_energy and efficiency check the totals and the
+ratio afterwards, and only where one is not finite do they walk the
+per-cell and per-station checks, _check_cells and _check_stations, to
+name the field at fault.
 """
 from __future__ import annotations
 
@@ -10,8 +17,6 @@ import math
 
 from . import traffic
 from .scenario import (
-    Architecture,
-    CellParams,
     Central,
     EmbodiedAbsolute,
     EmbodiedRule,
@@ -86,9 +91,8 @@ def _finite_tx(radius_m: float, band_hz: float, alpha: float, anchor: TxAnchor,
 
 
 # The per-station helpers below take values of checked records (and the
-# published calibration powers), so they check nothing themselves; those
-# that return floats return columns of them when given columns (see
-# sweep_report._grid_columns).
+# published calibration powers), so they check nothing themselves; given
+# columns, they return columns (see _energy_fields).
 def _operating_power(curve: PowerCurve, tx_w: float) -> float:
     """Operating power draw (W) at the given transmit power."""
     return curve.slope_a * tx_w + curve.offset_b_w
@@ -105,68 +109,47 @@ def _embodied_energy(rule: EmbodiedRule, operating_j: float) -> float:
     return operating_j * rule.fraction / (1.0 - rule.fraction)
 
 
-def _lifetime_energy(cell: CellParams, tx_w: float) -> tuple[float, float, float]:
-    """(P_op, operating J, embodied J) of one station of cell at the given
-    transmit power, unchecked."""
-    p_op = _operating_power(cell.power_curve, tx_w)
-    e_op = p_op * cell.lifetime_s
-    return p_op, e_op, _embodied_energy(cell.embodied, e_op)
-
-
-def _station_energy(cell: CellParams, cfg: ScenarioConfig,
-                    name: str) -> tuple[float, float]:
-    """(operating_j, embodied_j) of one base station of the class name."""
-    p_tx = _finite_tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}.")
-    p_op, e_op, e_em = _lifetime_energy(cell, p_tx)
-    if not math.isfinite(e_op):
-        # name the larger factor: a power that overflows on its own is the curve's
-        if p_op >= cell.lifetime_s:
-            raise ValidationError(f"{name}.power_curve: operating energy overflows a float "
-                                  f"at P_op={p_op!r} W")
-        raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float at "
-                              f"lifetime_s={cell.lifetime_s!r}")
-    try:
-        total = e_op + e_em
-    except OverflowError:   # an absolute rule's integer Joules summed past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
-    return e_op, e_em
-
-
-def _station_terms(cfg: ScenarioConfig) -> tuple[float, float, float, float]:
-    """Count-free energy terms, each checked finite: the operating and
+def _energy_fields(cfg: ScenarioConfig, power=_pow, number=float) -> tuple:
+    """The five EnergyBreakdown fields of cfg, unchecked: the operating and
     embodied J of one macro station (0.0 without a macro cell), then of one
-    small station."""
-    if isinstance(cfg.architecture, Central):
-        mac_op, mac_em = _station_energy(cfg.macro, cfg, "macro")
-    else:
-        mac_op = mac_em = 0.0
-    return (mac_op, mac_em, *_station_energy(cfg.small, cfg, "small"))
+    small station, then the system total, inf or NaN where a term overflows
+    a float.  Each transmit power is _tx's with power, and number converts
+    the station count, as in traffic._throughput_fields, which says what a
+    point and a grid pass.  The total raises OverflowError where an
+    absolute rule's integer Joules are summed past the float range."""
+    arch = cfg.architecture
+    central = isinstance(arch, Central)
+    terms = [] if central else [0.0, 0.0]
+    for cell in (cfg.macro, cfg.small)[1 - central:]:
+        p_tx = _tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, power)
+        e_op = _operating_power(cell.power_curve, p_tx) * cell.lifetime_s
+        terms += e_op, _embodied_energy(cell.embodied, e_op)
+    mac_op, mac_em, sc_op, sc_em = terms
+    count = number(arch.n_small if central else arch.k_cluster)
+    return mac_op, mac_em, sc_op, sc_em, mac_em + mac_op + count * (sc_em + sc_op)
 
 
-def _energy_total(stations: tuple, count: float) -> float:
-    """System energy, J, unchecked, at count stations from _station_terms."""
-    mac_op, mac_em, sc_op, sc_em = stations
-    return mac_em + mac_op + count * (sc_em + sc_op)
-
-
-def _energy(stations: tuple, arch: Architecture) -> EnergyBreakdown:
-    """The EnergyBreakdown at the station count of arch, its total checked
-    finite, from the _station_terms of a scenario of its architecture."""
-    total = _energy_total(stations, traffic._counts(arch)[0])
-    return EnergyBreakdown(*stations, _finite_total(total, arch, "system energy"))
-
-
-def _ratio(throughput_bps: float, energy_j: float) -> float:
-    """Efficiency, bit/s per J.  Every station's operating power is at least
-    its offset b > 0, but a lifetime energy b * lifetime_s can still
-    underflow to 0 (or so near it that the ratio overflows); that is a
-    ValidationError, never inf."""
-    eff = throughput_bps / energy_j if energy_j > 0 else math.inf
-    if not math.isfinite(eff):
-        raise ValidationError(f"lifetime_s: system energy {energy_j!r} J is too small")
-    return eff
+def _check_stations(cfg: ScenarioConfig):
+    """Raise the error of the first station of cfg, macro then small, whose
+    transmit power, operating energy or energy overflows a float."""
+    central = isinstance(cfg.architecture, Central)
+    for name, cell in (("macro", cfg.macro), ("small", cfg.small))[1 - central:]:
+        p_op = _operating_power(cell.power_curve, _finite_tx(
+            cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}."))
+        e_op = p_op * cell.lifetime_s
+        if not math.isfinite(e_op):
+            # name the larger factor: a power that overflows on its own is the curve's
+            if p_op >= cell.lifetime_s:
+                raise ValidationError(f"{name}.power_curve: operating energy overflows a "
+                                      f"float at P_op={p_op!r} W")
+            raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float "
+                                  f"at lifetime_s={cell.lifetime_s!r}")
+        try:
+            total = e_op + _embodied_energy(cell.embodied, e_op)
+        except OverflowError:   # an absolute rule's integer Joules summed past the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
 
 
 def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
@@ -176,18 +159,41 @@ def scenario_energy(cfg: ScenarioConfig) -> EnergyBreakdown:
     Distribution: a cooperative cluster of k_cluster identical small stations.
     """
     _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
-    return _energy(_station_terms(cfg), cfg.architecture)
+    try:
+        *fields, total = _energy_fields(cfg)
+    except OverflowError:   # integer Joules past the float range, which a station check names
+        fields, total = (), math.inf
+    if not math.isfinite(total):
+        _check_stations(cfg)
+    return EnergyBreakdown(*fields, _finite_total(total, cfg.architecture, "system energy"))
 
 
 def efficiency(cfg: ScenarioConfig) -> EfficiencyResult:
     """Energy efficiency of a scenario: total throughput / system energy.
 
-    Every cell's and station's own terms are checked before any total, so
-    an overflowing station names its own field even where a station count
-    would overflow the totals as well.
+    The two breakdowns and their ratio are computed unchecked.  Only where
+    the ratio or the energy is not finite, or an ArithmeticError is raised
+    (integer Joules past the float range, or an energy of 0), are the
+    checks walked in order, to name the field at fault: each cell (small,
+    then macro), each station (macro, then small), the throughput total,
+    the energy total, then the ratio.  So an overflowing station names its
+    own field even where a station count would overflow the totals as well.
+    Every station's operating power is at least its offset b > 0, but a
+    lifetime energy b * lifetime_s can still underflow to 0, or so near it
+    that the ratio overflows: that is a ValidationError, never inf.
     """
     _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
-    cells, stations = traffic._cell_terms(cfg), _station_terms(cfg)
-    th = traffic._throughput(cells, cfg.architecture)
-    en = _energy(stations, cfg.architecture)
-    return EfficiencyResult(th, en, _ratio(th.total_bps, en.system_total_j))
+    try:
+        throughput, energy = traffic._throughput_fields(cfg), _energy_fields(cfg)
+        eff = throughput[6] / energy[4]
+        if math.isfinite(eff) and math.isfinite(energy[4]):
+            return EfficiencyResult(ThroughputBreakdown(*throughput), EnergyBreakdown(*energy),
+                                    eff)
+    except ArithmeticError:   # integer Joules past the float range, or an energy of 0
+        pass
+    traffic._check_cells(cfg)
+    _check_stations(cfg)
+    arch = cfg.architecture
+    _finite_total(traffic._throughput_fields(cfg)[6], arch, "backhaul throughput")
+    energy_j = _finite_total(_energy_fields(cfg)[4], arch, "system energy")
+    raise ValidationError(f"lifetime_s: system energy {energy_j!r} J is too small")

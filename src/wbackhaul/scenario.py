@@ -345,8 +345,10 @@ def _pow(base: float, exponent: float) -> float:
 def _finite_total(total: float, arch: Architecture, what: str) -> float:
     """A scenario total, or a ValidationError naming the station count if it overflowed.
 
-    The per-station terms are checked finite where they are computed, and
-    none is negative, so an overflow on the way shows up as an inf total.
+    It is checked after every cell's and station's own terms
+    (traffic._check_cells, power_energy._check_stations), none of which is
+    negative, so a total that is not finite with each of them finite
+    overflowed at the count.
     """
     if math.isfinite(total):
         return total

@@ -10,13 +10,14 @@ test, a tuple of plain ints and floats in one test of the whole column,
 any other value by value.  A float64 or int64 axis is computed with as
 it is; a tuple's numbers go in an object array, where an int meets an
 int as in Python.  It evaluates the whole grid as float64 columns, bit
-for bit as efficiency() evaluates each point: the transmit power and the
-edge SNR are each one function, power_energy._tx and link_model._se,
-which a point calls with pow and math.log2, and the grid with _power
-(np.float_power, whose loop calls libm's pow) and _log2 (math.log2
-element by element).  A grid with a bad point ends in the error of the
-first one in row order, which the checks and the columns locate: that
-one point is built and evaluated by efficiency() to raise it.  One
+for bit as efficiency() evaluates each point, by the same two functions,
+traffic._throughput_fields and power_energy._energy_fields, on the base
+scenario with each axis's numbers set in its field as a column: a point
+calls them with pow, math.log2 and float, and the grid with _power
+(np.float_power, whose loop calls libm's pow), _log2 (math.log2 element
+by element) and np.float64.  A grid with a bad point ends in the error
+of the first one in row order, which the checks and the columns locate:
+that one point is built and evaluated by efficiency() to raise it.  One
 writer, sweep_text, turns the columns into CSV or JSON text: the bytes
 of %d and %.17e per cell, or those json_text writes for the rows as
 objects.  It lays the rows out as byte matrices, each float cell the
@@ -42,7 +43,7 @@ import operator
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
-from . import link_model, power_energy, traffic
+from . import power_energy, traffic
 from .scenario import (
     CellParams,
     Central,
@@ -56,6 +57,7 @@ from .scenario import (
     _check_type,
     _Frozen,
     _Value,
+    _checked,
     _with_checked,
     default_table1,
 )
@@ -68,6 +70,7 @@ class Axis(NamedTuple):
     field: tuple        # path of the scenario field the axis sets
     part: Callable      # an axis value -> the checked field value, or a ValidationError
     rule: tuple         # the number rule that part checks a value by
+    record: type | None  # the record of the one number that part builds, if it builds one
 
 
 def _axis(arch: type | None, field: tuple, record: type, key: str) -> Axis:
@@ -76,8 +79,9 @@ def _axis(arch: type | None, field: tuple, record: type, key: str) -> Axis:
     else the value, checked by the field's own rule, as the Python number it
     equals, as a record stores it."""
     rule = record._rules[key]
-    part = record if field[-1] != key else lambda value: _check_number(key, value, rule)
-    return Axis(arch, field, part, rule)
+    if field[-1] != key:
+        return Axis(arch, field, record, rule, record)
+    return Axis(arch, field, lambda value: _check_number(key, value, rule), rule, None)
 
 
 AXES = {
@@ -147,9 +151,9 @@ def _axis_pair(axis) -> tuple:
     """(name, values) of one axis, or a ValidationError naming it.  values
     are kept as they are where they are a tuple, or a read-only 1-d float64
     or int64 array that owns its data, as parse_axis gives.  Any other 1-d
-    float64 or int64 array, writable or a view, is kept as a read-only copy,
-    so that no write through the caller's array can change it; other values
-    as a tuple."""
+    float64 or int64 array, writable, a view or in the other byte order, is
+    kept as a read-only copy in the native byte order, so that no write
+    through the caller's array can change it; other values as a tuple."""
     try:
         name, values = axis
         if type(values) is tuple:
@@ -157,10 +161,10 @@ def _axis_pair(axis) -> tuple:
         import numpy as np
 
         if not (isinstance(values, np.ndarray) and values.ndim == 1
-                and values.dtype in (np.float64, np.int64)):
+                and values.dtype.kind in "fi" and values.dtype.itemsize == 8):
             return name, tuple(values)
-        if values.base is not None or values.flags.writeable:
-            values = values.copy()
+        if values.base is not None or values.flags.writeable or not values.dtype.isnative:
+            values = values.astype(values.dtype.kind + "8")   # float64 or int64, native
             values.flags.writeable = False
         return name, values
     except (TypeError, ValueError):
@@ -352,59 +356,35 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     < 0, so one of 0, or a throughput that is not finite, makes the
     efficiency not finite.
 
-    Each quantity is a float, or a float64 array with one dimension per
-    axis, of length 1 where it does not depend on the axis, so it is
-    computed once per combination of the axis values it reads.  An axis's
-    numbers lie along its dimension (see _along): a float64 array, whose
-    arithmetic is Python's for floats; an int64 array of counts, which are
-    only converted to float and decremented; or an object array of a
-    tuple's numbers, so that numpy divides and subtracts them as Python
-    does: an int by an int, say, is rounded once.  Every term is computed
-    by the same functions as efficiency(), which compute a column as they
-    compute a float, in the same order of operations: the transmit power
-    and edge-SNR spectrum efficiency with _power and _log2, whose libm
-    calls are those of the point's pow and math.log2.
+    The grid is one scenario: the base with each axis's numbers set in its
+    field as a column along the axis's dimension (see _along), checked
+    already, so put in by _set without a check.  A count column goes in a
+    Central or Distribution, and the small_se column in a FixedSE.  The
+    quantities are the drivers of a point, traffic._throughput_fields and
+    power_energy._energy_fields, given _power and _log2, whose libm calls
+    are those of the point's pow and math.log2, and np.float64 to convert
+    a count.  They compute a column as they compute a float, in the same
+    order of operations, so each quantity is a float64 array with one
+    dimension per axis, of length 1 where it does not depend on the axis,
+    computed once per combination of the axis values it reads.  A column
+    is a float64 array, whose arithmetic is Python's for floats; an int64
+    array of counts, which are only converted to float and decremented; or
+    an object array of a tuple's numbers, so that numpy divides and
+    subtracts them as Python does: an int by an int, say, is rounded once.
     """
     import numpy as np
 
-    swept = {axis.field: _along(values, place, len(numbers))
-             for place, (axis, values) in enumerate(zip(axes, numbers))}
-
-    def field(*path):
-        """The swept numbers of the field at path, or the base scenario's value."""
-        if path in swept:
-            return swept[path]
-        value = base
-        for name in path:
-            value = getattr(value, name)
-        return value
-
-    alpha, band, overheads = field("alpha"), field("band_hz"), base.overheads
-
-    def cell(params, radius, source):
-        if isinstance(source, np.ndarray):   # the numbers of the small_se axis's FixedSE
-            se = source.astype(float)
-        else:
-            se = link_model._se(source, radius, alpha, _power, _log2)
-        return (se, *traffic._cell_backhaul(params.bandwidth_hz, se, overheads.s1, overheads.x2))
-
-    def station(params, radius):
-        p_tx = power_energy._tx(radius, band, alpha, base.tx_anchor, _power)
-        return power_energy._lifetime_energy(params, p_tx)[1:]
-
-    small_radius, macro = field("small", "radius_m"), base.macro
-    central = isinstance(base.architecture, Central)
-    cells = traffic._terms(base, cell(base.small, small_radius, field("small", "spectrum_eff")),
-                           cell(macro, macro.radius_m, macro.spectrum_eff) if central else None)
-    # a distribution scenario's macro terms are 0.0, as in _station_terms
-    stations = (*(station(macro, macro.radius_m) if central else (0.0, 0.0)),
-                *station(base.small, small_radius))
-    arch = field("architecture")
-    # the count and count - 1 of traffic._counts, the latter taken on the integer
-    count, neighbours = ((arch.astype(float), (arch - 1).astype(float))
-                         if isinstance(arch, np.ndarray) else traffic._counts(arch))
-    bps = traffic._sums(cells, count, neighbours)[6]
-    energy = power_energy._energy_total(stations, count)
+    cfg = base
+    for place, (axis, values) in enumerate(zip(axes, numbers)):
+        column = _along(values, place, len(numbers))
+        if axis.record is not None:   # a Central, Distribution or FixedSE of the column
+            key, = axis.record._rules
+            # a count stays an integer column; small_se's SE, which no power
+            # converts, is float64, as a point multiplies it as a float
+            column = _checked(axis.record, **{key: column if axis.arch else column.astype(float)})
+        cfg = _set(cfg, axis.field, column)
+    bps = traffic._throughput_fields(cfg, _power, _log2, np.float64)[6]
+    energy = power_energy._energy_fields(cfg, _power, np.float64)[4]
     return bps, energy, bps / energy
 
 

@@ -5,6 +5,11 @@ adds a fractional protocol overhead on the downlink; the X2 interface
 adds a fractional handover overhead in both directions.  Note the
 resulting asymmetry: the uplink carries only the X2 fraction, with no
 baseline user uplink term.
+
+The throughput of a scenario is one function, _throughput_fields, for a
+point and a grid alike; it checks nothing.  scenario_throughput checks
+its total afterwards, and only where that is not finite does it walk the
+per-cell checks, _check_cells, to name the field at fault.
 """
 from __future__ import annotations
 
@@ -12,14 +17,13 @@ import math
 
 from . import link_model
 from .scenario import (
-    Architecture,
-    CellParams,
     Central,
     ScenarioConfig,
     ThroughputBreakdown,
     ValidationError,
     _check_type,
     _finite_total,
+    _pow,
 )
 
 
@@ -34,67 +38,45 @@ def _cell_backhaul(bandwidth_hz: float, se: float, overhead_s1: float,
             (1.0 + overhead_s1 + overhead_x2) * bandwidth_hz * se)
 
 
-def _cell(cfg: ScenarioConfig, cell: CellParams, name: str) -> tuple[float, float, float]:
-    """(se, up, down) of one cell of the class name; a cell's downlink is its
-    largest term, so it overflows whenever the uplink does."""
-    se = link_model._finite_se(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
-    up, down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)
-    if not math.isfinite(down):
-        raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "
-                              f"{cell.bandwidth_hz!r} Hz and {se!r} bit/s/Hz")
-    return se, up, down
-
-
-def _cell_terms(cfg: ScenarioConfig) -> tuple:
-    """Count-free throughput terms of a scenario, each cell's backhaul
-    checked finite (see _terms)."""
-    small = _cell(cfg, cfg.small, "small")
-    macro = _cell(cfg, cfg.macro, "macro") if isinstance(cfg.architecture, Central) else None
-    return _terms(cfg, small, macro)
-
-
-def _terms(cfg: ScenarioConfig, small: tuple, macro: tuple | None) -> tuple:
-    """Count-free throughput terms from the (se, up, down) of the small cell
-    and of the macro cell, None without one, whose other parameters are
-    cfg's: (small_up, small_down, macro_up, macro_down, down_factor, small_se).
-
-    Central: the per-cell up and down backhaul of a small and the macro
-    cell; down_factor is None.  Distribution: a member relays at its full
-    downlink in both directions, and down_factor * SE is its downlink at
-    the cooperative SE that _sums sets; there is no macro cell.  Each term
-    is a float, or a column of them (see sweep_report._grid_columns).
+def _throughput_fields(cfg: ScenarioConfig, power=_pow, log2=math.log2, number=float) -> tuple:
+    """The seven ThroughputBreakdown fields of cfg, unchecked: inf or NaN
+    where a term overflows a float.  Each SE is link_model._se's with power
+    and log2, and number converts a station count to the float it is
+    multiplied as; count - 1 is taken on the integer, so it is exact where
+    the count is.  A point passes the defaults; sweep_report._grid_columns
+    passes a cfg whose swept fields are columns, _power, _log2 and
+    np.float64, and gets the float64 column of each field.  A distribution
+    scenario has no macro cell: its macro terms are 0.0 (see
+    scenario_throughput).
     """
-    small_se, small_up, small_down = small
-    if macro is None:
-        factor = (1.0 + cfg.overheads.s1 + cfg.overheads.x2) * cfg.small.bandwidth_hz
-        return small_down, small_down, 0.0, 0.0, factor, small_se
-    return small_up, small_down, macro[1], macro[2], None, small_se
-
-
-def _counts(arch: Architecture) -> tuple[float, float]:
-    """(count, count - 1) of arch's stations as floats, the count algebra's
-    operands; count - 1 is taken on the integer, so it is exact where the
-    count is."""
-    count = arch.n_small if isinstance(arch, Central) else arch.k_cluster
-    return float(count), float(count - 1)
-
-
-def _sums(cells: tuple, count: float, neighbours: float) -> tuple:
-    """The seven ThroughputBreakdown fields, unchecked, at count stations
-    (neighbours is count - 1), from _terms.  Floats or columns alike."""
-    small_up, small_down, macro_up, macro_down, down_factor, se = cells
-    if down_factor is not None:
-        small_down = down_factor * (se + neighbours * se)
+    arch, small, s1, x2 = cfg.architecture, cfg.small, cfg.overheads.s1, cfg.overheads.x2
+    se = link_model._se(small.spectrum_eff, small.radius_m, cfg.alpha, power, log2)
+    small_up, small_down = _cell_backhaul(small.bandwidth_hz, se, s1, x2)
+    if isinstance(arch, Central):
+        count, macro = number(arch.n_small), cfg.macro
+        macro_up, macro_down = _cell_backhaul(
+            macro.bandwidth_hz, link_model._se(macro.spectrum_eff, macro.radius_m, cfg.alpha,
+                                               power, log2), s1, x2)
+    else:
+        count, macro_up, macro_down = number(arch.k_cluster), 0.0, 0.0
+        small_up, small_down = small_down, _cell_backhaul(
+            small.bandwidth_hz, se + number(arch.k_cluster - 1) * se, s1, x2)[1]
     total_up = count * small_up + macro_up
     total_down = count * small_down + macro_down
     return small_up, small_down, macro_up, macro_down, total_up, total_down, total_up + total_down
 
 
-def _throughput(cells: tuple, arch: Architecture) -> ThroughputBreakdown:
-    """The ThroughputBreakdown at the station count of arch, its total
-    checked finite, from the _cell_terms of a scenario of its architecture."""
-    *fields, total = _sums(cells, *_counts(arch))
-    return ThroughputBreakdown(*fields, _finite_total(total, arch, "backhaul throughput"))
+def _check_cells(cfg: ScenarioConfig):
+    """Raise the error of the first cell of cfg, small then macro, whose
+    edge SNR or backhaul overflows a float.  A cell's downlink is its
+    largest term, so it overflows whenever the uplink does."""
+    central = isinstance(cfg.architecture, Central)
+    for name, cell in (("small", cfg.small), ("macro", cfg.macro))[:1 + central]:
+        se = link_model._finite_se(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
+        down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)[1]
+        if not math.isfinite(down):
+            raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "
+                                  f"{cell.bandwidth_hz!r} Hz and {se!r} bit/s/Hz")
 
 
 def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
@@ -107,4 +89,8 @@ def scenario_throughput(cfg: ScenarioConfig) -> ThroughputBreakdown:
     so the cluster total grows as K*(K+1), superlinear in the cluster size.
     """
     _check_type("cfg", cfg, ScenarioConfig, "a ScenarioConfig")
-    return _throughput(_cell_terms(cfg), cfg.architecture)
+    *fields, total = _throughput_fields(cfg)
+    if not math.isfinite(total):
+        _check_cells(cfg)
+    return ThroughputBreakdown(*fields, _finite_total(total, cfg.architecture,
+                                                      "backhaul throughput"))

@@ -1,34 +1,43 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wbackhaul.link_model import resolve_se
+from wbackhaul.link_model import _finite_se, resolve_se
 from wbackhaul.power_energy import (
+    EfficiencyResult,
     _embodied_energy,
+    _finite_tx,
     _operating_power,
     efficiency,
     scenario_energy,
     tx_power,
 )
 from wbackhaul.scenario import (
+    CellParams,
     Central,
     Distribution,
     EmbodiedAbsolute,
     EmbodiedFraction,
+    EnergyBreakdown,
     FixedSE,
+    Overheads,
     PowerCurve,
     ScenarioConfig,
     ShannonEdgeSE,
+    ThroughputBreakdown,
     TxAnchor,
     ValidationError,
+    _finite_total,
     default_table1,
     load_scenario,
 )
-from wbackhaul.traffic import scenario_throughput
+from wbackhaul.traffic import _cell_backhaul, scenario_throughput
 
 B58, B28, B60 = 5.8e9, 28e9, 60e9
 MACRO = default_table1("macro")
@@ -351,6 +360,34 @@ def test_overflow_is_a_validation_error_naming_the_field(text, field):
         efficiency(load_scenario(text))
 
 
+_SHANNON = {"radius_m": 1e-6, "spectrum_eff": {"type": "shannon_edge", "calibration_se": 5}}
+
+
+@pytest.mark.parametrize("text,errors", [
+    # a cell's edge SNR is checked before any station's transmit power
+    (_doc(CENTRAL, alpha=60, small=_SHANNON, band_hz=1e300),
+     ("^small.spectrum_eff: edge SNR ", "^small.spectrum_eff: edge SNR ",
+      "^band_hz: transmit power ")),
+    # the macro cell's, before the small station's energy
+    (_doc(CENTRAL, alpha=60, macro=_SHANNON, small={"lifetime_s": 1e308}),
+     ("^macro.spectrum_eff: edge SNR ", "^macro.spectrum_eff: edge SNR ",
+      "^small.lifetime_s: operating energy ")),
+    # the macro station before the small one; the throughput is finite
+    (_doc(CENTRAL, small={"lifetime_s": 1e308},
+          macro={"power_curve": {"slope_a": 1e308, "offset_b_w": 354.44}}),
+     ("^macro.power_curve: operating energy ", None, "^macro.power_curve: operating energy ")),
+])
+def test_the_checks_name_the_first_field_at_fault_in_order(text, errors):
+    # each cell (small, then macro), each station (macro, then small), then the totals
+    cfg = load_scenario(text)
+    for call, error in zip((efficiency, scenario_throughput, scenario_energy), errors):
+        if error is None:
+            assert call(cfg) == _REFERENCE[call](cfg)
+            continue
+        with pytest.raises(ValidationError, match=error):
+            call(cfg)
+
+
 @pytest.mark.parametrize("arch,field", [(Central(10 ** 300), "n_small"),
                                         (Distribution(10 ** 300), "k_cluster")])
 def test_overflowing_totals_never_come_back_as_inf(arch, field):
@@ -373,3 +410,151 @@ def test_energy_underflow_is_a_validation_error_naming_lifetime(scale):
     # 1e-200: the system energy underflows to 0; 1e-160: the ratio overflows
     with pytest.raises(ValidationError, match="lifetime_s"):
         efficiency(load_scenario(_tiny_energy_doc(scale)))
+
+
+# ---------------------------------------------------------------------------
+# The point evaluator that checks each term where it computes it, as the
+# reference of the one that computes unchecked and checks afterwards
+# ---------------------------------------------------------------------------
+
+def _reference_cells(cfg):
+    """(se, up, down) of the small cell, then of the macro cell if any, each
+    checked as it is computed."""
+    cells = []
+    for name in ("small", "macro")[:1 + isinstance(cfg.architecture, Central)]:
+        cell = getattr(cfg, name)
+        se = _finite_se(cell.spectrum_eff, cell.radius_m, cfg.alpha, f"{name}.")
+        up, down = _cell_backhaul(cell.bandwidth_hz, se, cfg.overheads.s1, cfg.overheads.x2)
+        if not math.isfinite(down):
+            raise ValidationError(f"{name}.bandwidth_hz: cell backhaul overflows a float at "
+                                  f"{cell.bandwidth_hz!r} Hz and {se!r} bit/s/Hz")
+        cells.append((se, up, down))
+    return cells
+
+
+def _reference_stations(cfg):
+    """The operating and embodied J of one macro station (0.0 without one),
+    then of one small station, each checked as it is computed."""
+    central = isinstance(cfg.architecture, Central)
+    terms = [] if central else [0.0, 0.0]
+    for name in ("macro", "small")[1 - central:]:
+        cell = getattr(cfg, name)
+        p_tx = _finite_tx(cell.radius_m, cfg.band_hz, cfg.alpha, cfg.tx_anchor, f"{name}.")
+        p_op = _operating_power(cell.power_curve, p_tx)
+        e_op = p_op * cell.lifetime_s
+        if not math.isfinite(e_op):
+            if p_op >= cell.lifetime_s:
+                raise ValidationError(f"{name}.power_curve: operating energy overflows a "
+                                      f"float at P_op={p_op!r} W")
+            raise ValidationError(f"{name}.lifetime_s: operating energy overflows a float "
+                                  f"at lifetime_s={cell.lifetime_s!r}")
+        e_em = _embodied_energy(cell.embodied, e_op)
+        try:
+            total = e_op + e_em
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValidationError(f"{name}.embodied: a station's energy overflows a float")
+        terms += e_op, e_em
+    return terms
+
+
+def _reference_breakdown(cfg, cells):
+    arch = cfg.architecture
+    (se, small_up, small_down), *macro = cells
+    if macro:
+        count, (_, macro_up, macro_down) = float(arch.n_small), macro[0]
+    else:   # each member relays its full downlink, plus its K-1 neighbours' traffic
+        count, macro_up, macro_down = float(arch.k_cluster), 0.0, 0.0
+        factor = (1.0 + cfg.overheads.s1 + cfg.overheads.x2) * cfg.small.bandwidth_hz
+        small_up, small_down = small_down, factor * (se + float(arch.k_cluster - 1) * se)
+    total_up = count * small_up + macro_up
+    total_down = count * small_down + macro_down
+    return ThroughputBreakdown(small_up, small_down, macro_up, macro_down, total_up, total_down,
+                               _finite_total(total_up + total_down, arch, "backhaul throughput"))
+
+
+def _reference_energy_breakdown(cfg, stations):
+    arch = cfg.architecture
+    mac_op, mac_em, sc_op, sc_em = stations
+    count = float(arch.n_small if isinstance(arch, Central) else arch.k_cluster)
+    return EnergyBreakdown(*stations, _finite_total(mac_em + mac_op + count * (sc_em + sc_op),
+                                                    arch, "system energy"))
+
+
+def _reference_efficiency(cfg):
+    cells, stations = _reference_cells(cfg), _reference_stations(cfg)
+    th = _reference_breakdown(cfg, cells)
+    en = _reference_energy_breakdown(cfg, stations)
+    energy = en.system_total_j
+    eff = th.total_bps / energy if energy > 0 else math.inf
+    if not math.isfinite(eff):
+        raise ValidationError(f"lifetime_s: system energy {energy!r} J is too small")
+    return EfficiencyResult(th, en, eff)
+
+
+_REFERENCE = {
+    efficiency: _reference_efficiency,
+    scenario_throughput: lambda cfg: _reference_breakdown(cfg, _reference_cells(cfg)),
+    scenario_energy: lambda cfg: _reference_energy_breakdown(cfg, _reference_stations(cfg)),
+}
+
+
+def _outcome(call, cfg):
+    """The hex of every float of call(cfg), nested records as tuples, or
+    the text of the ValidationError that ends it."""
+    def hexed(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, int):
+            return value
+        return tuple(hexed(getattr(value, f.name)) for f in fields(value))
+    try:
+        return hexed(call(cfg))
+    except ValidationError as e:
+        return f"error: {e}"
+
+
+# sizes from the subnormals to the float maximum, and ordinary ones
+_SIZES = st.one_of(
+    st.sampled_from((5e-324, 1e-300, 1e-100, 1e-6, 1, 50.0, 500.0, 1e6, 1e100, 1e300,
+                     1.7976931348623157e308)),
+    st.floats(1e-300, 1e300), st.floats(0.1, 1e4))
+_SOURCES = st.one_of(
+    st.builds(FixedSE, st.sampled_from((0, -0.0, 5, 7.5, 2**60 + 1, 1e300, 1.7e308))),
+    st.builds(ShannonEdgeSE, st.sampled_from((5e-324, 1e-300, 1.0, 5, 30.0, 1100.0)), _SIZES))
+_EMBODIED = st.one_of(
+    # integer Joules whose sum no float holds, among other absolute rules
+    st.builds(EmbodiedAbsolute, st.sampled_from((0, 75e9, 1e308, 10**300, 10**308)),
+              st.sampled_from((0, 10e9, 1e308, 10**308))),
+    st.builds(EmbodiedFraction, st.sampled_from((5e-324, 0.2, 0.9999999999999999))))
+_CELLS = st.one_of(
+    st.builds(CellParams, _SIZES, _SOURCES, _SIZES, st.builds(PowerCurve, _SIZES, _SIZES),
+              _SIZES, _EMBODIED),
+    # a system energy that underflows to 0 (1e-200), or makes the ratio overflow
+    st.sampled_from([replace(default_table1("small"), radius_m=1e-100, lifetime_s=scale,
+                             power_curve=PowerCurve(1.0, scale)) for scale in (1e-200, 1e-160)]))
+
+
+@st.composite
+def _hostile_configs(draw):
+    arch = draw(st.one_of(st.builds(Central, st.integers(0, 10**300)),
+                          st.builds(Distribution, st.integers(1, 10**300)),
+                          st.builds(Central, st.sampled_from((0, 1, 10, 2**53 + 1))),
+                          st.builds(Distribution, st.sampled_from((1, 2, 10, 2**53 + 1)))))
+    cells = {name: draw(st.one_of(st.just(default_table1(name)), _CELLS))
+             for name in ("small", "macro")[:1 + isinstance(arch, Central)]}
+    return ScenarioConfig(
+        architecture=arch, band_hz=draw(_SIZES),
+        alpha=draw(st.one_of(st.sampled_from((2, 3.2, 60, 400.0)), st.floats(0.5, 8.0))),
+        tx_anchor=draw(st.one_of(st.just(TxAnchor()), st.builds(
+            TxAnchor, _SIZES, _SIZES, _SIZES, st.sampled_from((0, 2, 3.7, 1e4))))),
+        overheads=draw(st.sampled_from((Overheads(), Overheads(0, 0), Overheads(0.999, 0.5)))),
+        **cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hostile_configs())
+def test_the_point_evaluation_equals_the_check_as_you_go_reference(cfg):
+    for call, reference in _REFERENCE.items():
+        assert _outcome(call, cfg) == _outcome(reference, cfg), call.__name__

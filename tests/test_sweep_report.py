@@ -1153,16 +1153,19 @@ def test_a_writable_array_axis_ends_as_its_read_only_twin(case):
         return array
 
     want = _texts(base, given(read_only))
-    # the caller's array, and a view of a longer one, as a caller's slice is
-    for mine in (given(np.copy), given(lambda a: np.concatenate((a[:1], a))[1:])):
+    # the caller's array, a view of a longer one, as a caller's slice is, and
+    # the array in the other byte order (">f8" or ">i8" on a little-endian host)
+    for mine in (given(np.copy), given(lambda a: np.concatenate((a[:1], a))[1:]),
+                 given(lambda a: a.astype(a.dtype.newbyteorder("S")))):
         assert _texts(base, mine) == want, case
         if isinstance(want, str):
             continue
         grid = SweepGrid(base, mine)
         for (_, kept), (_, values) in zip(grid.axes, mine):
-            if isinstance(values, np.ndarray):   # a read-only copy, on the array path
+            if isinstance(values, np.ndarray):   # a read-only native copy, on the array path
                 assert isinstance(kept, np.ndarray) and not kept.flags.writeable
-                assert kept.base is None and np.array_equal(kept, values, equal_nan=True)
+                assert kept.base is None and kept.dtype.isnative
+                assert np.array_equal(kept, values, equal_nan=True)
                 values[...] = values[::-1]   # a later write to the caller's array
         assert [_text_or_error(lambda: sweep_text(grid, fmt)) for fmt in ("csv", "json")] \
             == want, case
