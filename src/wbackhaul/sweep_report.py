@@ -4,16 +4,18 @@ A sweep is a base scenario plus an ordered tuple of named axes; it
 records throughput, system energy, and efficiency at every point of the
 axes' cross product, the first axis varying slowest.  parse_axis reads
 an axis from its spec, for the CLI and the figure presets alike: a range
-as a read-only numpy array, a list as a tuple.  A sweep checks each axis
-once, not once per point: an array by its dtype, its ends and one NaN
-test, a tuple of plain ints and floats in one test of the whole column,
-any other value by value.  A float64 or int64 axis is computed with as
-it is; a tuple's numbers go in an object array, where an int meets an
-int as in Python.  It evaluates the whole grid as float64 columns, bit
-for bit as efficiency() evaluates each point, by the same two functions,
-traffic._throughput_fields and power_energy._energy_fields, on the base
-scenario with each axis's numbers set in its field as a column: a point
-calls them with pow, math.log2 and float, and the grid with _power
+as a read-only numpy array, a list as a tuple.  A grid holds every axis
+as one read-only numpy array (see _axis_pair): float64 for plain floats,
+int64 for plain ints, else an object array of the values as given.  A
+sweep checks each axis once, not once per point: a float64 axis, or an
+int64 count axis, by its ends and one NaN test, and is computed with as
+it is; any other axis value by value, its checked numbers in an object
+array, where an int meets an int as in Python.  It evaluates the whole
+grid as float64 columns, bit for bit as efficiency() evaluates each
+point, by the same two functions, traffic._throughput_fields and
+power_energy._energy_fields, on the base scenario with each axis's
+numbers set in its field as a column: a point calls them with pow,
+math.log2 and float, and the grid with _power
 (np.float_power, whose loop calls libm's pow), _log2 (math.log2 element
 by element) and np.float64.  A grid with a bad point ends in the error
 of the first one in row order, which the checks and the columns locate:
@@ -26,8 +28,8 @@ JSON), with no Python call per float cell and one kernel call per piece
 of rows: it formats the piece's values of each column with a value per
 row, and the next values of each column the grid holds once per
 combination of fewer axes, so each computed value is formatted once.
-Only parse_axis (for a range), SweepGrid (for an array), run_sweep and
-sweep_text import numpy, and the last two _kernels, on their first call,
+Only parse_axis (for a range), SweepGrid, run_sweep and sweep_text
+import numpy, and the last two _kernels, on their first call,
 so the calibration report and json_text load without them, and the
 figure presets are built on first use.  The presets reproduce the
 qualitative curves the model is known for: throughput vs. cell count,
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -97,7 +98,7 @@ AXES = {
 MAX_POINTS = 10**6
 
 
-def parse_axis(spec: str) -> tuple[str, tuple]:
+def parse_axis(spec: str) -> tuple:
     """(name, values) of one axis spec: name=start:stop:step, a range that
     includes stop, or name=v1,v2,...  A station-count axis takes integers;
     every other name takes finite floats.  A list's values are a tuple.  A
@@ -148,24 +149,28 @@ def parse_axis(spec: str) -> tuple[str, tuple]:
 
 
 def _axis_pair(axis) -> tuple:
-    """(name, values) of one axis, or a ValidationError naming it.  values
-    are kept as they are where they are a tuple, or a read-only 1-d float64
-    or int64 array that owns its data, as parse_axis gives.  Any other 1-d
-    float64 or int64 array, writable, a view or in the other byte order, is
-    kept as a read-only copy in the native byte order, so that no write
-    through the caller's array can change it; other values as a tuple."""
+    """(name, values) of one axis, or a ValidationError naming it, values
+    a read-only 1-d numpy array.  A read-only 1-d float64 or int64 array
+    that owns its data, as parse_axis gives, is kept as it is.  Any other
+    1-d float64 or int64 array, writable, a view or in the other byte order,
+    is kept as a read-only copy in the native byte order, so that no write
+    through the caller's array can change it.  Other values are float64
+    where each is a Python float, int64 where each is a Python int that
+    int64 holds, else an object array of the values as they are given."""
     try:
         name, values = axis
-        if type(values) is tuple:
-            return name, values
         import numpy as np
 
         if not (isinstance(values, np.ndarray) and values.ndim == 1
                 and values.dtype.kind in "fi" and values.dtype.itemsize == 8):
-            return name, tuple(values)
-        if values.base is not None or values.flags.writeable or not values.dtype.isnative:
+            values = tuple(values)
+            kinds = set(map(type, values))
+            values = (np.array(values, dtype=float) if kinds == {float} else
+                      np.array(values, dtype=np.int64) if kinds == {int} and -2**63 <= min(values)
+                      and max(values) < 2**63 else np.fromiter(values, object, len(values)))
+        elif values.base is not None or values.flags.writeable or not values.dtype.isnative:
             values = values.astype(values.dtype.kind + "8")   # float64 or int64, native
-            values.flags.writeable = False
+        values.flags.writeable = False
         return name, values
     except (TypeError, ValueError):
         raise ValidationError(f"axis {axis!r}: must be a (name, values) pair") from None
@@ -173,13 +178,15 @@ def _axis_pair(axis) -> tuple:
 
 class SweepGrid(_Frozen):
     """A base scenario and the (name, values) axes swept over it, first
-    slowest.  An axis's values are a tuple or a read-only numpy array (see
-    _axis_pair), so a grid compares and hashes by identity."""
+    slowest.  An axis's values are a read-only numpy array (see _axis_pair),
+    so a grid compares and hashes by identity."""
 
     base: ScenarioConfig
     axes: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         _check_type("base", self.base, ScenarioConfig, "a ScenarioConfig")
         try:
             axes = iter(self.axes)
@@ -196,11 +203,16 @@ class SweepGrid(_Frozen):
                     f"axis: unknown axis {name!r}, expected one of {tuple(AXES)}")
             if len(values) == 0:
                 raise ValidationError(f"axis {name}: values must be non-empty")
-            try:   # a NaN passes, as neither comparison with it holds: _numbers finds it
-                unordered = (any(map(operator.le, values[1:], values))
-                             if isinstance(values, tuple) else (values[1:] <= values[:-1]).any())
-            except (TypeError, ValueError):   # values that do not compare, or give arrays
-                raise ValidationError(f"axis {name}: values must be numbers") from None
+            # a NaN passes, as neither comparison with it holds: _numbers finds it; a
+            # float32 next to a float past its range, or a NaN in an object array, warns
+            with np.errstate(all="ignore"):
+                try:
+                    unordered = (values[1:] <= values[:-1]).any()
+                except (TypeError, ValueError):   # values that do not compare, or give arrays,
+                    try:   # unless a pair before the first of them descends
+                        unordered = any(b <= a for a, b in zip(values, values[1:]))
+                    except (TypeError, ValueError):
+                        raise ValidationError(f"axis {name}: values must be numbers") from None
             if unordered:
                 raise ValidationError(f"axis {name}: values must be strictly increasing")
             if axis.arch is not None and not isinstance(self.base.architecture, axis.arch):
@@ -225,14 +237,8 @@ def _set(record, path: tuple, part):
 
 
 def _along(values, place: int, ndim: int):
-    """values in an array of ndim dimensions that lies along the one at
-    place: of length 1 on every other.  A float64 or int64 array is
-    reshaped as it is; other values, as they are, go in an object array,
-    where numpy computes with a Python int as Python does: an int past 2**53
-    divided by an int, say, is rounded once."""
-    import numpy as np
-
-    values = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    """The 1-d array values reshaped to ndim dimensions, lying along the one
+    at place: of length 1 on every other."""
     return values.reshape([-1 if p == place else 1 for p in range(ndim)])
 
 
@@ -291,44 +297,31 @@ def _sweep_columns(grid: SweepGrid) -> tuple[list, list]:
 
 
 def _numbers(name: str, axis: Axis, values):
-    """values as the plain Python numbers they equal, up to the first that
-    fails the axis's number rule.  A value fails exactly where the axis's
-    part raises, but no record is built here.
+    """values (see _axis_pair) as an array of the plain Python numbers they
+    equal, up to the first that fails the axis's number rule.  A value fails
+    exactly where the axis's part raises, but no record is built here.
 
-    An array (see _axis_pair) is checked as a whole: float64 on a float
-    axis or int64 on a count axis, its two ends within the rule's bounds
-    (SweepGrid saw it ascend), and no NaN, which the order check passes
-    over.  It is returned as it is, its elements standing for the Python
-    numbers they equal.  Any other array goes on as the list of those
-    numbers: int64 on a float axis, say, whose ints, passed as a list, are
-    computed with as Python computes with them (see _along).  A tuple or list
-    of plain ints and floats is checked as one column, in one test: each
-    value's exact type is int or float, and one the rule takes (so a bool or
-    a numpy float goes value by value), and min and max lie within the
-    rule's bounds.  They compare an int exactly, as the rule does, but pass
-    over a NaN that is not first, so a float axis is tested for NaN in
-    float64 as well.  Any other values are checked by _check_number, value
-    by value, up to the first that fails.
+    A float64 array on a float axis or an int64 array on a count axis is
+    checked as a whole: its two ends within the rule's bounds (SweepGrid
+    saw it ascend), and no NaN, which the order check passes over.  It is
+    returned as it is, its elements standing for the Python numbers they
+    equal.  Any other array is checked by _check_number, value by value, up
+    to the first that fails, and its numbers go on in an object array:
+    int64 on a float axis, say, whose ints numpy computes with as Python
+    computes with them.
     """
     import numpy as np
 
-    types, low, high, _ = axis.rule
-    if isinstance(values, np.ndarray):
-        if ((values.dtype == np.int64) == (axis.arch is not None) and low <= values[0].item()
-                and values[-1].item() <= high and not np.isnan(values).any()):
-            return values
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if (kinds <= {int, float} and all(issubclass(k, types) for k in kinds)
-            and low <= min(values) and max(values) <= high
-            and (float not in kinds or not np.isnan(np.array(values, dtype=float)).any())):
+    _, low, high, _ = axis.rule
+    if (values.dtype == (np.int64 if axis.arch else np.float64) and low <= values.item(0)
+            and values.item(-1) <= high and not np.isnan(values).any()):
         return values
     numbers = []
     try:   # keeps the numbers checked before one raises
-        numbers.extend(_check_number(name, value, axis.rule) for value in values)
+        numbers.extend(_check_number(name, value, axis.rule) for value in values.tolist())
     except ConfigError:
         pass
-    return numbers
+    return np.array(numbers, dtype=object)
 
 
 def _raise_point_error(grid: SweepGrid, index: tuple):
@@ -339,8 +332,8 @@ def _raise_point_error(grid: SweepGrid, index: tuple):
     cfg = grid.base
     try:
         for (name, values), i in zip(grid.axes, index):
-            # an array's element as the Python number it stands for
-            value = values[i] if isinstance(values, tuple) else values[i].item()
+            # an element as the Python number it stands for, or as it was given
+            value = values.item(i)
             where = f"grid point {name}={value!r}"
             cfg = _set(cfg, AXES[name].field, AXES[name].part(value))
         power_energy.efficiency(cfg)
@@ -369,7 +362,7 @@ def _grid_columns(base: ScenarioConfig, axes: list, numbers: list) -> tuple:
     computed once per combination of the axis values it reads.  A column
     is a float64 array, whose arithmetic is Python's for floats; an int64
     array of counts, which are only converted to float and decremented; or
-    an object array of a tuple's numbers, so that numpy divides and
+    an object array of other checked numbers, so that numpy divides and
     subtracts them as Python does: an int by an int, say, is rounded once.
     """
     import numpy as np
@@ -442,11 +435,9 @@ def figure_grid(which: str) -> SweepGrid:
 
 @functools.cache
 def _figure_grid(which: str) -> SweepGrid:
-    """The preset's grid, each axis the tuple of its values as the Python
-    numbers they are, as a caller would give them, not parse_axis's array."""
+    """The preset's grid, its axes as parse_axis gives them."""
     base, *specs = _FIGURE_SPECS[which]
-    return SweepGrid(base, tuple((name, tuple(v.tolist() if hasattr(v, "tolist") else v))
-                                 for name, v in map(parse_axis, specs)))
+    return SweepGrid(base, tuple(map(parse_axis, specs)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +465,19 @@ def sweep_text(grid: SweepGrid, fmt: str) -> str:
 
     The rows are laid out by _kernels.table_text, each float cell the field
     of a numpy kernel, e17_fields for CSV and repr_fields for JSON, so no
-    float cell makes a Python call; an int64 count column is one astype
-    to bytes, and only a tuple's counts take a %d each.  Each piece of
+    float cell makes a Python call, and a count column, int64 or an object
+    array of Python ints, is one astype to bytes.  Each piece of
     rows makes one kernel call, which formats each value once, whether its
     column has a value per row or fewer.
     """
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format: expected 'csv' or 'json', got {fmt!r}")
-    import numpy as np
     from . import _kernels
 
     shape, columns = _sweep_columns(grid)
     names = grid.axis_names + VALUE_COLUMNS
     # a station-count axis as %d text; an int on a float axis is a float
-    cells = [(c.astype(bytes) if c.dtype == np.int64 else
-              np.array(["%d" % v for v in c.ravel().tolist()], dtype=bytes).reshape(c.shape))
-             if name in AXES and AXES[name].arch is not None else c.astype(float)
+    cells = [c.astype(bytes) if name in AXES and AXES[name].arch is not None else c.astype(float)
              for name, c in zip(names, columns)]
     if fmt == "csv":
         pieces = _kernels.table_text(shape, cells, [b""] + [b","] * (len(names) - 1) + [b"\n"],

@@ -85,8 +85,10 @@ def test_unknown_axis_rejected():
     (5, "^axes: .*got 5$"),                      # axes not iterable
     (None, "^axes: .*got None$"),
     ((("alpha", np.ones((2, 2))),), "^axis alpha: values must be numbers$"),   # rows of arrays
+    # a pair that descends before the first that does not compare
+    ((("alpha", (3.0, 2.0, "x")),), "^axis alpha: values must be strictly increasing$"),
 ], ids=["values-not-iterable", "no-values", "string", "non-numeric", "name-not-str",
-        "axes-int", "axes-none", "2-d-array"])
+        "axes-int", "axes-none", "2-d-array", "descends-before-non-numeric"])
 def test_malformed_axes_are_validation_errors_naming_the_axis(axes, message):
     with pytest.raises(ValidationError, match=message):
         SweepGrid(CENTRAL, axes)
@@ -457,6 +459,10 @@ SWEEP_CASES = {
     # is 1.0, so its check alone finds it
     "nan-alpha-at-the-anchor-radius": (replace(DIST, small=replace(DIST.small, radius_m=500.0)),
                                        (("alpha", (2.0, math.nan, 3.0)), ("k_cluster", (1, 2)))),
+    # a float32 next to a float past its range, and a NaN next to an int: each
+    # pair's order comparison warns in numpy, which must not reach the caller
+    "float32-next-to-1e200": (CENTRAL, (("alpha", (np.float32(2.0), 1e200)),)),
+    "nan-next-to-an-int": (CENTRAL, (("alpha", (2, math.nan, 3.0)),)),
     # range axes as parse_axis gives them, int64 and float64 arrays, each with
     # a bad point: see test_a_range_axis_ends_in_the_error_of_its_tuple
     "int-range-tiny-lifetimes": (replace(DIST, small=TINY),
@@ -489,6 +495,8 @@ def test_sweep_matches_standalone_evaluation_bit_for_bit(case):
                        "is too small"),
     ("integer-embodied-overflow",
      "grid point n_small=1: small.embodied: a station's energy overflows a float"),
+    ("float32-next-to-1e200", "grid point alpha=np.float32(2.0): alpha: must be a number > 0"),
+    ("nan-next-to-an-int", "grid point alpha=nan: alpha: must be a number > 0"),
 ])
 def test_hostile_grids_end_in_their_first_error(case, message):
     assert _swept(SweepGrid(*SWEEP_CASES[case])) == message
@@ -691,7 +699,7 @@ _NUMBERS = st.one_of(st.integers(1, 2**70), st.floats(1e-3, 1e12))
 def _kernel_axis(values, place, swept):
     """The object array of values along dimension place of 3, as a sweep
     holds an axis's numbers, or the first value alone where not swept."""
-    return sweep_report._along(values, place, 3) if swept else values[0]
+    return sweep_report._along(np.array(values, dtype=object), place, 3) if swept else values[0]
 
 
 def _expect(kernel, args, dims):
@@ -750,7 +758,8 @@ def test_the_column_kernels_equal_the_scalar_kernels_on_many_points():
     rng = np.random.default_rng(25)
     n = 2 * 10**5
     radius, alpha = rng.uniform(1.0, 400.0, n), rng.uniform(2.0, 4.5, n)
-    along = [sweep_report._along(v.tolist(), 0, 1) for v in (radius, alpha)]
+    along = [sweep_report._along(np.array(v.tolist(), dtype=object), 0, 1)
+             for v in (radius, alpha)]
     anchor, source = TxAnchor(), ShannonEdgeSE(5.0, 50.0)
     columns = (power_energy._tx(along[0], 5.8e9, along[1], anchor, sweep_report._power),
                link_model._se(source, *along, sweep_report._power, sweep_report._log2))
@@ -1153,20 +1162,24 @@ def test_a_writable_array_axis_ends_as_its_read_only_twin(case):
         return array
 
     want = _texts(base, given(read_only))
-    # the caller's array, a view of a longer one, as a caller's slice is, and
-    # the array in the other byte order (">f8" or ">i8" on a little-endian host)
+    # the caller's array, a view of a longer one, as a caller's slice is, the
+    # array in the other byte order (">f8" or ">i8" on a little-endian host),
+    # and its Python numbers as a tuple and as a list
     for mine in (given(np.copy), given(lambda a: np.concatenate((a[:1], a))[1:]),
-                 given(lambda a: a.astype(a.dtype.newbyteorder("S")))):
+                 given(lambda a: a.astype(a.dtype.newbyteorder("S"))),
+                 given(lambda a: tuple(a.tolist())), given(lambda a: a.tolist())):
         assert _texts(base, mine) == want, case
         if isinstance(want, str):
             continue
         grid = SweepGrid(base, mine)
-        for (_, kept), (_, values) in zip(grid.axes, mine):
-            if isinstance(values, np.ndarray):   # a read-only native copy, on the array path
+        for (name, kept), (_, values) in zip(grid.axes, mine):
+            twin = arrays[name]
+            if twin is not None:   # a read-only native array of the twin's dtype and values
                 assert isinstance(kept, np.ndarray) and not kept.flags.writeable
-                assert kept.base is None and kept.dtype.isnative
-                assert np.array_equal(kept, values, equal_nan=True)
-                values[...] = values[::-1]   # a later write to the caller's array
+                assert kept.base is None and kept.dtype == twin.dtype and kept.dtype.isnative
+                assert np.array_equal(kept, twin, equal_nan=True)
+                if not isinstance(values, tuple):
+                    values[:] = values[::-1]   # a later write to the caller's values
         assert [_text_or_error(lambda: sweep_text(grid, fmt)) for fmt in ("csv", "json")] \
             == want, case
     assert "np." not in str(want)
