@@ -165,6 +165,7 @@ def _axis_pair(axis) -> tuple:
                 and values.dtype.kind in "fi" and values.dtype.itemsize == 8):
             values = tuple(values)
             kinds = set(map(type, values))
+            # fromiter, unlike np.array, keeps a list or an array among the values one element
             values = (np.array(values, dtype=float) if kinds == {float} else
                       np.array(values, dtype=np.int64) if kinds == {int} and -2**63 <= min(values)
                       and max(values) < 2**63 else np.fromiter(values, object, len(values)))
