@@ -7,10 +7,11 @@ an axis from its spec, for the CLI and the figure presets alike: a range
 as a read-only numpy array, a list as a tuple.  A grid holds every axis
 as one read-only numpy array (see _axis_pair): float64 for plain floats,
 int64 for plain ints, else an object array of the values as given.  A
-sweep checks each axis once, not once per point: a float64 axis, or an
-int64 count axis, by its ends and one NaN test, and is computed with as
-it is; any other axis value by value, its checked numbers in an object
-array, where an int meets an int as in Python.  It evaluates the whole
+sweep checks each axis once, not once per point: a float64 float axis,
+or an int64 axis, by its ends and one NaN test, and is computed with as
+it is, save that an int64 float axis's ints go in an object array; any
+other axis value by value, its checked numbers in an object array, where
+an int meets an int as in Python.  It evaluates the whole
 grid as float64 columns, bit for bit as efficiency() evaluates each
 point, by the same two functions, traffic._throughput_fields and
 power_energy._energy_fields, on the base scenario with each axis's
@@ -302,21 +303,22 @@ def _numbers(name: str, axis: Axis, values):
     equal, up to the first that fails the axis's number rule.  A value fails
     exactly where the axis's part raises, but no record is built here.
 
-    A float64 array on a float axis or an int64 array on a count axis is
-    checked as a whole: its two ends within the rule's bounds (SweepGrid
-    saw it ascend), and no NaN, which the order check passes over.  It is
-    returned as it is, its elements standing for the Python numbers they
-    equal.  Any other array is checked by _check_number, value by value, up
-    to the first that fails, and its numbers go on in an object array:
-    int64 on a float axis, say, whose ints numpy computes with as Python
-    computes with them.
+    An int64 array, or a float64 array on a float axis, is checked as a
+    whole: its two ends within the rule's bounds (SweepGrid saw it ascend),
+    and no NaN, which the order check passes over.  It is returned as it
+    is, its elements standing for the Python numbers they equal, except
+    int64 on a float axis, whose ints go on in an object array, so that
+    numpy computes with them as Python computes with ints.  Any other array
+    is checked by _check_number, value by value, up to the first that
+    fails, and its numbers go on in an object array.
     """
     import numpy as np
 
     _, low, high, _ = axis.rule
-    if (values.dtype == (np.int64 if axis.arch else np.float64) and low <= values.item(0)
-            and values.item(-1) <= high and not np.isnan(values).any()):
-        return values
+    if ((values.dtype == np.int64 or values.dtype == np.float64 and not axis.arch)
+            and low <= values.item(0) and values.item(-1) <= high and not np.isnan(values).any()):
+        return values if axis.arch or values.dtype == np.float64 else \
+            np.array(values.tolist(), dtype=object)
     numbers = []
     try:   # keeps the numbers checked before one raises
         numbers.extend(_check_number(name, value, axis.rule) for value in values.tolist())

@@ -370,8 +370,7 @@ def _standalone(grid):
     scenario with replace() and evaluating it with efficiency(), in row order."""
     rows = []
     # an array's elements as the Python numbers they stand for
-    for point in itertools.product(*(values if isinstance(values, tuple) else values.tolist()
-                                     for _, values in grid.axes)):
+    for point in itertools.product(*(values.tolist() for _, values in grid.axes)):
         cfg = grid.base
         try:
             for (name, _), v in zip(grid.axes, point):
@@ -389,6 +388,21 @@ def _swept(grid):
         return _hex(run_sweep(grid))
     except ValidationError as e:
         return str(e)
+
+
+class _Float(float):
+    """A float that a grid keeps in an object array, as it keeps any value
+    that is not exactly a Python float or int, and checks value by value."""
+
+
+class _Int(int):
+    """An int that a grid keeps in an object array (see _Float)."""
+
+
+def _as_objects(values):
+    """Python numbers, each as the _Float or _Int that equals it and has its
+    repr: the reference a typed axis array is compared with."""
+    return tuple(_Float(v) if isinstance(v, float) else _Int(v) for v in values)
 
 
 SHANNON = replace(CENTRAL.small, spectrum_eff=ShannonEdgeSE(5.0, 50.0))
@@ -512,10 +526,11 @@ def test_a_range_axis_ends_in_the_error_of_its_tuple(case, message):
     # an array's element is named as the Python number it stands for, never
     # as a numpy scalar such as np.int64(1), in the run and in both writers
     base, axes = SWEEP_CASES[case]
-    plain = SweepGrid(base, tuple((name, tuple(values.tolist()) if isinstance(values, np.ndarray)
-                                   else values) for name, values in axes))
+    plain = SweepGrid(base, tuple((name, _as_objects(np.asarray(values).tolist()))
+                                  for name, values in axes))
     grid = SweepGrid(base, axes)
-    assert any(isinstance(values, np.ndarray) for _, values in grid.axes)
+    assert all(values.dtype == object for _, values in plain.axes)
+    assert any(values.dtype != object for _, values in grid.axes)
     want = _swept(plain)
     assert want.startswith(message) and "np." not in want
     assert _swept(grid) == want
@@ -1026,12 +1041,14 @@ def test_range_axes_equal_the_values_of_a_python_step_each():
             [v if integer else v.hex() for v in want], spec
         if len(want) > 3000:
             continue
-        # the grid and its sweep take the array as they take the tuple
-        grid, plain = _grid_or_error(((name, values),)), _grid_or_error(((name, want),))
+        # the grid and its sweep take the array as they take its values one by one
+        grid = _grid_or_error(((name, values),))
+        plain = _grid_or_error(((name, _as_objects(want)),))
         if isinstance(plain, str):
             assert grid == plain, spec
             seen.add(plain.partition(": ")[2])
         else:
+            assert plain.axes[0][1].dtype == object, spec
             assert _swept(grid) == _swept(plain), spec
             seen.update(("-0.0" if math.copysign(1.0, want[0]) < 0 else "values",
                          "inf" if math.inf in want else "finite"))
